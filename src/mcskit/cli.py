@@ -10,7 +10,8 @@ Complex values are parsed as 're,im' or polar 'r@theta' with theta in
 degrees; a bare number is taken as real. Grids are 'qmin,qmax,pmin,pmax,
 nq,np' for phase space and 'xmin,xmax,nx' for position space.
 
-MCSKIT_THREADS caps the worker threads used by the time-evolution sweep.
+MCSKIT_THREADS caps the worker threads used by the closed-route time-evolution
+sweep (evolve --method closed).
 Exit status: 0 on success (verify: all checks passed), 1 on any failed
 check or domain error, 2 on argument errors (argparse's convention).
 """
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .decomposition import density_movie
-from .errors import McskitError, UnsupportedOrder
+from .errors import McskitError
 from .fock import ladder_spectrum
 from .states import MCSLabel, a_norm_closed, build_mcs, moments
 from .verify import SUITE_NAMES, run_suite
@@ -258,10 +259,6 @@ def cmd_wigner(cfg: RunConfig) -> int:
     k, j, z = cfg.k, cfg.j, cfg.z
     computed = {}
     if cfg.method in ("closed", "both"):
-        if k > 3:
-            raise UnsupportedOrder(
-                f"closed fields cover orders 1..3, not k={k}; use --method numeric"
-            )
         computed["closed"] = wigner_closed(k, j, z, grid)
     if cfg.method in ("numeric", "both"):
         state = build_mcs(MCSLabel(k, j, complex(z) ** k), n_max=cfg.n_max)
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mcskit",
         description="Multiphoton coherent states: spectra, uncertainties, "
         "phase-space fields, time evolution, self-checks.",
-        epilog="Set MCSKIT_THREADS to cap worker threads.",
+        epilog="Set MCSKIT_THREADS to cap the worker threads of evolve --method closed.",
     )
     parser.add_argument("--version", action="version", version=f"mcskit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -32,6 +32,10 @@ DEFAULT_X_GRID = (-12.0, 12.0, 2048)
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 
+# eigenfunction rows held at once by the synthesis; bounds its memory to
+# _BLOCK_ROWS * len(x) doubles whatever n_max is
+_BLOCK_ROWS = 64
+
 
 def default_x_grid() -> np.ndarray:
     lo, hi, n = DEFAULT_X_GRID
@@ -44,18 +48,39 @@ def fock_wavefunction(state: FockVector, x: np.ndarray) -> np.ndarray:
     Uses the stable two-term recurrence
     psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1};
     no Hermite polynomial or factorial ever appears explicitly, so n_max in
-    the hundreds is routine.
+    the thousands is routine.
     """
     x = np.asarray(x, dtype=np.float64)
-    c = state.coeffs
+    return _synthesize(state.coeffs[None, :], x.ravel())[0].reshape(x.shape)
+
+
+def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[r] = sum_n coeffs[r, n] psi_n(x) for a (rows, n_max) coefficient
+    matrix and a 1-d x: one recurrence over x, whose rows are contracted
+    with the coefficients as real matrix products, _BLOCK_ROWS at a time.
+
+    Only levels with a nonzero coefficient in some row are kept, and the
+    recurrence stops at the highest of them.
+    """
+    out = np.zeros((coeffs.shape[0], x.size), dtype=np.complex128)
+    used = np.any(coeffs != 0.0, axis=0)
+    top = int(np.flatnonzero(used)[-1]) + 1 if used.any() else 0
+    basis = np.empty((_BLOCK_ROWS, x.size))
+    held: list[int] = []
     prev = np.zeros_like(x)
     cur = _QUARTIC_ROOT_PI * np.exp(-0.5 * x * x)
-    acc = c[0] * cur.astype(np.complex128)
-    for n in range(1, c.size):
-        prev, cur = cur, math.sqrt(2.0 / n) * x * cur - math.sqrt((n - 1) / n) * prev
-        if c[n] != 0.0:
-            acc += c[n] * cur
-    return acc
+    for n in range(top):
+        if n > 0:
+            prev, cur = cur, math.sqrt(2.0 / n) * x * cur - math.sqrt((n - 1) / n) * prev
+        if used[n]:
+            basis[len(held)] = cur
+            held.append(n)
+        if len(held) == _BLOCK_ROWS or n == top - 1:
+            c = coeffs[:, held]
+            out.real += c.real @ basis[: len(held)]
+            out.imag += c.imag @ basis[: len(held)]
+            held = []
+    return out
 
 
 @dataclass(frozen=True)
@@ -247,27 +272,28 @@ def density_movie(
 ) -> np.ndarray:
     """|psi(x, t)|^2 sampled on a time grid, one row per instant.
 
-    t_grid defaults to one revival period 2*pi/k at 65 frames. Rows are
-    independent, so they are computed on the shared thread pool (capped by
-    MCSKIT_THREADS) while preserving time order.
+    t_grid defaults to one revival period 2*pi/k at 65 frames.
+
+    fock: the eigenfunctions do not depend on time, so the whole movie is
+    |C @ Psi|^2 with C[t, n] = c_n e^{-i(n+1/2)t} and Psi[n] = psi_n(x),
+    from one recurrence over x that keeps only the levels n = j mod k.
+
+    closed: rows are independent closed-form snapshots, computed on the
+    shared thread pool (capped by MCSKIT_THREADS) in time order.
     """
     if x_grid is None:
         x_grid = default_x_grid()
     x_grid = np.asarray(x_grid, dtype=np.float64)
     if t_grid is None:
         t_grid = np.linspace(0.0, 2.0 * np.pi / k, 65)
+    t_grid = np.asarray(t_grid, dtype=np.float64)
     if method == "fock":
-        base = build_mcs(MCSLabel(k, j, complex(z) ** k), n_max)
+        c = build_mcs(MCSLabel(k, j, complex(z) ** k), n_max).coeffs
+        n = np.arange(c.size)
+        phases = np.exp(-1j * np.outer(t_grid, n + 0.5)) * c
+        return np.abs(_synthesize(phases, x_grid)) ** 2
 
-        def row(t: float) -> np.ndarray:
-            evolved = time_evolve(base, float(t))
-            return np.abs(fock_wavefunction(evolved, x_grid)) ** 2
+    def row(t: float) -> np.ndarray:
+        return mcs_wavefunction(k, j, z, x_grid, t=float(t), method=method).density()
 
-    else:
-
-        def row(t: float) -> np.ndarray:
-            return mcs_wavefunction(
-                k, j, z, x_grid, t=float(t), method=method
-            ).density()
-
-    return np.array(pmap(row, list(np.asarray(t_grid, dtype=np.float64))))
+    return np.array(pmap(row, list(t_grid)))

@@ -236,15 +236,18 @@ def a_norm_closed(label: MCSLabel) -> float:
         if r == 0.0:
             return float(j)
         y = r ** (2.0 / 3.0)
-        e = math.exp(1.5 * y)
-        c = 2.0 * math.cos(math.sqrt(3.0) * y / 2.0)
-        s_minus = 2.0 * math.sin(math.pi / 6.0 - math.sqrt(3.0) * y / 2.0)
-        s_plus = 2.0 * math.sin(math.pi / 6.0 + math.sqrt(3.0) * y / 2.0)
+        # every bracket is e^{1.5y} plus a bounded trig term; dividing both
+        # sides of each ratio by e^{1.5y} keeps large r finite, and the
+        # scaled trig terms underflow harmlessly to 0
+        damp = math.exp(-1.5 * y)
+        c = 2.0 * damp * math.cos(math.sqrt(3.0) * y / 2.0)
+        s_minus = 2.0 * damp * math.sin(math.pi / 6.0 - math.sqrt(3.0) * y / 2.0)
+        s_plus = 2.0 * damp * math.sin(math.pi / 6.0 + math.sqrt(3.0) * y / 2.0)
         if j == 0:
-            return y * (e - s_plus) / (e + c)
+            return y * (1.0 - s_plus) / (1.0 + c)
         if j == 1:
-            return y * (e + c) / (e - s_minus)
-        return y * (e - s_minus) / (e - s_plus)
+            return y * (1.0 + c) / (1.0 - s_minus)
+        return y * (1.0 - s_minus) / (1.0 - s_plus)
     raise UnsupportedOrder(f"no closed number expectation for order {k}")
 
 

@@ -7,13 +7,21 @@ Kernel convention:
 so that integral(W dq dp) = 1, marginals are |psi(q)|^2 and |phi(p)|^2, and
 2*pi*integral(W^2) = 1 for a pure state.
 
+Both routes are dense linear algebra. The closed field sums k^2 ring
+pairs, each rank-1 in (q, p), so the whole field is one complex
+(n_q x k^2) @ (k^2 x n_p) product; every factor is peeled to modulus <= 1,
+so no intermediate overflows where the field itself is finite.
+
 The numeric transform gets its speed from one trick: with a uniform q grid,
 choosing the y step as an integer fraction of the q step puts every q +- y
 on a single shared fine lattice. psi is synthesized once on that lattice,
-the correlator becomes pure indexing, and the p integral is one complex
-matmul. This is exactly the trapezoid-rule transform, only without
-re-evaluating psi per column; agreement with the naive route is at machine
-precision and the cost per 257x257 field is ~0.1 s at n_max = 256.
+psi(q+y) and psi(q-y) are strided views of it, and since the correlator
+C(q, y) = psi*(q+y) psi(q-y) obeys C(q, -y) = conj C(q, y), only y >= 0
+is kept and the p integral is two real matmuls against cos(2yp) and
+sin(2yp). This is exactly the trapezoid-rule transform, only without
+re-evaluating psi per column or summing the mirrored half; agreement with
+the naive route is at machine precision, and a 257x257 field at
+n_max = 256 takes about 40-60 ms on a 2-vCPU x86 machine with OpenBLAS.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .decomposition import component_norm, fock_wavefunction
 from .errors import BoundaryMass, DegenerateNorm, WindowTooNarrow
@@ -65,9 +74,11 @@ def default_phase_grid() -> PhaseGrid:
 class WignerField:
     """Real field W on a PhaseGrid plus the discarded imaginary residue.
 
-    imag_residue is the largest |Im| the transform produced before taking
-    the real part; for a correct pure-state transform it is rounding noise,
-    and it is kept visible instead of silently dropped.
+    imag_residue is the largest |Im| the closed route's complex product
+    produced before taking the real part; for a correct field it is
+    rounding noise, and it is kept visible instead of silently dropped. The
+    numeric route folds the Hermitian correlator and is real by
+    construction, so it reports 0.
     """
 
     grid: PhaseGrid
@@ -115,30 +126,31 @@ def wigner_numeric(
     lattice = grid.q_min - n_half * h + np.arange(n_fine) * h
     psi = fock_wavefunction(state, lattice)
 
-    idx = np.arange(grid.n_q)[:, None] * m + np.arange(2 * n_half + 1)[None, :]
-    plus = psi[idx]            # psi(q_i + y_l), y ascending
-    minus = psi[idx[:, ::-1]]  # psi(q_i - y_l)
-    edge = max(
-        float(np.max(np.abs(plus[:, -1] * minus[:, -1]))),
-        float(np.max(np.abs(plus[:, 0] * minus[:, 0]))),
-    )
+    # windows[s] holds psi at lattice points s .. s + n_half, and q_i sits at
+    # point i m + n_half, so both halves of the correlator are strided views
+    windows = sliding_window_view(psi, n_half + 1)
+    plus = windows[n_half::m][: grid.n_q]   # psi(q_i + y_l), y_l = l h
+    minus = windows[::m][: grid.n_q, ::-1]  # psi(q_i - y_l)
+    # |C| is even in y, so the edge at +window_half stands for both edges
+    edge = float(np.max(np.abs(plus[:, -1] * minus[:, -1])))
     if edge > window_tol:
         raise WindowTooNarrow(
             f"integrand envelope {edge:.3e} at y=+-{window_half} exceeds "
             f"{window_tol:.1e}; widen window_half"
         )
 
+    # C(q, -y) = conj C(q, y), so the y < 0 half folds onto y > 0 and
+    # W = (1/pi) sum_y w_y (Re C cos 2yp - Im C sin 2yp) with interior
+    # weights doubled; the y = 0 and edge samples keep their single weight
     corr = np.conj(plus) * minus
-    weights = np.full(2 * n_half + 1, h)
-    weights[0] = weights[-1] = 0.5 * h
-    y = (np.arange(2 * n_half + 1) - n_half) * h
-    kernel = np.exp(2j * np.outer(y, p))
-    field = (corr * weights) @ kernel / math.pi
-    return WignerField(
-        grid=grid,
-        values=np.ascontiguousarray(field.real),
-        imag_residue=float(np.max(np.abs(field.imag))),
-    )
+    weights = np.full(n_half + 1, 2.0 * h)
+    weights[0] = weights[-1] = h
+    y = np.arange(n_half + 1) * h
+    arg = 2.0 * np.outer(y, p)
+    field = (
+        (corr.real * weights) @ np.cos(arg) - (corr.imag * weights) @ np.sin(arg)
+    ) / math.pi
+    return WignerField(grid=grid, values=field)
 
 
 def wigner_closed(
@@ -163,27 +175,28 @@ def wigner_closed(
         grid = default_phase_grid()
     z = complex(z)
     nj = component_norm(k, j, z)
-    if nj < 1e-300:
+    denom = (k * nj) ** 2
+    if denom < 1e-300:
         raise DegenerateNorm(
             f"class ({k}, {j}) carries no weight at z={z}; field undefined"
         )
-    qq = grid.q_axis[:, None]
-    pp = grid.p_axis[None, :]
+    # pair (a, b) is rank-1 in (q, p): exp(-(q-Q)^2) exp(D) exp(-(p-P)^2).
+    # Writing d = q - Re Q, -(q-Q)^2 = -d^2 + 2i d Im Q + (Im Q)^2, and the
+    # (Im Q)^2 + (Im P)^2 this peels off both factors cancels Re D exactly,
+    # so each factor below has modulus <= 1 and the pair weight is a phase
     mu = np.exp(2j * np.pi / k)
-    ring = mu ** np.arange(k) * z
-    acc = np.zeros((grid.n_q, grid.n_p), dtype=np.complex128)
-    for a in range(k):
-        za = np.conj(ring[a])
-        for b in range(k):
-            zb = ring[b]
-            center_q = (za + zb) / math.sqrt(2.0)
-            center_p = 1j * (za - zb) / math.sqrt(2.0)
-            damp = za * zb - abs(z) ** 2
-            acc += mu ** (j * (a - b)) * np.exp(
-                -((qq - center_q) ** 2) - (pp - center_p) ** 2 + damp
-            )
-    scale = math.exp(abs(z) ** 2) / (k * nj) ** 2 / math.pi
-    acc *= scale
+    a, b = np.divmod(np.arange(k * k), k)
+    za = np.conj(mu**a * z)
+    zb = mu**b * z
+    center_q = (za + zb) / math.sqrt(2.0)
+    center_p = 1j * (za - zb) / math.sqrt(2.0)
+    weight = mu ** (j * (a - b)) * np.exp(1j * (za * zb).imag)
+    scale = math.exp(abs(z) ** 2) / denom / math.pi
+    d = grid.q_axis[:, None] - center_q.real
+    e = grid.p_axis[None, :] - center_p.real[:, None]
+    left = np.exp(-d * d + 2j * d * center_q.imag)
+    right = (scale * weight)[:, None] * np.exp(-e * e + 2j * e * center_p.imag[:, None])
+    acc = left @ right
     return WignerField(
         grid=grid,
         values=np.ascontiguousarray(acc.real),

@@ -113,10 +113,18 @@ def test_wigner_both_reports_sup_diff(capsys):
     assert float(header["sup_abs_diff"]) < 1e-6
 
 
-def test_wigner_rejects_closed_high_order(capsys):
-    code, _, err = run_cli(capsys, "wigner", "--k", "5", "--z", "1")
-    assert code == 1
-    assert "UnsupportedOrder" in err
+def test_wigner_closed_high_order_matches_numeric(capsys):
+    code, out, _ = run_cli(
+        capsys, "wigner", "--k", "5", "--j", "2", "--z", "1.5@20",
+        "--grid", "-6,6,-6,6,41,37", "--method", "both",
+    )
+    assert code == 0
+    header = dict(
+        line[2:].split(" = ")
+        for line in out.splitlines()
+        if line.startswith("# ")
+    )
+    assert float(header["sup_abs_diff"]) <= 1e-9
 
 
 def test_evolve_row_structure(tmp_path, capsys):
@@ -142,6 +150,19 @@ def test_output_is_deterministic(tmp_path, capsys):
         code, _, _ = run_cli(
             capsys, "evolve", "--k", "3", "--j", "1", "--z", "1,1",
             "--grid", "-8,8,101", "--nt", "4", "--out", str(p),
+        )
+        assert code == 0
+        paths.append(p)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_fock_evolve_output_is_deterministic(tmp_path, capsys):
+    paths = []
+    for name in ("a.csv", "b.csv"):
+        p = tmp_path / name
+        code, _, _ = run_cli(
+            capsys, "evolve", "--k", "3", "--j", "2", "--z", "1.2@30",
+            "--grid", "-8,8,101", "--nt", "5", "--method", "fock", "--out", str(p),
         )
         assert code == 0
         paths.append(p)

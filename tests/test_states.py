@@ -155,6 +155,19 @@ def test_closed_vs_series_number_expectation():
                 assert closed == pytest.approx(series, rel=1e-10)
 
 
+def test_a_norm_closed_order_three_large_radius():
+    # e^{1.5y} overflows here (y = r^(2/3) = 2154.43...); the rescaled
+    # brackets tend to 1, so A -> y = 10^(10/3)
+    for j in range(3):
+        a = a_norm_closed(MCSLabel(3, j, 1e5))
+        assert a == pytest.approx(2154.434690031887, rel=1e-14)
+    # the rescaling leaves small and moderate radii on the series route
+    for j in range(3):
+        for r in (1e-3, 0.5, 5.0, 20.0, 50.0):
+            series = a_norm_series(3, j, r * r)
+            assert a_norm_closed(MCSLabel(3, j, r)) == pytest.approx(series, rel=1e-10)
+
+
 def test_a_norm_closed_limits_and_orders():
     assert a_norm_closed(MCSLabel(2, 0, 0.0)) == 0.0
     assert a_norm_closed(MCSLabel(2, 1, 0.0)) == 1.0

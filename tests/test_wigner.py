@@ -113,6 +113,13 @@ def test_degenerate_guard():
         wigner_closed(2, 1, 0.0)
 
 
+def test_degenerate_guard_covers_squared_norm():
+    # the class norm ~ |z|^2 / sqrt2 = 7e-201 passes a 1e-300 floor, but its
+    # square in the scale factor underflows to 0
+    with pytest.raises(DegenerateNorm):
+        wigner_closed(3, 2, 1e-100, PhaseGrid(-5.0, 5.0, -5.0, 5.0, 33, 33))
+
+
 def test_purity_helper_matches_method():
     field = wigner_closed(2, 0, 1.0)
     assert purity(field) == field.purity()
