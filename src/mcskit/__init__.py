@@ -77,11 +77,8 @@ from .wigner import (
     marginals,
     negativity_volume,
     purity,
-    wigner_cat2,
-    wigner_cat3,
     wigner_closed,
     wigner_numeric,
-    wigner_scs,
 )
 from .completeness import (
     MeasureCandidate,
@@ -115,8 +112,8 @@ __all__ = [
     "dft_matrix", "fock_wavefunction", "mcs_as_scs", "mcs_wavefunction",
     "scs_wavefunction",
     "Marginals", "PhaseGrid", "WignerField", "default_phase_grid",
-    "marginals", "negativity_volume", "purity", "wigner_cat2", "wigner_cat3",
-    "wigner_closed", "wigner_numeric", "wigner_scs",
+    "marginals", "negativity_volume", "purity", "wigner_closed",
+    "wigner_numeric",
     "MeasureCandidate", "MomentReport", "identity_block",
     "identity_resolution_numeric", "moment_check", "register_measure",
     "registered_measure", "root_exponential_density",

@@ -282,7 +282,22 @@ def identity_block(
     Radial panels double until the assembled matrix moves by less than
     refine_tol entrywise; QuadratureFailure past max_panels.
     """
-    candidate = registered_measure(k, j)
+    return _converged_block(
+        registered_measure(k, j), radial_cutoff, n_radial, n_angular, dim_check,
+        refine_tol, max_panels,
+    )
+
+
+def _converged_block(
+    candidate: MeasureCandidate,
+    radial_cutoff: float,
+    n_radial: int,
+    n_angular: int | None,
+    dim_check: int,
+    refine_tol: float = 1e-10,
+    max_panels: int = 2048,
+) -> np.ndarray:
+    """identity_block for any candidate, registered or not."""
     if n_angular is None:
         n_angular = dim_check + 1
     n_panels = n_radial
@@ -295,8 +310,8 @@ def identity_block(
             return block
         if n_panels >= max_panels:
             raise QuadratureFailure(
-                f"identity assembly for class ({k}, {j}) did not converge "
-                f"within {max_panels} radial panels"
+                f"identity assembly for class ({candidate.k}, {candidate.j}) did not "
+                f"converge within {max_panels} radial panels"
             )
         prev = block
         n_panels *= 2

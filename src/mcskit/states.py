@@ -17,6 +17,7 @@ computes both and refuses to return if they disagree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,18 @@ class MCSLabel:
     alpha: complex
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"order must be >= 1, got {self.k}")
-        if not 0 <= self.j < self.k:
-            raise ValueError(f"class index {self.j} outside [0, {self.k})")
+        try:
+            k, j = operator.index(self.k), operator.index(self.j)
+        except TypeError:
+            raise ValueError(
+                f"order and class must be integers, got ({self.k!r}, {self.j!r})"
+            ) from None
+        if k < 1:
+            raise ValueError(f"order must be >= 1, got {k}")
+        if not 0 <= j < k:
+            raise ValueError(f"class index {j} outside [0, {k})")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "j", j)
         a = complex(self.alpha)
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ValueError(f"eigenvalue must be finite, got {a!r}")

@@ -1,14 +1,19 @@
 """Self-check suites behind `mcskit verify`.
 
-Each suite re-derives a family of analytic statements numerically and
-returns CheckResult rows; nothing here is fitted to the implementation, so
-a regression in any module shows up as a FAIL with the measured number.
+CHECKS is the one table of checks: each row names its suite, its
+statement, a threshold with its relation, and the private function that
+measures it. `run_suite` builds a suite's shared inputs once per call and
+measures that suite's rows in table order; the acceptance tests read the
+same rows. Nothing here is fitted to the implementation, so a regression
+in any module shows up as a FAIL with the measured number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -26,9 +31,25 @@ from .fock import (
     time_evolve,
 )
 
-SUITE_NAMES = ("algebra", "states", "wigner", "completeness")
-
 _SEED = 20240813
+
+# label set of the states suite; every (k, j) with k <= 3 takes each alpha
+_LABEL_ALPHAS = (0.5, 2.0, 4.0, 2.0 + 2.0j, 4.0j)
+# shared radial grid of the scalar sweeps, each radius real and rotated
+_RADII = (0.5, 1.0, 2.0, 4.0)
+_PHASES = (1.0, complex(np.exp(0.7j)))
+# ring labels z of the wavefunction pairs, the closed fields and reassembly
+_RING_Z = (1.0, 2.0, 1.0 + 1.0j)
+# closed fields that also get a numeric field; with the quarter-turn case
+# (3, 0) every class with k <= 3 meets a closed-vs-numeric comparison
+_NUMERIC_CASES = (
+    (1, 0, 2.0),
+    (2, 0, 2.0),
+    (2, 1, 1.0 + 1.0j),
+    (3, 1, 2.0),
+    (3, 2, 1.0),
+)
+_QUARTER_TURN = (3, 0, 1.0 + 1.0j)
 
 
 @dataclass(frozen=True)
@@ -40,14 +61,20 @@ class CheckResult:
     passed: bool = False
 
 
-def _le(name: str, value: float, threshold: float) -> CheckResult:
-    v = float(value)
-    return CheckResult(name, v, threshold, "<=", v <= threshold)
+@dataclass(frozen=True)
+class Check:
+    """One row of the table: `measure(shared) relation threshold` must hold."""
+
+    suite: str
+    name: str
+    relation: str
+    threshold: float
+    measure: Callable[[SimpleNamespace], float]
 
 
-def _ge(name: str, value: float, threshold: float) -> CheckResult:
-    v = float(value)
-    return CheckResult(name, v, threshold, ">=", v >= threshold)
+def _algebra_inputs(n_max: int) -> SimpleNamespace:
+    # one generator per run: the rows draw their probes from it in table order
+    return SimpleNamespace(n_max=n_max, rng=np.random.default_rng(_SEED))
 
 
 def _random_probe(rng: np.random.Generator, n_max: int, clear_top: int) -> FockVector:
@@ -56,329 +83,403 @@ def _random_probe(rng: np.random.Generator, n_max: int, clear_top: int) -> FockV
     return FockVector(c / np.linalg.norm(c))
 
 
-def suite_algebra(n_max: int = 128) -> list[CheckResult]:
-    rng = np.random.default_rng(_SEED)
-    out: list[CheckResult] = []
-
+def _commutators(s: SimpleNamespace) -> float:
     worst = 0.0
     for k in range(1, 6):
         for _ in range(10):
-            probe = _random_probe(rng, n_max, clear_top=k + 1)
+            probe = _random_probe(s.rng, s.n_max, clear_top=k + 1)
             res = pha_commutator_check(k, probe)
             worst = max(worst, res.lowering, res.raising, res.number_poly)
-    out.append(_le("commutator residuals, orders 1..5, 50 probes", worst, 1e-12))
+    return worst
 
+
+def _ladder_union(s: SimpleNamespace) -> float:
     gap = 0.0
     for k in (2, 3, 5):
         merged = ladder_spectrum(k, levels=60).merged(60)
         gap = max(gap, float(np.max(np.abs(merged - (np.arange(60) + 0.5)))))
-    out.append(_le("ladder union reproduces n + 1/2 (first 60)", gap, 0.0))
+    return gap
 
-    state = _random_probe(rng, n_max, clear_top=1)
+
+def _unitary_drift(s: SimpleNamespace) -> float:
+    state = _random_probe(s.rng, s.n_max, clear_top=1)
     for _ in range(1000):
         state = time_evolve(state, 0.01)
-    out.append(_le("unitary drift after 1000 steps", abs(state.norm() - 1.0), 1e-13))
+    return abs(state.norm() - 1.0)
 
-    edge = basis_state(n_max - 1, n_max)
-    lifted = apply_raising(edge, leak_tol=np.inf)
-    out.append(
-        _le(
-            "leakage accounting at the truncation edge",
-            abs(lifted.leakage - n_max) + lifted.norm(),
-            0.0,
-        )
+
+def _edge_leakage(s: SimpleNamespace) -> float:
+    lifted = apply_raising(basis_state(s.n_max - 1, s.n_max), leak_tol=np.inf)
+    return abs(lifted.leakage - s.n_max) + lifted.norm()
+
+
+def _edge_guard(s: SimpleNamespace) -> float:
+    try:
+        pha_commutator_check(2, basis_state(s.n_max - 1, s.n_max))
+    except EdgeSupport:
+        return 0.0
+    return 1.0
+
+
+def _state_inputs(n_max: int) -> SimpleNamespace:
+    labels = [
+        st.MCSLabel(k, j, a) for k in (1, 2, 3) for j in range(k) for a in _LABEL_ALPHAS
+    ]
+    built = {lab: st.build_mcs(lab, n_max) for lab in labels}
+    return SimpleNamespace(
+        n_max=n_max,
+        built=built,
+        closed={lab: st.moments(lab, n_max) for lab in labels},
+        numeric={lab: st.numeric_moments(vec) for lab, vec in built.items()},
     )
 
-    try:
-        pha_commutator_check(2, basis_state(n_max - 1, n_max))
-        guard = 1.0
-    except EdgeSupport:
-        guard = 0.0
-    out.append(_le("edge-support guard fires", guard, 0.0))
+
+def _swept_moments(
+    s: SimpleNamespace, k: int
+) -> list[tuple[st.MCSLabel, st.MomentSet]]:
+    """Order-k moments over the label set and the shared radial sweep."""
+    out = [(lab, mom) for lab, mom in s.closed.items() if lab.k == k]
+    for j in range(k):
+        for r in _RADII:
+            for phase in _PHASES:
+                lab = st.MCSLabel(k, j, r * phase)
+                out.append((lab, st.moments(lab, s.n_max)))
     return out
 
 
-_LABEL_ALPHAS = (0.5, 2.0, 2.0 + 2.0j, 4.0j)
+def _state_norms(s: SimpleNamespace) -> float:
+    return max(abs(v.norm() - 1.0) for v in s.built.values())
 
 
-def _label_set() -> list[st.MCSLabel]:
-    return [
-        st.MCSLabel(k, j, a)
-        for k in (1, 2, 3)
-        for j in range(k)
-        for a in _LABEL_ALPHAS
-    ]
+def _eigen_residuals(s: SimpleNamespace) -> float:
+    return max(st.eigenvalue_residual(lab, vec) for lab, vec in s.built.items())
 
 
-def suite_states(n_max: int = 256) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    labels = _label_set()
-    built = {lab: st.build_mcs(lab, n_max) for lab in labels}
-
-    out.append(
-        _le(
-            "state norms after truncation",
-            max(abs(v.norm() - 1.0) for v in built.values()),
-            1e-12,
-        )
-    )
-    out.append(
-        _le(
-            "ladder eigenvalue residuals",
-            max(st.eigenvalue_residual(lab, vec) for lab, vec in built.items()),
-            1e-10,
-        )
-    )
-
+def _moment_routes(s: SimpleNamespace) -> float:
     gap = 0.0
-    for lab, vec in built.items():
-        closed = st.moments(lab, n_max)
-        numeric = st.numeric_moments(vec)
+    for lab, closed in s.closed.items():
+        numeric = s.numeric[lab]
         for name in st.MomentSet.__dataclass_fields__:
             gap = max(gap, abs(getattr(closed, name) - getattr(numeric, name)))
-    out.append(_le("moment routes (series vs matrix elements)", gap, 1e-10))
+    return gap
 
+
+def _order_one_product(s: SimpleNamespace) -> float:
+    return max(abs(mom.uncertainty_product - 0.5) for _, mom in _swept_moments(s, 1))
+
+
+def _number_closed_vs_series(s: SimpleNamespace) -> float:
+    radii = np.union1d(np.geomspace(1e-3, 4.0, 40), np.linspace(1e-3, 4.0, 100))
     rel = 0.0
     for k in (2, 3):
         for j in range(k):
-            for r in np.geomspace(1e-3, 4.0, 40):
+            for r in radii:
                 a_series = st.a_norm_series(k, j, r * r)
                 a_closed = st.a_norm_closed(st.MCSLabel(k, j, r))
                 rel = max(rel, abs(a_closed - a_series) / max(a_series, 1e-300))
-    out.append(_le("closed vs series number expectation", rel, 1e-10))
+    return rel
 
+
+def _small_alpha_limits(s: SimpleNamespace) -> float:
     lim = 0.0
     for k in (1, 2, 3):
         for j in range(k):
-            prod = st.moments(st.MCSLabel(k, j, 1e-6), n_max).uncertainty_product
+            prod = st.moments(st.MCSLabel(k, j, 1e-6), s.n_max).uncertainty_product
             lim = max(lim, abs(prod - (j + 0.5)))
-    out.append(_le("uncertainty limits j + 1/2 at alpha -> 0", lim, 1e-6))
+    return lim
 
-    ident = 0.0
-    for lab in labels:
-        if lab.k == 3:
-            mom = st.moments(lab, n_max)
-            ident = max(ident, abs(mom.uncertainty_product - mom.mean_H))
-    out.append(_le("order-3 product equals mean energy", ident, 1e-10))
 
+def _order_three_energy(s: SimpleNamespace) -> float:
+    gap = 0.0
+    for lab, mom in _swept_moments(s, 3):
+        target = st.a_norm_closed(lab) + 0.5
+        gap = max(
+            gap,
+            abs(mom.uncertainty_product - mom.mean_H),
+            abs(mom.uncertainty_product - target),
+            abs(mom.mean_H - target),
+        )
+    return gap
+
+
+def _revival(s: SimpleNamespace) -> float:
+    # ||U psi - phase psi|| bounds |<psi|U psi> conj(phase) - 1| from above
     rev = 0.0
-    for lab, vec in built.items():
+    for lab, vec in s.built.items():
         cycled = time_evolve(vec, 2.0 * math.pi / lab.k)
         expect = st.revival_phase(lab.k, lab.j) * vec.coeffs
         rev = max(rev, float(np.linalg.norm(cycled.coeffs - expect)))
-    out.append(_le("revival phase after one period", rev, 1e-10))
+    return rev
 
-    pgap = 0.0
-    for lab in labels:
+
+def _phase_routes(s: SimpleNamespace) -> float:
+    gap = 0.0
+    for lab, numeric in s.numeric.items():
         a = st.a_norm_series(lab.k, lab.j, abs(lab.alpha) ** 2)
         beta = (2.0 * math.pi / lab.k) * (a - lab.j)
-        energy = st.numeric_moments(built[lab]).mean_H
+        energy = numeric.mean_H
         alt = -(2 * lab.j + 1) * math.pi / lab.k + (2.0 * math.pi / lab.k) * energy
-        pgap = max(pgap, abs(beta - alt))
-    out.append(_le("geometric phase routes", pgap, 1e-12))
+        gap = max(gap, abs(beta - alt))
+    return gap
 
-    cgap = 0.0
-    for r in (0.5, 1.0, 2.0, 4.0):
-        beta0 = st.geometric_phase(st.MCSLabel(2, 0, r), n_max)
-        beta1 = st.geometric_phase(st.MCSLabel(2, 1, r), n_max)
-        cgap = max(cgap, abs(beta0 - math.pi * r * math.tanh(r)))
-        cgap = max(cgap, abs(beta1 - math.pi * (r / math.tanh(r) - 1.0)))
-    out.append(_le("order-2 closed geometric phase", cgap, 1e-10))
 
-    tgap = 0.0
+def _order_two_phase(s: SimpleNamespace) -> float:
+    gap = 0.0
+    for r in _RADII:
+        beta0 = st.geometric_phase(st.MCSLabel(2, 0, r), s.n_max)
+        beta1 = st.geometric_phase(st.MCSLabel(2, 1, r), s.n_max)
+        gap = max(gap, abs(beta0 - math.pi * r * math.tanh(r)))
+        gap = max(gap, abs(beta1 - math.pi * (r / math.tanh(r) - 1.0)))
+    return gap
+
+
+def _transform_inverse(s: SimpleNamespace) -> float:
+    gap = 0.0
     for k in range(1, 9):
         m, minv = dec.dft_matrix(k)
-        tgap = max(tgap, float(np.max(np.abs(m @ minv - np.eye(k)))))
-    out.append(_le("transform times inverse, orders 1..8", tgap, 1e-13))
+        gap = max(gap, float(np.max(np.abs(m @ minv - np.eye(k)))))
+    return gap
 
-    rgap = 0.0
+
+def _ring_vs_direct(s: SimpleNamespace) -> float:
+    gap = 0.0
     for k in (2, 3):
         for j in range(k):
             for z in (1.5, 1.0 + 1.0j):
-                ring = dec.mcs_as_scs(k, j, z).fock_vector(n_max)
-                direct = st.build_mcs(st.MCSLabel(k, j, complex(z) ** k), n_max)
-                rgap = max(rgap, float(np.linalg.norm(ring.coeffs - direct.coeffs)))
-    out.append(_le("ring decomposition matches direct build", rgap, 1e-12))
+                ring = dec.mcs_as_scs(k, j, z).fock_vector(s.n_max)
+                direct = st.build_mcs(st.MCSLabel(k, j, complex(z) ** k), s.n_max)
+                gap = max(gap, float(np.linalg.norm(ring.coeffs - direct.coeffs)))
+    return gap
 
-    agap = 0.0
+
+def _reassembly(s: SimpleNamespace) -> float:
+    gap = 0.0
     for k in (2, 3, 5):
-        for z in (1.5, 0.8 - 1.1j):
-            back = dec.coherent_from_classes(k, z, n_max)
-            ref = dec.coherent_state(z, n_max)
-            agap = max(agap, float(np.linalg.norm(back.coeffs - ref.coeffs)))
-    out.append(_le("coherent state reassembled from classes", agap, 1e-12))
+        for z in (1.5, 0.8 - 1.1j) + _RING_Z:
+            back = dec.coherent_from_classes(k, z, s.n_max)
+            ref = dec.coherent_state(z, s.n_max)
+            gap = max(gap, float(np.linalg.norm(back.coeffs - ref.coeffs)))
+    return gap
 
-    wgap = 0.0
-    x = dec.default_x_grid()
+
+def _wavefunctions(s: SimpleNamespace) -> float:
+    x = np.linspace(-10.0, 10.0, 801)
+    gap = 0.0
     for k in (2, 3):
         for j in range(k):
-            for z in (1.0, 2.0, 1.0 + 1.0j):
+            for z in _RING_Z:
                 for t in (0.0, 0.7):
                     closed = dec.mcs_wavefunction(k, j, z, x, t=t)
                     synth = dec.mcs_wavefunction(
-                        k, j, z, x, t=t, method="fock", n_max=n_max
+                        k, j, z, x, t=t, method="fock", n_max=s.n_max
                     )
-                    wgap = max(
-                        wgap, float(np.max(np.abs(closed.values - synth.values)))
-                    )
-    out.append(_le("closed vs synthesized wavefunctions", wgap, 1e-8))
+                    gap = max(gap, float(np.max(np.abs(closed.values - synth.values))))
+    return gap
 
+
+def _degenerate_guard(s: SimpleNamespace) -> float:
     try:
         dec.mcs_as_scs(2, 1, 0.0)
-        guard = 1.0
     except DegenerateNorm:
-        guard = 0.0
-    out.append(_le("degenerate-class guard fires", guard, 0.0))
-    return out
+        return 0.0
+    return 1.0
 
 
-_WIGNER_CASES = (
-    (1, 0, 2.0),
-    (2, 0, 2.0),
-    (2, 1, 1.0 + 1.0j),
-    (3, 1, 2.0),
-    (3, 2, 1.0),
-)
-
-
-def suite_wigner(n_max: int = 256) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _wigner_inputs(n_max: int) -> SimpleNamespace:
+    """Closed fields of every (k, j, z) with k <= 3 and z in _RING_Z, and
+    (state, closed, numeric) triples for the numeric cases; the last triple
+    is the quarter-turn case, evolved by t = pi/2."""
     grid = wg.default_phase_grid()
-
-    sup = 0.0
-    mass = 0.0
-    marg = 0.0
-    pure = 0.0
-    neg_cat = math.inf
-    for k, j, z in _WIGNER_CASES:
-        state = st.build_mcs(st.MCSLabel(k, j, complex(z) ** k), n_max)
-        closed = wg.wigner_closed(k, j, z, grid)
-        numeric = wg.wigner_numeric(state, grid)
-        sup = max(sup, float(np.max(np.abs(closed.values - numeric.values))))
-        mass = max(mass, abs(closed.total() - 1.0), abs(numeric.total() - 1.0))
-        pure = max(pure, abs(closed.purity() - 1.0))
-        m = wg.marginals(numeric, state)
-        marg = max(
-            marg,
-            float(np.max(np.abs(m.q_marginal - m.q_density))),
-            float(np.max(np.abs(m.p_marginal - m.p_density))),
-        )
-        if k > 1:
-            neg_cat = min(neg_cat, wg.negativity_volume(closed))
-    out.append(_le("closed vs numeric fields", sup, 1e-6))
-    out.append(_le("field total mass", mass, 1e-6))
-    out.append(_le("marginals vs synthesized densities", marg, 1e-6))
-    out.append(_le("pure-state purity from the field", pure, 1e-3))
-    out.append(
-        _le(
-            "coherent field nonnegativity",
-            wg.negativity_volume(wg.wigner_scs(2.0, grid)),
-            1e-10,
-        )
-    )
-    out.append(_ge("cat negativity volume", neg_cat, 1e-3))
-
-    # quarter turn maps grid nodes onto nodes: W_t(q, p) = W_0(-p, q)
-    k, j, z = 2, 0, 1.5 + 0.5j
-    base_state = st.build_mcs(st.MCSLabel(k, j, complex(z) ** 2), n_max)
+    closed = {
+        (k, j, z): wg.wigner_closed(k, j, z, grid)
+        for k in (1, 2, 3)
+        for j in range(k)
+        for z in _RING_Z
+    }
+    states = {
+        (k, j, z): st.build_mcs(st.MCSLabel(k, j, complex(z) ** k), n_max)
+        for k, j, z in _NUMERIC_CASES + (_QUARTER_TURN,)
+    }
+    triples = [
+        (states[c], closed[c], wg.wigner_numeric(states[c], grid))
+        for c in _NUMERIC_CASES
+    ]
+    k, j, z = _QUARTER_TURN
     t = math.pi / 2.0
-    rot = 0.0
-    w0 = wg.wigner_closed(k, j, z, grid)
-    wt = wg.wigner_closed(k, j, complex(z) * np.exp(-1j * t), grid)
-    rot = max(rot, float(np.max(np.abs(wt.values - w0.values[::-1, :].T))))
-    wt_num = wg.wigner_numeric(time_evolve(base_state, t), grid)
-    rot = max(rot, float(np.max(np.abs(wt_num.values - w0.values[::-1, :].T))))
-    out.append(_le("quarter-turn rotation covariance", rot, 1e-6))
+    turned = time_evolve(states[_QUARTER_TURN], t)
+    closed_turned = wg.wigner_closed(k, j, complex(z) * np.exp(-1j * t), grid)
+    triples.append((turned, closed_turned, wg.wigner_numeric(turned, grid)))
+    return SimpleNamespace(n_max=n_max, grid=grid, closed=closed, triples=triples)
 
+
+def _closed_vs_numeric(s: SimpleNamespace) -> float:
+    return max(float(np.max(np.abs(c.values - n.values))) for _, c, n in s.triples)
+
+
+def _field_mass(s: SimpleNamespace) -> float:
+    return max(
+        max(abs(c.total() - 1.0), abs(n.total() - 1.0)) for _, c, n in s.triples
+    )
+
+
+def _marginals(s: SimpleNamespace) -> float:
+    worst = 0.0
+    for state, closed, numeric in s.triples:
+        ref = wg.marginals(numeric, state)
+        for m in (ref, wg.marginals(closed)):
+            worst = max(
+                worst,
+                float(np.max(np.abs(m.q_marginal - ref.q_density))),
+                float(np.max(np.abs(m.p_marginal - ref.p_density))),
+            )
+    return worst
+
+
+def _purity(s: SimpleNamespace) -> float:
+    return max(abs(c.purity() - 1.0) for _, c, _ in s.triples)
+
+
+def _coherent_negativity(s: SimpleNamespace) -> float:
+    return max(wg.negativity_volume(s.closed[1, 0, z]) for z in _RING_Z)
+
+
+def _cat_negativity(s: SimpleNamespace) -> float:
+    return min(wg.negativity_volume(f) for (k, _, _), f in s.closed.items() if k > 1)
+
+
+def _quarter_turn(s: SimpleNamespace) -> float:
+    # a quarter turn maps grid nodes onto nodes: W_t(q, p) = W_0(-p, q)
+    rotated = s.closed[_QUARTER_TURN].values[::-1, :].T
+    _, closed, numeric = s.triples[-1]
+    return max(
+        float(np.max(np.abs(closed.values - rotated))),
+        float(np.max(np.abs(numeric.values - rotated))),
+    )
+
+
+def _window_guard(s: SimpleNamespace) -> float:
     try:
-        wg.wigner_numeric(basis_state(200, n_max=max(n_max, 256)), grid)
-        guard = 1.0
+        wg.wigner_numeric(basis_state(200, n_max=max(s.n_max, 256)), s.grid)
     except WindowTooNarrow:
-        guard = 0.0
-    out.append(_le("window guard fires on a wide state", guard, 0.0))
-    return out
+        return 0.0
+    return 1.0
 
 
-def suite_completeness(n_max: int = 256) -> list[CheckResult]:
+def _completeness_inputs(n_max: int) -> SimpleNamespace:
     del n_max  # radial quadrature, no truncation involved
-    out: list[CheckResult] = []
-
-    report = comp.moment_check(comp.registered_measure(1, 0), n_top=20)
-    out.append(_le("order-1 density moments (n <= 20)", report.worst_error(), 1e-8))
-    out.append(
-        _le(
-            "order-1 identity resolution",
-            comp.identity_resolution_numeric(1, 0, radial_cutoff=12.0, dim_check=12),
-            1e-6,
-        )
-    )
-
-    fam = 0.0
-    blocks = {}
-    for j in (0, 1):
-        cand = comp.root_exponential_density(2, j)
-        fam = max(fam, comp.moment_check(cand, n_top=12).worst_error())
-        comp.register_measure(cand)
-        blocks[j] = comp.identity_block(
-            2, j, radial_cutoff=60.0, n_radial=32, dim_check=8
-        )
-    out.append(_le("order-2 density moments (n <= 12)", fam, 1e-8))
-
-    full = np.zeros((16, 16), dtype=np.complex128)
-    for j, block in blocks.items():
-        idx = 2 * np.arange(8) + j
-        full[np.ix_(idx, idx)] = block
-    out.append(
-        _le(
-            "order-2 class blocks tile the identity",
-            float(np.max(np.abs(full - np.eye(16)))),
-            1e-8,
-        )
-    )
-
-    bad = comp.MeasureCandidate(
+    plain = comp.MeasureCandidate(
         k=1, j=0, density=lambda x: np.exp(-x), support_hint=200.0, name="exp(-x)"
     )
-    bad_report = comp.moment_check(bad, n_top=6)
-    out.append(
-        _le(
-            "plain exponential still matches the first moment",
-            float(bad_report.rel_errors[0]),
-            1e-10,
-        )
-    )
-    out.append(
-        _ge(
-            "plain exponential rejected at the second moment",
-            float(bad_report.rel_errors[1]),
-            0.4,
-        )
+    return SimpleNamespace(
+        order_two=[comp.root_exponential_density(2, j) for j in (0, 1)],
+        plain=comp.moment_check(plain, n_top=6),
     )
 
+
+def _order_one_moments(s: SimpleNamespace) -> float:
+    report = comp.moment_check(comp.registered_measure(1, 0), n_top=20)
+    return report.worst_error() if report.nonnegative else math.inf
+
+
+def _order_one_identity(s: SimpleNamespace) -> float:
+    return comp.identity_resolution_numeric(1, 0, radial_cutoff=12.0, dim_check=12)
+
+
+def _order_two_moments(s: SimpleNamespace) -> float:
+    return max(comp.moment_check(cand, n_top=12).worst_error() for cand in s.order_two)
+
+
+def _order_two_tiling(s: SimpleNamespace) -> float:
+    full = np.zeros((16, 16), dtype=np.complex128)
+    for cand in s.order_two:
+        idx = 2 * np.arange(8) + cand.j
+        full[np.ix_(idx, idx)] = comp._converged_block(
+            cand, radial_cutoff=60.0, n_radial=32, n_angular=None, dim_check=8
+        )
+    return float(np.max(np.abs(full - np.eye(16))))
+
+
+def _zero_density(s: SimpleNamespace) -> float:
     zero = comp.MeasureCandidate(
         k=1, j=0, density=lambda x: np.zeros_like(x), support_hint=10.0, name="zero"
     )
-    out.append(
-        _ge(
-            "zero density rejected outright",
-            comp.moment_check(zero, n_top=3).worst_error(),
-            0.99,
-        )
-    )
-    return out
+    return comp.moment_check(zero, n_top=3).worst_error()
 
 
-_SUITES = {
-    "algebra": suite_algebra,
-    "states": suite_states,
-    "wigner": suite_wigner,
-    "completeness": suite_completeness,
+_INPUTS = {
+    "algebra": _algebra_inputs,
+    "states": _state_inputs,
+    "wigner": _wigner_inputs,
+    "completeness": _completeness_inputs,
 }
+
+CHECKS = (
+    Check("algebra", "commutator residuals, orders 1..5, 50 probes", "<=", 1e-12,
+          _commutators),
+    Check("algebra", "ladder union reproduces n + 1/2 (first 60)", "<=", 0.0,
+          _ladder_union),
+    Check("algebra", "unitary drift after 1000 steps", "<=", 1e-13, _unitary_drift),
+    Check("algebra", "leakage accounting at the truncation edge", "<=", 0.0,
+          _edge_leakage),
+    Check("algebra", "edge-support guard fires", "<=", 0.0, _edge_guard),
+    Check("states", "state norms after truncation", "<=", 1e-12, _state_norms),
+    Check("states", "ladder eigenvalue residuals", "<=", 1e-10, _eigen_residuals),
+    Check("states", "moment routes (series vs matrix elements)", "<=", 1e-10,
+          _moment_routes),
+    Check("states", "order-one product stays at 1/2", "<=", 1e-12, _order_one_product),
+    Check("states", "closed vs series number expectation", "<=", 1e-10,
+          _number_closed_vs_series),
+    Check("states", "uncertainty limits j + 1/2 at alpha -> 0", "<=", 1e-6,
+          _small_alpha_limits),
+    Check("states", "order-3 product and energy equal the closed number + 1/2", "<=",
+          1e-10, _order_three_energy),
+    Check("states", "revival phase after one period", "<=", 1e-10, _revival),
+    Check("states", "geometric phase routes", "<=", 1e-12, _phase_routes),
+    Check("states", "order-2 closed geometric phase", "<=", 1e-10, _order_two_phase),
+    Check("states", "transform times inverse, orders 1..8", "<=", 1e-13,
+          _transform_inverse),
+    Check("states", "ring decomposition matches direct build", "<=", 1e-12,
+          _ring_vs_direct),
+    Check("states", "coherent state reassembled from classes", "<=", 1e-12,
+          _reassembly),
+    Check("states", "closed vs synthesized wavefunctions", "<=", 1e-8, _wavefunctions),
+    Check("states", "degenerate-class guard fires", "<=", 0.0, _degenerate_guard),
+    Check("wigner", "closed vs numeric fields", "<=", 1e-6, _closed_vs_numeric),
+    Check("wigner", "field total mass", "<=", 1e-6, _field_mass),
+    Check("wigner", "marginals vs synthesized densities", "<=", 1e-6, _marginals),
+    Check("wigner", "pure-state purity from the field", "<=", 1e-3, _purity),
+    Check("wigner", "coherent field nonnegativity", "<=", 1e-10, _coherent_negativity),
+    Check("wigner", "cat negativity volume", ">=", 1e-3, _cat_negativity),
+    Check("wigner", "quarter-turn rotation covariance", "<=", 1e-6, _quarter_turn),
+    Check("wigner", "window guard fires on a wide state", "<=", 0.0, _window_guard),
+    Check("completeness", "order-1 density moments (n <= 20)", "<=", 1e-8,
+          _order_one_moments),
+    Check("completeness", "order-1 identity resolution", "<=", 1e-6,
+          _order_one_identity),
+    Check("completeness", "order-2 density moments (n <= 12)", "<=", 1e-8,
+          _order_two_moments),
+    Check("completeness", "order-2 class blocks tile the identity", "<=", 1e-8,
+          _order_two_tiling),
+    Check("completeness", "plain exponential still matches the first moment", "<=",
+          1e-10, lambda s: s.plain.rel_errors[0]),
+    Check("completeness", "plain exponential rejected at the second moment", ">=",
+          0.4, lambda s: s.plain.rel_errors[1]),
+    Check("completeness", "zero density rejected outright", ">=", 0.99, _zero_density),
+)
+
+SUITE_NAMES = tuple(dict.fromkeys(row.suite for row in CHECKS))
 
 
 def run_suite(name: str, n_max: int = 256) -> list[CheckResult]:
-    if name not in _SUITES:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES} or 'all'")
     if name == "algebra":
-        return suite_algebra(n_max=min(n_max, 128))
-    return _SUITES[name](n_max=n_max)
+        n_max = min(n_max, 128)
+    shared = _INPUTS[name](n_max)
+    out = []
+    for row in CHECKS:
+        if row.suite == name:
+            v = float(row.measure(shared))
+            ok = v <= row.threshold if row.relation == "<=" else v >= row.threshold
+            out.append(CheckResult(row.name, v, row.threshold, row.relation, ok))
+    return out

@@ -204,21 +204,6 @@ def wigner_closed(
     )
 
 
-def wigner_scs(z: complex, grid: PhaseGrid | None = None) -> WignerField:
-    """Displaced ground-state Gaussian (1/pi) e^{-(q-<q>)^2-(p-<p>)^2}."""
-    return wigner_closed(1, 0, z, grid)
-
-
-def wigner_cat2(j: int, z: complex, grid: PhaseGrid | None = None) -> WignerField:
-    """Even (j=0) / odd (j=1) two-component cat on the ring {z, -z}."""
-    return wigner_closed(2, j, z, grid)
-
-
-def wigner_cat3(j: int, z: complex, grid: PhaseGrid | None = None) -> WignerField:
-    """Three-component cat on the ring {z, mu z, mu^2 z}, mu = e^{2pi i/3}."""
-    return wigner_closed(3, j, z, grid)
-
-
 @dataclass(frozen=True)
 class Marginals:
     """Wigner marginals next to independently synthesized densities."""

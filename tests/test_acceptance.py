@@ -1,257 +1,129 @@
 """End-to-end checks of the library's headline guarantees.
 
-Each test pins one numbered tolerance and reports a single PASS/FAIL
-line through the `criterion` fixture, so `pytest -v` doubles as the
-release checklist. The phase-space fields shared by the marginal,
-agreement, and negativity checks are computed once per module.
+Each numbered criterion is a named group of rows of `mcskit.verify.CHECKS`,
+the table behind `mcskit verify`; the table owns every input and
+threshold, so this module measures nothing itself. Each test reports one
+PASS/FAIL line through the `criterion` fixture, citing the measured value
+of every row it reads, so `pytest -v` doubles as the release checklist.
 """
 
-import math
-
-import numpy as np
 import pytest
 
-import mcskit as m
+from mcskit.verify import SUITE_NAMES, run_suite
 
-CLASS_CASES = [(k, j) for k in (1, 2, 3) for j in range(k)]
-EIGENVALUES = (0.5, 2.0, 4.0, 2.0 + 2.0j, 4.0j)
-RING_LABELS = (1.0, 2.0, 1.0 + 1.0j)
+# criterion number -> (title, the (suite, check name) rows it reads)
+CRITERIA = {
+    1: ("states are k-fold lowering eigenvectors",
+        [("states", "ladder eigenvalue residuals")]),
+    2: ("order-one product stays at 1/2",
+        [("states", "order-one product stays at 1/2")]),
+    3: ("vanishing-alpha products hit j + 1/2",
+        [("states", "uncertainty limits j + 1/2 at alpha -> 0")]),
+    4: ("closed number expectation matches its series",
+        [("states", "closed vs series number expectation")]),
+    5: ("k=3 product and energy follow the closed number",
+        [("states", "order-3 product and energy equal the closed number + 1/2")]),
+    6: ("one revival period returns the state up to its phase",
+        [("states", "revival phase after one period")]),
+    7: ("both geometric-phase routes agree",
+        [("states", "geometric phase routes"),
+         ("states", "order-2 closed geometric phase")]),
+    8: ("algebra commutators close on random probes",
+        [("algebra", "commutator residuals, orders 1..5, 50 probes")]),
+    9: ("field marginals reproduce both densities",
+        [("wigner", "marginals vs synthesized densities")]),
+    10: ("closed and numeric fields agree",
+         [("wigner", "closed vs numeric fields")]),
+    11: ("only genuine cats go negative",
+         [("wigner", "coherent field nonnegativity"),
+          ("wigner", "cat negativity volume")]),
+    12: ("class matrix inverts and classes reassemble",
+         [("states", "transform times inverse, orders 1..8"),
+          ("states", "coherent state reassembled from classes")]),
+    13: ("closed wavefunctions match Hermite synthesis",
+         [("states", "closed vs synthesized wavefunctions")]),
+    14: ("exponential measure has the right moments and identity",
+         [("completeness", "order-1 density moments (n <= 20)"),
+          ("completeness", "order-1 identity resolution")]),
+    15: ("interleaved ladders rebuild the oscillator exactly",
+         [("algebra", "ladder union reproduces n + 1/2 (first 60)")]),
+}
 
 
 @pytest.fixture(scope="module")
-def fields():
-    """(k, j, z) -> (state, closed field, numeric field) on the default grid."""
-    out = {}
-    for k, j in CLASS_CASES:
-        for z in RING_LABELS:
-            state = m.build_mcs(m.MCSLabel(k, j, complex(z) ** k))
-            out[(k, j, z)] = (
-                state,
-                m.wigner_closed(k, j, z),
-                m.wigner_numeric(state),
-            )
-    return out
+def table():
+    """(suite, check name) -> CheckResult for every row of the table."""
+    return {(suite, r.name): r for suite in SUITE_NAMES for r in run_suite(suite)}
 
 
-def test_c01_ladder_eigenvalue_property(criterion):
-    worst = 0.0
-    for k, j in CLASS_CASES:
-        for alpha in EIGENVALUES:
-            worst = max(worst, m.eigenvalue_residual(m.MCSLabel(k, j, alpha)))
-    criterion(
-        1, "states are k-fold lowering eigenvectors", worst <= 1e-10,
-        f"worst residual {worst:.2e} over {len(CLASS_CASES) * len(EIGENVALUES)} states",
-    )
-
-
-def test_c02_coherent_product_is_minimal(criterion):
-    worst = 0.0
-    for r in np.linspace(0.0, 4.0, 41):
-        for phase in (1.0, np.exp(0.7j)):
-            mom = m.moments(m.MCSLabel(1, 0, r * phase))
-            worst = max(worst, abs(mom.uncertainty_product - 0.5))
-    criterion(
-        2, "order-one product stays at 1/2", worst <= 1e-12,
-        f"worst |product - 1/2| = {worst:.2e} across |alpha| <= 4",
-    )
-
-
-def test_c03_small_alpha_limits(criterion):
-    targets = ((2, 0, 0.5), (2, 1, 1.5), (3, 0, 0.5), (3, 1, 1.5), (3, 2, 2.5))
-    worst = 0.0
-    for k, j, expect in targets:
-        mom = m.moments(m.MCSLabel(k, j, 1e-6))
-        worst = max(worst, abs(mom.uncertainty_product - expect))
-    criterion(
-        3, "vanishing-alpha products hit j + 1/2", worst <= 1e-6,
-        f"worst deviation {worst:.2e} over {len(targets)} class limits",
-    )
-
-
-def test_c04_closed_vs_series_number(criterion):
-    grid = np.linspace(1e-3, 4.0, 100)
-    worst = 0.0
-    for k in (2, 3):
-        for j in range(k):
-            for r in grid:
-                closed = m.a_norm_closed(m.MCSLabel(k, j, complex(r)))
-                series = m.a_norm_series(k, j, r * r)
-                worst = max(worst, abs(closed - series) / max(abs(series), 1e-300))
-    criterion(
-        4, "closed number expectation matches its series", worst <= 1e-10,
-        f"max relative gap {worst:.2e} on a 100-point radial grid",
-    )
-
-
-def test_c05_order_three_closed_moments(criterion):
-    grid = np.linspace(1e-3, 4.0, 100)
-    worst = 0.0
-    for j in range(3):
-        for r in grid:
-            mom = m.moments(m.MCSLabel(3, j, complex(r)))
-            a = m.a_norm_closed(m.MCSLabel(3, j, complex(r)))
-            worst = max(worst, abs(mom.uncertainty_product - (a + 0.5)))
-            worst = max(worst, abs(mom.mean_H - (a + 0.5)))
-    criterion(
-        5, "k=3 product and energy follow the closed number", worst <= 1e-10,
-        f"max pointwise gap {worst:.2e} over 3 classes x 100 radii",
-    )
-
-
-def test_c06_revival_overlap_phase(criterion):
-    worst = 0.0
-    for k, j in CLASS_CASES:
-        for alpha in EIGENVALUES:
-            state = m.build_mcs(m.MCSLabel(k, j, alpha))
-            overlap = m.inner(state, m.time_evolve(state, 2.0 * math.pi / k))
-            worst = max(worst, abs(overlap * np.conj(m.revival_phase(k, j)) - 1.0))
-    criterion(
-        6, "one revival period returns the state up to its phase", worst <= 1e-10,
-        f"worst |overlap*phase - 1| = {worst:.2e}",
-    )
-
-
-def test_c07_phase_route_agreement(criterion):
-    radii = (0.5, 1.0, 2.0, 4.0)
-    route_gap = 0.0
-    for k, j in CLASS_CASES:
-        for r in radii:
-            a = m.a_norm_series(k, j, r * r)
-            beta = (2.0 * math.pi / k) * (a - j)
-            mom = m.numeric_moments(m.build_mcs(m.MCSLabel(k, j, complex(r))))
-            beta_alt = -(2 * j + 1) * math.pi / k + (2.0 * math.pi / k) * mom.mean_H
-            route_gap = max(route_gap, abs(beta - beta_alt))
-    closed_gap = 0.0
-    for r in radii:
-        b0 = math.pi * r * math.tanh(r)
-        b1 = math.pi * (r / math.tanh(r) - 1.0)
-        closed_gap = max(
-            closed_gap, abs(b0 - m.geometric_phase(m.MCSLabel(2, 0, complex(r))))
+@pytest.fixture
+def check(criterion, table):
+    def run(num: int) -> None:
+        title, keys = CRITERIA[num]
+        rows = [table[key] for key in keys]
+        detail = "; ".join(
+            f"{r.name}: {r.value:.2e} {r.relation} {r.threshold:.0e}" for r in rows
         )
-        closed_gap = max(
-            closed_gap, abs(b1 - m.geometric_phase(m.MCSLabel(2, 1, complex(r))))
-        )
-    ok = route_gap <= 1e-12 and closed_gap <= 1e-10
-    criterion(
-        7, "both geometric-phase routes agree", ok,
-        f"route gap {route_gap:.2e}, k=2 closed-form gap {closed_gap:.2e}",
-    )
+        criterion(num, title, all(r.passed for r in rows), detail)
+
+    return run
 
 
-def test_c08_commutator_residuals(criterion, rng):
-    n_max = 128
-    worst = 0.0
-    for _ in range(50):
-        coeffs = rng.normal(size=n_max) + 1j * rng.normal(size=n_max)
-        coeffs[-12:] = 0.0
-        coeffs /= np.linalg.norm(coeffs)
-        probe = m.FockVector(coeffs)
-        for k in range(1, 6):
-            res = m.pha_commutator_check(k, probe)
-            worst = max(worst, res.lowering, res.raising, res.number_poly)
-    criterion(
-        8, "algebra commutators close on random probes", worst <= 1e-12,
-        f"worst relative residual {worst:.2e} over 50 probes, k = 1..5",
-    )
+def test_c01_ladder_eigenvalue_property(check):
+    check(1)
 
 
-def test_c09_wigner_marginals(criterion, fields):
-    worst = 0.0
-    for (k, j, z), (state, closed, _numeric) in fields.items():
-        marg = m.marginals(closed, state)
-        worst = max(worst, float(np.max(np.abs(marg.q_marginal - marg.q_density))))
-        worst = max(worst, float(np.max(np.abs(marg.p_marginal - marg.p_density))))
-    criterion(
-        9, "field marginals reproduce both densities", worst <= 1e-6,
-        f"sup marginal error {worst:.2e} over {len(fields)} fields",
-    )
+def test_c02_coherent_product_is_minimal(check):
+    check(2)
 
 
-def test_c10_wigner_closed_vs_numeric(criterion, fields):
-    worst = 0.0
-    for _key, (_state, closed, numeric) in fields.items():
-        worst = max(worst, float(np.max(np.abs(closed.values - numeric.values))))
-    criterion(
-        10, "closed and numeric fields agree", worst <= 1e-6,
-        f"sup |closed - numeric| = {worst:.2e} over {len(fields)} fields",
-    )
+def test_c03_small_alpha_limits(check):
+    check(3)
 
 
-def test_c11_negativity_dichotomy(criterion, fields):
-    scs_worst = 0.0
-    for z in RING_LABELS:
-        _, closed, _ = fields[(1, 0, z)]
-        scs_worst = max(scs_worst, abs(m.negativity_volume(closed)))
-    cat_min = math.inf
-    for k, j in CLASS_CASES:
-        if k == 1:
-            continue
-        _, closed, _ = fields[(k, j, 2.0)]
-        cat_min = min(cat_min, m.negativity_volume(closed))
-    ok = scs_worst <= 1e-10 and cat_min > 1e-3
-    criterion(
-        11, "only genuine cats go negative", ok,
-        f"order-one negativity {scs_worst:.2e}, smallest cat negativity {cat_min:.2e}",
-    )
+def test_c04_closed_vs_series_number(check):
+    check(4)
 
 
-def test_c12_class_matrix_and_reassembly(criterion):
-    matrix_worst = 0.0
-    for k in range(1, 9):
-        mat, inv = m.dft_matrix(k)
-        matrix_worst = max(
-            matrix_worst, float(np.max(np.abs(mat @ inv - np.eye(k))))
-        )
-    rebuild_worst = 0.0
-    for k in (2, 3, 5):
-        for z in RING_LABELS:
-            rebuilt = m.coherent_from_classes(k, complex(z))
-            direct = m.coherent_state(complex(z))
-            rebuild_worst = max(
-                rebuild_worst, float(np.max(np.abs(rebuilt.coeffs - direct.coeffs)))
-            )
-    ok = matrix_worst <= 1e-13 and rebuild_worst <= 1e-12
-    criterion(
-        12, "class matrix inverts and classes reassemble", ok,
-        f"inverse gap {matrix_worst:.2e}, reassembly gap {rebuild_worst:.2e}",
-    )
+def test_c05_order_three_closed_moments(check):
+    check(5)
 
 
-def test_c13_wavefunction_closed_vs_synthesis(criterion):
-    x = np.linspace(-10.0, 10.0, 801)
-    worst = 0.0
-    for k in (2, 3):
-        for j in range(k):
-            for z in RING_LABELS:
-                for t in (0.0, 0.7):
-                    closed = m.mcs_wavefunction(k, j, z, x, t=t, method="closed")
-                    fock = m.mcs_wavefunction(k, j, z, x, t=t, method="fock")
-                    worst = max(
-                        worst, float(np.max(np.abs(closed.values - fock.values)))
-                    )
-    criterion(
-        13, "closed wavefunctions match Hermite synthesis", worst <= 1e-8,
-        f"sup pointwise gap {worst:.2e} over 30 (class, label, time) cases",
-    )
+def test_c06_revival_overlap_phase(check):
+    check(6)
 
 
-def test_c14_order_one_measure(criterion):
-    report = m.moment_check(m.root_exponential_density(1, 0), n_top=20, tol=1e-8)
-    identity_gap = m.identity_resolution_numeric(1, 0, dim_check=12)
-    ok = report.passed and report.worst_error() <= 1e-8 and identity_gap <= 1e-6
-    criterion(
-        14, "exponential measure has the right moments and identity", ok,
-        f"worst moment error {report.worst_error():.2e} (orders 1..20), "
-        f"identity gap {identity_gap:.2e} on 12 states",
-    )
+def test_c07_phase_route_agreement(check):
+    check(7)
 
 
-def test_c15_merged_ladders(criterion):
-    ok = True
-    for k in (2, 3, 5):
-        merged = m.ladder_spectrum(k, levels=60).merged(60)
-        ok &= bool(np.array_equal(merged, np.arange(60) + 0.5))
-    criterion(
-        15, "interleaved ladders rebuild the oscillator exactly", ok,
-        "first 60 merged levels equal n + 1/2 bit for bit, k = 2, 3, 5",
-    )
+def test_c08_commutator_residuals(check):
+    check(8)
+
+
+def test_c09_wigner_marginals(check):
+    check(9)
+
+
+def test_c10_wigner_closed_vs_numeric(check):
+    check(10)
+
+
+def test_c11_negativity_dichotomy(check):
+    check(11)
+
+
+def test_c12_class_matrix_and_reassembly(check):
+    check(12)
+
+
+def test_c13_wavefunction_closed_vs_synthesis(check):
+    check(13)
+
+
+def test_c14_order_one_measure(check):
+    check(14)
+
+
+def test_c15_merged_ladders(check):
+    check(15)

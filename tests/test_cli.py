@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mcskit.cli import RunConfig, main, parse_complex, parse_phase_grid, parse_x_grid
+from mcskit.verify import CHECKS
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +201,16 @@ def test_verify_algebra_passes_fast(capsys):
     assert elapsed < 5.0
     assert "FAIL" not in out
     assert out.strip().splitlines()[-1].endswith("all passed")
+
+
+def test_verify_all_prints_one_line_per_check(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    lines = out.strip().splitlines()
+    assert code == 0
+    assert len(lines) == len(CHECKS) + 1
+    for line, row in zip(lines, CHECKS):
+        assert line.startswith(f"PASS [{row.suite}] {row.name}: ")
+    assert lines[-1] == f"{len(CHECKS)} checks, all passed"
 
 
 def test_verify_surfaces_forced_failure(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mcskit import completeness
 from mcskit import (
     MeasureCandidate,
     NoCandidate,
@@ -13,6 +14,13 @@ from mcskit import (
     registered_measure,
     root_exponential_density,
 )
+from mcskit.verify import run_suite
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    """Give a test that registers measures its own copy of the registry."""
+    monkeypatch.setattr(completeness, "_REGISTRY", dict(completeness._REGISTRY))
 
 
 def test_family_moments_across_orders():
@@ -57,7 +65,7 @@ def test_identity_resolution_order_one():
     assert dev < 1e-6
 
 
-def test_identity_blocks_tile_order_two():
+def test_identity_blocks_tile_order_two(registry):
     dim = 12
     total = np.zeros((dim, dim))
     for j in (0, 1):
@@ -68,7 +76,7 @@ def test_identity_blocks_tile_order_two():
     assert np.max(np.abs(total - np.eye(dim))) < 1e-8
 
 
-def test_registry_roundtrip():
+def test_registry_roundtrip(registry):
     seeded = registered_measure(1, 0)
     assert seeded.k == 1 and seeded.j == 0
     with pytest.raises(NoCandidate):
@@ -81,3 +89,9 @@ def test_registry_rejects_failing_candidate():
     bad = MeasureCandidate(k=1, j=0, density=lambda x: math.exp(-x), support_hint=60.0)
     with pytest.raises(ValueError):
         register_measure(bad, n_top=4)
+
+
+def test_verify_leaves_registry_unchanged():
+    before = list(completeness._REGISTRY)
+    run_suite("completeness")
+    assert list(completeness._REGISTRY) == before

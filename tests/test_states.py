@@ -70,6 +70,11 @@ def test_label_validation():
         MCSLabel(2, 2, 1.0)
     with pytest.raises(ValueError):
         MCSLabel(2, 1, complex("inf"))
+    with pytest.raises(ValueError):
+        MCSLabel(1.5, 0, 1.0)
+    with pytest.raises(ValueError):
+        MCSLabel(2, 0.5, 1.0)
+    assert MCSLabel(np.int64(2), np.int64(1), 1.0) == MCSLabel(2, 1, 1.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,10 +15,8 @@ from mcskit import (
     marginals,
     negativity_volume,
     purity,
-    wigner_cat2,
     wigner_closed,
     wigner_numeric,
-    wigner_scs,
 )
 
 
@@ -33,7 +31,7 @@ def test_phase_grid_validation():
 
 def test_scs_field_is_shifted_gaussian_peak():
     z = 1.0 + 0.5j
-    field = wigner_scs(z, default_phase_grid())
+    field = wigner_closed(1, 0, z, default_phase_grid())
     iq, ip = np.unravel_index(np.argmax(field.values), field.values.shape)
     grid = field.grid
     assert grid.q_axis[iq] == pytest.approx(math.sqrt(2.0) * z.real, abs=0.07)
@@ -62,7 +60,7 @@ def test_closed_matches_numeric():
 
 def test_odd_cat_limit_is_first_fock_state():
     # as z -> 0 the odd cat collapses onto |1>, whose field bottoms at -1/pi
-    field = wigner_cat2(1, 1e-4)
+    field = wigner_closed(2, 1, 1e-4)
     mid_q = field.grid.n_q // 2
     mid_p = field.grid.n_p // 2
     assert field.grid.q_axis[mid_q] == 0.0
@@ -70,10 +68,10 @@ def test_odd_cat_limit_is_first_fock_state():
 
 
 def test_negativity_dichotomy():
-    assert negativity_volume(wigner_scs(2.0)) < 1e-10
-    assert negativity_volume(wigner_cat2(0, 2.0)) > 1e-3
+    assert negativity_volume(wigner_closed(1, 0, 2.0)) < 1e-10
+    assert negativity_volume(wigner_closed(2, 0, 2.0)) > 1e-3
     # interference dies with the separation, so negativity fades toward 0
-    small = negativity_volume(wigner_cat2(0, 0.10))
+    small = negativity_volume(wigner_closed(2, 0, 0.10))
     assert small < 1e-3
 
 
