@@ -4,7 +4,12 @@ Subcommands: spectrum, uncertainty, wigner, evolve, verify. Output is a
 CSV table (default) or JSON document on stdout or --out; CSV carries the
 run configuration as leading '# key = value' lines so a file is
 reproducible from its own header. All numbers are emitted with shortest
-round-trip formatting, so identical invocations produce identical bytes.
+round-trip formatting, so identical invocations produce identical bytes,
+and a JSON column holds the same strings as its CSV column (JSON spells
+non-finite values NaN, Infinity and -Infinity). The writer streams the
+table in blocks of rows and formats each distinct value of a block once,
+so neither the cell strings nor the text of a whole table are ever held
+at once.
 
 Complex values are parsed as 're,im' or polar 'r@theta' with theta in
 degrees; a bare number is taken as real. Grids are 'qmin,qmax,pmin,pmax,
@@ -13,7 +18,8 @@ nq,np' for phase space and 'xmin,xmax,nx' for position space.
 MCSKIT_THREADS caps the worker threads used by the closed-route time-evolution
 sweep (evolve --method closed).
 Exit status: 0 on success (verify: all checks passed), 1 on any failed
-check or domain error, 2 on argument errors (argparse's convention).
+check, domain error or unwritable --out, 2 on argument errors (argparse's
+convention).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -160,30 +166,90 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+# rows formatted and joined at a time: big enough that the joins run in C,
+# small enough that only one block of cell strings is alive at once
+_BLOCK_ROWS = 4096
+
+# json.dumps spells the non-finite floats this way; repr gives nan/inf/-inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cells(col: np.ndarray, json_floats: bool) -> list[str]:
+    """Cell strings of one column slice, formatting each distinct value once.
+
+    Integers print with str and floats with repr, the shortest round-trip
+    form. Floats are told apart by bit pattern, so -0.0 and 0.0 keep their
+    own strings; a block of an axis column built by np.repeat or np.tile
+    costs one repr per distinct grid point in it instead of one per cell.
+    """
+    if col.dtype.kind in "iu":
+        uniq, inverse = np.unique(col, return_inverse=True)
+        text = list(map(str, uniq.tolist()))
+    else:
+        bits = np.asarray(col, dtype=np.float64).view(np.int64)
+        uniq, inverse = np.unique(bits, return_inverse=True)
+        values = uniq.view(np.float64)
+        text = list(map(repr, values.tolist()))
+        if json_floats:
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                text[i] = _JSON_NONFINITE[text[i]]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def _csv_blocks(
+    config: list[tuple[str, str]], names: list[str], cols: list[np.ndarray]
+) -> Iterator[str]:
+    yield "".join(f"# {key} = {val}\n" for key, val in config)
+    yield ",".join(names) + "\n"
+    n_rows = min((col.size for col in cols), default=0)
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        cells = [_cells(col[start:start + _BLOCK_ROWS], False) for col in cols]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _json_blocks(config: dict[str, str], columns: dict[str, np.ndarray]) -> Iterator[str]:
+    """The bytes of json.dumps({"config": ..., "columns": ...}, indent=2)."""
+    # one level deeper; json.dumps escapes any newline inside a string
+    conf = json.dumps(config, indent=2).replace("\n", "\n  ")
+    yield '{\n  "config": ' + conf + ',\n  "columns": '
+    if not columns:
+        yield "{}\n}\n"
+        return
+    for c, (name, col) in enumerate(columns.items()):
+        yield ("{" if c == 0 else ",") + f"\n    {json.dumps(name)}: "
+        if not col.size:
+            yield "[]"
+            continue
+        for start in range(0, col.size, _BLOCK_ROWS):
+            cells = _cells(col[start:start + _BLOCK_ROWS], True)
+            yield ("[" if start == 0 else ",") + "\n      " + ",\n      ".join(cells)
+        yield "\n    ]"
+    yield "\n  }\n}\n"
+
+
 def write_table(
     out: str,
     fmt: str,
     config: list[tuple[str, object]],
     columns: list[tuple[str, np.ndarray]],
 ) -> None:
+    """Write the table as CSV or JSON, formatted and streamed in row blocks.
+
+    Both formats carry the same cell strings, so a JSON column holds
+    exactly the floats of its CSV twin.
+    """
+    conf = [(key, _fmt(val)) for key, val in config]
+    names = [name for name, _ in columns]
+    cols = [np.asarray(col) for _, col in columns]
     if fmt == "csv":
-        lines = [f"# {key} = {_fmt(val)}" for key, val in config]
-        lines.append(",".join(name for name, _ in columns))
-        data = [np.asarray(col) for _, col in columns]
-        for row in zip(*data):
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        blocks = _csv_blocks(conf, names, cols)
     else:
-        doc = {
-            "config": {key: _fmt(val) for key, val in config},
-            "columns": {name: np.asarray(col).tolist() for name, col in columns},
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        blocks = _json_blocks(dict(conf), dict(zip(names, cols)))
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def _add_io(parser: argparse.ArgumentParser) -> None:
@@ -441,6 +507,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(cfg)
     except McskitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -93,8 +93,17 @@ class WignerField:
         return 2.0 * math.pi * _trapz2d(self.values**2, self.grid)
 
 
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    half = 0.5 * np.diff(x)
+    w = np.zeros_like(x)
+    w[:-1] += half
+    w[1:] += half
+    return w
+
+
 def _trapz2d(v: np.ndarray, grid: PhaseGrid) -> float:
-    return float(np.trapezoid(np.trapezoid(v, grid.p_axis, axis=1), grid.q_axis))
+    """Trapezoid rule over both axes as one contraction w_q @ v @ w_p."""
+    return float(_trapezoid_weights(grid.q_axis) @ v @ _trapezoid_weights(grid.p_axis))
 
 
 def wigner_numeric(

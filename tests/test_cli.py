@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcskit
 from mcskit.cli import RunConfig, main, parse_complex, parse_phase_grid, parse_x_grid
 from mcskit.verify import CHECKS
 
@@ -191,6 +196,48 @@ def test_json_format(capsys):
     assert doc["config"]["command"] == "spectrum"
     assert doc["columns"]["energy"] == [0.5, 2.5, 4.5, 1.5, 3.5, 5.5]
     assert doc["columns"]["class_index"][0] == 0
+
+
+def test_wigner_json_is_deterministic_and_matches_csv(tmp_path, capsys):
+    argv = ["wigner", "--k", "2", "--j", "1", "--z", "1,1",
+            "--grid", "-5,5,-5,5,33,17", "--method", "both"]
+    paths = {}
+    for name, extra in (("a.json", ["--format", "json"]),
+                        ("b.json", ["--format", "json"]),
+                        ("c.csv", [])):
+        paths[name] = tmp_path / name
+        code, _, _ = run_cli(capsys, *argv, *extra, "--out", str(paths[name]))
+        assert code == 0
+    assert paths["a.json"].read_bytes() == paths["b.json"].read_bytes()
+    doc = json.loads(paths["a.json"].read_text())
+    lines = [r for r in paths["c.csv"].read_text().splitlines() if not r.startswith("#")]
+    table = np.array([row.split(",") for row in lines[1:]], dtype=np.float64)
+    assert list(doc["columns"]) == lines[0].split(",")
+    for c, (name, col) in enumerate(doc["columns"].items()):
+        # bit patterns, so that -0.0 in one and 0.0 in the other would differ
+        assert np.array_equal(
+            np.array(col, dtype=np.float64).view(np.int64), table[:, c].view(np.int64)
+        ), name
+
+
+def test_unwritable_out_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "spectrum", "--k", "2", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    # the checkout's src, as `PYTHONPATH=src python -m mcskit` gives it
+    env = {**os.environ, "PYTHONPATH": str(Path(mcskit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcskit", "spectrum", "--k", "2", "--levels", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == ["class_index,step,energy", "0,0,0.5", "1,0,1.5"]
 
 
 def test_verify_algebra_passes_fast(capsys):
