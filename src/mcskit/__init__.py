@@ -67,7 +67,6 @@ from .decomposition import (
     fock_wavefunction,
     mcs_as_scs,
     mcs_wavefunction,
-    scs_wavefunction,
 )
 from .wigner import (
     Marginals,
@@ -110,7 +109,6 @@ __all__ = [
     "ScsSuperposition", "WaveSample", "coherent_from_classes",
     "coherent_state", "component_norm", "default_x_grid", "density_movie",
     "dft_matrix", "fock_wavefunction", "mcs_as_scs", "mcs_wavefunction",
-    "scs_wavefunction",
     "Marginals", "PhaseGrid", "WignerField", "default_phase_grid",
     "marginals", "negativity_volume", "purity", "wigner_closed",
     "wigner_numeric",

@@ -15,8 +15,6 @@ Complex values are parsed as 're,im' or polar 'r@theta' with theta in
 degrees; a bare number is taken as real. Grids are 'qmin,qmax,pmin,pmax,
 nq,np' for phase space and 'xmin,xmax,nx' for position space.
 
-MCSKIT_THREADS caps the worker threads used by the closed-route time-evolution
-sweep (evolve --method closed).
 Exit status: 0 on success (verify: all checks passed), 1 on any failed
 check, domain error or unwritable --out, 2 on argument errors (argparse's
 convention).
@@ -415,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mcskit",
         description="Multiphoton coherent states: spectra, uncertainties, "
         "phase-space fields, time evolution, self-checks.",
-        epilog="Set MCSKIT_THREADS to cap the worker threads of evolve --method closed.",
     )
     parser.add_argument("--version", action="version", version=f"mcskit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -24,13 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNorm
-from .fock import DEFAULT_N_MAX, FockVector, time_evolve
-from .parallel import pmap
+from .fock import DEFAULT_N_MAX, FockVector
 from .states import MCSLabel, build_mcs, norm_sum
 
 DEFAULT_X_GRID = (-12.0, 12.0, 2048)
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
+
+# absolute accuracy the closed wavefunction must keep (the threshold of
+# verify's closed-vs-synthesized row); its k branches cancel down to the
+# class amplitude, which leaves about eps e^{|z|^2/2} / component_norm
+_CLOSED_ACCURACY = 1e-8
 
 # eigenfunction rows held at once by the synthesis; bounds its memory to
 # _BLOCK_ROWS * len(x) doubles whatever n_max is
@@ -188,25 +192,6 @@ def coherent_from_classes(k: int, z: complex, n_max: int = DEFAULT_N_MAX) -> Foc
     return FockVector(acc)
 
 
-def scs_wavefunction(
-    z: complex, x_grid: np.ndarray | None = None, t: float = 0.0
-) -> WaveSample:
-    """Moving-Gaussian snapshot pi^(-1/4) exp(-(x-<x>)^2/2 + i <p> x).
-
-    This is the bare textbook form: correct |psi|^2 at every t via the
-    rotating label z e^(-it), with the branch and energy phases dropped.
-    Use `mcs_wavefunction` whenever phases must survive superposition.
-    """
-    if x_grid is None:
-        x_grid = default_x_grid()
-    x_grid = np.asarray(x_grid, dtype=np.float64)
-    zt = complex(z) * np.exp(-1j * t)
-    mean_x = math.sqrt(2.0) * zt.real
-    mean_p = math.sqrt(2.0) * zt.imag
-    vals = _QUARTIC_ROOT_PI * np.exp(-0.5 * (x_grid - mean_x) ** 2 + 1j * mean_p * x_grid)
-    return WaveSample(x_grid=x_grid, values=vals, t=t)
-
-
 def mcs_wavefunction(
     k: int,
     j: int,
@@ -220,45 +205,19 @@ def mcs_wavefunction(
 
     closed: sum of k moving Gaussians, each with its branch phase
     exp(-i X_l P_l / 2) and the common energy phase exp(-it/2), aligned to
-    the `build_mcs` global-phase convention. Exact for any k.
+    the `build_mcs` global-phase convention. Exact for any k. Where the
+    branches would cancel to worse than 1e-8 absolute accuracy (small |z|
+    with j > 0) it raises DegenerateNorm; method="fock" serves those labels.
 
     fock: synthesize from the truncated coefficient vector instead. The two
     routes agree pointwise to machine precision when n_max covers the tail,
     which is the cross-check the verify suite runs.
+
+    Either way this is the one-instant row of `density_movie`'s kernel.
     """
-    if k < 1 or not 0 <= j < k:
-        raise ValueError(f"bad order/class ({k}, {j})")
-    if method not in ("closed", "fock"):
-        raise ValueError(f"unknown method {method!r}")
-    if x_grid is None:
-        x_grid = default_x_grid()
-    x_grid = np.asarray(x_grid, dtype=np.float64)
-    z = complex(z)
-
-    if method == "fock":
-        state = time_evolve(build_mcs(MCSLabel(k, j, z**k), n_max), t)
-        return WaveSample(x_grid=x_grid, values=fock_wavefunction(state, x_grid), t=t)
-
-    nj = component_norm(k, j, z)
-    if nj < 1e-300:
-        raise DegenerateNorm(
-            f"class ({k}, {j}) carries no weight at z={z}; wavefunction undefined"
-        )
-    prefactor = _QUARTIC_ROOT_PI * math.exp(0.5 * abs(z) ** 2) / (k * nj)
-    overall = np.exp(-1j * j * np.angle(z)) * np.exp(-0.5j * t)
-    mu = np.exp(2j * np.pi / k)
-    acc = np.zeros_like(x_grid, dtype=np.complex128)
-    for l in range(k):
-        zl = mu**l * z * np.exp(-1j * t)
-        mean_x = math.sqrt(2.0) * zl.real
-        mean_p = math.sqrt(2.0) * zl.imag
-        branch = np.exp(-0.5j * mean_x * mean_p)
-        acc += (
-            mu ** (-j * l)
-            * branch
-            * np.exp(-0.5 * (x_grid - mean_x) ** 2 + 1j * mean_p * x_grid)
-        )
-    return WaveSample(x_grid=x_grid, values=overall * prefactor * acc, t=t)
+    x_grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=np.float64)
+    values = _amplitudes(k, j, z, x_grid.ravel(), [t], method, n_max)[0]
+    return WaveSample(x_grid=x_grid, values=values.reshape(x_grid.shape), t=t)
 
 
 def density_movie(
@@ -272,28 +231,65 @@ def density_movie(
 ) -> np.ndarray:
     """|psi(x, t)|^2 sampled on a time grid, one row per instant.
 
-    t_grid defaults to one revival period 2*pi/k at 65 frames.
-
-    fock: the eigenfunctions do not depend on time, so the whole movie is
-    |C @ Psi|^2 with C[t, n] = c_n e^{-i(n+1/2)t} and Psi[n] = psi_n(x),
-    from one recurrence over x that keeps only the levels n = j mod k.
-
-    closed: rows are independent closed-form snapshots, computed on the
-    shared thread pool (capped by MCSKIT_THREADS) in time order.
+    t_grid defaults to one revival period 2*pi/k at 65 frames. Row i is
+    `mcs_wavefunction(k, j, z, x_grid, t=t_grid[i], method=method)`'s
+    density, from the same kernel evaluated on the whole grid at once.
     """
-    if x_grid is None:
-        x_grid = default_x_grid()
-    x_grid = np.asarray(x_grid, dtype=np.float64)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 2.0 * np.pi / k, 65)
-    t_grid = np.asarray(t_grid, dtype=np.float64)
+    x_grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=np.float64)
+    return np.abs(_amplitudes(k, j, z, x_grid, t_grid, method, n_max)) ** 2
+
+
+def _amplitudes(
+    k: int, j: int, z: complex, x: np.ndarray, t: np.ndarray | None, method: str, n_max: int
+) -> np.ndarray:
+    """psi on the (len(t), len(x)) grid for a 1-d x; t=None is one revival
+    period 2*pi/k at 65 instants.
+
+    fock: the eigenfunctions do not depend on time, so every row comes from
+    one synthesis C @ Psi with C[t, n] = c_n e^{-i(n+1/2)t}.
+
+    closed: one (len(t), len(x)) pass per ring branch l. Its row weight
+    w = prefactor e^{-ij arg z} mu^{-jl} e^{-i X P / 2} e^{-it/2} has a
+    constant modulus, so the branch adds |w| e^{-(x-X)^2/2} times
+    cos(Px + arg w) to the real part and sin(Px + arg w) to the imaginary
+    part: one real exponential and a real cos/sin pair per point.
+    """
+    if k < 1 or not 0 <= j < k:
+        raise ValueError(f"bad order/class ({k}, {j})")
+    if method not in ("closed", "fock"):
+        raise ValueError(f"unknown method {method!r}")
+    if t is None:
+        t = np.linspace(0.0, 2.0 * np.pi / k, 65)
+    t = np.asarray(t, dtype=np.float64)
+    z = complex(z)
+
     if method == "fock":
-        c = build_mcs(MCSLabel(k, j, complex(z) ** k), n_max).coeffs
+        c = build_mcs(MCSLabel(k, j, z**k), n_max).coeffs
         n = np.arange(c.size)
-        phases = np.exp(-1j * np.outer(t_grid, n + 0.5)) * c
-        return np.abs(_synthesize(phases, x_grid)) ** 2
+        return _synthesize(np.exp(-1j * np.outer(t, n + 0.5)) * c, x)
 
-    def row(t: float) -> np.ndarray:
-        return mcs_wavefunction(k, j, z, x_grid, t=float(t), method=method).density()
-
-    return np.array(pmap(row, list(t_grid)))
+    nj = component_norm(k, j, z)
+    scale = math.exp(0.5 * abs(z) ** 2)
+    if np.finfo(np.float64).eps * scale > _CLOSED_ACCURACY * nj:
+        raise DegenerateNorm(
+            f"class ({k}, {j}) carries too little weight at z={z} for the closed "
+            f"form, whose branches cancel to worse than {_CLOSED_ACCURACY:g} "
+            "absolute accuracy; use method='fock'"
+        )
+    prefactor = _QUARTIC_ROOT_PI * scale / (k * nj)
+    seed = np.exp(-1j * j * np.angle(z)) * prefactor
+    t = t[:, None]
+    rot = np.exp(-1j * t)
+    mu = np.exp(2j * np.pi / k)
+    re = np.zeros((t.size, x.size))
+    im = np.zeros_like(re)
+    for l in range(k):
+        zl = mu**l * z * rot
+        mean_x = math.sqrt(2.0) * zl.real
+        mean_p = math.sqrt(2.0) * zl.imag
+        w = seed * mu ** (-j * l) * np.exp(-0.5j * (mean_x * mean_p + t))
+        env = np.abs(w) * np.exp(-0.5 * (x - mean_x) ** 2)
+        phase = mean_p * x + np.angle(w)
+        re += env * np.cos(phase)
+        im += env * np.sin(phase)
+    return re + 1j * im

@@ -175,18 +175,6 @@ def test_fock_evolve_output_is_deterministic(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_threads_env_does_not_change_output(tmp_path, capsys, monkeypatch):
-    p1 = tmp_path / "serial.csv"
-    monkeypatch.setenv("MCSKIT_THREADS", "1")
-    run_cli(capsys, "evolve", "--k", "2", "--z", "1", "--grid", "-8,8,101",
-            "--nt", "4", "--out", str(p1))
-    p2 = tmp_path / "pooled.csv"
-    monkeypatch.setenv("MCSKIT_THREADS", "4")
-    run_cli(capsys, "evolve", "--k", "2", "--z", "1", "--grid", "-8,8,101",
-            "--nt", "4", "--out", str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_json_format(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--k", "2", "--levels", "3", "--format", "json"

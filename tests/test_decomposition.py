@@ -18,7 +18,6 @@ from mcskit import (
     fock_wavefunction,
     mcs_as_scs,
     mcs_wavefunction,
-    scs_wavefunction,
 )
 
 COSH_1 = 1.5430806348152437
@@ -67,6 +66,29 @@ def test_degenerate_class_guard():
         mcs_wavefunction(3, 1, 0.0)
 
 
+def test_bad_label_raises_value_error():
+    with pytest.raises(ValueError):
+        mcs_wavefunction(0, 0, 1.0)
+    with pytest.raises(ValueError):
+        density_movie(0, 0, 1.0)  # before the default t_grid divides by k
+    with pytest.raises(ValueError):
+        density_movie(2, 2, 1.0)
+    with pytest.raises(ValueError):
+        density_movie(2, 0, 1.0, method="series")
+
+
+@pytest.mark.parametrize("k, j, z", [(2, 1, 1e-200), (5, 4, 1e-3), (3, 2, 1e-5)])
+def test_closed_route_refuses_cancelled_branches(k, j, z):
+    # the branches cancel down to a class amplitude of size component_norm,
+    # leaving eps e^{|z|^2/2} / component_norm of absolute accuracy: inf,
+    # 4e-4 and 2.9e-6 off the Fock route here before the guard
+    x = np.linspace(-6.0, 6.0, 121)
+    with pytest.raises(DegenerateNorm, match="method='fock'"):
+        mcs_wavefunction(k, j, z, x)
+    with pytest.raises(DegenerateNorm, match="method='fock'"):
+        density_movie(k, j, z, x)
+
+
 def test_coherent_reassembly():
     for k in (2, 3, 5):
         for z in (1.5, 0.8 - 1.1j):
@@ -78,7 +100,7 @@ def test_coherent_reassembly():
 def test_scs_wavefunction_is_moving_gaussian():
     z = 1.0 + 0.5j
     for t in (0.0, 0.9):
-        sample = scs_wavefunction(z, t=t)
+        sample = mcs_wavefunction(1, 0, z, t=t)
         zt = z * np.exp(-1j * t)
         peak = sample.x_grid[np.argmax(sample.density())]
         assert peak == pytest.approx(math.sqrt(2.0) * zt.real, abs=0.02)
@@ -142,3 +164,9 @@ def test_movie_methods_agree():
     closed = density_movie(2, 0, 1.2, x, t_grid)
     fock = density_movie(2, 0, 1.2, x, t_grid, method="fock")
     assert np.max(np.abs(closed - fock)) < 1e-10
+    for i, t in enumerate(t_grid):
+        assert np.array_equal(closed[i], mcs_wavefunction(2, 0, 1.2, x, t=t).density())
+        # one row is a matrix-vector product, the movie a matrix-matrix one,
+        # and BLAS rounds their sums differently
+        row = mcs_wavefunction(2, 0, 1.2, x, t=t, method="fock").density()
+        assert np.max(np.abs(fock[i] - row)) <= 1e-14 * np.max(row)

@@ -2,10 +2,11 @@
 
 Each reference below is the earlier implementation, kept verbatim in
 arithmetic: the pairwise sum of complex Gaussians for `wigner_closed`, the
-unfolded complex y transform for `wigner_numeric`, and the per-frame
+unfolded complex y transform for `wigner_numeric`, the per-frame
 `time_evolve` plus sequential Hermite synthesis for the Fock-route
-`density_movie`. The new kernels sum in a different order, so agreement is
-asked to 1e-13 of the field or density scale, not bit for bit.
+`density_movie`, and the per-frame sum of complex Gaussians for the
+closed-route `density_movie`. The new kernels sum in a different order, so
+agreement is asked to 1e-13 of the field or density scale, not bit for bit.
 """
 
 import math
@@ -89,6 +90,30 @@ def movie_per_frame(k, j, z, x, t_grid, n_max):
     )
 
 
+def closed_frame(k, j, z, x, t):
+    """One instant of the closed wavefunction: k complex Gaussians."""
+    nj = component_norm(k, j, z)
+    prefactor = math.pi ** (-0.25) * math.exp(0.5 * abs(z) ** 2) / (k * nj)
+    overall = np.exp(-1j * j * np.angle(z)) * np.exp(-0.5j * t)
+    mu = np.exp(2j * np.pi / k)
+    acc = np.zeros_like(x, dtype=np.complex128)
+    for l in range(k):
+        zl = mu**l * z * np.exp(-1j * t)
+        mean_x = math.sqrt(2.0) * zl.real
+        mean_p = math.sqrt(2.0) * zl.imag
+        branch = np.exp(-0.5j * mean_x * mean_p)
+        acc += (
+            mu ** (-j * l)
+            * branch
+            * np.exp(-0.5 * (x - mean_x) ** 2 + 1j * mean_p * x)
+        )
+    return overall * prefactor * acc
+
+
+def closed_movie_per_frame(k, j, z, x, t_grid):
+    return np.array([np.abs(closed_frame(k, j, complex(z), x, float(t))) ** 2 for t in t_grid])
+
+
 def relative_gap(new, ref):
     return float(np.max(np.abs(new - ref)) / np.max(np.abs(ref)))
 
@@ -148,6 +173,19 @@ def test_blocked_synthesis_matches_sequential():
     state = FockVector(c / np.linalg.norm(c))
     ref = sequential_synthesis(state.coeffs, x)
     assert relative_gap(fock_wavefunction(state, x), ref) <= REL_TOL
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_closed_movie_matches_per_frame_sum(k):
+    x = np.linspace(-11.0, 10.0, 301)
+    t_grid = np.array([-0.4, 0.0, 0.31, 1.7, 2.0 * math.pi / k, 5.2])
+    for r in (1.0, 1.5, 2.5, 4.0):
+        z = r * np.exp(0.45j * k)
+        for j in range(k):
+            new = density_movie(k, j, z, x, t_grid)
+            ref = closed_movie_per_frame(k, j, z, x, t_grid)
+            assert new.shape == ref.shape
+            assert relative_gap(new, ref) <= REL_TOL
 
 
 @pytest.mark.parametrize("k", range(1, 9))
