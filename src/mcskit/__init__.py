@@ -72,7 +72,6 @@ from .wigner import (
     Marginals,
     PhaseGrid,
     WignerField,
-    default_phase_grid,
     marginals,
     negativity_volume,
     purity,
@@ -109,9 +108,8 @@ __all__ = [
     "ScsSuperposition", "WaveSample", "coherent_from_classes",
     "coherent_state", "component_norm", "default_x_grid", "density_movie",
     "dft_matrix", "fock_wavefunction", "mcs_as_scs", "mcs_wavefunction",
-    "Marginals", "PhaseGrid", "WignerField", "default_phase_grid",
-    "marginals", "negativity_volume", "purity", "wigner_closed",
-    "wigner_numeric",
+    "Marginals", "PhaseGrid", "WignerField", "marginals",
+    "negativity_volume", "purity", "wigner_closed", "wigner_numeric",
     "MeasureCandidate", "MomentReport", "identity_block",
     "identity_resolution_numeric", "moment_check", "register_measure",
     "registered_measure", "root_exponential_density",

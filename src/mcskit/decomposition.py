@@ -31,10 +31,10 @@ DEFAULT_X_GRID = (-12.0, 12.0, 2048)
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 
-# absolute accuracy the closed wavefunction must keep (the threshold of
+# absolute accuracy a sum over the coherent ring must keep (the threshold of
 # verify's closed-vs-synthesized row); its k branches cancel down to the
 # class amplitude, which leaves about eps e^{|z|^2/2} / component_norm
-_CLOSED_ACCURACY = 1e-8
+_RING_ACCURACY = 1e-8
 
 # eigenfunction rows held at once by the synthesis; bounds its memory to
 # _BLOCK_ROWS * len(x) doubles whatever n_max is
@@ -127,6 +127,21 @@ def component_norm(k: int, j: int, z: complex) -> float:
     return r**j * math.sqrt(norm_sum(k, j, r ** (2 * k)))
 
 
+def _ring_norm(k: int, j: int, z: complex, fallback: str) -> float:
+    """component_norm(k, j, z) for a route that sums the k coherent states
+    on the ring, whose weights e^{|z|^2/2} / (k component_norm) cancel down
+    to the class amplitude. DegenerateNorm, naming the fallback route, once
+    that leaves worse than _RING_ACCURACY absolute accuracy."""
+    nj = component_norm(k, j, z)
+    if np.finfo(np.float64).eps * math.exp(0.5 * abs(z) ** 2) > _RING_ACCURACY * nj:
+        raise DegenerateNorm(
+            f"class ({k}, {j}) carries too little weight at z={z} for the ring "
+            f"of coherent states, whose branches cancel to worse than "
+            f"{_RING_ACCURACY:g} absolute accuracy; use {fallback}"
+        )
+    return nj
+
+
 @dataclass(frozen=True)
 class ScsSuperposition:
     """A class state written as sum_l weights[l] |mu^l z> over normalized
@@ -158,17 +173,14 @@ def mcs_as_scs(k: int, j: int, z: complex) -> ScsSuperposition:
 
     The weight of constituent l on normalized coherent states is
     mu^(-jl) e^(-i j arg z) e^(|z|^2/2) / (k component_norm). As z -> 0 the
-    class norm vanishes for j > 0 and the decomposition degenerates;
-    DegenerateNorm is raised rather than returning infinities.
+    class norm vanishes for j > 0 and these weights grow until summing them
+    cancels away the class amplitude; past 1e-8 absolute accuracy
+    DegenerateNorm is raised, and build_mcs serves those labels.
     """
     if k < 1 or not 0 <= j < k:
         raise ValueError(f"bad order/class ({k}, {j})")
     z = complex(z)
-    nj = component_norm(k, j, z)
-    if nj < 1e-300:
-        raise DegenerateNorm(
-            f"class ({k}, {j}) carries no weight at z={z}; no decomposition exists"
-        )
+    nj = _ring_norm(k, j, z, "build_mcs")
     mu_pow = np.exp(-2j * np.pi * j * np.arange(k) / k)
     align = np.exp(-1j * j * np.angle(z))
     weights = mu_pow * align * math.exp(0.5 * abs(z) ** 2) / (k * nj)
@@ -268,15 +280,8 @@ def _amplitudes(
         n = np.arange(c.size)
         return _synthesize(np.exp(-1j * np.outer(t, n + 0.5)) * c, x)
 
-    nj = component_norm(k, j, z)
-    scale = math.exp(0.5 * abs(z) ** 2)
-    if np.finfo(np.float64).eps * scale > _CLOSED_ACCURACY * nj:
-        raise DegenerateNorm(
-            f"class ({k}, {j}) carries too little weight at z={z} for the closed "
-            f"form, whose branches cancel to worse than {_CLOSED_ACCURACY:g} "
-            "absolute accuracy; use method='fock'"
-        )
-    prefactor = _QUARTIC_ROOT_PI * scale / (k * nj)
+    nj = _ring_norm(k, j, z, "method='fock'")
+    prefactor = _QUARTIC_ROOT_PI * math.exp(0.5 * abs(z) ** 2) / (k * nj)
     seed = np.exp(-1j * j * np.angle(z)) * prefactor
     t = t[:, None]
     rot = np.exp(-1j * t)

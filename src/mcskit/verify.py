@@ -289,7 +289,7 @@ def _wigner_inputs(n_max: int) -> SimpleNamespace:
     """Closed fields of every (k, j, z) with k <= 3 and z in _RING_Z, and
     (state, closed, numeric) triples for the numeric cases; the last triple
     is the quarter-turn case, evolved by t = pi/2."""
-    grid = wg.default_phase_grid()
+    grid = wg.PhaseGrid()
     closed = {
         (k, j, z): wg.wigner_closed(k, j, z, grid)
         for k in (1, 2, 3)

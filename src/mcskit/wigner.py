@@ -12,16 +12,17 @@ pairs, each rank-1 in (q, p), so the whole field is one complex
 (n_q x k^2) @ (k^2 x n_p) product; every factor is peeled to modulus <= 1,
 so no intermediate overflows where the field itself is finite.
 
-The numeric transform gets its speed from one trick: with a uniform q grid,
-choosing the y step as an integer fraction of the q step puts every q +- y
-on a single shared fine lattice. psi is synthesized once on that lattice,
-psi(q+y) and psi(q-y) are strided views of it, and since the correlator
-C(q, y) = psi*(q+y) psi(q-y) obeys C(q, -y) = conj C(q, y), only y >= 0
-is kept and the p integral is two real matmuls against cos(2yp) and
-sin(2yp). This is exactly the trapezoid-rule transform, only without
-re-evaluating psi per column or summing the mirrored half; agreement with
-the naive route is at machine precision, and a 257x257 field at
-n_max = 256 takes about 40-60 ms on a 2-vCPU x86 machine with OpenBLAS.
+The numeric transform gets its speed from two choices. Its y step is the
+largest integer fraction of the q step that the state's momentum reach
+allows without aliasing, since the trapezoid rule is exact up to aliasing
+for this smooth, decaying integrand; and with a uniform q grid that step
+puts every q +- y on a single shared fine lattice. psi is synthesized once
+on that lattice, psi(q+y) and psi(q-y) are strided views of it, and since
+the correlator C(q, y) = psi*(q+y) psi(q-y) obeys C(q, -y) = conj C(q, y),
+only y >= 0 is kept and the p integral is two real matmuls against
+cos(2yp) and sin(2yp). Agreement with a naive transform at a far finer
+step is at machine precision, and a 257x257 field at n_max = 256 takes
+about 3-5 ms on a 2-vCPU x86 machine with OpenBLAS.
 """
 
 from __future__ import annotations
@@ -37,7 +38,12 @@ from .errors import BoundaryMass, DegenerateNorm, WindowTooNarrow
 from .fock import FockVector
 
 DEFAULT_WINDOW_HALF = 10.0
-DEFAULT_WINDOW_POINTS = 4096
+
+# the numeric route's edge tolerance and the two constants of its reach
+# p_psi (see wigner_numeric)
+_EDGE_TOL = 1e-16
+_LEVEL_TOL = 1e-32
+_GAUSS_MARGIN = 9.0
 
 
 @dataclass(frozen=True)
@@ -64,10 +70,6 @@ class PhaseGrid:
     @property
     def p_axis(self) -> np.ndarray:
         return np.linspace(self.p_min, self.p_max, self.n_p)
-
-
-def default_phase_grid() -> PhaseGrid:
-    return PhaseGrid()
 
 
 @dataclass(frozen=True)
@@ -110,25 +112,36 @@ def wigner_numeric(
     state: FockVector,
     grid: PhaseGrid | None = None,
     window_half: float = DEFAULT_WINDOW_HALF,
-    window_points: int = DEFAULT_WINDOW_POINTS,
-    window_tol: float = 1e-16,
 ) -> WignerField:
     """Transform a truncated state by direct quadrature on a shared lattice.
 
-    window_half is the half-width of the y integration window and
-    window_points the minimum sample count across it. The correlator
-    envelope at the window edge is checked against window_tol;
+    The y step comes from the state. psi reaches p_psi = sqrt(2 L + 1) + 9
+    in both position and momentum, where L counts the levels up to the last
+    one whose tail still holds 1e-32 of the norm (e^{-u^2/2} < 1e-17 past
+    u = 9). The integrand psi*(q+y) psi(q-y) e^{2ipy} then holds y
+    frequencies below 2 (p_psi + max|p|), and the trapezoid rule is exact up
+    to aliasing for such a smooth, decaying integrand, so any step
+    h < pi / (p_psi + max|p|) reproduces the transform to rounding.
+
+    window_half is the half-width of the y integration window. The
+    correlator envelope at the window edge must stay below 1e-16;
     WindowTooNarrow means psi still has weight at q +- window_half and the
-    field would be visibly truncated.
+    field would be visibly truncated. Its message names p_psi, a half-width
+    that always suffices.
     """
     if grid is None:
-        grid = default_phase_grid()
-    q = grid.q_axis
+        grid = PhaseGrid()
     p = grid.p_axis
     h_q = (grid.q_max - grid.q_min) / (grid.n_q - 1)
 
-    # y step = q step / m, so q_i +- y_l all live on one fine lattice
-    m = max(1, math.ceil(h_q * window_points / (2.0 * window_half)))
+    weight = np.abs(state.coeffs) ** 2
+    tail = np.cumsum(weight[::-1])[::-1]
+    levels = int(np.count_nonzero(tail > _LEVEL_TOL * tail[0]))
+    reach = math.sqrt(2.0 * levels + 1.0) + _GAUSS_MARGIN
+    # y step = q step / m below the aliasing limit, so q_i +- y_l all live
+    # on one fine lattice
+    max_p = max(abs(grid.p_min), abs(grid.p_max))
+    m = max(1, math.ceil(h_q * (reach + max_p) / math.pi))
     h = h_q / m
     n_half = math.ceil(window_half / h)
     n_fine = (grid.n_q - 1) * m + 2 * n_half + 1
@@ -142,10 +155,10 @@ def wigner_numeric(
     minus = windows[::m][: grid.n_q, ::-1]  # psi(q_i - y_l)
     # |C| is even in y, so the edge at +window_half stands for both edges
     edge = float(np.max(np.abs(plus[:, -1] * minus[:, -1])))
-    if edge > window_tol:
+    if edge > _EDGE_TOL:
         raise WindowTooNarrow(
             f"integrand envelope {edge:.3e} at y=+-{window_half} exceeds "
-            f"{window_tol:.1e}; widen window_half"
+            f"{_EDGE_TOL:.1e}; the state needs window_half={math.ceil(reach)}"
         )
 
     # C(q, -y) = conj C(q, y), so the y < 0 half folds onto y > 0 and
@@ -181,7 +194,7 @@ def wigner_closed(
     if k < 1 or not 0 <= j < k:
         raise ValueError(f"bad order/class ({k}, {j})")
     if grid is None:
-        grid = default_phase_grid()
+        grid = PhaseGrid()
     z = complex(z)
     nj = component_norm(k, j, z)
     denom = (k * nj) ** 2

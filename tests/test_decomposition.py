@@ -81,12 +81,15 @@ def test_bad_label_raises_value_error():
 def test_closed_route_refuses_cancelled_branches(k, j, z):
     # the branches cancel down to a class amplitude of size component_norm,
     # leaving eps e^{|z|^2/2} / component_norm of absolute accuracy: inf,
-    # 4e-4 and 2.9e-6 off the Fock route here before the guard
+    # 4e-4 and 2.9e-6 off the Fock route here before the guard, and a ring
+    # vector of norm inf, 7.6e-4 and 3.8e-6 off build_mcs
     x = np.linspace(-6.0, 6.0, 121)
     with pytest.raises(DegenerateNorm, match="method='fock'"):
         mcs_wavefunction(k, j, z, x)
     with pytest.raises(DegenerateNorm, match="method='fock'"):
         density_movie(k, j, z, x)
+    with pytest.raises(DegenerateNorm, match="build_mcs"):
+        mcs_as_scs(k, j, z)
 
 
 def test_coherent_reassembly():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from mcskit import (
     WindowTooNarrow,
     basis_state,
     build_mcs,
-    default_phase_grid,
     marginals,
     negativity_volume,
     purity,
@@ -31,7 +31,7 @@ def test_phase_grid_validation():
 
 def test_scs_field_is_shifted_gaussian_peak():
     z = 1.0 + 0.5j
-    field = wigner_closed(1, 0, z, default_phase_grid())
+    field = wigner_closed(1, 0, z, PhaseGrid())
     iq, ip = np.unravel_index(np.argmax(field.values), field.values.shape)
     grid = field.grid
     assert grid.q_axis[iq] == pytest.approx(math.sqrt(2.0) * z.real, abs=0.07)
@@ -86,6 +86,29 @@ def test_numeric_field_of_fock_state():
     assert np.max(np.abs(field.values - exact)) < 1e-10
 
 
+def laguerre_field(n, grid):
+    """W_n = (-1)^n e^{-s/2} L_n(s) / pi with s = 2(q^2 + p^2), L_n by the
+    three-term recurrence (m+1) L_{m+1} = (2m+1-s) L_m - m L_{m-1}."""
+    s = 2.0 * (grid.q_axis[:, None] ** 2 + grid.p_axis[None, :] ** 2)
+    prev, cur = np.zeros_like(s), np.ones_like(s)
+    for m in range(n):
+        prev, cur = cur, ((2 * m + 1 - s) * cur - m * prev) / (m + 1)
+    return (-1) ** n * np.exp(-0.5 * s) * cur / math.pi
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [PhaseGrid(-5.0, 5.0, -5.0, 5.0, 33, 33), PhaseGrid(-16.0, 16.0, -16.0, 16.0, 257, 257)],
+    ids=["coarse", "fine"],
+)
+def test_numeric_fock_fields_match_laguerre_series(grid):
+    # |200> reaches sqrt(401) + 9 = 29.0, inside a window of 30; the coarse
+    # grid has a q step of 0.31, so the y step must come from the state
+    for n in (0, 1, 7, 40, 100, 200):
+        field = wigner_numeric(basis_state(n, n_max=256), grid, window_half=30.0)
+        assert np.max(np.abs(field.values - laguerre_field(n, grid))) < 1e-12
+
+
 def test_marginals_match_reference_densities():
     state = build_mcs(MCSLabel(2, 0, 4.0))  # z = 2
     field = wigner_numeric(state)
@@ -104,6 +127,15 @@ def test_marginals_boundary_guard():
 def test_window_guard():
     with pytest.raises(WindowTooNarrow):
         wigner_numeric(basis_state(200, n_max=256))
+
+
+def test_window_guard_names_a_sufficient_half_width():
+    state = build_mcs(MCSLabel(2, 0, 4.5**2))
+    with pytest.raises(WindowTooNarrow, match=r"window_half=\d+") as info:
+        wigner_numeric(state)
+    half = float(re.search(r"window_half=(\d+)", str(info.value)).group(1))
+    field = wigner_numeric(state, window_half=half)
+    assert np.max(np.abs(field.values - wigner_closed(2, 0, 4.5).values)) < 1e-12
 
 
 def test_degenerate_guard():
