@@ -33,7 +33,9 @@ _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 
 # absolute accuracy a sum over the coherent ring must keep (the threshold of
 # verify's closed-vs-synthesized row); its k branches cancel down to the
-# class amplitude, which leaves about eps e^{|z|^2/2} / component_norm
+# class amplitude, which leaves about eps e^{|z|^2/2} / component_norm, and
+# the k^2 ring pairs of a Wigner field about
+# eps e^{|z|^2} / (k component_norm)^2 / pi
 _RING_ACCURACY = 1e-8
 
 # eigenfunction rows held at once by the synthesis; bounds its memory to
@@ -64,7 +66,9 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     with the coefficients as real matrix products, _BLOCK_ROWS at a time.
 
     Only levels with a nonzero coefficient in some row are kept, and the
-    recurrence stops at the highest of them.
+    recurrence stops at the highest of them. `build_mcs` states are zero
+    past their effective support (about 45-80 levels at |z| <= 3), so the
+    cost follows that support, not n_max.
     """
     out = np.zeros((coeffs.shape[0], x.size), dtype=np.complex128)
     used = np.any(coeffs != 0.0, axis=0)
@@ -127,13 +131,23 @@ def component_norm(k: int, j: int, z: complex) -> float:
     return r**j * math.sqrt(norm_sum(k, j, r ** (2 * k)))
 
 
-def _ring_norm(k: int, j: int, z: complex, fallback: str) -> float:
+def _ring_norm(
+    k: int, j: int, z: complex, fallback: str, pairs: bool = False
+) -> float:
     """component_norm(k, j, z) for a route that sums the k coherent states
     on the ring, whose weights e^{|z|^2/2} / (k component_norm) cancel down
-    to the class amplitude. DegenerateNorm, naming the fallback route, once
-    that leaves worse than _RING_ACCURACY absolute accuracy."""
+    to the class amplitude, or with pairs=True the k^2 ring pairs of a Wigner
+    field, weighted e^{|z|^2} / (k component_norm)^2 / pi. DegenerateNorm,
+    naming the fallback route, once that leaves worse than _RING_ACCURACY
+    absolute accuracy."""
     nj = component_norm(k, j, z)
-    if np.finfo(np.float64).eps * math.exp(0.5 * abs(z) ** 2) > _RING_ACCURACY * nj:
+    eps = np.finfo(np.float64).eps
+    if pairs:
+        bound = eps * math.exp(abs(z) ** 2) / math.pi
+        cancelled = bound > _RING_ACCURACY * (k * nj) ** 2
+    else:
+        cancelled = eps * math.exp(0.5 * abs(z) ** 2) > _RING_ACCURACY * nj
+    if cancelled:
         raise DegenerateNorm(
             f"class ({k}, {j}) carries too little weight at z={z} for the ring "
             f"of coherent states, whose branches cancel to worse than "

@@ -12,6 +12,13 @@ norm_sum takes x = |alpha|^2).
 Moments come in two independent routes, a series route built from the norm
 function and a numeric route from truncated matrix elements; `moments`
 computes both and refuses to return if they disagree.
+
+The coefficients fall off faster than geometrically, so `build_mcs` fills
+only the levels that matter (its effective support; past it the dropped
+weight is under 1e-34 of the norm) and leaves zeros above, whatever n_max
+is. The norm series and the coefficient loop carry their running totals as
+s 2^e, so a state whose norm overflows a double still builds when n_max
+holds it.
 """
 
 from __future__ import annotations
@@ -37,6 +44,17 @@ DEFAULT_TAIL_TOL = 1e-12
 _SERIES_EPS = 1e-16
 _SERIES_RUN = 3
 _SERIES_MAX_TERMS = 100_000
+
+# series totals past 2^_SCALE_BITS are carried as s 2^e (see _series);
+# coefficient vectors scale by the square root
+_SCALE_BITS = 512
+_SCALE_LIMIT = 2.0**_SCALE_BITS
+_SCALE = 2.0**-_SCALE_BITS
+_ROOT_SCALE = 2.0 ** -(_SCALE_BITS // 2)
+
+# build_mcs keeps levels until |c_n|^2 max(1, |alpha|^2) falls to this share
+# of the weight so far (see its docstring)
+_SUPPORT_TOL = 1e-34
 
 
 @dataclass(frozen=True)
@@ -66,36 +84,64 @@ class MCSLabel:
         object.__setattr__(self, "alpha", a)
 
 
+def _check_series(k: int, j: int, x: float) -> None:
+    if k < 1 or not 0 <= j < k:
+        raise ValueError(f"bad order/class ({k}, {j})")
+    if x < 0:
+        raise ValueError(f"norm argument must be >= 0, got {x}")
+
+
+def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
+    """sum_m x^(m+d) / (km+seed)!  as (s, e) with the sum equal to s 2^e.
+
+    Summed by term ratios from the seed term x^d / seed!. Once the running
+    total passes 2^_SCALE_BITS, total and term are scaled down by that exact
+    power of two, so the sum of any input that fits a double keeps its bits,
+    and sums past double range stay usable. Overflow is raised only when a
+    single term ratio overflows even so, past |alpha|^2 ~ 2^511.
+    """
+    term = x**d / math.factorial(seed)
+    total = 0.0
+    e = 0
+    small = 0
+    for m in range(_SERIES_MAX_TERMS):
+        total += term
+        if total > _SCALE_LIMIT:
+            if math.isinf(total):
+                raise Overflow(
+                    f"norm series overflows double precision at x={x:.3g} "
+                    f"(order {k}); the label is too large"
+                )
+            total *= _SCALE
+            term *= _SCALE
+            e += _SCALE_BITS
+        if term <= total * _SERIES_EPS:
+            small += 1
+            if small >= _SERIES_RUN or term == 0.0:
+                return total, e
+        else:
+            small = 0
+        idx = k * m + seed
+        term *= x / float(math.prod(range(idx + 1, idx + k + 1)))
+    raise ValueError(f"norm series did not terminate for x={x}")  # pragma: no cover
+
+
 def norm_sum(k: int, j: int, x: float) -> float:
     """S_{k,j}(x) = sum_m x^m / (km+j)!  for x >= 0.
 
     This is the squared norm of the unnormalized state at x = |alpha|^2.
     Computed by term ratios; no factorial is ever materialized beyond the
-    j! seed.
+    j! seed. Overflow is raised when S itself leaves double range.
     """
-    if k < 1 or not 0 <= j < k:
-        raise ValueError(f"bad order/class ({k}, {j})")
-    if x < 0:
-        raise ValueError(f"norm argument must be >= 0, got {x}")
-    term = 1.0 / math.factorial(j)
-    total = 0.0
-    small = 0
-    for m in range(_SERIES_MAX_TERMS):
-        total += term
-        if math.isinf(total):
-            raise Overflow(
-                f"norm sum overflows double precision at x={x:.3g} "
-                f"(order {k}, class {j}); the label is too large"
-            )
-        if term <= total * _SERIES_EPS:
-            small += 1
-            if small >= _SERIES_RUN:
-                return total
-        else:
-            small = 0
-        idx = k * m + j
-        term *= x / float(math.prod(range(idx + 1, idx + k + 1)))
-    raise ValueError(f"norm series did not terminate for x={x}")  # pragma: no cover
+    _check_series(k, j, x)
+    s, e = _series(k, j, x)
+    try:
+        return math.ldexp(s, e)
+    except OverflowError:
+        raise Overflow(
+            f"norm sum overflows double precision at x={x:.3g} "
+            f"(order {k}, class {j}); the label is too large"
+        ) from None
 
 
 def build_mcs(
@@ -107,20 +153,44 @@ def build_mcs(
     tail fraction exceeds tail_tol the state is not representable at this
     n_max and TailTooHeavy is raised instead of returning a quietly wrong
     vector.
+
+    The vector carries only the levels that matter: the coefficients stop
+    at the first level n = km+j whose next ratio r = |alpha|^2 /
+    ((n+1)...(n+k)) is below 1/2 and whose weight |c_n|^2 max(1, |alpha|^2)
+    is at most 1e-34 of the weight up to it, and the levels past it are
+    zero. The ratios only fall from there, so the dropped tail is below
+    |c_n|^2 (under 1e-34 of the norm, far below its rounding), and the
+    defining residual |alpha c_n| stays below 1e-17 of the norm.
+    `top_occupied()` is that last level; `n_max` is unchanged.
+
+    Weights and coefficients are scaled by exact powers of two as they grow
+    (as in `norm_sum`), so states whose norm series leaves double range,
+    such as |alpha|^2 = 900 at order 1, build as long as n_max holds them.
     """
     k, j, alpha = label.k, label.j, label.alpha
     x = abs(alpha) ** 2
-    total = norm_sum(k, j, x)
-    coeffs = np.zeros(n_max, dtype=np.complex128)
+    total, e_total = _series(k, j, x)
+    terms: list[complex] = []
     term: complex = 1.0 / math.sqrt(math.factorial(j))
     included = 0.0
-    m = j
-    while m < n_max:
-        coeffs[m] = term
-        included += abs(term) ** 2
-        term *= alpha / math.sqrt(float(math.prod(range(m + 1, m + k + 1))))
-        m += k
-    tail = 1.0 - included / total
+    e = 0
+    lift = max(1.0, x)  # the stop leaves a defining residual of |alpha c_n|
+    for m in range(j, n_max, k):
+        terms.append(term)
+        weight = abs(term) ** 2
+        included += weight
+        den = float(math.prod(range(m + 1, m + k + 1)))
+        if x < 0.5 * den and weight * lift <= _SUPPORT_TOL * included:
+            break
+        if included > _SCALE_LIMIT:
+            included *= _SCALE
+            term *= _ROOT_SCALE
+            terms = [t * _ROOT_SCALE for t in terms]
+            e += _SCALE_BITS
+        term *= alpha / math.sqrt(den)
+    coeffs = np.zeros(n_max, dtype=np.complex128)
+    coeffs[j : j + k * len(terms) : k] = terms
+    tail = 1.0 - math.ldexp(included / total, e - e_total)
     if tail > tail_tol:
         raise TailTooHeavy(
             f"|alpha|={abs(alpha):.3g} needs more than n_max={n_max} levels "
@@ -205,28 +275,11 @@ def a_norm_series(k: int, j: int, x: float) -> float:
     The numerator is sum_n n' x^{n'} / (kn'+j)! reindexed so that the n'=0
     term drops; for j=0 that shifts the factorial index by a full period k.
     """
-    if k < 1 or not 0 <= j < k:
-        raise ValueError(f"bad order/class ({k}, {j})")
-    if x < 0:
-        raise ValueError(f"norm argument must be >= 0, got {x}")
+    _check_series(k, j, x)
     d = 1 if j == 0 else 0
-    seed = k * d + j - 1  # k-1 for j=0, j-1 otherwise
-    term = x**d / math.factorial(seed)
-    total = 0.0
-    small = 0
-    for n in range(_SERIES_MAX_TERMS):
-        total += term
-        if term == 0.0:
-            break
-        if term <= total * _SERIES_EPS:
-            small += 1
-            if small >= _SERIES_RUN:
-                break
-        else:
-            small = 0
-        idx = k * n + seed
-        term *= x / float(math.prod(range(idx + 1, idx + k + 1)))
-    return total / norm_sum(k, j, x)
+    num, e_num = _series(k, k * d + j - 1, x, d)  # seed k-1 for j=0, j-1 otherwise
+    den, e_den = _series(k, j, x)
+    return math.ldexp(num / den, e_num - e_den)
 
 
 def a_norm_closed(label: MCSLabel) -> float:

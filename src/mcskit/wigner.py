@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .decomposition import component_norm, fock_wavefunction
-from .errors import BoundaryMass, DegenerateNorm, WindowTooNarrow
+from .decomposition import _ring_norm, fock_wavefunction
+from .errors import BoundaryMass, WindowTooNarrow
 from .fock import FockVector
 
 DEFAULT_WINDOW_HALF = 10.0
@@ -190,18 +190,18 @@ def wigner_closed(
     scaled by e^{|z|^2} / (k^2 component_norm^2) / pi. Diagonal pairs are
     the branch Gaussians, off-diagonal pairs the interference fringes with
     their exact damping. k=1 collapses to the single displaced Gaussian.
+
+    The pairs cancel down to the class field, which keeps about
+    eps e^{|z|^2} / (k component_norm)^2 / pi of absolute accuracy (small
+    |z| with j > 0); past 1e-8 DegenerateNorm is raised, and
+    wigner_numeric serves those labels.
     """
     if k < 1 or not 0 <= j < k:
         raise ValueError(f"bad order/class ({k}, {j})")
     if grid is None:
         grid = PhaseGrid()
     z = complex(z)
-    nj = component_norm(k, j, z)
-    denom = (k * nj) ** 2
-    if denom < 1e-300:
-        raise DegenerateNorm(
-            f"class ({k}, {j}) carries no weight at z={z}; field undefined"
-        )
+    nj = _ring_norm(k, j, z, "wigner_numeric", pairs=True)
     # pair (a, b) is rank-1 in (q, p): exp(-(q-Q)^2) exp(D) exp(-(p-P)^2).
     # Writing d = q - Re Q, -(q-Q)^2 = -d^2 + 2i d Im Q + (Im Q)^2, and the
     # (Im Q)^2 + (Im P)^2 this peels off both factors cancels Re D exactly,
@@ -213,7 +213,7 @@ def wigner_closed(
     center_q = (za + zb) / math.sqrt(2.0)
     center_p = 1j * (za - zb) / math.sqrt(2.0)
     weight = mu ** (j * (a - b)) * np.exp(1j * (za * zb).imag)
-    scale = math.exp(abs(z) ** 2) / denom / math.pi
+    scale = math.exp(abs(z) ** 2) / (k * nj) ** 2 / math.pi
     d = grid.q_axis[:, None] - center_q.real
     e = grid.p_axis[None, :] - center_p.real[:, None]
     left = np.exp(-d * d + 2j * d * center_q.imag)

@@ -7,6 +7,10 @@ unfolded complex y transform for `wigner_numeric`, the per-frame
 `density_movie`, and the per-frame sum of complex Gaussians for the
 closed-route `density_movie`. The new kernels sum in a different order, so
 agreement is asked to 1e-13 of the field or density scale, not bit for bit.
+
+The full-length coefficient loop that `build_mcs` ran before it stopped at
+the last level that matters is kept too; what the trimmed states feed is
+asked to agree with it to 1e-15 of scale.
 """
 
 import math
@@ -17,18 +21,21 @@ import pytest
 from mcskit import (
     FockVector,
     MCSLabel,
+    MomentSet,
     PhaseGrid,
     basis_state,
     build_mcs,
     component_norm,
     density_movie,
     fock_wavefunction,
+    numeric_moments,
     time_evolve,
     wigner_closed,
     wigner_numeric,
 )
 
 REL_TOL = 1e-13
+SUPPORT_TOL = 1e-15
 
 
 def closed_pairwise(k, j, z, grid):
@@ -81,6 +88,20 @@ def sequential_synthesis(c, x):
         if c[n] != 0.0:
             acc += c[n] * cur
     return acc
+
+
+def full_length_build(label, n_max=256):
+    """Every level of the class up to n_max, down to coefficients of 1e-150
+    and below, then normalized."""
+    k, j, alpha = label.k, label.j, label.alpha
+    coeffs = np.zeros(n_max, dtype=np.complex128)
+    term = 1.0 / math.sqrt(math.factorial(j))
+    m = j
+    while m < n_max:
+        coeffs[m] = term
+        term *= alpha / math.sqrt(float(math.prod(range(m + 1, m + k + 1))))
+        m += k
+    return FockVector(coeffs / np.linalg.norm(coeffs))
 
 
 def movie_per_frame(k, j, z, x, t_grid, n_max):
@@ -198,3 +219,28 @@ def test_basis_movie_matches_per_frame_evolution(k):
     ref = movie_per_frame(k, j, z, x, t_grid, n_max=1024)
     assert new.shape == ref.shape
     assert relative_gap(new, ref) <= REL_TOL
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_effective_support_matches_full_length_build(k):
+    # the dropped levels hold under 1e-34 of the norm; what moves is the
+    # summation order of the shorter synthesis. The |z| = 3 rings of order
+    # 4 and up need a wider y window than the default 10
+    grid = PhaseGrid(-7.0, 7.0, -6.5, 7.5, 61, 67)
+    x = np.linspace(-12.0, 12.0, 401)
+    for r in (0.5, 1.0, 2.0, 3.0):
+        z = r * np.exp(0.37j * k + 0.2)
+        for j in range(k):
+            label = MCSLabel(k, j, z**k)
+            new, ref = build_mcs(label), full_length_build(label)
+            assert new.top_occupied() < ref.top_occupied()
+            assert relative_gap(new.coeffs, ref.coeffs) <= SUPPORT_TOL
+            gap = relative_gap(fock_wavefunction(new, x), fock_wavefunction(ref, x))
+            assert gap <= SUPPORT_TOL
+            field = wigner_numeric(new, grid, window_half=14.0).values
+            ref_field = wigner_numeric(ref, grid, window_half=14.0).values
+            assert relative_gap(field, ref_field) <= SUPPORT_TOL
+            got, want = numeric_moments(new), numeric_moments(ref)
+            for name in MomentSet.__dataclass_fields__:
+                scale = max(1.0, abs(getattr(want, name)))
+                assert abs(getattr(got, name) - getattr(want, name)) <= SUPPORT_TOL * scale

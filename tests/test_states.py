@@ -63,6 +63,48 @@ def test_norm_sum_overflow():
         norm_sum(1, 0, 1e308)
 
 
+def test_norm_series_past_double_range():
+    # the totals pass 2^512 and are carried as s 2^e; the ones that fit a
+    # double come out as before, and the ratio A stays exact past overflow
+    assert norm_sum(1, 0, 700.0) == pytest.approx(math.exp(700.0), rel=1e-13)
+    with pytest.raises(Overflow):
+        norm_sum(1, 0, 900.0)  # e^900 itself leaves double range
+    assert a_norm_series(1, 0, 900.0) == pytest.approx(900.0, rel=1e-14)
+    assert a_norm_series(2, 1, 9e6) == pytest.approx(
+        a_norm_closed(MCSLabel(2, 1, 3e3)), rel=1e-14
+    )
+
+
+def test_build_past_the_norm_overflow():
+    # S_{1,0}(900) = e^900 overflows, yet the state fits 2048 levels
+    state = build_mcs(MCSLabel(1, 0, 30.0), n_max=2048)
+    assert state.norm() == pytest.approx(1.0, abs=1e-14)
+    assert state.top_occupied() < 2048
+    assert moments(MCSLabel(1, 0, 30.0), n_max=2048).a_norm_sq == 900.0
+    # |alpha| = 1e5 at order 3: x = 1e10, the terms peak near level 2154
+    for j in range(3):
+        label = MCSLabel(3, j, 1e5)
+        closed = a_norm_closed(label)
+        state = build_mcs(label, 4096)
+        assert numeric_moments(state).a_norm_sq == pytest.approx(closed, rel=1e-8)
+        assert moments(label, 4096).a_norm_sq == pytest.approx(closed, rel=1e-8)
+
+
+def test_effective_support():
+    # only the levels that matter are filled; the defining residual rounds
+    # in proportion to |alpha| (2e-13 at |alpha| = 570), so it is read per
+    # unit of max(1, |alpha|)
+    for k in range(1, 9):
+        for j in range(k):
+            for r in (0.5, 1.0, 1.5, 2.0):
+                label = MCSLabel(k, j, (r * np.exp(0.3j * k + 0.1)) ** k)
+                state = build_mcs(label, n_max=256)
+                assert state.n_max == 256
+                assert state.top_occupied() < 128
+                residual = eigenvalue_residual(label, state)
+                assert residual <= 1e-15 * max(1.0, abs(label.alpha))
+
+
 def test_label_validation():
     with pytest.raises(ValueError):
         MCSLabel(0, 0, 1.0)

@@ -144,10 +144,25 @@ def test_degenerate_guard():
 
 
 def test_degenerate_guard_covers_squared_norm():
-    # the class norm ~ |z|^2 / sqrt2 = 7e-201 passes a 1e-300 floor, but its
-    # square in the scale factor underflows to 0
+    # the class norm ~ |z|^2 / sqrt2 = 7e-201 is finite, but its square in
+    # the scale factor underflows to 0
     with pytest.raises(DegenerateNorm):
         wigner_closed(3, 2, 1e-100, PhaseGrid(-5.0, 5.0, -5.0, 5.0, 33, 33))
+
+
+@pytest.mark.parametrize(
+    "k, j, z", [(2, 1, 1e-5), (2, 1, 1e-200), (5, 4, 1e-3), (3, 2, 1e-5)]
+)
+def test_closed_field_refuses_cancelled_pairs(k, j, z):
+    # the k^2 ring pairs cancel down to the class field, which keeps about
+    # eps e^{|z|^2} / (k component_norm)^2 / pi of absolute accuracy: at
+    # (2, 1, 1e-5) that bound is 1.8e-7, and the field was 3.7e-7 off the
+    # numeric one before the guard
+    with pytest.raises(DegenerateNorm, match="wigner_numeric"):
+        wigner_closed(k, j, z)
+    # the Fock route serves the label
+    field = wigner_numeric(build_mcs(MCSLabel(k, j, complex(z) ** k)))
+    assert field.total() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_purity_helper_matches_method():
