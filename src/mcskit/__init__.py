@@ -13,7 +13,6 @@ from .errors import (
     EdgeSupport,
     LeakageExceeded,
     McskitError,
-    NoCandidate,
     Overflow,
     QuadratureFailure,
     RouteMismatch,
@@ -84,8 +83,6 @@ from .completeness import (
     identity_block,
     identity_resolution_numeric,
     moment_check,
-    register_measure,
-    registered_measure,
     root_exponential_density,
 )
 from .verify import CheckResult, run_suite
@@ -94,7 +91,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryMass", "DegenerateNorm", "EdgeSupport", "LeakageExceeded",
-    "McskitError", "NoCandidate", "Overflow", "QuadratureFailure",
+    "McskitError", "Overflow", "QuadratureFailure",
     "RouteMismatch", "TailTooHeavy", "UnsupportedOrder", "WindowTooNarrow",
     "DEFAULT_LEAK_TOL", "DEFAULT_N_MAX", "CommutatorResiduals", "FockVector",
     "LadderPower", "LadderSpectrum", "apply_k_ladder", "apply_lowering",
@@ -111,7 +108,6 @@ __all__ = [
     "Marginals", "PhaseGrid", "WignerField", "marginals",
     "negativity_volume", "purity", "wigner_closed", "wigner_numeric",
     "MeasureCandidate", "MomentReport", "identity_block",
-    "identity_resolution_numeric", "moment_check", "register_measure",
-    "registered_measure", "root_exponential_density",
+    "identity_resolution_numeric", "moment_check", "root_exponential_density",
     "CheckResult", "run_suite",
 ]

@@ -7,8 +7,9 @@ n = j mod k when a radial density f satisfies the moment condition
 
 for n = 1, 2, ...; the full measure is then
 S_{k,j}(|alpha|^2) f(|alpha|^2) d|alpha| dphi / (pi |alpha|). This module
-checks candidate densities against the moment condition, keeps a registry
-of verified ones, and assembles the resolution-of-identity matrix
+checks candidate densities against the moment condition and assembles the
+resolution-of-identity matrix of the root-exponential family
+`root_exponential_density(k, j)`, whose moments are exact for every class,
 numerically as an end-to-end verification.
 
 Numerical notes, both load-bearing:
@@ -24,26 +25,38 @@ Numerical notes, both load-bearing:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import NoCandidate, QuadratureFailure
+from .errors import QuadratureFailure
+from .fock import _check_class
 
-DEFAULT_GL_ORDER = 32
+# Gauss-Legendre points per panel, in the moment checks and the assembly
+_GL_ORDER = 32
+# moment_check: relative error a moment may keep, and the panel doubling
+# from _BASE_PANELS that each moment integral gets to converge
+_MOMENT_TOL = 1e-8
+_BASE_PANELS = 8
+_MAX_MOMENT_PANELS = 4096
+# root_exponential_density: highest moment order its support hint covers
+_N_TOP_HINT = 24
+# identity_block: entrywise change that ends the radial panel doubling
+_REFINE_TOL = 1e-10
+_MAX_RADIAL_PANELS = 2048
 
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # on first use: importing numpy.polynomial costs every process ~1.5 MB
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _panel_nodes(
-    lo: float, hi: float, n_panels: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on n_panels equal panels of [lo, hi]."""
-    if order not in _gl_cache:
-        _gl_cache[order] = np.polynomial.legendre.leggauss(order)
-    x0, w0 = _gl_cache[order]
+    x0, w0 = _gauss_legendre()
     edges = np.linspace(lo, hi, n_panels + 1)
     a = edges[:-1, None]
     b = edges[1:, None]
@@ -67,8 +80,7 @@ class MeasureCandidate:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.k < 1 or not 0 <= self.j < self.k:
-            raise ValueError(f"bad order/class ({self.k}, {self.j})")
+        _check_class(self.k, self.j)
         if self.support_hint <= 0:
             raise ValueError("support_hint must be positive")
 
@@ -106,9 +118,7 @@ def _density_values(candidate: MeasureCandidate, x: np.ndarray) -> np.ndarray:
     return np.array([float(candidate.density(float(v))) for v in x])
 
 
-def _scaled_moment(
-    candidate: MeasureCandidate, n: int, n_panels: int, order: int
-) -> float:
+def _scaled_moment(candidate: MeasureCandidate, n: int, n_panels: int) -> float:
     """integral x^(n-1) f(x) dx / Gamma(kn+j+1), computed in v = x^(1/k).
 
     The substitution gives k integral v^(kn-1) f(v^k) dv, which is analytic
@@ -120,7 +130,7 @@ def _scaled_moment(
     """
     k = candidate.k
     v_hi = candidate.support_hint ** (1.0 / k)
-    v, w = _panel_nodes(0.0, v_hi, n_panels, order)
+    v, w = _panel_nodes(0.0, v_hi, n_panels)
     f = _density_values(candidate, v**k)
     target = math.lgamma(k * n + candidate.j + 1)
     with np.errstate(divide="ignore"):
@@ -129,33 +139,28 @@ def _scaled_moment(
     return float(k * np.sum(w * integrand))
 
 
-def moment_check(
-    candidate: MeasureCandidate,
-    n_top: int = 20,
-    tol: float = 1e-8,
-    base_panels: int = 8,
-    max_panels: int = 4096,
-    order: int = DEFAULT_GL_ORDER,
-) -> MomentReport:
+def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
     """Check moments n = 1..n_top, each by adaptive panel doubling.
 
     Each integral is refined until successive panel counts agree to 1e-11
-    in the Gamma-scaled value; QuadratureFailure if max_panels is not
-    enough for that, so a non-converged integral is never scored.
+    in the Gamma-scaled value; QuadratureFailure if 4096 panels are not
+    enough for that, so a non-converged integral is never scored. The
+    candidate passes when it is nonnegative and every moment is within
+    1e-8 of its target.
     """
     orders = np.arange(1, n_top + 1)
     rel = np.empty(n_top)
     for i, n in enumerate(orders):
-        n_panels = base_panels
+        n_panels = _BASE_PANELS
         prev = None
         while True:
-            val = _scaled_moment(candidate, int(n), n_panels, order)
+            val = _scaled_moment(candidate, int(n), n_panels)
             if prev is not None and abs(val - prev) <= 1e-11 * max(abs(val), 1e-3):
                 break
-            if n_panels >= max_panels:
+            if n_panels >= _MAX_MOMENT_PANELS:
                 raise QuadratureFailure(
                     f"moment {n} of {candidate.name or candidate.density!r} "
-                    f"did not converge within {max_panels} panels"
+                    f"did not converge within {_MAX_MOMENT_PANELS} panels"
                 )
             prev = val
             n_panels *= 2
@@ -164,21 +169,21 @@ def moment_check(
     xs = np.linspace(0.0, candidate.support_hint, 512)
     fs = _density_values(candidate, xs)
     nonneg = bool(np.min(fs) >= -1e-12 * max(1.0, float(np.max(np.abs(fs)))))
-    passed = nonneg and bool(np.all(rel <= tol))
+    passed = nonneg and bool(np.all(rel <= _MOMENT_TOL))
     return MomentReport(
         k=candidate.k, j=candidate.j, name=candidate.name,
-        orders=orders, rel_errors=rel, tol=tol,
+        orders=orders, rel_errors=rel, tol=_MOMENT_TOL,
         nonnegative=nonneg, passed=passed,
     )
 
 
-def root_exponential_density(k: int, j: int, n_top_hint: int = 24) -> MeasureCandidate:
+def root_exponential_density(k: int, j: int) -> MeasureCandidate:
     """The density x^((j+1)/k) exp(-x^(1/k)) / k for class (k, j).
 
     Substituting t = x^(1/k) shows its (n-1)-th moment is exactly
     Gamma(kn+j+1) for every order, so one family covers all classes; at
     k=1, j=0 it reduces to x e^(-x). The support hint covers moments up to
-    n_top_hint with a wide safety margin in t.
+    n = 24 with a wide safety margin in t.
     """
 
     def density(x: np.ndarray) -> np.ndarray:
@@ -186,52 +191,15 @@ def root_exponential_density(k: int, j: int, n_top_hint: int = 24) -> MeasureCan
         root = x ** (1.0 / k)
         return x ** ((j + 1.0) / k) * np.exp(-root) / k
 
-    t_hi = k * n_top_hint + j + 12.0 * math.sqrt(k * n_top_hint + j) + 30.0
+    t_hi = k * _N_TOP_HINT + j + 12.0 * math.sqrt(k * _N_TOP_HINT + j) + 30.0
     return MeasureCandidate(
         k=k, j=j, density=density, support_hint=t_hi**k,
         name=f"x^({j + 1}/{k}) exp(-x^(1/{k}))/{k}",
     )
 
 
-_REGISTRY: dict[tuple[int, int], MeasureCandidate] = {
-    # the one class shipped verified out of the box; tests and the verify
-    # suite re-run its moment check rather than trusting this line
-    (1, 0): root_exponential_density(1, 0),
-}
-
-
-def registered_measure(k: int, j: int) -> MeasureCandidate:
-    try:
-        return _REGISTRY[(k, j)]
-    except KeyError:
-        raise NoCandidate(
-            f"no measure density registered for class ({k}, {j}); "
-            f"verify one with moment_check and add it via register_measure"
-        ) from None
-
-
-def register_measure(
-    candidate: MeasureCandidate, n_top: int = 12, tol: float = 1e-8
-) -> MomentReport:
-    """Admit a candidate to the registry after it passes its moment check."""
-    report = moment_check(candidate, n_top=n_top, tol=tol)
-    if not report.passed:
-        raise ValueError(
-            f"candidate {candidate.name!r} for class ({candidate.k}, {candidate.j}) "
-            f"fails the moment condition (worst rel error {report.worst_error():.3e}"
-            f"{'' if report.nonnegative else ', negative values'})"
-        )
-    _REGISTRY[(candidate.k, candidate.j)] = candidate
-    return report
-
-
 def assemble_identity_block(
-    candidate: MeasureCandidate,
-    radial_cutoff: float,
-    n_panels: int,
-    n_angular: int,
-    dim_check: int,
-    order: int = DEFAULT_GL_ORDER,
+    candidate: MeasureCandidate, radial_cutoff: float, n_panels: int, dim_check: int
 ) -> np.ndarray:
     """One fixed-resolution assembly of the dim_check x dim_check overlap
     matrix of integral dmu |alpha><alpha| on the class basis.
@@ -239,16 +207,13 @@ def assemble_identity_block(
     Basis functions are the unnormalized radial coefficients
     v_m(r) = r^m / sqrt((km+j)!); the measure weight is w f(r^2)/(pi r)
     times the uniform angular weight, with the S factor already cancelled
-    against the state normalization. The angular sum over n_angular > dim
+    against the state normalization. The angular sum over dim_check + 1
     uniform angles kills every off-diagonal phase exactly (roots of unity),
     so resolution only ever limits the radial direction.
     """
-    if n_angular < dim_check:
-        raise ValueError(
-            f"n_angular={n_angular} aliases phases below dim_check={dim_check}"
-        )
     k, j = candidate.k, candidate.j
-    r, w = _panel_nodes(0.0, radial_cutoff, n_panels, order)
+    n_angular = dim_check + 1
+    r, w = _panel_nodes(0.0, radial_cutoff, n_panels)
     v = np.empty((r.size, dim_check))
     col = np.full(r.size, 1.0 / math.sqrt(math.factorial(j)))
     for m in range(dim_check):
@@ -268,72 +233,37 @@ def assemble_identity_block(
 
 
 def identity_block(
-    k: int,
-    j: int,
-    radial_cutoff: float = 12.0,
-    n_radial: int = 16,
-    n_angular: int | None = None,
-    dim_check: int = 12,
-    refine_tol: float = 1e-10,
-    max_panels: int = 2048,
+    k: int, j: int, radial_cutoff: float = 12.0, n_radial: int = 16, dim_check: int = 12
 ) -> np.ndarray:
-    """Converged overlap matrix for the registered (k, j) candidate.
+    """Converged overlap matrix of `root_exponential_density(k, j)`.
 
-    Radial panels double until the assembled matrix moves by less than
-    refine_tol entrywise; QuadratureFailure past max_panels.
+    Radial panels double from n_radial until the assembled matrix moves by
+    less than 1e-10 entrywise; QuadratureFailure past 2048 panels.
     """
-    return _converged_block(
-        registered_measure(k, j), radial_cutoff, n_radial, n_angular, dim_check,
-        refine_tol, max_panels,
-    )
-
-
-def _converged_block(
-    candidate: MeasureCandidate,
-    radial_cutoff: float,
-    n_radial: int,
-    n_angular: int | None,
-    dim_check: int,
-    refine_tol: float = 1e-10,
-    max_panels: int = 2048,
-) -> np.ndarray:
-    """identity_block for any candidate, registered or not."""
-    if n_angular is None:
-        n_angular = dim_check + 1
+    candidate = root_exponential_density(k, j)
     n_panels = n_radial
     prev = None
     while True:
-        block = assemble_identity_block(
-            candidate, radial_cutoff, n_panels, n_angular, dim_check
-        )
-        if prev is not None and float(np.max(np.abs(block - prev))) <= refine_tol:
+        block = assemble_identity_block(candidate, radial_cutoff, n_panels, dim_check)
+        if prev is not None and float(np.max(np.abs(block - prev))) <= _REFINE_TOL:
             return block
-        if n_panels >= max_panels:
+        if n_panels >= _MAX_RADIAL_PANELS:
             raise QuadratureFailure(
-                f"identity assembly for class ({candidate.k}, {candidate.j}) did not "
-                f"converge within {max_panels} radial panels"
+                f"identity assembly for class ({k}, {j}) did not converge within "
+                f"{_MAX_RADIAL_PANELS} radial panels"
             )
         prev = block
         n_panels *= 2
 
 
 def identity_resolution_numeric(
-    k: int,
-    j: int,
-    radial_cutoff: float = 12.0,
-    n_radial: int = 16,
-    n_angular: int | None = None,
-    dim_check: int = 12,
-    refine_tol: float = 1e-10,
-    max_panels: int = 2048,
+    k: int, j: int, radial_cutoff: float = 12.0, n_radial: int = 16, dim_check: int = 12
 ) -> float:
     """Max deviation of the assembled overlap matrix from the identity.
 
-    This is the end-to-end statement that the registered measure makes the
-    class states a complete family on their subspace: small only when
-    moments, cutoff, and quadrature are all right at once.
+    This is the end-to-end statement that the root-exponential measure
+    makes the class states a complete family on their subspace: small only
+    when moments, cutoff, and quadrature are all right at once.
     """
-    block = identity_block(
-        k, j, radial_cutoff, n_radial, n_angular, dim_check, refine_tol, max_panels
-    )
+    block = identity_block(k, j, radial_cutoff, n_radial, dim_check)
     return float(np.max(np.abs(block - np.eye(dim_check))))

@@ -23,13 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNorm
-from .fock import DEFAULT_N_MAX, FockVector
-from .states import MCSLabel, build_mcs, norm_sum
+from .errors import DegenerateNorm, Overflow
+from .fock import DEFAULT_N_MAX, FockVector, _check_class
+from .states import MCSLabel, _check_series, _power, _series, build_mcs
 
 DEFAULT_X_GRID = (-12.0, 12.0, 2048)
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
+_LN2 = math.log(2.0)
+
+# e^{-u^2/2} < 1e-17 past u = _GAUSS_MARGIN (see _reach)
+_GAUSS_MARGIN = 9.0
+# past this |x| the synthesis seed pi^{-1/4} e^{-x^2/2} is subnormal
+_SEED_LIMIT = 37.6
 
 # absolute accuracy a sum over the coherent ring must keep (the threshold of
 # verify's closed-vs-synthesized row); its k branches cancel down to the
@@ -48,13 +54,19 @@ def default_x_grid() -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _reach(levels: int) -> float:
+    """|x| (and |p|) past which a state on levels below `levels` has no weight."""
+    return math.sqrt(2.0 * levels + 1.0) + _GAUSS_MARGIN
+
+
 def fock_wavefunction(state: FockVector, x: np.ndarray) -> np.ndarray:
     """Synthesize psi(x) = sum_n c_n psi_n(x) with oscillator eigenfunctions.
 
     Uses the stable two-term recurrence
     psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1};
     no Hermite polynomial or factorial ever appears explicitly, so n_max in
-    the thousands is routine.
+    the thousands is routine. Overflow is raised when some |x| past 37.6,
+    where the recurrence seed underflows, lies within the state's reach.
     """
     x = np.asarray(x, dtype=np.float64)
     return _synthesize(state.coeffs[None, :], x.ravel())[0].reshape(x.shape)
@@ -73,6 +85,12 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.zeros((coeffs.shape[0], x.size), dtype=np.complex128)
     used = np.any(coeffs != 0.0, axis=0)
     top = int(np.flatnonzero(used)[-1]) + 1 if used.any() else 0
+    reach = _reach(top)
+    if reach > _SEED_LIMIT and np.any((np.abs(x) > _SEED_LIMIT) & (np.abs(x) < reach)):
+        raise Overflow(
+            f"the state reaches |x| = {reach:.3g}, but the eigenfunction seed "
+            f"underflows past |x| = {_SEED_LIMIT}; keep x within that limit"
+        )
     basis = np.empty((_BLOCK_ROWS, x.size))
     held: list[int] = []
     prev = np.zeros_like(x)
@@ -117,8 +135,7 @@ def dft_matrix(k: int) -> tuple[np.ndarray, np.ndarray]:
     The inverse is conj(M)/k analytically; returning it avoids an
     unnecessary linear solve and keeps the pair exactly consistent.
     """
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    k, _ = _check_class(k)
     jl = np.outer(np.arange(k), np.arange(k))
     m = np.exp(2j * np.pi * jl / k)
     return m, m.conj() / k
@@ -126,34 +143,52 @@ def dft_matrix(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def component_norm(k: int, j: int, z: complex) -> float:
     """Norm |z|^j sqrt(S_{k,j}(|z|^(2k))) of the class-j part of exp(|z|^2/2)-
-    scaled |z>; the share of the coherent state living on n = j mod k."""
+    scaled |z>; the share of the coherent state living on n = j mod k.
+    Overflow once that norm leaves double range."""
+    c, h = _class_norm(k, j, z)
+    try:
+        return math.ldexp(c, h)
+    except OverflowError:
+        raise Overflow(
+            f"class ({k}, {j}) norm at |z|={abs(z):.3g} overflows double precision"
+        ) from None
+
+
+def _class_norm(k: int, j: int, z: complex) -> tuple[float, int]:
+    """component_norm(k, j, z) as c 2^h: the norm series is s 2^e (see
+    `states._series`, e a multiple of 512), so c = |z|^j sqrt(s), h = e/2."""
     r = abs(z)
-    return r**j * math.sqrt(norm_sum(k, j, r ** (2 * k)))
+    _check_series(k, j, r)  # a NaN z fails here, before any series runs
+    s, e = _series(k, j, _power(r, 2 * k))
+    return r**j * math.sqrt(s), e // 2
 
 
 def _ring_norm(
     k: int, j: int, z: complex, fallback: str, pairs: bool = False
-) -> float:
-    """component_norm(k, j, z) for a route that sums the k coherent states
-    on the ring, whose weights e^{|z|^2/2} / (k component_norm) cancel down
-    to the class amplitude, or with pairs=True the k^2 ring pairs of a Wigner
-    field, weighted e^{|z|^2} / (k component_norm)^2 / pi. DegenerateNorm,
+) -> tuple[float, float]:
+    """e^{|z|^2/2} / component_norm(k, j, z) as num / den, both scaled by
+    2^-h of `_class_norm` so neither leaves double range (for h = 0 they are
+    those two factors bit for bit); with pairs=True num is squared too.
+    A route summing the k coherent states on the ring weighs them
+    num / (k den), which cancels down to the class amplitude; the k^2 ring
+    pairs of a Wigner field take num / (k den)^2 / pi. DegenerateNorm,
     naming the fallback route, once that leaves worse than _RING_ACCURACY
     absolute accuracy."""
-    nj = component_norm(k, j, z)
+    den, h = _class_norm(k, j, z)
     eps = np.finfo(np.float64).eps
     if pairs:
-        bound = eps * math.exp(abs(z) ** 2) / math.pi
-        cancelled = bound > _RING_ACCURACY * (k * nj) ** 2
+        num = math.exp(abs(z) ** 2 - 2 * h * _LN2)
+        cancelled = eps * num / math.pi > _RING_ACCURACY * (k * den) ** 2
     else:
-        cancelled = eps * math.exp(0.5 * abs(z) ** 2) > _RING_ACCURACY * nj
+        num = math.exp(0.5 * abs(z) ** 2 - h * _LN2)
+        cancelled = eps * num > _RING_ACCURACY * den
     if cancelled:
         raise DegenerateNorm(
             f"class ({k}, {j}) carries too little weight at z={z} for the ring "
             f"of coherent states, whose branches cancel to worse than "
             f"{_RING_ACCURACY:g} absolute accuracy; use {fallback}"
         )
-    return nj
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -191,13 +226,12 @@ def mcs_as_scs(k: int, j: int, z: complex) -> ScsSuperposition:
     cancels away the class amplitude; past 1e-8 absolute accuracy
     DegenerateNorm is raised, and build_mcs serves those labels.
     """
-    if k < 1 or not 0 <= j < k:
-        raise ValueError(f"bad order/class ({k}, {j})")
+    k, j = _check_class(k, j)
     z = complex(z)
-    nj = _ring_norm(k, j, z, "build_mcs")
+    num, den = _ring_norm(k, j, z, "build_mcs")
     mu_pow = np.exp(-2j * np.pi * j * np.arange(k) / k)
     align = np.exp(-1j * j * np.angle(z))
-    weights = mu_pow * align * math.exp(0.5 * abs(z) ** 2) / (k * nj)
+    weights = mu_pow * align * num / (k * den)
     return ScsSuperposition(k=k, j=j, z=z, weights=weights)
 
 
@@ -205,16 +239,16 @@ def coherent_from_classes(k: int, z: complex, n_max: int = DEFAULT_N_MAX) -> Foc
     """Inverse direction: reassemble |z> from its k class projections.
 
     The class-j component enters with weight e^(i j arg z) component_norm
-    e^(-|z|^2/2); summing over j must reproduce the coherent state exactly.
+    e^(-|z|^2/2), whose factors are rescaled by 2^h (see `_class_norm`);
+    summing over j must reproduce the coherent state exactly.
     """
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    k, _ = _check_class(k)
     z = complex(z)
     acc = np.zeros(n_max, dtype=np.complex128)
-    damp = math.exp(-0.5 * abs(z) ** 2)
     for j in range(k):
-        w = np.exp(1j * j * np.angle(z)) * component_norm(k, j, z) * damp
-        acc += w * build_mcs(MCSLabel(k, j, z**k), n_max).coeffs
+        c, h = _class_norm(k, j, z)
+        w = np.exp(1j * j * np.angle(z)) * c * math.exp(-0.5 * abs(z) ** 2 + h * _LN2)
+        acc += w * build_mcs(MCSLabel(k, j, _power(z, k)), n_max).coeffs
     return FockVector(acc)
 
 
@@ -280,8 +314,7 @@ def _amplitudes(
     cos(Px + arg w) to the real part and sin(Px + arg w) to the imaginary
     part: one real exponential and a real cos/sin pair per point.
     """
-    if k < 1 or not 0 <= j < k:
-        raise ValueError(f"bad order/class ({k}, {j})")
+    k, j = _check_class(k, j)
     if method not in ("closed", "fock"):
         raise ValueError(f"unknown method {method!r}")
     if t is None:
@@ -290,12 +323,12 @@ def _amplitudes(
     z = complex(z)
 
     if method == "fock":
-        c = build_mcs(MCSLabel(k, j, z**k), n_max).coeffs
+        c = build_mcs(MCSLabel(k, j, _power(z, k)), n_max).coeffs
         n = np.arange(c.size)
         return _synthesize(np.exp(-1j * np.outer(t, n + 0.5)) * c, x)
 
-    nj = _ring_norm(k, j, z, "method='fock'")
-    prefactor = _QUARTIC_ROOT_PI * math.exp(0.5 * abs(z) ** 2) / (k * nj)
+    num, den = _ring_norm(k, j, z, "method='fock'")
+    prefactor = _QUARTIC_ROOT_PI * num / (k * den)
     seed = np.exp(-1j * j * np.angle(z)) * prefactor
     t = t[:, None]
     rot = np.exp(-1j * t)

@@ -59,7 +59,3 @@ class BoundaryMass(McskitError):
 
 class QuadratureFailure(McskitError):
     """Adaptive panel refinement hit its budget without converging."""
-
-
-class NoCandidate(McskitError):
-    """No measure density is registered for the requested (k, j)."""

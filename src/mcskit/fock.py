@@ -13,6 +13,7 @@ raises LeakageExceeded once that passes a tolerance.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,6 +23,20 @@ from .errors import EdgeSupport, LeakageExceeded, Overflow
 
 DEFAULT_N_MAX = 256
 DEFAULT_LEAK_TOL = 1e-12
+
+
+def _check_class(k: int, j: int = 0) -> tuple[int, int]:
+    """Order k and class j as ints: ValueError unless both are integers with
+    k >= 1 and 0 <= j < k. Every entry point that takes an order runs it."""
+    try:
+        k, j = operator.index(k), operator.index(j)
+    except TypeError:
+        raise ValueError(f"order and class must be integers, got ({k!r}, {j!r})") from None
+    if k < 1:
+        raise ValueError(f"order must be >= 1, got {k}")
+    if not 0 <= j < k:
+        raise ValueError(f"class index {j} outside [0, {k})")
+    return k, j
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +168,7 @@ def number_falling_apply(state: FockVector, k: int) -> FockVector:
     the falling factorial n(n-1)...(n-k+1), which is exactly the number
     operator ordering (a+)^k (a-)^k.
     """
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    k, _ = _check_class(k)
     n = np.arange(state.n_max, dtype=np.float64)
     diag = np.ones(state.n_max)
     for i in range(k):
@@ -186,8 +200,7 @@ def pha_commutator_check(k: int, probe: FockVector) -> CommutatorResiduals:
     n_max=128 puts bare rounding noise near 1e-6; the relative residual
     measures the identities at working precision uniformly in k.
     """
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    k, _ = _check_class(k)
     top = probe.top_occupied()
     if top > probe.n_max - k - 2:
         raise EdgeSupport(
@@ -238,10 +251,7 @@ def ladder_eigenstate(k: int, j: int, m: int, n_max: int = DEFAULT_N_MAX) -> Foc
 
     Raises Overflow when the requested level does not fit below n_max.
     """
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
-    if not 0 <= j < k:
-        raise ValueError(f"class index {j} outside [0, {k})")
+    k, j = _check_class(k, j)
     if m < 0:
         raise ValueError(f"rung index must be >= 0, got {m}")
     n = k * m + j
@@ -257,8 +267,7 @@ def ladder_spectrum(k: int, levels: int = 32) -> LadderSpectrum:
     k starting at the extremal energy j + 1/2; the union over j recovers
     the full oscillator spectrum n + 1/2.
     """
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    k, _ = _check_class(k)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     ladders = tuple(j + 0.5 + k * np.arange(levels, dtype=np.float64) for j in range(k))

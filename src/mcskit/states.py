@@ -24,7 +24,6 @@ holds it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ from .errors import Overflow, RouteMismatch, TailTooHeavy, UnsupportedOrder
 from .fock import (
     DEFAULT_N_MAX,
     FockVector,
+    _check_class,
     apply_k_ladder,
     lowering_power,
 )
@@ -66,16 +66,7 @@ class MCSLabel:
     alpha: complex
 
     def __post_init__(self) -> None:
-        try:
-            k, j = operator.index(self.k), operator.index(self.j)
-        except TypeError:
-            raise ValueError(
-                f"order and class must be integers, got ({self.k!r}, {self.j!r})"
-            ) from None
-        if k < 1:
-            raise ValueError(f"order must be >= 1, got {k}")
-        if not 0 <= j < k:
-            raise ValueError(f"class index {j} outside [0, {k})")
+        k, j = _check_class(self.k, self.j)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "j", j)
         a = complex(self.alpha)
@@ -85,10 +76,19 @@ class MCSLabel:
 
 
 def _check_series(k: int, j: int, x: float) -> None:
-    if k < 1 or not 0 <= j < k:
-        raise ValueError(f"bad order/class ({k}, {j})")
-    if x < 0:
+    _check_class(k, j)
+    if not x >= 0:  # NaN fails this too, before a series runs
         raise ValueError(f"norm argument must be >= 0, got {x}")
+
+
+def _power(base: complex, n: int) -> complex:
+    """base ** n, raising Overflow instead of OverflowError past double range."""
+    try:
+        return base**n
+    except OverflowError:
+        raise Overflow(
+            f"{base:.3g} ** {n} overflows double precision; the label is too large"
+        ) from None
 
 
 def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
@@ -168,7 +168,7 @@ def build_mcs(
     such as |alpha|^2 = 900 at order 1, build as long as n_max holds them.
     """
     k, j, alpha = label.k, label.j, label.alpha
-    x = abs(alpha) ** 2
+    x = _power(abs(alpha), 2)
     total, e_total = _series(k, j, x)
     terms: list[complex] = []
     term: complex = 1.0 / math.sqrt(math.factorial(j))
@@ -328,7 +328,7 @@ def moments(
     label (or a bug), and no silently wrong numbers are returned.
     """
     k, j, alpha = label.k, label.j, label.alpha
-    x = abs(alpha) ** 2
+    x = _power(abs(alpha), 2)
     if k == 1:
         mean_x = math.sqrt(2.0) * alpha.real
         mean_p = math.sqrt(2.0) * alpha.imag
@@ -384,7 +384,7 @@ def geometric_phase(
     route_tol or RouteMismatch is raised.
     """
     k, j = label.k, label.j
-    a = a_norm_series(k, j, abs(label.alpha) ** 2)
+    a = a_norm_series(k, j, _power(abs(label.alpha), 2))
     beta = (2.0 * math.pi / k) * (a - j)
     tau = 2.0 * math.pi / k
     total_phase = -(2 * j + 1) * math.pi / k

@@ -377,7 +377,7 @@ def _completeness_inputs(n_max: int) -> SimpleNamespace:
 
 
 def _order_one_moments(s: SimpleNamespace) -> float:
-    report = comp.moment_check(comp.registered_measure(1, 0), n_top=20)
+    report = comp.moment_check(comp.root_exponential_density(1, 0), n_top=20)
     return report.worst_error() if report.nonnegative else math.inf
 
 
@@ -391,10 +391,10 @@ def _order_two_moments(s: SimpleNamespace) -> float:
 
 def _order_two_tiling(s: SimpleNamespace) -> float:
     full = np.zeros((16, 16), dtype=np.complex128)
-    for cand in s.order_two:
-        idx = 2 * np.arange(8) + cand.j
-        full[np.ix_(idx, idx)] = comp._converged_block(
-            cand, radial_cutoff=60.0, n_radial=32, n_angular=None, dim_check=8
+    for j in (0, 1):
+        idx = 2 * np.arange(8) + j
+        full[np.ix_(idx, idx)] = comp.identity_block(
+            2, j, radial_cutoff=60.0, n_radial=32, dim_check=8
         )
     return float(np.max(np.abs(full - np.eye(16))))
 

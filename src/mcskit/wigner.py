@@ -33,17 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .decomposition import _ring_norm, fock_wavefunction
+from .decomposition import _reach, _ring_norm, fock_wavefunction
 from .errors import BoundaryMass, WindowTooNarrow
-from .fock import FockVector
+from .fock import FockVector, _check_class
 
 DEFAULT_WINDOW_HALF = 10.0
 
-# the numeric route's edge tolerance and the two constants of its reach
-# p_psi (see wigner_numeric)
+# the numeric route's edge tolerance, and the tail share that counts a
+# level towards its reach p_psi (see wigner_numeric)
 _EDGE_TOL = 1e-16
 _LEVEL_TOL = 1e-32
-_GAUSS_MARGIN = 9.0
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def wigner_numeric(
     weight = np.abs(state.coeffs) ** 2
     tail = np.cumsum(weight[::-1])[::-1]
     levels = int(np.count_nonzero(tail > _LEVEL_TOL * tail[0]))
-    reach = math.sqrt(2.0 * levels + 1.0) + _GAUSS_MARGIN
+    reach = _reach(levels)
     # y step = q step / m below the aliasing limit, so q_i +- y_l all live
     # on one fine lattice
     max_p = max(abs(grid.p_min), abs(grid.p_max))
@@ -196,12 +195,11 @@ def wigner_closed(
     |z| with j > 0); past 1e-8 DegenerateNorm is raised, and
     wigner_numeric serves those labels.
     """
-    if k < 1 or not 0 <= j < k:
-        raise ValueError(f"bad order/class ({k}, {j})")
+    k, j = _check_class(k, j)
     if grid is None:
         grid = PhaseGrid()
     z = complex(z)
-    nj = _ring_norm(k, j, z, "wigner_numeric", pairs=True)
+    num, den = _ring_norm(k, j, z, "wigner_numeric", pairs=True)
     # pair (a, b) is rank-1 in (q, p): exp(-(q-Q)^2) exp(D) exp(-(p-P)^2).
     # Writing d = q - Re Q, -(q-Q)^2 = -d^2 + 2i d Im Q + (Im Q)^2, and the
     # (Im Q)^2 + (Im P)^2 this peels off both factors cancels Re D exactly,
@@ -213,7 +211,7 @@ def wigner_closed(
     center_q = (za + zb) / math.sqrt(2.0)
     center_p = 1j * (za - zb) / math.sqrt(2.0)
     weight = mu ** (j * (a - b)) * np.exp(1j * (za * zb).imag)
-    scale = math.exp(abs(z) ** 2) / (k * nj) ** 2 / math.pi
+    scale = num / (k * den) ** 2 / math.pi
     d = grid.q_axis[:, None] - center_q.real
     e = grid.p_axis[None, :] - center_p.real[:, None]
     left = np.exp(-d * d + 2j * d * center_q.imag)

@@ -3,24 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mcskit import completeness
 from mcskit import (
     MeasureCandidate,
-    NoCandidate,
     identity_block,
     identity_resolution_numeric,
     moment_check,
-    register_measure,
-    registered_measure,
     root_exponential_density,
 )
-from mcskit.verify import run_suite
-
-
-@pytest.fixture
-def registry(monkeypatch):
-    """Give a test that registers measures its own copy of the registry."""
-    monkeypatch.setattr(completeness, "_REGISTRY", dict(completeness._REGISTRY))
 
 
 def test_family_moments_across_orders():
@@ -65,33 +54,11 @@ def test_identity_resolution_order_one():
     assert dev < 1e-6
 
 
-def test_identity_blocks_tile_order_two(registry):
+def test_identity_blocks_tile_order_two():
     dim = 12
     total = np.zeros((dim, dim))
     for j in (0, 1):
-        register_measure(root_exponential_density(2, j), n_top=10)
         block = identity_block(2, j, radial_cutoff=60.0, n_radial=32, dim_check=6)
         rows = np.arange(j, dim, 2)
         total[np.ix_(rows, rows)] += block.real
     assert np.max(np.abs(total - np.eye(dim))) < 1e-8
-
-
-def test_registry_roundtrip(registry):
-    seeded = registered_measure(1, 0)
-    assert seeded.k == 1 and seeded.j == 0
-    with pytest.raises(NoCandidate):
-        registered_measure(7, 3)
-    register_measure(root_exponential_density(3, 1), n_top=10)
-    assert registered_measure(3, 1).name == root_exponential_density(3, 1).name
-
-
-def test_registry_rejects_failing_candidate():
-    bad = MeasureCandidate(k=1, j=0, density=lambda x: math.exp(-x), support_hint=60.0)
-    with pytest.raises(ValueError):
-        register_measure(bad, n_top=4)
-
-
-def test_verify_leaves_registry_unchanged():
-    before = list(completeness._REGISTRY)
-    run_suite("completeness")
-    assert list(completeness._REGISTRY) == before

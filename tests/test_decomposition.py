@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcskit import decomposition
 from mcskit import (
     DegenerateNorm,
     MCSLabel,
+    Overflow,
+    basis_state,
     build_mcs,
     coherent_from_classes,
     coherent_state,
@@ -90,6 +93,84 @@ def test_closed_route_refuses_cancelled_branches(k, j, z):
         density_movie(k, j, z, x)
     with pytest.raises(DegenerateNorm, match="build_mcs"):
         mcs_as_scs(k, j, z)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mcs_as_scs(2.5, 0, 1.0),
+        lambda: mcs_wavefunction(2, 1.0, 1.0),
+        lambda: density_movie(2.0, 0, 1.0),
+        lambda: coherent_from_classes(1.5, 1.0),
+        lambda: dft_matrix(2.5),
+    ],
+    ids=["mcs_as_scs", "mcs_wavefunction", "density_movie", "coherent_from_classes",
+         "dft_matrix"],
+)
+def test_non_integer_order_or_class_raises_value_error(call):
+    # the ring routes and the transform run the check MCSLabel runs
+    with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
+def test_nan_ring_label_raises_before_the_series(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the norm series ran on a NaN argument")
+
+    monkeypatch.setattr(decomposition, "_series", unreachable)
+    nan = complex(float("nan"), 0.0)
+    for call in (
+        lambda: component_norm(2, 0, nan),
+        lambda: mcs_as_scs(2, 0, nan),
+        lambda: mcs_wavefunction(3, 1, nan),
+        lambda: coherent_from_classes(2, nan),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mcs_as_scs(8, 0, 1e20),  # |z|^16
+        lambda: mcs_wavefunction(4, 1, 1e80),  # |z|^8
+        lambda: coherent_from_classes(3, 1e120),  # |z|^6
+        lambda: density_movie(2, 0, 1e200, method="fock"),  # z^2
+    ],
+    ids=["mcs_as_scs", "mcs_wavefunction", "coherent_from_classes", "fock_movie"],
+)
+def test_label_past_double_range_raises_overflow(call):
+    with pytest.raises(Overflow):
+        call()
+
+
+def test_ring_routes_past_the_norm_overflow():
+    # S_{1,0}(900) = e^900 leaves double range, yet build_mcs serves the
+    # label; the ring weight e^{|z|^2/2} / component_norm is one scaled ratio
+    x = np.linspace(30.0, 55.0, 501)
+    gauss = math.pi**-0.25 * np.exp(-0.5 * (x - 30.0 * math.sqrt(2.0)) ** 2)
+    assert np.max(np.abs(mcs_wavefunction(1, 0, 30.0, x).values - gauss)) < 1e-12
+    ref = build_mcs(MCSLabel(1, 0, 30.0), n_max=2048)
+    back = coherent_from_classes(2, 30.0, n_max=2048)
+    assert np.linalg.norm(back.coeffs - ref.coeffs) < 1e-12
+    ring = mcs_as_scs(2, 0, 25.0).fock_vector(2048)
+    direct = build_mcs(MCSLabel(2, 0, 625.0), n_max=2048)
+    assert np.linalg.norm(ring.coeffs - direct.coeffs) < 1e-12
+
+
+def test_synthesis_refuses_an_underflowed_seed():
+    # the recurrence seed pi^{-1/4} e^{-x^2/2} is subnormal past |x| = 37.6;
+    # this state peaks at x = 42.4 and reaches sqrt(2 * 1801 + 1) + 9 = 69
+    state = build_mcs(MCSLabel(1, 0, 30.0), n_max=2048)
+    for x in (38.5, 42.4, -50.0):
+        with pytest.raises(Overflow, match="37.6"):
+            fock_wavefunction(state, np.array([0.0, x]))
+    x = np.linspace(25.0, 37.5, 51)
+    gauss = math.pi**-0.25 * np.exp(-0.5 * (x - 30.0 * math.sqrt(2.0)) ** 2)
+    assert np.max(np.abs(fock_wavefunction(state, x) - gauss)) < 1e-12
+    # past a state's reach the amplitudes are truly 0
+    assert np.all(fock_wavefunction(state, np.array([-100.0, 70.0])) == 0.0)
+    assert fock_wavefunction(basis_state(0, 8), np.array([50.0]))[0] == 0.0
 
 
 def test_coherent_reassembly():

@@ -1,6 +1,8 @@
-"""The survey scripts run against the package's public names."""
+"""The survey scripts and the README quick start run against the package's
+public names."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,5 +23,18 @@ def test_script_runs(script):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    # the README's python block uses only names the package still exports
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks, "README has no python quick-start block"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(blocks)],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr

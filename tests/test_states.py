@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcskit import states
 from mcskit import (
     MCSLabel,
     MomentSet,
@@ -73,6 +74,27 @@ def test_norm_series_past_double_range():
     assert a_norm_series(2, 1, 9e6) == pytest.approx(
         a_norm_closed(MCSLabel(2, 1, 3e3)), rel=1e-14
     )
+
+
+def test_nan_argument_raises_before_the_series(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the norm series ran on a NaN argument")
+
+    monkeypatch.setattr(states, "_series", unreachable)
+    with pytest.raises(ValueError):
+        norm_sum(1, 0, float("nan"))
+    with pytest.raises(ValueError):
+        a_norm_series(2, 1, float("nan"))
+
+
+def test_squared_label_past_double_range_raises_overflow():
+    # |alpha|^2 leaves double range past |alpha| = 1.34e154
+    with pytest.raises(Overflow):
+        build_mcs(MCSLabel(1, 0, 1e160))
+    with pytest.raises(Overflow):
+        moments(MCSLabel(2, 0, 1e200))
+    with pytest.raises(Overflow):
+        geometric_phase(MCSLabel(2, 0, 1e200))
 
 
 def test_build_past_the_norm_overflow():

@@ -8,6 +8,7 @@ from mcskit import (
     BoundaryMass,
     DegenerateNorm,
     MCSLabel,
+    Overflow,
     PhaseGrid,
     WindowTooNarrow,
     basis_state,
@@ -163,6 +164,31 @@ def test_closed_field_refuses_cancelled_pairs(k, j, z):
     # the Fock route serves the label
     field = wigner_numeric(build_mcs(MCSLabel(k, j, complex(z) ** k)))
     assert field.total() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_closed_field_past_the_norm_overflow():
+    # component_norm(1, 0, 30) squared is e^900; the scale is a scaled ratio
+    field = wigner_closed(1, 0, 30.0, PhaseGrid(36.0, 49.0, -6.0, 6.0, 65, 65))
+    assert field.total() == pytest.approx(1.0, abs=1e-10)
+    assert field.purity() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_closed_field_rejects_bad_labels():
+    with pytest.raises(ValueError, match="must be integers"):
+        wigner_closed(2, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        wigner_closed(2, 0, complex(float("nan"), 0.0))
+    with pytest.raises(Overflow):
+        wigner_closed(8, 3, 1e20)  # |z|^16
+
+
+def test_numeric_field_refuses_an_underflowed_seed():
+    # the lattice spans q = 22..63, inside the state's reach of 69, where
+    # the synthesis seed has underflowed: the field's mass was 3.2e-8
+    state = build_mcs(MCSLabel(1, 0, 30.0), n_max=2048)
+    grid = PhaseGrid(36.0, 49.0, -6.0, 6.0, 33, 33)
+    with pytest.raises(Overflow, match="37.6"):
+        wigner_numeric(state, grid, window_half=14.0)
 
 
 def test_purity_helper_matches_method():
