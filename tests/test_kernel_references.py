@@ -173,16 +173,49 @@ def test_closed_gemm_past_the_naive_split_overflow(k):
         assert relative_gap(new.values, ref) <= tol
 
 
-def test_numeric_fold_matches_unfolded_transform():
-    grid = PhaseGrid(-6.0, 6.5, -5.0, 7.0, 73, 61)
+def fold_states():
     states = [basis_state(3, n_max=16)]
     for k in range(1, 9):
         z = 1.5 * np.exp(0.7j * k)
         states.append(build_mcs(MCSLabel(k, k // 2, z**k)))
-    for state in states:
+    return states
+
+
+def test_numeric_fold_matches_unfolded_transform():
+    # this p axis is not its own negative, so the tables span all of it
+    grid = PhaseGrid(-6.0, 6.5, -5.0, 7.0, 73, 61)
+    for state in fold_states():
         new = wigner_numeric(state, grid)
         ref = numeric_unfolded(state, grid)
         assert new.imag_residue == 0.0
+        assert relative_gap(new.values, ref) <= REL_TOL
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [PhaseGrid(-6.0, 6.5, -6.0, 6.0, 73, 49), PhaseGrid(-6.0, 6.5, -7.75, 7.75, 73, 32)],
+    ids=["odd-n_p", "even-n_p"],
+)
+def test_numeric_mirrored_p_axis_matches_unfolded_transform(grid):
+    # a p axis that is its own negative, bit for bit, takes the path that
+    # transforms p >= 0 only and mirrors the result
+    p = grid.p_axis
+    assert np.array_equal(p[::-1], -p)
+    for state in fold_states():
+        new = wigner_numeric(state, grid)
+        ref = numeric_unfolded(state, grid)
+        assert relative_gap(new.values, ref) <= REL_TOL
+
+
+def test_numeric_wide_window_matches_unfolded_transform():
+    # window_half = 14 on a +-9 p axis gives the phase table its largest
+    # arguments, 2 * 14 * 9; both cats reach past the default window
+    grid = PhaseGrid(-9.0, 9.0, -9.0, 9.0, 61, 65)
+    assert np.array_equal(grid.p_axis[::-1], -grid.p_axis)
+    for k, j, z in ((2, 0, 4.5), (4, 1, 5.0 * np.exp(0.2j))):
+        state = build_mcs(MCSLabel(k, j, z**k))
+        new = wigner_numeric(state, grid, window_half=14.0)
+        ref = numeric_unfolded(state, grid, window_half=14.0)
         assert relative_gap(new.values, ref) <= REL_TOL
 
 
