@@ -12,15 +12,17 @@ resolution-of-identity matrix of the root-exponential family
 `root_exponential_density(k, j)`, whose moments are exact for every class,
 numerically as an end-to-end verification.
 
-Numerical notes, both load-bearing:
+Numerical notes, all load-bearing:
 
-* Moment integrals run in u = sqrt(x) (an exact change of variables) so
-  fractional powers of x at the origin cannot spoil panel quadrature, and
-  each integrand is scaled by exp(-lgamma(kn+j+1)) inside the exponential,
-  so moments match against 1.0 and nothing overflows at large kn.
-* In the identity assembly the S_{k,j} factor of the measure cancels the
-  squared normalization of the state analytically, so S is never evaluated;
-  what remains is polynomially bounded in the radial cutoff.
+* Moments and identity blocks both integrate in v = x^(1/k) (an exact
+  change of variables), where the root-exponential integrand is analytic
+  at 0, so one panel-doubling loop converges at spectral rate for both.
+* Each integrand is scaled by exp(-lgamma(kn+j+1)) inside the exponential,
+  so moments match against 1.0 and nothing overflows at large kn. In the
+  identity assembly the S_{k,j} factor of the measure cancels the squared
+  normalization of the state analytically, so S is never evaluated.
+* Moments end at support_hint, and raise if their tail there is visible;
+  identity blocks end past the weight of every order they hold.
 """
 
 from __future__ import annotations
@@ -35,18 +37,19 @@ import numpy as np
 from .errors import QuadratureFailure
 from .fock import _check_class
 
-# Gauss-Legendre points per panel, in the moment checks and the assembly
+# Gauss-Legendre points per panel, and the panel doubling of every integral
 _GL_ORDER = 32
-# moment_check: relative error a moment may keep, and the panel doubling
-# from _BASE_PANELS that each moment integral gets to converge
-_MOMENT_TOL = 1e-8
 _BASE_PANELS = 8
-_MAX_MOMENT_PANELS = 4096
+_MAX_PANELS = 4096
+# moment_check: relative error a moment may keep, and the relative change
+# between panel counts (and unseen tail past support_hint) it may ignore
+_MOMENT_TOL = 1e-8
+_MOMENT_STEP = 1e-11
+# identity_block: entrywise change that ends the panel doubling
+_BLOCK_STEP = 1e-10
 # root_exponential_density: highest moment order its support hint covers
 _N_TOP_HINT = 24
-# identity_block: entrywise change that ends the radial panel doubling
-_REFINE_TOL = 1e-10
-_MAX_RADIAL_PANELS = 2048
+
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
@@ -118,63 +121,86 @@ def _density_values(candidate: MeasureCandidate, x: np.ndarray) -> np.ndarray:
     return np.array([float(candidate.density(float(v))) for v in x])
 
 
-def _scaled_moment(candidate: MeasureCandidate, n: int, n_panels: int) -> float:
-    """integral x^(n-1) f(x) dx / Gamma(kn+j+1), computed in v = x^(1/k).
+def _check_count(name: str, value: int) -> int:
+    """value as an int: ValueError unless it is an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
-    The substitution gives k integral v^(kn-1) f(v^k) dv, which is analytic
-    at 0 for the k-th-root reference family, so panel doubling converges at
-    spectral rate for every order. The Gamma scaling moves inside the
-    exponential so the working range never overflows even when the target
-    moment is astronomically large. Negative density values are carried
-    through by sign so bad candidates are measured, not crashed.
-    """
-    k = candidate.k
-    v_hi = candidate.support_hint ** (1.0 / k)
-    v, w = _panel_nodes(0.0, v_hi, n_panels)
+
+def _v_limit(k: int, j: int, n: int) -> float:
+    """End in v = x^(1/k) of the root-exponential weight of moment orders up
+    to n: 12 standard deviations plus 30 past the Gamma(kn+j+1) peak."""
+    return k * n + j + 12.0 * math.sqrt(k * n + j) + 30.0
+
+
+def _refine(compute: Callable, distance: Callable, tol: float, what: str):
+    """compute(n_panels), panels doubling from _BASE_PANELS until successive
+    results lie within tol by distance; QuadratureFailure past _MAX_PANELS."""
+    n_panels = _BASE_PANELS
+    prev = compute(n_panels)
+    while n_panels < _MAX_PANELS:
+        n_panels *= 2
+        val = compute(n_panels)
+        if distance(val, prev) <= tol:
+            return val
+        prev = val
+    raise QuadratureFailure(f"{what} did not converge within {_MAX_PANELS} panels")
+
+
+def _log_integrand(candidate: MeasureCandidate, v: np.ndarray, orders: np.ndarray):
+    """sign f(v^k), and log |v^(kn-1) f(v^k)| - lgamma(kn+j+1) per node and
+    order n (k times its integral is the scaled moment). The sign carries
+    negative densities through, so bad candidates are measured, not crashed."""
+    k, j = candidate.k, candidate.j
     f = _density_values(candidate, v**k)
-    target = math.lgamma(k * n + candidate.j + 1)
+    target = np.array([math.lgamma(k * n + j + 1) for n in orders.tolist()])
     with np.errstate(divide="ignore"):
-        log_mag = (k * n - 1) * np.log(v) + np.log(np.abs(f)) - target
-    integrand = np.sign(f) * np.exp(log_mag)
-    return float(k * np.sum(w * integrand))
+        log_mag = np.log(v)[:, None] * (k * orders - 1) + np.log(np.abs(f))[:, None]
+    return np.sign(f), log_mag - target
+
+
+def _scaled_moment(candidate: MeasureCandidate, n: int, n_panels: int) -> float:
+    """integral x^(n-1) f(x) dx / Gamma(kn+j+1), computed in v = x^(1/k)."""
+    v, w = _panel_nodes(0.0, candidate.support_hint ** (1.0 / candidate.k), n_panels)
+    sign, log_mag = _log_integrand(candidate, v, np.array([n]))
+    return float(candidate.k * np.sum(w * (sign * np.exp(log_mag[:, 0]))))
 
 
 def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
     """Check moments n = 1..n_top, each by adaptive panel doubling.
 
     Each integral is refined until successive panel counts agree to 1e-11
-    in the Gamma-scaled value; QuadratureFailure if 4096 panels are not
-    enough for that, so a non-converged integral is never scored. The
-    candidate passes when it is nonnegative and every moment is within
-    1e-8 of its target.
+    in the Gamma-scaled value. QuadratureFailure if 4096 panels do not do
+    that, or if the tail estimate k x^n f(x) / Gamma(kn+j+1) exceeds 1e-11
+    at support_hint, so no non-converged or truncated integral is scored.
+    The candidate passes when it is nonnegative and every moment is within
+    1e-8 of its target. ValueError unless n_top is an integer >= 1.
     """
+    n_top = _check_count("n_top", n_top)
+    k, j, x_hi = candidate.k, candidate.j, candidate.support_hint
+    label = candidate.name or candidate.density
     orders = np.arange(1, n_top + 1)
-    rel = np.empty(n_top)
-    for i, n in enumerate(orders):
-        n_panels = _BASE_PANELS
-        prev = None
-        while True:
-            val = _scaled_moment(candidate, int(n), n_panels)
-            if prev is not None and abs(val - prev) <= 1e-11 * max(abs(val), 1e-3):
-                break
-            if n_panels >= _MAX_MOMENT_PANELS:
-                raise QuadratureFailure(
-                    f"moment {n} of {candidate.name or candidate.density!r} "
-                    f"did not converge within {_MAX_MOMENT_PANELS} panels"
-                )
-            prev = val
-            n_panels *= 2
-        rel[i] = abs(val - 1.0)
-
-    xs = np.linspace(0.0, candidate.support_hint, 512)
-    fs = _density_values(candidate, xs)
+    fs = _density_values(candidate, np.linspace(0.0, x_hi, 512))
+    log_edge = [n * math.log(x_hi) - math.lgamma(k * n + j + 1) for n in orders]
+    with np.errstate(divide="ignore"):
+        edge = k * np.exp(np.array(log_edge) + np.log(abs(fs[-1])))
+    if np.any(edge > _MOMENT_STEP):
+        n = int(np.argmax(edge > _MOMENT_STEP)) + 1
+        raise QuadratureFailure(
+            f"moment {n} of {label!r} still carries {edge[n - 1]:.1e} of its target "
+            f"at support_hint={x_hi:.6g}; raise support_hint"
+        )
+    rel = np.array([
+        abs(_refine(lambda p: _scaled_moment(candidate, int(n), p),
+                    lambda a, b: abs(a - b) / max(abs(a), 1e-3), _MOMENT_STEP,
+                    f"moment {n} of {label!r}") - 1.0)
+        for n in orders
+    ])
     nonneg = bool(np.min(fs) >= -1e-12 * max(1.0, float(np.max(np.abs(fs)))))
     passed = nonneg and bool(np.all(rel <= _MOMENT_TOL))
-    return MomentReport(
-        k=candidate.k, j=candidate.j, name=candidate.name,
-        orders=orders, rel_errors=rel, tol=_MOMENT_TOL,
-        nonnegative=nonneg, passed=passed,
-    )
+    return MomentReport(k=k, j=j, name=candidate.name, orders=orders, rel_errors=rel,
+                        tol=_MOMENT_TOL, nonnegative=nonneg, passed=passed)
 
 
 def root_exponential_density(k: int, j: int) -> MeasureCandidate:
@@ -188,82 +214,56 @@ def root_exponential_density(k: int, j: int) -> MeasureCandidate:
 
     def density(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        root = x ** (1.0 / k)
-        return x ** ((j + 1.0) / k) * np.exp(-root) / k
+        return x ** ((j + 1.0) / k) * np.exp(-(x ** (1.0 / k))) / k
 
-    t_hi = k * _N_TOP_HINT + j + 12.0 * math.sqrt(k * _N_TOP_HINT + j) + 30.0
     return MeasureCandidate(
-        k=k, j=j, density=density, support_hint=t_hi**k,
+        k=k, j=j, density=density, support_hint=_v_limit(k, j, _N_TOP_HINT) ** k,
         name=f"x^({j + 1}/{k}) exp(-x^(1/{k}))/{k}",
     )
 
 
-def assemble_identity_block(
-    candidate: MeasureCandidate, radial_cutoff: float, n_panels: int, dim_check: int
-) -> np.ndarray:
-    """One fixed-resolution assembly of the dim_check x dim_check overlap
-    matrix of integral dmu |alpha><alpha| on the class basis.
+def _assemble(candidate: MeasureCandidate, dim_check: int, n_panels: int) -> np.ndarray:
+    """The dim_check x dim_check overlap matrix of integral dmu |alpha><alpha|
+    on the class basis at one resolution, in v = x^(1/k).
 
-    Basis functions are the unnormalized radial coefficients
-    v_m(r) = r^m / sqrt((km+j)!); the measure weight is w f(r^2)/(pi r)
-    times the uniform angular weight, with the S factor already cancelled
-    against the state normalization. The angular sum over dim_check + 1
-    uniform angles kills every off-diagonal phase exactly (roots of unity),
-    so resolution only ever limits the radial direction.
+    The measure is k w f(v^k)/v times the angular weight and basis column m
+    is v^(km/2)/sqrt(Gamma(km+j+1)) (the S factor cancelled): a column is the
+    root of the order-m scaled moment integrand. The dim_check + 1 uniform
+    angles kill every off-diagonal phase exactly (roots of unity).
     """
-    k, j = candidate.k, candidate.j
-    n_angular = dim_check + 1
-    r, w = _panel_nodes(0.0, radial_cutoff, n_panels)
-    v = np.empty((r.size, dim_check))
-    col = np.full(r.size, 1.0 / math.sqrt(math.factorial(j)))
-    for m in range(dim_check):
-        v[:, m] = col
-        idx = k * m + j
-        col = col * r / math.sqrt(float(math.prod(range(idx + 1, idx + k + 1))))
-    meas = w * _density_values(candidate, r * r)
-    meas /= math.pi * r
-    meas *= 2.0 * math.pi / n_angular
-    block = np.zeros((dim_check, dim_check), dtype=np.complex128)
-    m_arr = np.arange(dim_check)
-    for l in range(n_angular):
-        phases = np.exp(2j * np.pi * l * m_arr / n_angular)
-        vl = v * phases[None, :]
-        block += (vl.conj().T * meas[None, :]) @ vl
-    return block
+    v, w = _panel_nodes(0.0, _v_limit(candidate.k, candidate.j, dim_check), n_panels)
+    sign, log_mag = _log_integrand(candidate, v, np.arange(dim_check))
+    # entries below 1e-150 cannot reach the block's rounding; flushing them
+    # keeps subnormal products, ~100x slower, out of the matrix product
+    cols = np.exp(0.5 * np.where(log_mag > -690.0, log_mag, -np.inf))
+    radial = (cols.T * (candidate.k * w * sign)) @ cols
+    turns = np.outer(np.arange(dim_check + 1), np.arange(dim_check)) / (dim_check + 1)
+    phases = np.exp(2j * np.pi * turns)
+    return radial * (phases.conj().T @ phases / (dim_check + 1))
 
 
-def identity_block(
-    k: int, j: int, radial_cutoff: float = 12.0, n_radial: int = 16, dim_check: int = 12
-) -> np.ndarray:
-    """Converged overlap matrix of `root_exponential_density(k, j)`.
+def identity_block(k: int, j: int, dim_check: int = 12) -> np.ndarray:
+    """Converged overlap matrix of `root_exponential_density(k, j)` on the
+    first dim_check states of class (k, j).
 
-    Radial panels double from n_radial until the assembled matrix moves by
-    less than 1e-10 entrywise; QuadratureFailure past 2048 panels.
+    The range in v covers the weight of every order the block holds; panels
+    double until the matrix moves by less than 1e-10 entrywise, with
+    QuadratureFailure past 4096. ValueError unless dim_check is an int >= 1.
     """
+    dim_check = _check_count("dim_check", dim_check)
     candidate = root_exponential_density(k, j)
-    n_panels = n_radial
-    prev = None
-    while True:
-        block = assemble_identity_block(candidate, radial_cutoff, n_panels, dim_check)
-        if prev is not None and float(np.max(np.abs(block - prev))) <= _REFINE_TOL:
-            return block
-        if n_panels >= _MAX_RADIAL_PANELS:
-            raise QuadratureFailure(
-                f"identity assembly for class ({k}, {j}) did not converge within "
-                f"{_MAX_RADIAL_PANELS} radial panels"
-            )
-        prev = block
-        n_panels *= 2
+    return _refine(lambda n_panels: _assemble(candidate, dim_check, n_panels),
+                   lambda a, b: float(np.max(np.abs(a - b))), _BLOCK_STEP,
+                   f"identity assembly for class ({k}, {j})")
 
 
-def identity_resolution_numeric(
-    k: int, j: int, radial_cutoff: float = 12.0, n_radial: int = 16, dim_check: int = 12
-) -> float:
-    """Max deviation of the assembled overlap matrix from the identity.
+def identity_resolution_numeric(k: int, j: int, dim_check: int = 12) -> float:
+    """Max deviation of `identity_block(k, j, dim_check)` from the identity.
 
     This is the end-to-end statement that the root-exponential measure
     makes the class states a complete family on their subspace: small only
-    when moments, cutoff, and quadrature are all right at once.
+    when moments, range and quadrature are all right at once. Every class
+    with k <= 5 reads below 1e-13 at the default dim_check.
     """
-    block = identity_block(k, j, radial_cutoff, n_radial, dim_check)
-    return float(np.max(np.abs(block - np.eye(dim_check))))
+    block = identity_block(k, j, dim_check)
+    return float(np.max(np.abs(block - np.eye(block.shape[0]))))

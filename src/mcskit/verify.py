@@ -382,21 +382,21 @@ def _order_one_moments(s: SimpleNamespace) -> float:
 
 
 def _order_one_identity(s: SimpleNamespace) -> float:
-    return comp.identity_resolution_numeric(1, 0, radial_cutoff=12.0, dim_check=12)
+    return comp.identity_resolution_numeric(1, 0, dim_check=12)
 
 
 def _order_two_moments(s: SimpleNamespace) -> float:
     return max(comp.moment_check(cand, n_top=12).worst_error() for cand in s.order_two)
 
 
-def _order_two_tiling(s: SimpleNamespace) -> float:
-    full = np.zeros((16, 16), dtype=np.complex128)
-    for j in (0, 1):
-        idx = 2 * np.arange(8) + j
-        full[np.ix_(idx, idx)] = comp.identity_block(
-            2, j, radial_cutoff=60.0, n_radial=32, dim_check=8
-        )
-    return float(np.max(np.abs(full - np.eye(16))))
+def _tiling_gap(k: int, dim_check: int = 8) -> float:
+    """Gap to the identity of the first k * dim_check levels, tiled from the
+    k class blocks of order k."""
+    full = np.zeros((k * dim_check, k * dim_check), dtype=np.complex128)
+    for j in range(k):
+        idx = k * np.arange(dim_check) + j
+        full[np.ix_(idx, idx)] = comp.identity_block(k, j, dim_check=dim_check)
+    return float(np.max(np.abs(full - np.eye(k * dim_check))))
 
 
 def _zero_density(s: SimpleNamespace) -> float:
@@ -459,7 +459,9 @@ CHECKS = (
     Check("completeness", "order-2 density moments (n <= 12)", "<=", 1e-8,
           _order_two_moments),
     Check("completeness", "order-2 class blocks tile the identity", "<=", 1e-8,
-          _order_two_tiling),
+          lambda s: _tiling_gap(2)),
+    Check("completeness", "class blocks tile the identity, orders 3..5", "<=", 1e-8,
+          lambda s: max(_tiling_gap(k) for k in (3, 4, 5))),
     Check("completeness", "plain exponential still matches the first moment", "<=",
           1e-10, lambda s: s.plain.rel_errors[0]),
     Check("completeness", "plain exponential rejected at the second moment", ">=",

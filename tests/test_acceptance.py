@@ -47,6 +47,10 @@ CRITERIA = {
           ("completeness", "order-1 identity resolution")]),
     15: ("interleaved ladders rebuild the oscillator exactly",
          [("algebra", "ladder union reproduces n + 1/2 (first 60)")]),
+    16: ("every class of order <= 5 resolves the identity",
+         [("completeness", "order-1 identity resolution"),
+          ("completeness", "order-2 class blocks tile the identity"),
+          ("completeness", "class blocks tile the identity, orders 3..5")]),
 }
 
 
@@ -127,3 +131,7 @@ def test_c14_order_one_measure(check):
 
 def test_c15_merged_ladders(check):
     check(15)
+
+
+def test_c16_identity_every_class_to_order_five(check):
+    check(16)

@@ -5,6 +5,7 @@ import pytest
 
 from mcskit import (
     MeasureCandidate,
+    QuadratureFailure,
     identity_block,
     identity_resolution_numeric,
     moment_check,
@@ -58,7 +59,40 @@ def test_identity_blocks_tile_order_two():
     dim = 12
     total = np.zeros((dim, dim))
     for j in (0, 1):
-        block = identity_block(2, j, radial_cutoff=60.0, n_radial=32, dim_check=6)
+        block = identity_block(2, j, dim_check=6)
         rows = np.arange(j, dim, 2)
         total[np.ix_(rows, rows)] += block.real
     assert np.max(np.abs(total - np.eye(dim))) < 1e-8
+
+
+def test_identity_resolution_every_class_to_order_five():
+    gaps = {(k, j): identity_resolution_numeric(k, j) for k in range(1, 6) for j in range(k)}
+    assert max(gaps.values()) <= 1e-8, gaps
+
+
+def test_identity_resolution_reaches_past_the_support_hint():
+    # the range follows dim_check: orders up to 39 lie past the n <= 24
+    # that the candidate's support_hint covers
+    assert identity_resolution_numeric(5, 4, dim_check=40) <= 1e-8
+
+
+def test_truncated_moment_raises_instead_of_scoring():
+    # the family is exact, but support_hint covers only n <= 24, so the
+    # integrand still carries weight at the upper limit for high orders
+    with pytest.raises(QuadratureFailure, match="support_hint"):
+        moment_check(root_exponential_density(5, 4), n_top=40)
+    assert moment_check(root_exponential_density(5, 4), n_top=24).passed
+
+
+@pytest.mark.parametrize("call", [
+    lambda: identity_block(1, 0, dim_check=0),
+    lambda: identity_block(2, 1, dim_check=2.5),
+    lambda: identity_resolution_numeric(1, 0, dim_check=0),
+    lambda: identity_resolution_numeric(3, 1, dim_check=2.5),
+    lambda: moment_check(root_exponential_density(1, 0), n_top=0),
+    lambda: moment_check(root_exponential_density(2, 0), n_top=3.0),
+], ids=["block-dim-0", "block-dim-2.5", "gap-dim-0", "gap-dim-2.5", "n_top-0",
+        "n_top-3.0"])
+def test_counts_must_be_positive_integers(call):
+    with pytest.raises(ValueError):
+        call()
