@@ -324,8 +324,10 @@ def moments(
     where (a-)^2 contributes a direct <a^2> = alpha term.
 
     Raises RouteMismatch if the truncated matrix elements disagree with the
-    series values beyond route_tol; that means n_max is too small for this
-    label (or a bug), and no silently wrong numbers are returned.
+    series values beyond route_tol max(1, <N>); that means n_max is too
+    small for this label (or a bug), and no silently wrong numbers are
+    returned. The bound grows with <N> because the rounding of both routes
+    does: the second moments are sums of terms of size <N>.
     """
     k, j, alpha = label.k, label.j, label.alpha
     x = _power(abs(alpha), 2)
@@ -365,10 +367,11 @@ def moments(
         d = abs(getattr(closed, name) - getattr(numeric, name))
         if d > worst:
             worst_field, worst = name, d
-    if worst > route_tol:
+    bound = route_tol * max(1.0, closed.a_norm_sq)
+    if worst > bound:
         raise RouteMismatch(
             f"series and matrix-element moments disagree on {worst_field} "
-            f"by {worst:.3e} (> {route_tol:.1e}) for {label}; raise n_max"
+            f"by {worst:.3e} (> {bound:.1e}) for {label}; raise n_max"
         )
     return closed
 
@@ -381,7 +384,8 @@ def geometric_phase(
     Route one: beta = (2*pi/k)(A - j) from the series number expectation.
     Route two: total revival phase minus the dynamical part, with the
     energy taken from truncated matrix elements. The two must agree to
-    route_tol or RouteMismatch is raised.
+    route_tol max(1, <N>), since beta grows like 2 pi <N> / k and so does
+    its rounding, or RouteMismatch is raised.
     """
     k, j = label.k, label.j
     a = a_norm_series(k, j, _power(abs(label.alpha), 2))
@@ -390,9 +394,10 @@ def geometric_phase(
     total_phase = -(2 * j + 1) * math.pi / k
     dynamical = numeric_moments(build_mcs(label, n_max)).mean_H
     beta_alt = total_phase + tau * dynamical
-    if abs(beta - beta_alt) > route_tol:
+    bound = route_tol * max(1.0, a)
+    if abs(beta - beta_alt) > bound:
         raise RouteMismatch(
             f"geometric phase routes disagree by {abs(beta - beta_alt):.3e} "
-            f"for {label}; raise n_max"
+            f"(> {bound:.1e}) for {label}; raise n_max"
         )
     return beta

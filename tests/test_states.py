@@ -10,6 +10,7 @@ from mcskit import (
     MCSLabel,
     MomentSet,
     Overflow,
+    RouteMismatch,
     TailTooHeavy,
     UnsupportedOrder,
     a_norm_closed,
@@ -258,6 +259,29 @@ def test_undersized_truncation_refuses():
     # moment is reported
     with pytest.raises(TailTooHeavy):
         moments(MCSLabel(1, 0, 3.0), n_max=12)
+
+
+@pytest.mark.parametrize("label, n_max", [
+    (MCSLabel(1, 0, 24.0), 1024),  # gap 8.2e-12, <N> = 576
+    (MCSLabel(1, 0, 23.57 + 7.79j), 1024),  # gap 5.0e-12
+])
+def test_phase_routes_agree_relative_to_mean_number(label, n_max):
+    # beta ~ 2 pi <N> rounds like <N>; an absolute 1e-12 refused these
+    a = abs(label.alpha) ** 2
+    assert geometric_phase(label, n_max=n_max) == pytest.approx(2 * math.pi * a, rel=1e-14)
+    with pytest.raises(RouteMismatch):
+        geometric_phase(label, n_max=n_max, route_tol=1e-16)
+
+
+def test_moment_routes_agree_relative_to_mean_number():
+    # var_p = A + 1/2 - alpha cancels at real alpha for k = 2, leaving the
+    # <N> eps rounding of both routes (gap 2.5e-10 at <N> = 3025); an
+    # absolute 1e-10 refused this label
+    label = MCSLabel(2, 0, 3025.0)
+    mom = moments(label, n_max=4096)
+    assert mom.a_norm_sq == pytest.approx(a_norm_closed(label), rel=1e-14)
+    with pytest.raises(RouteMismatch):
+        moments(label, n_max=4096, route_tol=1e-14)
 
 
 def test_revival_phase_matches_evolution():
