@@ -97,8 +97,10 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
     Summed by term ratios from the seed term x^d / seed!. Once the running
     total passes 2^_SCALE_BITS, total and term are scaled down by that exact
     power of two, so the sum of any input that fits a double keeps its bits,
-    and sums past double range stay usable. Overflow is raised only when a
-    single term ratio overflows even so, past |alpha|^2 ~ 2^511.
+    and sums past double range stay usable. Overflow is raised when a
+    single term ratio overflows even so, past |alpha|^2 ~ 2^511, and when
+    the sum needs more than _SERIES_MAX_TERMS terms, which it does once the
+    terms peak past that index (x^(1/k) beyond about k 10^5).
     """
     term = x**d / math.factorial(seed)
     total = 0.0
@@ -123,7 +125,10 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
             small = 0
         idx = k * m + seed
         term *= x / float(math.prod(range(idx + 1, idx + k + 1)))
-    raise ValueError(f"norm series did not terminate for x={x}")  # pragma: no cover
+    raise Overflow(
+        f"norm series at x={x:.3g} (order {k}) needs more than "
+        f"{_SERIES_MAX_TERMS} terms; the label is too large"
+    )
 
 
 def norm_sum(k: int, j: int, x: float) -> float:
@@ -331,6 +336,9 @@ def moments(
     """
     k, j, alpha = label.k, label.j, label.alpha
     x = _power(abs(alpha), 2)
+    # first, so a label too large for the series raises Overflow before a
+    # closed MomentSet whose x + 1/2 rounds fails its own consistency check
+    numeric = numeric_moments(build_mcs(label, n_max))
     if k == 1:
         mean_x = math.sqrt(2.0) * alpha.real
         mean_p = math.sqrt(2.0) * alpha.imag
@@ -361,7 +369,6 @@ def moments(
             a_norm_sq=a,
             mean_H=a + 0.5,
         )
-    numeric = numeric_moments(build_mcs(label, n_max))
     worst_field, worst = "", 0.0
     for name in MomentSet.__dataclass_fields__:
         d = abs(getattr(closed, name) - getattr(numeric, name))

@@ -95,6 +95,24 @@ def test_closed_route_refuses_cancelled_branches(k, j, z):
         mcs_as_scs(k, j, z)
 
 
+@pytest.mark.parametrize("method", ["closed", "fock"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_grid_raises_value_error(method, bad):
+    # a RuntimeWarning fails tier-1, so these also show that none is emitted
+    x = np.linspace(-6.0, 6.0, 61)
+    x_bad = x.copy()
+    x_bad[17] = bad
+    t_bad = np.array([0.0, bad, 1.0])
+    for call in (
+        lambda: mcs_wavefunction(3, 1, 1.2, x_bad, method=method),
+        lambda: mcs_wavefunction(3, 1, 1.2, x, t=bad, method=method),
+        lambda: density_movie(3, 1, 1.2, x_bad, method=method),
+        lambda: density_movie(3, 1, 1.2, x, t_bad, method=method),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -28,11 +28,13 @@ from mcskit import (
     component_norm,
     density_movie,
     fock_wavefunction,
+    mcs_wavefunction,
     numeric_moments,
     time_evolve,
     wigner_closed,
     wigner_numeric,
 )
+from mcskit.decomposition import _blocks
 
 REL_TOL = 1e-13
 SUPPORT_TOL = 1e-15
@@ -240,6 +242,78 @@ def test_closed_movie_matches_per_frame_sum(k):
             ref = closed_movie_per_frame(k, j, z, x, t_grid)
             assert new.shape == ref.shape
             assert relative_gap(new, ref) <= REL_TOL
+
+
+MOVIE_T = np.array([-0.4, 0.0, 0.31, 1.7, 2.2, 5.2])
+
+
+def block_size(x, z):
+    return _blocks(np.asarray(x, dtype=np.float64).ravel(), math.sqrt(2.0) * abs(z))[1].size
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        10.0 * np.sin(np.linspace(-1.2, 1.2, 241)),
+        np.linspace(-9.0, 9.0, 181) + 1e-7 * np.random.default_rng(1).normal(size=181),
+    ],
+    ids=["clustered", "jittered"],
+)
+def test_closed_movie_on_a_non_uniform_grid(x):
+    # points off a uniform lattice by more than the first-order correction
+    # covers are blocks of their own: the per-point sum of k Gaussians
+    for k in (2, 5, 8):
+        z = 1.7 * np.exp(0.45j * k)
+        assert block_size(x, z) == 1
+        for j in range(k):
+            new = density_movie(k, j, z, x, MOVIE_T)
+            assert relative_gap(new, closed_movie_per_frame(k, j, z, x, MOVIE_T)) <= REL_TOL
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.array(0.4), np.array([0.4]), np.array([-0.3, 1.1]), np.linspace(10.0, -11.0, 301),
+     np.linspace(12.0, -12.0, 513)],
+    ids=["0-d", "1-point", "2-point", "descending", "descending-binary"],
+)
+def test_closed_kernel_on_small_and_descending_grids(x):
+    flat = x.ravel()
+    for k in (1, 3, 8):
+        z = 1.4 * np.exp(0.45j * k)
+        for j in range(k):
+            ref = closed_movie_per_frame(k, j, z, flat, MOVIE_T)
+            movie = density_movie(k, j, z, x, MOVIE_T)
+            assert movie.shape == ref.shape
+            assert relative_gap(movie, ref) <= REL_TOL
+            wave = mcs_wavefunction(k, j, z, x, t=MOVIE_T[2])
+            assert wave.values.shape == x.shape
+            assert np.array_equal(wave.density().ravel(), movie[2])
+
+
+@pytest.mark.parametrize("k", (2, 5, 8))
+def test_closed_movie_on_a_wide_grid_at_large_radius(k):
+    # a sqrt(n) = 63 point block would give tails e^{d u} and factors q up
+    # to e^{+-50} here; the cap keeps them within e^{+-32}
+    x = np.linspace(-40.0, 40.0, 4001)
+    z = 12.0 * np.exp(0.3j)
+    assert 1 < block_size(x, z) < math.isqrt(x.size)
+    for j in {0, k // 2, k - 1}:
+        new = density_movie(k, j, z, x, MOVIE_T)
+        assert np.all(np.isfinite(new))
+        assert relative_gap(new, closed_movie_per_frame(k, j, z, x, MOVIE_T)) <= REL_TOL
+
+
+@pytest.mark.parametrize("k", (2, 5, 8))
+def test_closed_movie_rows_are_single_instants(k):
+    # the step 16/300 is not a binary fraction, so the blocks carry the
+    # first-order correction; every operation acts on one frame, so a row
+    # of the movie is the one-instant wavefunction bit for bit
+    x = np.linspace(-8.0, 8.0, 301)
+    assert block_size(x, 1.2) > 1
+    for j in range(k):
+        movie = density_movie(k, j, 1.2, x, MOVIE_T)
+        for row, t in zip(movie, MOVIE_T):
+            assert np.array_equal(row, mcs_wavefunction(k, j, 1.2, x, t=t).density())
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mcskit import states
 from mcskit import (
     MCSLabel,
+    McskitError,
     MomentSet,
     Overflow,
     RouteMismatch,
@@ -96,6 +97,22 @@ def test_squared_label_past_double_range_raises_overflow():
         moments(MCSLabel(2, 0, 1e200))
     with pytest.raises(Overflow):
         geometric_phase(MCSLabel(2, 0, 1e200))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: moments(MCSLabel(1, 0, 1e7)),
+        lambda: moments(MCSLabel(1, 0, 1e8)),
+        lambda: geometric_phase(MCSLabel(1, 0, 1e8)),
+    ],
+    ids=["moments-1e7", "moments-1e8", "geometric_phase-1e8"],
+)
+def test_label_past_the_series_budget_raises_typed_error(call):
+    # |alpha|^2 = 1e14 and 1e16 need far more than the series' term budget;
+    # at 1e16 the closed MomentSet would also round x + 1/2 to x
+    with pytest.raises(McskitError):
+        call()
 
 
 def test_build_past_the_norm_overflow():
