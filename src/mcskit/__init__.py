@@ -25,20 +25,14 @@ from .fock import (
     DEFAULT_N_MAX,
     CommutatorResiduals,
     FockVector,
-    LadderPower,
     LadderSpectrum,
     apply_k_ladder,
-    apply_lowering,
-    apply_raising,
     basis_state,
     hamiltonian_apply,
     inner,
-    ladder_eigenstate,
     ladder_spectrum,
-    lowering_power,
     number_falling_apply,
     pha_commutator_check,
-    raising_power,
     time_evolve,
 )
 from .states import (
@@ -94,11 +88,9 @@ __all__ = [
     "McskitError", "Overflow", "QuadratureFailure",
     "RouteMismatch", "TailTooHeavy", "UnsupportedOrder", "WindowTooNarrow",
     "DEFAULT_LEAK_TOL", "DEFAULT_N_MAX", "CommutatorResiduals", "FockVector",
-    "LadderPower", "LadderSpectrum", "apply_k_ladder", "apply_lowering",
-    "apply_raising", "basis_state", "hamiltonian_apply", "inner",
-    "ladder_eigenstate", "ladder_spectrum", "lowering_power",
-    "number_falling_apply",
-    "pha_commutator_check", "raising_power", "time_evolve",
+    "LadderSpectrum", "apply_k_ladder", "basis_state", "hamiltonian_apply",
+    "inner", "ladder_spectrum", "number_falling_apply",
+    "pha_commutator_check", "time_evolve",
     "MCSLabel", "MomentSet", "a_norm_closed", "a_norm_series", "build_mcs",
     "eigenvalue_residual", "geometric_phase", "moments", "norm_sum",
     "numeric_moments", "revival_phase",

@@ -370,12 +370,15 @@ def _amplitudes(
     psi = np.zeros((t.size, *e.shape), dtype=np.complex128)
     slope = np.zeros_like(psi) if delta.any() else None
     prod = np.empty_like(psi)
+    # every head is exactly 0 past |x| = 1e150; the clamp keeps (x - X)^2 and
+    # P x from overflowing there and leaves every other block start alone
+    x_head = xb.clip(-1e150, 1e150)
     # the heads of up to a branches at a time take no more room than psi
     group = min(k, e.shape[1])
     for lo in range(0, k, group):
         part = slice(lo, lo + group)
-        heads = _cis(np.abs(w[part]) * np.exp(-0.5 * (xb - mean_x[part]) ** 2),
-                     mean_p[part] * xb + np.angle(w[part]))
+        heads = _cis(np.abs(w[part]) * np.exp(-0.5 * (x_head - mean_x[part]) ** 2),
+                     mean_p[part] * x_head + np.angle(w[part]))
         tails = _cis(np.exp(mean_x[part] * d), mean_p[part] * d)
         for head, tail, ul in zip(heads, tails, u[part]):
             psi += np.multiply(head[:, :, None], tail[:, None, :], out=prod)

@@ -2,17 +2,20 @@
 
 Everything downstream works with finite coefficient vectors over the
 oscillator number basis |0>, ..., |n_max - 1> (units hbar = m = omega = 1,
-so H = N + 1/2 and x = (a + a+)/sqrt(2)). Ladder amplitudes are computed
-from sqrt ratios of neighboring indices, never from factorials, so n_max in
-the thousands is fine.
+so H = N + 1/2 and x = (a + a+)/sqrt(2)). A k-fold ladder (a+-)^k is one
+shift by k slots weighted by sqrt(n!/(n-k)!), taken as the k-term product
+n(n-1)...(n-k+1), never from whole factorials, so n_max in the thousands
+is fine.
 
 Truncation is handled honestly: lowering is exact on the subspace, raising
-reports the squared amplitude it pushed past the edge as `leakage` and
-raises LeakageExceeded once that passes a tolerance.
+adds to `leakage` the squared norm of the exact image that lands past the
+edge, sum_{n >= n_max-k} (n+k)!/n! |c_n|^2, and raises LeakageExceeded once
+the running total passes a tolerance.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -23,15 +26,21 @@ from .errors import EdgeSupport, LeakageExceeded, Overflow
 
 DEFAULT_N_MAX = 256
 DEFAULT_LEAK_TOL = 1e-12
+_FALLING_MAX = int(np.finfo(np.float64).max) // 2
+
+
+def _ints(what: str, *values: int) -> tuple[int, ...]:
+    """values as ints, ValueError naming `what` unless each is an integer."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 def _check_class(k: int, j: int = 0) -> tuple[int, int]:
     """Order k and class j as ints: ValueError unless both are integers with
     k >= 1 and 0 <= j < k. Every entry point that takes an order runs it."""
-    try:
-        k, j = operator.index(k), operator.index(j)
-    except TypeError:
-        raise ValueError(f"order and class must be integers, got ({k!r}, {j!r})") from None
+    k, j = _ints("order and class", k, j)
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     if not 0 <= j < k:
@@ -43,8 +52,9 @@ def _check_class(k: int, j: int = 0) -> tuple[int, int]:
 class FockVector:
     """State vector c_n over |0>..|n_max-1>, plus accumulated leakage.
 
-    `leakage` is the total squared magnitude discarded past the truncation
-    edge by raising operators applied so far. It is bookkeeping, not part of
+    `leakage` sums, over the raisings (a+)^k applied so far, the squared
+    norm of the exact image past the truncation edge,
+    sum_{n >= n_max-k} (n+k)!/n! |c_n|^2. It is bookkeeping, not part of
     the physical state, which is why equality stays identity-based.
     """
 
@@ -77,6 +87,7 @@ class FockVector:
 
 
 def basis_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockVector:
+    n, n_max = _ints("basis index and n_max", n, n_max)
     if not 0 <= n < n_max:
         raise ValueError(f"basis index {n} outside [0, {n_max})")
     c = np.zeros(n_max, dtype=np.complex128)
@@ -91,68 +102,49 @@ def inner(a: FockVector, b: FockVector) -> complex:
     return complex(np.vdot(a.coeffs, b.coeffs))
 
 
-def apply_lowering(state: FockVector) -> FockVector:
-    """a-|n> = sqrt(n)|n-1>. Exact on the truncated subspace."""
-    c = state.coeffs
-    n = np.arange(1, c.size)
-    out = np.zeros_like(c)
-    out[:-1] = np.sqrt(n) * c[1:]
-    return FockVector(out, state.leakage)
+def _falling(n: np.ndarray, k: int) -> np.ndarray:
+    """n!/(n-k)! = n(n-1)...(n-k+1) over an ascending arange n. Overflow when
+    a product on the way to the last entry, with a factor 2 of room for the
+    k roundings, passes double range."""
+    top = int(n[-1])
+    if math.perm(top, min(k, top)) > _FALLING_MAX:
+        raise Overflow(f"n!/(n-k)! leaves double range at k={k}, n <= {top}")
+    out = n.copy()
+    for i in range(1, k):
+        out *= n - i
+    return out
 
 
-def apply_raising(state: FockVector, leak_tol: float = DEFAULT_LEAK_TOL) -> FockVector:
-    """a+|n> = sqrt(n+1)|n+1>, discarding the component pushed past the edge.
+def apply_k_ladder(
+    state: FockVector, k: int, sign: int, leak_tol: float = DEFAULT_LEAK_TOL
+) -> FockVector:
+    """(a-)^k for sign -1 or (a+)^k for sign +1, as one weighted shift.
 
-    The discarded squared magnitude n_max*|c_{n_max-1}|^2 is added to the
-    vector's leakage; LeakageExceeded fires when the running total passes
+    With F(n) = n!/(n-k)!, a^k moves c_n to slot n-k with weight sqrt(F(n))
+    and is exact on the subspace. (a+)^k moves c_n to slot n+k with weight
+    sqrt(F(n+k)); the exact image of the top k slots lies past the edge,
+    and its squared norm sum_{n >= n_max-k} F(n+k)|c_n|^2 is added to the
+    vector's leakage. LeakageExceeded fires when the running total passes
     leak_tol. Pass leak_tol=np.inf to defer the check to the caller.
     """
+    k, _ = _check_class(k)
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
     c = state.coeffs
+    cut = max(c.size - k, 0)
+    weight = _falling(np.arange(k, c.size + k, dtype=np.float64), k)  # F(n + k)
     out = np.zeros_like(c)
-    n = np.arange(1, c.size)
-    out[1:] = np.sqrt(n) * c[:-1]
-    lost = c.size * abs(c[-1]) ** 2
-    leakage = state.leakage + lost
+    if sign < 0:
+        out[:cut] = np.sqrt(weight[:cut]) * c[k:]
+        return FockVector(out, state.leakage)
+    out[k:] = np.sqrt(weight[:cut]) * c[:cut]
+    leakage = state.leakage + float(weight[cut:] @ np.abs(c[cut:]) ** 2)
     if leakage > leak_tol:
         raise LeakageExceeded(
             f"accumulated raising leakage {leakage:.3e} exceeds {leak_tol:.1e} "
             f"at n_max={c.size}; raise n_max"
         )
     return FockVector(out, leakage)
-
-
-@dataclass(frozen=True)
-class LadderPower:
-    """k-th power of a ladder operator: (a-)^k for sign -1, (a+)^k for +1."""
-
-    k: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"ladder power must be >= 1, got {self.k}")
-        if self.sign not in (-1, +1):
-            raise ValueError(f"sign must be -1 or +1, got {self.sign}")
-
-
-def lowering_power(k: int) -> LadderPower:
-    return LadderPower(k, -1)
-
-
-def raising_power(k: int) -> LadderPower:
-    return LadderPower(k, +1)
-
-
-def apply_k_ladder(
-    state: FockVector, op: LadderPower, leak_tol: float = DEFAULT_LEAK_TOL
-) -> FockVector:
-    out = state
-    for _ in range(op.k):
-        if op.sign < 0:
-            out = apply_lowering(out)
-        else:
-            out = apply_raising(out, leak_tol)
-    return out
 
 
 def hamiltonian_apply(state: FockVector) -> FockVector:
@@ -169,10 +161,7 @@ def number_falling_apply(state: FockVector, k: int) -> FockVector:
     operator ordering (a+)^k (a-)^k.
     """
     k, _ = _check_class(k)
-    n = np.arange(state.n_max, dtype=np.float64)
-    diag = np.ones(state.n_max)
-    for i in range(k):
-        diag *= n - i
+    diag = _falling(np.arange(state.n_max, dtype=np.float64), k)
     return FockVector(diag * state.coeffs, state.leakage)
 
 
@@ -211,23 +200,22 @@ def pha_commutator_check(k: int, probe: FockVector) -> CommutatorResiduals:
     def rel(diff: np.ndarray, ref: np.ndarray) -> float:
         return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), 1.0))
 
-    low = apply_k_ladder(probe, lowering_power(k))
+    low = apply_k_ladder(probe, k, -1)
     r_low = rel(_h_commutator(probe, k, -1).coeffs + k * low.coeffs, low.coeffs)
 
-    high = apply_k_ladder(probe, raising_power(k), leak_tol=np.inf)
+    high = apply_k_ladder(probe, k, +1, leak_tol=np.inf)
     r_high = rel(_h_commutator(probe, k, +1).coeffs - k * high.coeffs, high.coeffs)
 
     poly = number_falling_apply(probe, k)
-    prod = apply_k_ladder(low, raising_power(k), leak_tol=np.inf)
+    prod = apply_k_ladder(low, k, +1, leak_tol=np.inf)
     r_poly = rel(prod.coeffs - poly.coeffs, poly.coeffs)
     return CommutatorResiduals(lowering=r_low, raising=r_high, number_poly=r_poly)
 
 
 def _h_commutator(probe: FockVector, k: int, sign: int) -> FockVector:
     """[H, (a^sign)^k] applied to probe, assembled operator by operator."""
-    op = LadderPower(k, sign)
-    hg = hamiltonian_apply(apply_k_ladder(probe, op, leak_tol=np.inf))
-    gh = apply_k_ladder(hamiltonian_apply(probe), op, leak_tol=np.inf)
+    hg = hamiltonian_apply(apply_k_ladder(probe, k, sign, leak_tol=np.inf))
+    gh = apply_k_ladder(hamiltonian_apply(probe), k, sign, leak_tol=np.inf)
     return FockVector(hg.coeffs - gh.coeffs)
 
 
@@ -246,20 +234,6 @@ class LadderSpectrum:
         return allv[:count]
 
 
-def ladder_eigenstate(k: int, j: int, m: int, n_max: int = DEFAULT_N_MAX) -> FockVector:
-    """m-th rung of ladder j under the order-k algebra, i.e. |k*m + j>.
-
-    Raises Overflow when the requested level does not fit below n_max.
-    """
-    k, j = _check_class(k, j)
-    if m < 0:
-        raise ValueError(f"rung index must be >= 0, got {m}")
-    n = k * m + j
-    if n >= n_max:
-        raise Overflow(f"level {n} = {k}*{m}+{j} does not fit below n_max={n_max}")
-    return basis_state(n, n_max)
-
-
 def ladder_spectrum(k: int, levels: int = 32) -> LadderSpectrum:
     """Spectrum of H as seen by the order-k algebra.
 
@@ -268,6 +242,7 @@ def ladder_spectrum(k: int, levels: int = 32) -> LadderSpectrum:
     the full oscillator spectrum n + 1/2.
     """
     k, _ = _check_class(k)
+    (levels,) = _ints("levels", levels)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     ladders = tuple(j + 0.5 + k * np.arange(levels, dtype=np.float64) for j in range(k))
@@ -275,6 +250,9 @@ def ladder_spectrum(k: int, levels: int = 32) -> LadderSpectrum:
 
 
 def time_evolve(state: FockVector, t: float) -> FockVector:
-    """exp(-iHt) in the number basis: c_n -> exp(-i(n+1/2)t) c_n."""
+    """exp(-iHt) in the number basis: c_n -> exp(-i(n+1/2)t) c_n.
+    ValueError for a non-finite t."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     n = np.arange(state.n_max)
     return FockVector(np.exp(-1j * (n + 0.5) * t) * state.coeffs, state.leakage)

@@ -29,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Overflow, RouteMismatch, TailTooHeavy, UnsupportedOrder
-from .fock import (
-    DEFAULT_N_MAX,
-    FockVector,
-    _check_class,
-    apply_k_ladder,
-    lowering_power,
-)
+from .fock import DEFAULT_N_MAX, FockVector, _check_class, apply_k_ladder
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -210,7 +204,7 @@ def eigenvalue_residual(
     """|| (a-)^k |state> - alpha |state> ||, the defining property."""
     if state is None:
         state = build_mcs(label, n_max)
-    lowered = apply_k_ladder(state, lowering_power(label.k))
+    lowered = apply_k_ladder(state, label.k, -1)
     return float(np.linalg.norm(lowered.coeffs - label.alpha * state.coeffs))
 
 

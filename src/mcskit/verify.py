@@ -22,14 +22,8 @@ from . import decomposition as dec
 from . import states as st
 from . import wigner as wg
 from .errors import DegenerateNorm, EdgeSupport, WindowTooNarrow
-from .fock import (
-    FockVector,
-    apply_raising,
-    basis_state,
-    ladder_spectrum,
-    pha_commutator_check,
-    time_evolve,
-)
+from .fock import (FockVector, apply_k_ladder, basis_state, ladder_spectrum,
+                   pha_commutator_check, time_evolve)
 
 _SEED = 20240813
 
@@ -109,7 +103,7 @@ def _unitary_drift(s: SimpleNamespace) -> float:
 
 
 def _edge_leakage(s: SimpleNamespace) -> float:
-    lifted = apply_raising(basis_state(s.n_max - 1, s.n_max), leak_tol=np.inf)
+    lifted = apply_k_ladder(basis_state(s.n_max - 1, s.n_max), 1, +1, leak_tol=np.inf)
     return abs(lifted.leakage - s.n_max) + lifted.norm()
 
 

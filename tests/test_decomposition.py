@@ -113,6 +113,17 @@ def test_non_finite_grid_raises_value_error(method, bad):
             call()
 
 
+@pytest.mark.parametrize("far", [1e200, -1e200, 1.7e308])
+def test_closed_route_far_out_is_zero(far):
+    # a RuntimeWarning fails tier-1, so this also shows no square overflows
+    x = np.array([0.0, far])
+    near = mcs_wavefunction(2, 0, 1.0, x[:1]).values
+    psi = mcs_wavefunction(2, 0, 1.0, x).values
+    assert psi[1] == 0.0 and psi[0] == near[0]
+    movie = density_movie(2, 0, 2.0 + 2.0j, x)
+    assert np.all(movie[:, 1] == 0.0) and np.all(movie[:, 0] > 0.0)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -11,17 +11,12 @@ from mcskit import (
     LeakageExceeded,
     Overflow,
     apply_k_ladder,
-    apply_lowering,
-    apply_raising,
     basis_state,
     hamiltonian_apply,
     inner,
-    ladder_eigenstate,
     ladder_spectrum,
-    lowering_power,
     number_falling_apply,
     pha_commutator_check,
-    raising_power,
     time_evolve,
 )
 
@@ -52,49 +47,122 @@ def test_basis_state_and_inner():
     assert inner(v, v) == 1.0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: basis_state(2.0, 8),
+        lambda: basis_state(2, 8.0),
+        lambda: ladder_spectrum(3, 2.5),
+        lambda: apply_k_ladder(basis_state(2, 8), 1.0, -1),
+    ],
+    ids=["basis_index", "basis_n_max", "spectrum_levels", "ladder_order"],
+)
+def test_non_integer_input_raises_value_error(call):
+    with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, "+"])
+def test_ladder_sign_must_be_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match="sign"):
+        apply_k_ladder(basis_state(2, 8), 1, sign)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_time_raises_value_error(t):
+    # a RuntimeWarning fails tier-1, so this also shows that none is emitted
+    with pytest.raises(ValueError, match="finite"):
+        time_evolve(basis_state(2, 8), t)
+
+
 def test_ladder_actions_on_basis():
     v = basis_state(4, n_max=16)
-    low = apply_lowering(v)
+    low = apply_k_ladder(v, 1, -1)
     assert low.coeffs[3] == pytest.approx(math.sqrt(4))
-    high = apply_raising(v)
+    high = apply_k_ladder(v, 1, +1)
     assert high.coeffs[5] == pytest.approx(math.sqrt(5))
-    assert apply_lowering(basis_state(0, n_max=4)).norm() == 0.0
+    assert apply_k_ladder(basis_state(0, n_max=4), 1, -1).norm() == 0.0
 
 
 def test_raising_adjoint_to_lowering(rng):
     # with empty edge slots the truncated matrices are exact adjoints
     u = random_state(rng)
     v = random_state(rng)
-    lhs = inner(apply_raising(u), v)
-    rhs = inner(u, apply_lowering(v))
+    lhs = inner(apply_k_ladder(u, 1, +1), v)
+    rhs = inner(u, apply_k_ladder(v, 1, -1))
     assert abs(lhs - rhs) < 1e-14
 
 
 def test_leakage_accounting():
     v = basis_state(7, n_max=8)
     with pytest.raises(LeakageExceeded):
-        apply_raising(v)
-    raised = apply_raising(v, leak_tol=np.inf)
+        apply_k_ladder(v, 1, +1)
+    raised = apply_k_ladder(v, 1, +1, leak_tol=np.inf)
     assert raised.norm() == 0.0
     assert raised.leakage == pytest.approx(8.0)  # n_max * |c_top|^2
 
 
+def test_leakage_is_the_exact_image_past_the_edge(rng):
+    # k = 1 is n_max |c_top|^2, exact on a basis state
+    assert apply_k_ladder(basis_state(15, 16), 1, +1, leak_tol=np.inf).leakage == 16.0
+    v = random_state(rng, n_max=16, clear_top=0)
+    leak = apply_k_ladder(v, 1, +1, leak_tol=np.inf).leakage
+    assert leak == pytest.approx(16 * abs(v.coeffs[-1]) ** 2, rel=1e-15)
+    # (a+)^3 |7> = sqrt(10!/7!) |10>, all of it past n_max = 8
+    raised = apply_k_ladder(basis_state(7, 8), 3, +1, leak_tol=np.inf)
+    assert raised.norm() == 0.0 and raised.leakage == 720.0
+    # mixed top slots add their images: |5> -> 8!/5! = 336, |6> -> 9!/6! = 504
+    mixed = FockVector(np.array([0, 0, 0, 0, 0, 0.6, 0.8j, 0]))
+    leak = apply_k_ladder(mixed, 3, +1, leak_tol=np.inf).leakage
+    assert leak == pytest.approx(0.36 * 336 + 0.64 * 504, rel=1e-15)
+    # k >= n_max lowers to zero and raises the whole image past the edge
+    for k in (16, 19):
+        assert apply_k_ladder(v, k, -1).norm() == 0.0
+        whole = apply_k_ladder(v, k, +1, leak_tol=np.inf)
+        falling = np.array([math.perm(n + k, k) for n in range(16)], dtype=float)
+        assert whole.norm() == 0.0
+        assert whole.leakage == pytest.approx(falling @ np.abs(v.coeffs) ** 2, rel=1e-14)
+    # leakage accumulates across raisings
+    twice = apply_k_ladder(raised, 1, +1, leak_tol=np.inf)
+    assert twice.leakage == 720.0
+
+
+def test_ladder_weights_past_double_range_raise_overflow():
+    # 405!/255! and 255!/105! both pass 1e308
+    for sign in (-1, +1):
+        with pytest.raises(Overflow):
+            apply_k_ladder(basis_state(0, 256), 150, sign, leak_tol=np.inf)
+    with pytest.raises(Overflow):
+        number_falling_apply(basis_state(255, 256), 200)
+
+
 def test_k_ladder_matches_repeated_single(rng):
+    # stepwise reference: k single shifts by sqrt(n); random_state leaves the
+    # top 8 slots empty, so no step up to k = 8 reaches the edge
+    def step(c, sign):
+        out = np.zeros_like(c)
+        if sign < 0:
+            out[:-1] = np.sqrt(np.arange(1, c.size)) * c[1:]
+        else:
+            out[1:] = np.sqrt(np.arange(1, c.size)) * c[:-1]
+        return out
+
     v = random_state(rng)
-    for k in (1, 2, 3):
-        stepped = v
-        for _ in range(k):
-            stepped = apply_lowering(stepped)
-        direct = apply_k_ladder(v, lowering_power(k))
-        assert np.allclose(direct.coeffs, stepped.coeffs, atol=1e-13)
+    for sign in (-1, +1):
+        for k in range(1, 9):
+            stepped = v.coeffs
+            for _ in range(k):
+                stepped = step(stepped, sign)
+            direct = apply_k_ladder(v, k, sign)
+            scale = np.max(np.abs(stepped))
+            assert np.max(np.abs(direct.coeffs - stepped)) <= 4e-16 * k * scale
+            assert direct.leakage == 0.0
 
 
 def test_number_falling_is_lower_then_raise(rng):
     v = random_state(rng)
     for k in (1, 2, 3, 4):
-        composed = apply_k_ladder(
-            apply_k_ladder(v, lowering_power(k)), raising_power(k)
-        )
+        composed = apply_k_ladder(apply_k_ladder(v, k, -1), k, +1)
         direct = number_falling_apply(v, k)
         assert np.allclose(direct.coeffs, composed.coeffs, atol=1e-12)
 
@@ -118,17 +186,6 @@ def test_commutator_edge_guard(rng):
 def test_hamiltonian_apply():
     v = basis_state(2, n_max=4)
     assert hamiltonian_apply(v).coeffs[2] == pytest.approx(2.5)
-
-
-def test_ladder_eigenstate():
-    v = ladder_eigenstate(3, 2, 4, n_max=32)
-    assert v.coeffs[3 * 4 + 2] == 1.0
-    with pytest.raises(Overflow):
-        ladder_eigenstate(3, 2, 10, n_max=32)
-    with pytest.raises(ValueError):
-        ladder_eigenstate(3, 3, 0)
-    with pytest.raises(ValueError):
-        ladder_eigenstate(2, 0, -1)
 
 
 def test_spectrum_ladders():
