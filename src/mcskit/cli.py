@@ -24,9 +24,14 @@ Complex values are parsed as 're,im' or polar 'r@theta' with theta in
 degrees; a bare number is taken as real. Grids are 'qmin,qmax,pmin,pmax,
 nq,np' for phase space and 'xmin,xmax,nx' for position space.
 
+The parsed argparse namespace is the run configuration. Every option is
+checked when it is parsed, by its type= parser, which takes finite values
+in range only; the two bounds that tie options together (j < k and
+alpha-min <= alpha) are checked right after parsing.
+
 Exit status: 0 on success (verify: all checks passed), 1 on any failed
-check, domain error or unwritable --out, 2 on argument errors (argparse's
-convention).
+check, domain error or unwritable --out, 2 on argument errors, among them
+any option that is non-finite or out of range (argparse's convention).
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,28 +48,43 @@ import numpy as np
 from . import __version__
 from .decomposition import density_movie
 from .errors import McskitError
-from .fock import ladder_spectrum
+from .fock import DEFAULT_N_MAX, ladder_spectrum
 from .states import MCSLabel, a_norm_closed, build_mcs, moments
 from .verify import SUITE_NAMES, run_suite
 from .wigner import PhaseGrid, wigner_closed, wigner_numeric
 
 
+def _bounded(kind: type, low: float, strict: bool = False):
+    """A type= parser: kind(text), finite and >= low (> low if strict)."""
+    relation = ">" if strict else ">="
+    what = "an integer" if kind is int else "a finite number"
+
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
+        if not (low < value < math.inf if strict else low <= value < math.inf):
+            raise argparse.ArgumentTypeError(f"must be {what} {relation} {low}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def parse_complex(text: str) -> complex:
-    """'re,im', polar 'r@degrees', or a bare real number."""
+    """'re,im', polar 'r@degrees', or a bare real number; finite parts only."""
     s = text.strip()
+    polar = "@" in s
     try:
-        if "@" in s:
-            r_part, theta = s.split("@", 1)
-            r = float(r_part)
-            return r * complex(np.exp(1j * math.radians(float(theta))))
-        if "," in s:
-            re_part, im_part = s.split(",", 1)
-            return complex(float(re_part), float(im_part))
-        return complex(float(s), 0.0)
+        parts = [float(v) for v in s.split("@" if polar else ",", 1)]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"cannot parse complex value {text!r}; use 're,im' or 'r@degrees'"
         ) from None
+    if not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError(f"complex value {text!r} must be finite")
+    if polar:
+        r, theta = parts
+        return r * complex(np.exp(1j * math.radians(theta)))
+    return complex(*parts)
 
 
 def parse_phase_grid(text: str) -> PhaseGrid:
@@ -93,76 +112,10 @@ def parse_x_grid(text: str) -> np.ndarray:
         n = int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad position grid {text!r}: {exc}") from None
-    if not lo < hi or n < 2:
+    # a finite span also means finite bounds
+    if not (lo < hi and math.isfinite(hi - lo)) or n < 2:
         raise argparse.ArgumentTypeError(f"bad position grid {text!r}")
     return np.linspace(lo, hi, n)
-
-
-_ARG_RENAMES = {"nmax": "n_max"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one invocation.
-
-    Built from the parsed namespace before any computation starts, so a
-    bad combination (j outside [0, k), inverted sweep bounds, ...) fails
-    with a field-named message and argparse's exit code instead of a
-    traceback halfway through a run. Fields not used by the current
-    command keep their defaults.
-    """
-
-    command: str
-    k: int = 1
-    j: int = 0
-    z: complex | None = None
-    levels: int = 12
-    alpha_min: float = 0.0
-    alpha: float = 4.0
-    points: int = 81
-    grid: PhaseGrid | None = None
-    x_grid: np.ndarray | None = None
-    tmax: float | None = None
-    nt: int = 65
-    method: str = ""
-    suite: str = "all"
-    n_max: int = 256
-    tol: float = 1e-10
-    out: str = "-"
-    fmt: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0 <= self.j < self.k:
-            raise ValueError(f"j must lie in [0, k), got j={self.j} with k={self.k}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if self.points < 1:
-            raise ValueError(f"points must be >= 1, got {self.points}")
-        if self.alpha_min < 0 or self.alpha < self.alpha_min:
-            raise ValueError(
-                f"alpha sweep needs 0 <= alpha-min <= alpha, got "
-                f"[{self.alpha_min}, {self.alpha}]"
-            )
-        if self.nt < 2:
-            raise ValueError(f"nt must be >= 2, got {self.nt}")
-        if self.tmax is not None and not self.tmax > 0:
-            raise ValueError(f"tmax must be > 0, got {self.tmax}")
-        if self.n_max < 2:
-            raise ValueError(f"nmax must be >= 2, got {self.n_max}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        kwargs = {}
-        for key, val in vars(args).items():
-            name = _ARG_RENAMES.get(key, key)
-            if name in names:
-                kwargs[name] = val
-        return cls(**kwargs)
 
 
 def _fmt(value) -> str:
@@ -320,17 +273,17 @@ def _add_io(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    spec = ladder_spectrum(cfg.k, levels=cfg.levels)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    spec = ladder_spectrum(args.k, levels=args.levels)
     class_col, step_col, energy_col = [], [], []
     for j, ladder in enumerate(spec.ladders):
         class_col.extend([j] * ladder.size)
         step_col.extend(range(ladder.size))
         energy_col.extend(ladder)
     write_table(
-        cfg.out,
-        cfg.fmt,
-        [("command", "spectrum"), ("k", cfg.k), ("levels", cfg.levels)],
+        args.out,
+        args.fmt,
+        [("command", "spectrum"), ("k", args.k), ("levels", args.levels)],
         [
             ("class_index", np.array(class_col)),
             ("step", np.array(step_col)),
@@ -340,15 +293,15 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_uncertainty(cfg: RunConfig) -> int:
-    alphas = np.linspace(cfg.alpha_min, cfg.alpha, cfg.points)
-    k, j = cfg.k, cfg.j
+def cmd_uncertainty(args: argparse.Namespace) -> int:
+    alphas = np.linspace(args.alpha_min, args.alpha, args.points)
+    k, j = args.k, args.j
     rows = {
         name: np.empty(alphas.size)
         for name in ("a_norm_sq", "uncertainty_product", "mean_H", "geo_phase")
     }
     for i, a in enumerate(alphas):
-        mom = moments(MCSLabel(k, j, complex(a)), n_max=cfg.n_max, route_tol=cfg.tol)
+        mom = moments(MCSLabel(k, j, complex(a)), n_max=args.nmax, route_tol=args.tol)
         rows["a_norm_sq"][i] = mom.a_norm_sq
         rows["uncertainty_product"][i] = mom.uncertainty_product
         rows["mean_H"][i] = mom.mean_H
@@ -363,31 +316,30 @@ def cmd_uncertainty(cfg: RunConfig) -> int:
         columns.append(("a_norm_sq_closed", closed_n))
         columns.append(("product_closed", closed_prod))
     write_table(
-        cfg.out,
-        cfg.fmt,
+        args.out,
+        args.fmt,
         [
             ("command", "uncertainty"),
             ("k", k),
             ("j", j),
-            ("alpha_min", cfg.alpha_min),
-            ("alpha", cfg.alpha),
-            ("points", cfg.points),
-            ("nmax", cfg.n_max),
-            ("tol", cfg.tol),
+            ("alpha_min", args.alpha_min),
+            ("alpha", args.alpha),
+            ("points", args.points),
+            ("nmax", args.nmax),
+            ("tol", args.tol),
         ],
         columns,
     )
     return 0
 
 
-def cmd_wigner(cfg: RunConfig) -> int:
-    grid = cfg.grid if cfg.grid is not None else PhaseGrid()
-    k, j, z = cfg.k, cfg.j, cfg.z
+def cmd_wigner(args: argparse.Namespace) -> int:
+    grid, k, j, z = args.grid, args.k, args.j, args.z
     computed = {}
-    if cfg.method in ("closed", "both"):
+    if args.method in ("closed", "both"):
         computed["closed"] = wigner_closed(k, j, z, grid)
-    if cfg.method in ("numeric", "both"):
-        state = build_mcs(MCSLabel(k, j, complex(z) ** k), n_max=cfg.n_max)
+    if args.method in ("numeric", "both"):
+        state = build_mcs(MCSLabel(k, j, complex(z) ** k), n_max=args.nmax)
         computed["numeric"] = wigner_numeric(state, grid)
 
     config: list[tuple[str, object]] = [
@@ -397,13 +349,13 @@ def cmd_wigner(cfg: RunConfig) -> int:
         ("z", z),
         ("grid", f"{grid.q_min},{grid.q_max},{grid.p_min},{grid.p_max},"
                  f"{grid.n_q},{grid.n_p}"),
-        ("method", cfg.method),
-        ("nmax", cfg.n_max),
+        ("method", args.method),
+        ("nmax", args.nmax),
     ]
     qq = np.repeat(grid.q_axis, grid.n_p)
     pp = np.tile(grid.p_axis, grid.n_q)
     columns = [("q", qq), ("p", pp)]
-    if cfg.method == "both":
+    if args.method == "both":
         diff = float(
             np.max(np.abs(computed["closed"].values - computed["numeric"].values))
         )
@@ -411,33 +363,33 @@ def cmd_wigner(cfg: RunConfig) -> int:
         columns.append(("w_closed", computed["closed"].values.ravel()))
         columns.append(("w_numeric", computed["numeric"].values.ravel()))
     else:
-        columns.append(("w", computed[cfg.method].values.ravel()))
-    write_table(cfg.out, cfg.fmt, config, columns)
+        columns.append(("w", computed[args.method].values.ravel()))
+    write_table(args.out, args.fmt, config, columns)
     return 0
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    x = cfg.x_grid if cfg.x_grid is not None else parse_x_grid("-12,12,513")
-    tmax = cfg.tmax if cfg.tmax is not None else 2.0 * math.pi / cfg.k
-    t_grid = np.linspace(0.0, tmax, cfg.nt)
+def cmd_evolve(args: argparse.Namespace) -> int:
+    x = args.grid
+    tmax = args.tmax if args.tmax is not None else 2.0 * math.pi / args.k
+    t_grid = np.linspace(0.0, tmax, args.nt)
     movie = density_movie(
-        cfg.k, cfg.j, cfg.z, x, t_grid, method=cfg.method, n_max=cfg.n_max
+        args.k, args.j, args.z, x, t_grid, method=args.method, n_max=args.nmax
     )
     write_table(
-        cfg.out,
-        cfg.fmt,
+        args.out,
+        args.fmt,
         [
             ("command", "evolve"),
-            ("k", cfg.k),
-            ("j", cfg.j),
-            ("z", cfg.z),
+            ("k", args.k),
+            ("j", args.j),
+            ("z", args.z),
             ("xmin", x[0]),
             ("xmax", x[-1]),
             ("nx", x.size),
             ("tmax", tmax),
-            ("nt", cfg.nt),
-            ("method", cfg.method),
-            ("nmax", cfg.n_max),
+            ("nt", args.nt),
+            ("method", args.method),
+            ("nmax", args.nmax),
         ],
         [
             ("t", np.repeat(t_grid, x.size)),
@@ -448,13 +400,13 @@ def cmd_evolve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    suites = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
+def cmd_verify(args: argparse.Namespace) -> int:
+    suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
     all_passed = True
     total = 0
     for suite in suites:
         try:
-            results = run_suite(suite, n_max=cfg.n_max)
+            results = run_suite(suite, n_max=args.nmax)
         except McskitError as exc:
             print(f"ERROR {suite}: {type(exc).__name__}: {exc}")
             return 1
@@ -480,55 +432,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="energy ladders of the order-k algebra")
-    p.add_argument("--k", type=int, required=True, help="ladder power k >= 1")
-    p.add_argument("--levels", type=int, default=12, help="levels per class ladder")
+    p.add_argument("--k", type=_bounded(int, 1), required=True,
+                   help="ladder power k >= 1")
+    p.add_argument("--levels", type=_bounded(int, 1), default=12,
+                   help="levels per class ladder")
     _add_io(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser(
         "uncertainty", help="moment sweep along real alpha for one class"
     )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, default=0, help="class index in [0, k)")
-    p.add_argument("--alpha", type=float, default=4.0,
+    p.add_argument("--k", type=_bounded(int, 1), required=True)
+    p.add_argument("--j", type=_bounded(int, 0), default=0, help="class index in [0, k)")
+    p.add_argument("--alpha", type=_bounded(float, 0.0), default=4.0,
                    help="sweep endpoint; the table covers [alpha-min, alpha]")
-    p.add_argument("--alpha-min", type=float, default=0.0)
-    p.add_argument("--points", type=int, default=81)
-    p.add_argument("--nmax", type=int, default=256, help="truncation dimension")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--alpha-min", type=_bounded(float, 0.0), default=0.0)
+    p.add_argument("--points", type=_bounded(int, 1), default=81)
+    p.add_argument("--nmax", type=_bounded(int, 2), default=DEFAULT_N_MAX,
+                   help="truncation dimension")
+    p.add_argument("--tol", type=_bounded(float, 0.0, strict=True), default=1e-10,
                    help="route agreement bound, per unit of max(1, <N>)")
     _add_io(p)
     p.set_defaults(func=cmd_uncertainty)
 
     p = sub.add_parser("wigner", help="phase-space field of one class state")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, default=0)
+    p.add_argument("--k", type=_bounded(int, 1), required=True)
+    p.add_argument("--j", type=_bounded(int, 0), default=0)
     p.add_argument("--z", type=parse_complex, required=True,
                    help="ring label; the ladder eigenvalue is z^k")
     p.add_argument("--grid", type=parse_phase_grid,
                    default=PhaseGrid(), help="qmin,qmax,pmin,pmax,nq,np")
     p.add_argument("--method", choices=("closed", "numeric", "both"), default="closed")
-    p.add_argument("--nmax", type=int, default=256)
+    p.add_argument("--nmax", type=_bounded(int, 2), default=DEFAULT_N_MAX)
     _add_io(p)
     p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("evolve", help="|psi(x,t)|^2 over one revival period")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, default=0)
+    p.add_argument("--k", type=_bounded(int, 1), required=True)
+    p.add_argument("--j", type=_bounded(int, 0), default=0)
     p.add_argument("--z", type=parse_complex, required=True)
-    p.add_argument("--grid", type=parse_x_grid, default=None, dest="x_grid",
-                   help="xmin,xmax,nx")
-    p.add_argument("--tmax", type=float, default=None,
+    p.add_argument("--grid", type=parse_x_grid, default="-12,12,513", help="xmin,xmax,nx")
+    p.add_argument("--tmax", type=_bounded(float, 0.0, strict=True), default=None,
                    help="default: one revival period 2*pi/k")
-    p.add_argument("--nt", type=int, default=65)
+    p.add_argument("--nt", type=_bounded(int, 2), default=65)
     p.add_argument("--method", choices=("closed", "fock"), default="closed")
-    p.add_argument("--nmax", type=int, default=256)
+    p.add_argument("--nmax", type=_bounded(int, 2), default=DEFAULT_N_MAX)
     _add_io(p)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--nmax", type=int, default=256)
+    p.add_argument("--nmax", type=_bounded(int, 2), default=DEFAULT_N_MAX)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -559,17 +513,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_absorb_dash_values(list(argv)))
+    # the bounds that tie two options together; argparse's exit code 2
+    if "j" in args and args.j >= args.k:
+        parser.error(f"j must lie in [0, k), got j={args.j} with k={args.k}")
+    if "alpha_min" in args and args.alpha_min > args.alpha:
+        parser.error(
+            f"alpha sweep needs alpha-min <= alpha, got [{args.alpha_min}, {args.alpha}]"
+        )
     try:
-        cfg = RunConfig.from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2, argparse convention
-    try:
-        return args.func(cfg)
+        return args.func(args)
     except McskitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"error: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
+        out = getattr(args, "out", "-")  # verify has no --out
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

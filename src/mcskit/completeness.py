@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureFailure
-from .fock import _check_class
+from .fock import _check_class, _check_count
 
 # Gauss-Legendre points per panel, and the panel doubling of every integral
 _GL_ORDER = 32
@@ -119,13 +119,6 @@ def _density_values(candidate: MeasureCandidate, x: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([float(candidate.density(float(v))) for v in x])
-
-
-def _check_count(name: str, value: int) -> int:
-    """value as an int: ValueError unless it is an integer >= 1."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def _v_limit(k: int, j: int, n: int) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNorm, Overflow
-from .fock import DEFAULT_N_MAX, FockVector, _check_class
+from .fock import DEFAULT_N_MAX, FockVector, _check_class, _check_count
 from .states import MCSLabel, _check_series, _power, _series, build_mcs
 
 DEFAULT_X_GRID = (-12.0, 12.0, 2048)
@@ -221,7 +221,7 @@ class ScsSuperposition:
         return self.weights * math.exp(-0.5 * abs(self.z) ** 2)
 
     def fock_vector(self, n_max: int = DEFAULT_N_MAX) -> FockVector:
-        acc = np.zeros(n_max, dtype=np.complex128)
+        acc = np.zeros(_check_count("n_max", n_max), dtype=np.complex128)
         for w, label in zip(self.weights, self.constituents()):
             acc += w * coherent_state(complex(label), n_max).coeffs
         return FockVector(acc)
@@ -254,7 +254,7 @@ def coherent_from_classes(k: int, z: complex, n_max: int = DEFAULT_N_MAX) -> Foc
     """
     k, _ = _check_class(k)
     z = complex(z)
-    acc = np.zeros(n_max, dtype=np.complex128)
+    acc = np.zeros(_check_count("n_max", n_max), dtype=np.complex128)
     for j in range(k):
         c, h = _class_norm(k, j, z)
         w = np.exp(1j * j * np.angle(z)) * c * math.exp(-0.5 * abs(z) ** 2 + h * _LN2)

@@ -37,6 +37,14 @@ def _ints(what: str, *values: int) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
+def _check_count(name: str, value: int) -> int:
+    """value as an int: ValueError unless it is an integer >= 1."""
+    (value,) = _ints(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _check_class(k: int, j: int = 0) -> tuple[int, int]:
     """Order k and class j as ints: ValueError unless both are integers with
     k >= 1 and 0 <= j < k. Every entry point that takes an order runs it."""
@@ -242,17 +250,18 @@ def ladder_spectrum(k: int, levels: int = 32) -> LadderSpectrum:
     the full oscillator spectrum n + 1/2.
     """
     k, _ = _check_class(k)
-    (levels,) = _ints("levels", levels)
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    levels = _check_count("levels", levels)
     ladders = tuple(j + 0.5 + k * np.arange(levels, dtype=np.float64) for j in range(k))
     return LadderSpectrum(k=k, ladders=ladders)
 
 
 def time_evolve(state: FockVector, t: float) -> FockVector:
     """exp(-iHt) in the number basis: c_n -> exp(-i(n+1/2)t) c_n.
-    ValueError for a non-finite t."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    ValueError unless the largest phase (n_max - 1/2) t is finite."""
+    if not math.isfinite((state.n_max - 0.5) * float(t)):  # floats overflow to inf, unwarned
+        raise ValueError(
+            f"time must be finite with (n_max - 1/2) t in double range, got {t!r} "
+            f"at n_max={state.n_max}"
+        )
     n = np.arange(state.n_max)
     return FockVector(np.exp(-1j * (n + 0.5) * t) * state.coeffs, state.leakage)

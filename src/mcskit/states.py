@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Overflow, RouteMismatch, TailTooHeavy, UnsupportedOrder
-from .fock import DEFAULT_N_MAX, FockVector, _check_class, apply_k_ladder
+from .fock import DEFAULT_N_MAX, FockVector, _check_class, _check_count, apply_k_ladder
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -165,7 +165,9 @@ def build_mcs(
     Weights and coefficients are scaled by exact powers of two as they grow
     (as in `norm_sum`), so states whose norm series leaves double range,
     such as |alpha|^2 = 900 at order 1, build as long as n_max holds them.
+    ValueError unless n_max is an integer >= 1.
     """
+    n_max = _check_count("n_max", n_max)
     k, j, alpha = label.k, label.j, label.alpha
     x = _power(abs(alpha), 2)
     total, e_total = _series(k, j, x)

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .decomposition import _reach, _ring_norm, fock_wavefunction
-from .errors import BoundaryMass, WindowTooNarrow
+from .errors import BoundaryMass, Overflow, WindowTooNarrow
 from .fock import FockVector, _check_class
 
 DEFAULT_WINDOW_HALF = 10.0
@@ -50,6 +50,8 @@ _EDGE_TOL = 1e-16
 _LEVEL_TOL = 1e-32
 # (-i)^n by n mod 4, exact where a complex power drifts by n eps
 _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
+# fine lattice points past which no array can index them
+_LATTICE_MAX = float(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,10 @@ class PhaseGrid:
     n_p: int = 257
 
     def __post_init__(self) -> None:
+        # a finite span also means finite bounds
+        if not (math.isfinite(self.q_max - self.q_min)
+                and math.isfinite(self.p_max - self.p_min)):
+            raise ValueError("grid bounds and spans must be finite")
         if not (self.q_min < self.q_max and self.p_min < self.p_max):
             raise ValueError("grid bounds must be increasing")
         if self.n_q < 2 or self.n_p < 2:
@@ -154,7 +160,8 @@ def wigner_numeric(
     correlator envelope at the window edge must stay below 1e-16;
     WindowTooNarrow means psi still has weight at q +- window_half and the
     field would be visibly truncated. Its message names p_psi, a half-width
-    that always suffices.
+    that always suffices. Overflow means the fine lattice would need more
+    points than an array can index (max|p| near 1e18 on a unit q step).
     """
     if grid is None:
         grid = PhaseGrid()
@@ -168,7 +175,14 @@ def wigner_numeric(
     # y step = q step / m below the aliasing limit, so q_i +- y_l all live
     # on one fine lattice
     max_p = max(abs(grid.p_min), abs(grid.p_max))
-    m = max(1, math.ceil(h_q * (reach + max_p) / math.pi))
+    ratio = max(1.0, h_q * (reach + max_p) / math.pi)
+    size = (grid.n_q - 1 + 2.0 * window_half / h_q) * ratio
+    if not size < _LATTICE_MAX:
+        raise Overflow(
+            f"the y lattice needs {size:.3g} points for max|p| = {max_p:.3g}, "
+            f"more than an array can index; narrow the p axis or widen the q step"
+        )
+    m = math.ceil(ratio)
     h = h_q / m
     n_half = math.ceil(window_half / h)
     n_fine = (grid.n_q - 1) * m + 2 * n_half + 1
@@ -251,8 +265,10 @@ def wigner_closed(
     center_p = 1j * (za - zb) / math.sqrt(2.0)
     weight = mu ** (j * (a - b)) * np.exp(1j * (za * zb).imag)
     scale = num / (k * den) ** 2 / math.pi
-    d = grid.q_axis[:, None] - center_q.real
-    e = grid.p_axis[None, :] - center_p.real[:, None]
+    # every factor is exactly 0 past an offset of 1e150; the clamp keeps the
+    # squares and the phases from overflowing there (inf * 0 would be NaN)
+    d = (grid.q_axis[:, None] - center_q.real).clip(-1e150, 1e150)
+    e = (grid.p_axis[None, :] - center_p.real[:, None]).clip(-1e150, 1e150)
     left = np.exp(-d * d + 2j * d * center_q.imag)
     right = (scale * weight)[:, None] * np.exp(-e * e + 2j * e * center_p.imag[:, None])
     acc = left @ right

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mcskit
-from mcskit.cli import RunConfig, main, parse_complex, parse_phase_grid, parse_x_grid
+from mcskit.cli import main, parse_complex, parse_phase_grid, parse_x_grid
 from mcskit.verify import CHECKS
 
 
@@ -26,6 +26,8 @@ def test_parse_complex_forms():
     assert parse_complex("2@90") == pytest.approx(2.0j)
     with pytest.raises(Exception):
         parse_complex("nope")
+    with pytest.raises(Exception, match="finite"):
+        parse_complex("1,nan")
 
 
 def test_parse_grids():
@@ -37,17 +39,8 @@ def test_parse_grids():
         parse_phase_grid("1,2,3")
     with pytest.raises(Exception):
         parse_x_grid("3,-3,7")
-
-
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(command="spectrum", k=0)
-    with pytest.raises(ValueError):
-        RunConfig(command="uncertainty", k=2, j=2)
-    with pytest.raises(ValueError):
-        RunConfig(command="uncertainty", alpha_min=3.0, alpha=1.0)
-    with pytest.raises(ValueError):
-        RunConfig(command="evolve", nt=1)
+    with pytest.raises(Exception):
+        parse_x_grid("-1e308,1e308,7")  # the span overflows
 
 
 def test_spectrum_table(capsys):
@@ -256,15 +249,30 @@ def test_verify_surfaces_forced_failure(capsys):
 
 
 def test_argument_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["uncertainty", "--k", "2", "--j", "5"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["wigner", "--k", "2", "--z", "1", "--grid", "1,2,3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum"])  # --k is required
-    assert exc.value.code == 2
+    # each option is checked as it is parsed: non-finite or out-of-range
+    # values stop with argparse's message and exit 2, never a traceback
+    for args in (
+        "uncertainty --k 2 --j 5",
+        "wigner --k 2 --z 1 --grid 1,2,3",
+        "spectrum",  # --k is required
+        "spectrum --k 0",
+        "uncertainty --k 2 --j 2",
+        "uncertainty --k 2 --alpha-min 3 --alpha 1",
+        "evolve --k 2 --z 1 --nt 1",
+        "wigner --k 2 --z nan",
+        "uncertainty --k 2 --alpha nan",
+        "uncertainty --k 2 --alpha inf",
+        "evolve --k 2 --z 1 --tmax inf",
+        "evolve --k 2 --z 1 --grid -1,inf,5",
+        "wigner --k 2 --z 1 --grid -1,1,-1,inf,3,3",
+        "spectrum --k 2 --levels 0",
+        "verify --nmax 1",
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args.split())
+        assert exc.value.code == 2, args
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err, args
 
 
 def test_evolve_default_period_header(capsys):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from mcskit import (
+    MCSLabel,
     MeasureCandidate,
     QuadratureFailure,
+    build_mcs,
+    coherent_from_classes,
     identity_block,
     identity_resolution_numeric,
+    mcs_as_scs,
     moment_check,
     root_exponential_density,
 )
@@ -91,8 +95,11 @@ def test_truncated_moment_raises_instead_of_scoring():
     lambda: identity_resolution_numeric(3, 1, dim_check=2.5),
     lambda: moment_check(root_exponential_density(1, 0), n_top=0),
     lambda: moment_check(root_exponential_density(2, 0), n_top=3.0),
+    lambda: build_mcs(MCSLabel(2, 0, 1.0), n_max=2.5),
+    lambda: coherent_from_classes(2, 1.0, n_max=0),
+    lambda: mcs_as_scs(2, 0, 1.0).fock_vector(n_max=2.5),
 ], ids=["block-dim-0", "block-dim-2.5", "gap-dim-0", "gap-dim-2.5", "n_top-0",
-        "n_top-3.0"])
+        "n_top-3.0", "build-n_max-2.5", "classes-n_max-0", "scs-n_max-2.5"])
 def test_counts_must_be_positive_integers(call):
     with pytest.raises(ValueError):
         call()

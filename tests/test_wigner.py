@@ -29,6 +29,10 @@ def test_phase_grid_validation():
         PhaseGrid(q_min=2.0, q_max=-2.0)
     with pytest.raises(ValueError):
         PhaseGrid(n_q=1)
+    for bounds in ((-1.0, 1.0, -1.0, math.inf), (math.nan, 1.0, -1.0, 1.0),
+                   (-1e308, 1e308, -1.0, 1.0)):  # the last span overflows
+        with pytest.raises(ValueError, match="finite"):
+            PhaseGrid(*bounds, 3, 3)
     g = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 5, 3)
     assert g.q_axis.size == 5 and g.p_axis.size == 3
 
@@ -190,6 +194,12 @@ def test_closed_field_past_the_norm_overflow():
     field = wigner_closed(1, 0, 30.0, PhaseGrid(36.0, 49.0, -6.0, 6.0, 65, 65))
     assert field.total() == pytest.approx(1.0, abs=1e-10)
     assert field.purity() == pytest.approx(1.0, abs=1e-10)
+    # p offsets near 1e308: the squares and phases would overflow to NaN
+    # unclamped (a RuntimeWarning fails tier-1)
+    far = wigner_closed(3, 1, 1.5, PhaseGrid(-1.0, 1.0, -1.0, 1e308, 3, 3))
+    near = wigner_closed(3, 1, 1.5, PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 3))
+    assert np.all(far.values[:, 1:] == 0.0)
+    assert far.values[:, 0] == pytest.approx(near.values[:, 0], rel=1e-14)
 
 
 def test_closed_field_rejects_bad_labels():
@@ -208,6 +218,9 @@ def test_numeric_field_refuses_an_underflowed_seed():
     grid = PhaseGrid(36.0, 49.0, -6.0, 6.0, 33, 33)
     with pytest.raises(Overflow, match="37.6"):
         wigner_numeric(state, grid, window_half=14.0)
+    # a p axis out to 1e308 would need a y step below any array's reach
+    with pytest.raises(Overflow, match="y lattice"):
+        wigner_numeric(state, PhaseGrid(-1.0, 1.0, -1.0, 1e308, 3, 3))
 
 
 def test_purity_helper_matches_method():
