@@ -25,7 +25,6 @@ from .fock import (
     DEFAULT_N_MAX,
     CommutatorResiduals,
     FockVector,
-    LadderSpectrum,
     apply_k_ladder,
     basis_state,
     hamiltonian_apply,
@@ -50,13 +49,9 @@ from .states import (
 )
 from .decomposition import (
     ScsSuperposition,
-    WaveSample,
     coherent_from_classes,
-    coherent_state,
     component_norm,
-    default_x_grid,
     density_movie,
-    dft_matrix,
     fock_wavefunction,
     mcs_as_scs,
     mcs_wavefunction,
@@ -88,15 +83,14 @@ __all__ = [
     "McskitError", "Overflow", "QuadratureFailure",
     "RouteMismatch", "TailTooHeavy", "UnsupportedOrder", "WindowTooNarrow",
     "DEFAULT_LEAK_TOL", "DEFAULT_N_MAX", "CommutatorResiduals", "FockVector",
-    "LadderSpectrum", "apply_k_ladder", "basis_state", "hamiltonian_apply",
-    "inner", "ladder_spectrum", "number_falling_apply",
-    "pha_commutator_check", "time_evolve",
+    "apply_k_ladder", "basis_state", "hamiltonian_apply", "inner",
+    "ladder_spectrum", "number_falling_apply", "pha_commutator_check",
+    "time_evolve",
     "MCSLabel", "MomentSet", "a_norm_closed", "a_norm_series", "build_mcs",
     "eigenvalue_residual", "geometric_phase", "moments", "norm_sum",
     "numeric_moments", "revival_phase",
-    "ScsSuperposition", "WaveSample", "coherent_from_classes",
-    "coherent_state", "component_norm", "default_x_grid", "density_movie",
-    "dft_matrix", "fock_wavefunction", "mcs_as_scs", "mcs_wavefunction",
+    "ScsSuperposition", "coherent_from_classes", "component_norm",
+    "density_movie", "fock_wavefunction", "mcs_as_scs", "mcs_wavefunction",
     "Marginals", "PhaseGrid", "WignerField", "marginals",
     "negativity_volume", "purity", "wigner_closed", "wigner_numeric",
     "MeasureCandidate", "MomentReport", "identity_block",

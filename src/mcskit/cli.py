@@ -275,19 +275,14 @@ def _add_io(parser: argparse.ArgumentParser) -> None:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = ladder_spectrum(args.k, levels=args.levels)
-    class_col, step_col, energy_col = [], [], []
-    for j, ladder in enumerate(spec.ladders):
-        class_col.extend([j] * ladder.size)
-        step_col.extend(range(ladder.size))
-        energy_col.extend(ladder)
     write_table(
         args.out,
         args.fmt,
         [("command", "spectrum"), ("k", args.k), ("levels", args.levels)],
         [
-            ("class_index", np.array(class_col)),
-            ("step", np.array(step_col)),
-            ("energy", np.array(energy_col)),
+            ("class_index", np.repeat(np.arange(args.k), args.levels)),
+            ("step", np.tile(np.arange(args.levels), args.k)),
+            ("energy", spec.ravel()),
         ],
     )
     return 0

@@ -70,7 +70,8 @@ def _panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class MeasureCandidate:
-    """A radial density f(x) proposed for class (k, j).
+    """A radial density f(x) proposed for class (k, j). `density` maps an
+    array of x to an array of f(x), as np.exp does.
 
     support_hint bounds where the density (times any checked moment) still
     carries weight; integrations stop there.
@@ -104,22 +105,6 @@ class MomentReport:
     def worst_error(self) -> float:
         return float(np.max(self.rel_errors))
 
-    def first_failure(self) -> int | None:
-        """Lowest moment order exceeding tol, or None."""
-        bad = np.flatnonzero(self.rel_errors > self.tol)
-        return int(self.orders[bad[0]]) if bad.size else None
-
-
-def _density_values(candidate: MeasureCandidate, x: np.ndarray) -> np.ndarray:
-    """Evaluate the density over an array, tolerating scalar-only callables."""
-    try:
-        vals = np.asarray(candidate.density(x), dtype=np.float64)
-        if vals.shape == x.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(candidate.density(float(v))) for v in x])
-
 
 def _v_limit(k: int, j: int, n: int) -> float:
     """End in v = x^(1/k) of the root-exponential weight of moment orders up
@@ -146,7 +131,7 @@ def _log_integrand(candidate: MeasureCandidate, v: np.ndarray, orders: np.ndarra
     order n (k times its integral is the scaled moment). The sign carries
     negative densities through, so bad candidates are measured, not crashed."""
     k, j = candidate.k, candidate.j
-    f = _density_values(candidate, v**k)
+    f = np.asarray(candidate.density(v**k), dtype=np.float64)
     target = np.array([math.lgamma(k * n + j + 1) for n in orders.tolist()])
     with np.errstate(divide="ignore"):
         log_mag = np.log(v)[:, None] * (k * orders - 1) + np.log(np.abs(f))[:, None]
@@ -174,7 +159,7 @@ def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
     k, j, x_hi = candidate.k, candidate.j, candidate.support_hint
     label = candidate.name or candidate.density
     orders = np.arange(1, n_top + 1)
-    fs = _density_values(candidate, np.linspace(0.0, x_hi, 512))
+    fs = np.asarray(candidate.density(np.linspace(0.0, x_hi, 512)), dtype=np.float64)
     log_edge = [n * math.log(x_hi) - math.lgamma(k * n + j + 1) for n in orders]
     with np.errstate(divide="ignore"):
         edge = k * np.exp(np.array(log_edge) + np.log(abs(fs[-1])))

@@ -2,9 +2,8 @@
 
 Every order-k class state is a finite superposition of k ordinary coherent
 states sitting on a ring: the roots-of-unity filter that keeps n = j mod k
-turns |z> into |z; k, j> and back. This module owns that change of basis,
-the discrete transform behind it, and the closed-form wavefunctions it
-implies.
+turns |z> into |z; k, j> and back. This module owns that change of basis
+and the closed-form wavefunctions it implies.
 
 Conventions. A coherent constituent here is the normalized k=1 state, and
 `mcs_as_scs` returns weights with respect to those. The closed wavefunction
@@ -30,10 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNorm, Overflow
-from .fock import DEFAULT_N_MAX, FockVector, _check_class, _check_count
+from .fock import DEFAULT_N_MAX, FockVector, _check_class, _check_count, _check_phase
 from .states import MCSLabel, _check_series, _power, _series, build_mcs
-
-DEFAULT_X_GRID = (-12.0, 12.0, 2048)
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 _LN2 = math.log(2.0)
@@ -57,11 +54,6 @@ _BLOCK_ROWS = 64
 # the closed kernel's block factors e^{d u} and q (see `_blocks`) stay within
 # e^{+-_BLOCK_EXPONENT}, far from exp overflow
 _BLOCK_EXPONENT = 32.0
-
-
-def default_x_grid() -> np.ndarray:
-    lo, hi, n = DEFAULT_X_GRID
-    return np.linspace(lo, hi, n)
 
 
 def _reach(levels: int) -> float:
@@ -117,38 +109,6 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             out.imag += c.imag @ basis[: len(held)]
             held = []
     return out
-
-
-@dataclass(frozen=True)
-class WaveSample:
-    """psi evaluated on a position grid at one instant."""
-
-    x_grid: np.ndarray
-    values: np.ndarray
-    t: float = 0.0
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
-
-    def total_mass(self) -> float:
-        return float(np.trapezoid(self.density(), self.x_grid))
-
-
-def coherent_state(z: complex, n_max: int = DEFAULT_N_MAX) -> FockVector:
-    """Normalized ordinary coherent state; the k=1 class state."""
-    return build_mcs(MCSLabel(1, 0, z), n_max)
-
-
-def dft_matrix(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Order-k root-of-unity matrix M[j, l] = mu^(jl) and its exact inverse.
-
-    The inverse is conj(M)/k analytically; returning it avoids an
-    unnecessary linear solve and keeps the pair exactly consistent.
-    """
-    k, _ = _check_class(k)
-    jl = np.outer(np.arange(k), np.arange(k))
-    m = np.exp(2j * np.pi * jl / k)
-    return m, m.conj() / k
 
 
 def component_norm(k: int, j: int, z: complex) -> float:
@@ -215,15 +175,10 @@ class ScsSuperposition:
         mu = np.exp(2j * np.pi / self.k)
         return mu ** np.arange(self.k) * self.z
 
-    def raw_weights(self) -> np.ndarray:
-        """Weights with respect to unnormalized coherent vectors
-        sum_n z^n/sqrt(n!) |n> instead."""
-        return self.weights * math.exp(-0.5 * abs(self.z) ** 2)
-
     def fock_vector(self, n_max: int = DEFAULT_N_MAX) -> FockVector:
         acc = np.zeros(_check_count("n_max", n_max), dtype=np.complex128)
         for w, label in zip(self.weights, self.constituents()):
-            acc += w * coherent_state(complex(label), n_max).coeffs
+            acc += w * build_mcs(MCSLabel(1, 0, label), n_max).coeffs
         return FockVector(acc)
 
 
@@ -266,12 +221,12 @@ def mcs_wavefunction(
     k: int,
     j: int,
     z: complex,
-    x_grid: np.ndarray | None = None,
+    x_grid: np.ndarray,
     t: float = 0.0,
     method: str = "closed",
     n_max: int = DEFAULT_N_MAX,
-) -> WaveSample:
-    """psi(x, t) of the class state |z^k; k, j> as a k-Gaussian interference.
+) -> np.ndarray:
+    """psi(x, t) of |z^k; k, j> on x_grid, as a complex array shaped like x_grid.
 
     closed: sum of k moving Gaussians, each with its branch phase
     exp(-i X_l P_l / 2) and the common energy phase exp(-it/2), aligned to
@@ -285,30 +240,28 @@ def mcs_wavefunction(
 
     Either way this is the one-instant row of `density_movie`'s kernel.
     """
-    x_grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=np.float64)
-    values = _amplitudes(k, j, z, x_grid, [t], method, n_max)[0]
-    return WaveSample(x_grid=x_grid, values=values.reshape(x_grid.shape), t=t)
+    x_grid = np.asarray(x_grid, dtype=np.float64)
+    return _amplitudes(k, j, z, x_grid, [t], method, n_max)[0].reshape(x_grid.shape)
 
 
 def density_movie(
     k: int,
     j: int,
     z: complex,
-    x_grid: np.ndarray | None = None,
+    x_grid: np.ndarray,
     t_grid: np.ndarray | None = None,
     method: str = "closed",
     n_max: int = DEFAULT_N_MAX,
 ) -> np.ndarray:
-    """|psi(x, t)|^2 sampled on a time grid, one row per instant.
+    """|psi(x, t)|^2 on x_grid: a (len(t_grid), x_grid.size) array, a row per instant.
 
     t_grid defaults to one revival period 2*pi/k at 65 frames. Row i is
-    `mcs_wavefunction(k, j, z, x_grid, t=t_grid[i], method=method)`'s
-    density bit for bit, from the same kernel evaluated on the whole grid
-    at once: on the closed route each frame is a rank-k sum of outer
-    products of small per-branch factors over blocks of x (see
-    `_amplitudes`), on the Fock route one synthesis for all frames.
+    `abs(mcs_wavefunction(k, j, z, x_grid, t=t_grid[i], method=method))**2`
+    bit for bit, from the same kernel evaluated on the whole grid at once:
+    on the closed route each frame is a rank-k sum of outer products of
+    small per-branch factors over blocks of x (see `_amplitudes`), on the
+    Fock route one synthesis for all frames.
     """
-    x_grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=np.float64)
     return np.abs(_amplitudes(k, j, z, x_grid, t_grid, method, n_max)) ** 2
 
 
@@ -319,7 +272,8 @@ def _amplitudes(
     period 2*pi/k at 65 instants. ValueError for a non-finite x or t.
 
     fock: the eigenfunctions do not depend on time, so every row comes from
-    one synthesis C @ Psi with C[t, n] = c_n e^{-i(n+1/2)t}.
+    one synthesis C @ Psi with C[t, n] = c_n e^{-i(n+1/2)t}. Overflow when
+    the largest phase (n_max - 1/2) max|t| leaves double range.
 
     closed: branch l of the ring is w_l e^{-(x-X_l)^2/2 + i P_l x}, with
     u_l = X_l + i P_l = sqrt2 z mu^l e^{-it} and row weight
@@ -355,6 +309,7 @@ def _amplitudes(
 
     if method == "fock":
         c = build_mcs(MCSLabel(k, j, _power(z, k)), n_max).coeffs
+        _check_phase(c.size, t)
         n = np.arange(c.size)
         return _synthesize(np.exp(-1j * np.outer(t, n + 0.5)) * c, x)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +27,7 @@ from .errors import EdgeSupport, LeakageExceeded, Overflow
 DEFAULT_N_MAX = 256
 DEFAULT_LEAK_TOL = 1e-12
 _FALLING_MAX = int(np.finfo(np.float64).max) // 2
+_INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 def _ints(what: str, *values: int) -> tuple[int, ...]:
@@ -82,12 +83,6 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def normalized(self) -> "FockVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.coeffs / n, self.leakage)
-
     def top_occupied(self) -> int:
         """Largest index with a nonzero coefficient, or -1 for the zero vector."""
         nz = np.flatnonzero(self.coeffs)
@@ -133,11 +128,13 @@ def apply_k_ladder(
     sqrt(F(n+k)); the exact image of the top k slots lies past the edge,
     and its squared norm sum_{n >= n_max-k} F(n+k)|c_n|^2 is added to the
     vector's leakage. LeakageExceeded fires when the running total passes
-    leak_tol. Pass leak_tol=np.inf to defer the check to the caller.
+    leak_tol; np.inf defers the check to the caller, and NaN raises ValueError.
     """
     k, _ = _check_class(k)
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
+    if math.isnan(leak_tol):
+        raise ValueError("leak_tol must not be NaN; pass np.inf to defer the check")
     c = state.coeffs
     cut = max(c.size - k, 0)
     weight = _falling(np.arange(k, c.size + k, dtype=np.float64), k)  # F(n + k)
@@ -227,41 +224,33 @@ def _h_commutator(probe: FockVector, k: int, sign: int) -> FockVector:
     return FockVector(hg.coeffs - gh.coeffs)
 
 
-@dataclass(frozen=True)
-class LadderSpectrum:
-    """k interleaved arithmetic ladders: ladder j holds j + 1/2 + k*m."""
+def ladder_spectrum(k: int, levels: int = 32) -> np.ndarray:
+    """Spectrum of H as seen by the order-k algebra, as a (k, levels) array.
 
-    k: int
-    ladders: tuple = field(repr=False, default=())
-
-    def merged(self, count: int) -> np.ndarray:
-        """First `count` energies of the union, ascending."""
-        allv = np.sort(np.concatenate(self.ladders))
-        if count > allv.size:
-            raise ValueError(f"only {allv.size} levels computed, wanted {count}")
-        return allv[:count]
-
-
-def ladder_spectrum(k: int, levels: int = 32) -> LadderSpectrum:
-    """Spectrum of H as seen by the order-k algebra.
-
-    Each residue class j in 0..k-1 is an equally spaced ladder with spacing
-    k starting at the extremal energy j + 1/2; the union over j recovers
-    the full oscillator spectrum n + 1/2.
+    Row j, residue class j, is the ladder j + 1/2 + k m of spacing k from
+    the extremal energy j + 1/2; the union of the rows recovers the full
+    oscillator spectrum n + 1/2. Overflow past what an array can index.
     """
     k, _ = _check_class(k)
     levels = _check_count("levels", levels)
-    ladders = tuple(j + 0.5 + k * np.arange(levels, dtype=np.float64) for j in range(k))
-    return LadderSpectrum(k=k, ladders=ladders)
+    if k * levels > _INDEX_MAX:
+        raise Overflow(f"k * levels passes {_INDEX_MAX}, more entries than an array can index")
+    return np.arange(k)[:, None] + 0.5 + k * np.arange(levels)
+
+
+def _check_phase(n_max: int, t) -> None:
+    """ValueError unless every time in t is finite; Overflow when the largest
+    phase (n_max - 1/2) max|t| of exp(-iHt) leaves double range."""
+    top = float(np.max(np.abs(t), initial=0.0))  # NaN stays NaN
+    if not math.isfinite(top):
+        raise ValueError(f"time must be finite, got max|t| = {top!r}")
+    if not math.isfinite((n_max - 0.5) * top):  # floats overflow to inf, unwarned
+        raise Overflow(f"phase (n_max - 1/2) t past double range at |t| = {top:.3g}")
 
 
 def time_evolve(state: FockVector, t: float) -> FockVector:
-    """exp(-iHt) in the number basis: c_n -> exp(-i(n+1/2)t) c_n.
-    ValueError unless the largest phase (n_max - 1/2) t is finite."""
-    if not math.isfinite((state.n_max - 0.5) * float(t)):  # floats overflow to inf, unwarned
-        raise ValueError(
-            f"time must be finite with (n_max - 1/2) t in double range, got {t!r} "
-            f"at n_max={state.n_max}"
-        )
+    """exp(-iHt) in the number basis: c_n -> exp(-i(n+1/2)t) c_n. ValueError for a
+    non-finite t, Overflow once the phase (n_max - 1/2) t leaves double range."""
+    _check_phase(state.n_max, t)
     n = np.arange(state.n_max)
     return FockVector(np.exp(-1j * (n + 0.5) * t) * state.coeffs, state.leakage)

@@ -31,13 +31,19 @@ import numpy as np
 from .errors import Overflow, RouteMismatch, TailTooHeavy, UnsupportedOrder
 from .fock import DEFAULT_N_MAX, FockVector, _check_class, _check_count, apply_k_ladder
 
-DEFAULT_TAIL_TOL = 1e-12
+# tail share build_mcs may drop, and geometric_phase's route bound per max(1, <N>)
+_TAIL_TOL = 1e-12
+_PHASE_TOL = 1e-12
 
 # stop a positive-term series once terms are this far below the running sum,
 # three times in a row (k-step index patterns can produce one stray small term)
 _SERIES_EPS = 1e-16
 _SERIES_RUN = 3
 _SERIES_MAX_TERMS = 100_000
+_DOUBLE_MAX = int(np.finfo(np.float64).max)
+# from this order on a norm series is its seed term: a later term is at most
+# x / k! < 2^-1075 times the one before, for any double x, once k! > 2^2099
+_SEED_ONLY_K = 307
 
 # series totals past 2^_SCALE_BITS are carried as s 2^e (see _series);
 # coefficient vectors scale by the square root
@@ -85,20 +91,41 @@ def _power(base: complex, n: int) -> complex:
         ) from None
 
 
+def _split(p: int) -> tuple[float, int]:
+    """A positive integer p as (s, e) with 1/p = 2^e / s and e <= 0 even: e = 0
+    and s = float(p) while p fits a double, else s is p's leading 64-65 bits."""
+    if p <= _DOUBLE_MAX:
+        return float(p), 0
+    e = (p.bit_length() - 64) & ~1
+    return float(p >> e), -e
+
+
+def _ratio(x: float, p: int) -> float:
+    """x / p for an integer p past double range (see _split)."""
+    s, e = _split(p)
+    return math.ldexp(x / s, e)
+
+
 def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
     """sum_m x^(m+d) / (km+seed)!  as (s, e) with the sum equal to s 2^e.
 
-    Summed by term ratios from the seed term x^d / seed!. Once the running
-    total passes 2^_SCALE_BITS, total and term are scaled down by that exact
-    power of two, so the sum of any input that fits a double keeps its bits,
-    and sums past double range stay usable. Overflow is raised when a
-    single term ratio overflows even so, past |alpha|^2 ~ 2^511, and when
-    the sum needs more than _SERIES_MAX_TERMS terms, which it does once the
-    terms peak past that index (x^(1/k) beyond about k 10^5).
+    Summed by term ratios x / ((n+1)...(n+k)) from the seed term x^d / seed!,
+    both split as in _split past double range (e < 0 once seed! is); from
+    order _SEED_ONLY_K on the sum is its seed term. Once the running total
+    passes 2^_SCALE_BITS, total and term are scaled down by that exact power
+    of two, so the sum of any input that fits a double keeps its bits, and
+    sums past double range stay usable. Overflow is raised when a single
+    term ratio overflows even so, past |alpha|^2 ~ 2^511, and when the sum,
+    or its seed, needs more than _SERIES_MAX_TERMS terms (x^(1/k) beyond
+    about k 10^5).
     """
-    term = x**d / math.factorial(seed)
+    if seed > _SERIES_MAX_TERMS:
+        raise Overflow(f"norm series seed past {_SERIES_MAX_TERMS}!; the order is too large")
+    s, e = _split(math.factorial(seed))
+    term = x**d / s
+    if k >= _SEED_ONLY_K:  # no product of k factors is ever formed
+        return term, e
     total = 0.0
-    e = 0
     small = 0
     for m in range(_SERIES_MAX_TERMS):
         total += term
@@ -118,7 +145,8 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
         else:
             small = 0
         idx = k * m + seed
-        term *= x / float(math.prod(range(idx + 1, idx + k + 1)))
+        den = math.prod(range(idx + 1, idx + k + 1))
+        term *= x / float(den) if den <= _DOUBLE_MAX else _ratio(x, den)
     raise Overflow(
         f"norm series at x={x:.3g} (order {k}) needs more than "
         f"{_SERIES_MAX_TERMS} terms; the label is too large"
@@ -143,13 +171,11 @@ def norm_sum(k: int, j: int, x: float) -> float:
         ) from None
 
 
-def build_mcs(
-    label: MCSLabel, n_max: int = DEFAULT_N_MAX, tail_tol: float = DEFAULT_TAIL_TOL
-) -> FockVector:
+def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     """Truncated coefficient vector for |alpha; k, j>, exactly renormalized.
 
     The analytic norm says how much weight the truncation dropped; if that
-    tail fraction exceeds tail_tol the state is not representable at this
+    tail fraction exceeds 1e-12 the state is not representable at this
     n_max and TailTooHeavy is raised instead of returning a quietly wrong
     vector.
 
@@ -163,24 +189,29 @@ def build_mcs(
     `top_occupied()` is that last level; `n_max` is unchanged.
 
     Weights and coefficients are scaled by exact powers of two as they grow
-    (as in `norm_sum`), so states whose norm series leaves double range,
-    such as |alpha|^2 = 900 at order 1, build as long as n_max holds them.
-    ValueError unless n_max is an integer >= 1.
+    (as in `norm_sum`), as is j! (see _split), so states whose norm series
+    leaves double range, such as |alpha|^2 = 900 at order 1, build as long
+    as n_max holds them. A level past a product (n+1)...(n+k) beyond double
+    range gets 0, which the tail check refuses if it drops weight that
+    counts. ValueError unless n_max is an integer >= 1.
     """
     n_max = _check_count("n_max", n_max)
     k, j, alpha = label.k, label.j, label.alpha
     x = _power(abs(alpha), 2)
     total, e_total = _series(k, j, x)
     terms: list[complex] = []
-    term: complex = 1.0 / math.sqrt(math.factorial(j))
+    seed, e = _split(math.factorial(j))  # the weights carry 2^e, the terms 2^(e/2)
+    term: complex = 1.0 / math.sqrt(seed)
     included = 0.0
-    e = 0
     lift = max(1.0, x)  # the stop leaves a defining residual of |alpha c_n|
     for m in range(j, n_max, k):
         terms.append(term)
         weight = abs(term) ** 2
         included += weight
-        den = float(math.prod(range(m + 1, m + k + 1)))
+        if m + k >= n_max:  # the last level that fits; k may have any size
+            break
+        den = math.prod(range(m + 1, m + k + 1))
+        den = float(den) if den <= _DOUBLE_MAX else math.inf
         if x < 0.5 * den and weight * lift <= _SUPPORT_TOL * included:
             break
         if included > _SCALE_LIMIT:
@@ -192,10 +223,10 @@ def build_mcs(
     coeffs = np.zeros(n_max, dtype=np.complex128)
     coeffs[j : j + k * len(terms) : k] = terms
     tail = 1.0 - math.ldexp(included / total, e - e_total)
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         raise TailTooHeavy(
             f"|alpha|={abs(alpha):.3g} needs more than n_max={n_max} levels "
-            f"for order {k} class {j}: tail fraction {tail:.3e} > {tail_tol:.1e}"
+            f"for order {k} class {j}: tail fraction {tail:.3e} > {_TAIL_TOL:.1e}"
         )
     return FockVector(coeffs / np.linalg.norm(coeffs))
 
@@ -328,8 +359,11 @@ def moments(
     series values beyond route_tol max(1, <N>); that means n_max is too
     small for this label (or a bug), and no silently wrong numbers are
     returned. The bound grows with <N> because the rounding of both routes
-    does: the second moments are sums of terms of size <N>.
+    does: the second moments are sums of terms of size <N>. ValueError for
+    a NaN route_tol, which would pass every gap.
     """
+    if math.isnan(route_tol):
+        raise ValueError("route_tol must not be NaN")
     k, j, alpha = label.k, label.j, label.alpha
     x = _power(abs(alpha), 2)
     # first, so a label too large for the series raises Overflow before a
@@ -379,15 +413,13 @@ def moments(
     return closed
 
 
-def geometric_phase(
-    label: MCSLabel, n_max: int = DEFAULT_N_MAX, route_tol: float = 1e-12
-) -> float:
+def geometric_phase(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> float:
     """Geometric phase over one revival period 2*pi/k.
 
     Route one: beta = (2*pi/k)(A - j) from the series number expectation.
     Route two: total revival phase minus the dynamical part, with the
     energy taken from truncated matrix elements. The two must agree to
-    route_tol max(1, <N>), since beta grows like 2 pi <N> / k and so does
+    1e-12 max(1, <N>), since beta grows like 2 pi <N> / k and so does
     its rounding, or RouteMismatch is raised.
     """
     k, j = label.k, label.j
@@ -397,7 +429,7 @@ def geometric_phase(
     total_phase = -(2 * j + 1) * math.pi / k
     dynamical = numeric_moments(build_mcs(label, n_max)).mean_H
     beta_alt = total_phase + tau * dynamical
-    bound = route_tol * max(1.0, a)
+    bound = _PHASE_TOL * max(1.0, a)
     if abs(beta - beta_alt) > bound:
         raise RouteMismatch(
             f"geometric phase routes disagree by {abs(beta - beta_alt):.3e} "

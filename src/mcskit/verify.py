@@ -90,7 +90,7 @@ def _commutators(s: SimpleNamespace) -> float:
 def _ladder_union(s: SimpleNamespace) -> float:
     gap = 0.0
     for k in (2, 3, 5):
-        merged = ladder_spectrum(k, levels=60).merged(60)
+        merged = np.sort(ladder_spectrum(k, levels=60), axis=None)[:60]
         gap = max(gap, float(np.max(np.abs(merged - (np.arange(60) + 0.5)))))
     return gap
 
@@ -227,14 +227,6 @@ def _order_two_phase(s: SimpleNamespace) -> float:
     return gap
 
 
-def _transform_inverse(s: SimpleNamespace) -> float:
-    gap = 0.0
-    for k in range(1, 9):
-        m, minv = dec.dft_matrix(k)
-        gap = max(gap, float(np.max(np.abs(m @ minv - np.eye(k)))))
-    return gap
-
-
 def _ring_vs_direct(s: SimpleNamespace) -> float:
     gap = 0.0
     for k in (2, 3):
@@ -251,7 +243,7 @@ def _reassembly(s: SimpleNamespace) -> float:
     for k in (2, 3, 5):
         for z in (1.5, 0.8 - 1.1j) + _RING_Z:
             back = dec.coherent_from_classes(k, z, s.n_max)
-            ref = dec.coherent_state(z, s.n_max)
+            ref = st.build_mcs(st.MCSLabel(1, 0, z), s.n_max)
             gap = max(gap, float(np.linalg.norm(back.coeffs - ref.coeffs)))
     return gap
 
@@ -267,7 +259,7 @@ def _wavefunctions(s: SimpleNamespace) -> float:
                     synth = dec.mcs_wavefunction(
                         k, j, z, x, t=t, method="fock", n_max=s.n_max
                     )
-                    gap = max(gap, float(np.max(np.abs(closed.values - synth.values))))
+                    gap = max(gap, float(np.max(np.abs(closed - synth))))
     return gap
 
 
@@ -430,8 +422,6 @@ CHECKS = (
     Check("states", "revival phase after one period", "<=", 1e-10, _revival),
     Check("states", "geometric phase routes", "<=", 1e-12, _phase_routes),
     Check("states", "order-2 closed geometric phase", "<=", 1e-10, _order_two_phase),
-    Check("states", "transform times inverse, orders 1..8", "<=", 1e-13,
-          _transform_inverse),
     Check("states", "ring decomposition matches direct build", "<=", 1e-12,
           _ring_vs_direct),
     Check("states", "coherent state reassembled from classes", "<=", 1e-12,

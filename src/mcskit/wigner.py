@@ -40,9 +40,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .decomposition import _reach, _ring_norm, fock_wavefunction
 from .errors import BoundaryMass, Overflow, WindowTooNarrow
-from .fock import FockVector, _check_class
+from .fock import _INDEX_MAX, FockVector, _check_class, _ints
 
 DEFAULT_WINDOW_HALF = 10.0
+# largest |W| marginals accepts on the grid edge
+_BOUNDARY_TOL = 1e-10
 
 # the numeric route's edge tolerance, and the tail share that counts a
 # level towards its reach p_psi (see wigner_numeric)
@@ -50,8 +52,6 @@ _EDGE_TOL = 1e-16
 _LEVEL_TOL = 1e-32
 # (-i)^n by n mod 4, exact where a complex power drifts by n eps
 _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
-# fine lattice points past which no array can index them
-_LATTICE_MAX = float(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class PhaseGrid:
             raise ValueError("grid bounds and spans must be finite")
         if not (self.q_min < self.q_max and self.p_min < self.p_max):
             raise ValueError("grid bounds must be increasing")
-        if self.n_q < 2 or self.n_p < 2:
+        if min(_ints("grid sizes n_q and n_p", self.n_q, self.n_p)) < 2:
             raise ValueError("grid needs at least 2 points per axis")
 
     @property
@@ -156,13 +156,15 @@ def wigner_numeric(
     for bit, they run on p >= 0 only, and the p < 0 columns come from the
     same two products with the sign of the odd sin part flipped.
 
-    window_half is the half-width of the y integration window. The
-    correlator envelope at the window edge must stay below 1e-16;
-    WindowTooNarrow means psi still has weight at q +- window_half and the
-    field would be visibly truncated. Its message names p_psi, a half-width
-    that always suffices. Overflow means the fine lattice would need more
-    points than an array can index (max|p| near 1e18 on a unit q step).
+    window_half, finite and > 0 (else ValueError), is the half-width of the y
+    integration window. The correlator envelope at the window edge must stay
+    below 1e-16; WindowTooNarrow means psi still has weight at q +- window_half
+    and the field would be visibly truncated. Its message names p_psi, a
+    half-width that always suffices. Overflow means the fine lattice would need
+    more points than an array can index (max|p| near 1e18 on a unit q step).
     """
+    if not 0.0 < window_half < math.inf:  # NaN fails this too
+        raise ValueError(f"window_half must be finite and > 0, got {window_half!r}")
     if grid is None:
         grid = PhaseGrid()
     p = grid.p_axis
@@ -177,7 +179,7 @@ def wigner_numeric(
     max_p = max(abs(grid.p_min), abs(grid.p_max))
     ratio = max(1.0, h_q * (reach + max_p) / math.pi)
     size = (grid.n_q - 1 + 2.0 * window_half / h_q) * ratio
-    if not size < _LATTICE_MAX:
+    if not size < _INDEX_MAX:
         raise Overflow(
             f"the y lattice needs {size:.3g} points for max|p| = {max_p:.3g}, "
             f"more than an array can index; narrow the p axis or widen the q step"
@@ -291,11 +293,7 @@ class Marginals:
     p_density: np.ndarray | None = None
 
 
-def marginals(
-    field: WignerField,
-    state: FockVector | None = None,
-    boundary_tol: float = 1e-10,
-) -> Marginals:
+def marginals(field: WignerField, state: FockVector | None = None) -> Marginals:
     """Integrate out each axis; optionally synthesize reference densities.
 
     The position reference is |psi(q)|^2 from the coefficients; the
@@ -303,7 +301,7 @@ def marginals(
     which the same synthesis yields |phi(p)|^2. Both are independent of the
     transform route.
 
-    A field whose edges still carry more than boundary_tol cannot produce
+    A field whose edges still carry more than 1e-10 cannot produce
     trustworthy marginals on this grid, hence BoundaryMass.
     """
     w = field.values
@@ -313,10 +311,10 @@ def marginals(
         float(np.max(np.abs(w[:, 0]))),
         float(np.max(np.abs(w[:, -1]))),
     )
-    if edge > boundary_tol:
+    if edge > _BOUNDARY_TOL:
         raise BoundaryMass(
             f"field magnitude {edge:.3e} on the grid edge exceeds "
-            f"{boundary_tol:.1e}; enlarge the grid"
+            f"{_BOUNDARY_TOL:.1e}; enlarge the grid"
         )
     q = field.grid.q_axis
     p = field.grid.p_axis

@@ -275,6 +275,18 @@ def test_argument_errors_exit_two(capsys):
         assert "error: " in err and "Traceback" not in err, args
 
 
+@pytest.mark.parametrize("args", [
+    # finite t whose Fock phase (n_max - 1/2) t leaves double range
+    "evolve --k 2 --z 1 --tmax 1e307 --nt 2 --grid -1,1,3 --method fock",
+    "spectrum --k 1" + "0" * 330 + " --levels 1",
+], ids=["fock-time", "spectrum-order"])
+def test_domain_errors_exit_one(capsys, args):
+    code, out, err = run_cli(capsys, *args.split())
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Overflow: ") and "Traceback" not in err
+
+
 def test_evolve_default_period_header(capsys):
     code, out, _ = run_cli(
         capsys, "evolve", "--k", "3", "--z", "1", "--grid", "-6,6,61", "--nt", "3"

@@ -6,14 +6,19 @@ import pytest
 from mcskit import (
     MCSLabel,
     MeasureCandidate,
+    PhaseGrid,
     QuadratureFailure,
+    apply_k_ladder,
+    basis_state,
     build_mcs,
     coherent_from_classes,
     identity_block,
     identity_resolution_numeric,
     mcs_as_scs,
     moment_check,
+    moments,
     root_exponential_density,
+    wigner_numeric,
 )
 
 
@@ -23,7 +28,7 @@ def test_family_moments_across_orders():
         report = moment_check(root_exponential_density(k, j), n_top=12)
         assert report.passed, report
         assert report.worst_error() < 1e-8
-        assert report.first_failure() is None
+        assert np.all(report.rel_errors <= report.tol)
 
 
 def test_order_one_density_value():
@@ -33,10 +38,11 @@ def test_order_one_density_value():
 
 
 def test_plain_exponential_fails_at_second_moment():
-    bad = MeasureCandidate(k=1, j=0, density=lambda x: math.exp(-x), support_hint=60.0)
+    bad = MeasureCandidate(k=1, j=0, density=lambda x: np.exp(-x), support_hint=60.0)
     report = moment_check(bad, n_top=4)
     assert not report.passed
-    assert report.first_failure() == 2
+    # the first moment passes and the second is the first to fail
+    assert report.rel_errors[0] <= report.tol < report.rel_errors[1]
     # moments of e^{-x} are (n-1)! against a target of n!, so the relative
     # error at order n is exactly 1 - 1/n
     assert report.rel_errors[1] == pytest.approx(0.5, abs=1e-9)
@@ -46,7 +52,7 @@ def test_plain_exponential_fails_at_second_moment():
 def test_negative_density_is_flagged_not_fatal():
     wobble = MeasureCandidate(
         k=1, j=0,
-        density=lambda x: x * math.exp(-x) * math.cos(3.0 * x),
+        density=lambda x: x * np.exp(-x) * np.cos(3.0 * x),
         support_hint=60.0,
     )
     report = moment_check(wobble, n_top=3)
@@ -98,8 +104,23 @@ def test_truncated_moment_raises_instead_of_scoring():
     lambda: build_mcs(MCSLabel(2, 0, 1.0), n_max=2.5),
     lambda: coherent_from_classes(2, 1.0, n_max=0),
     lambda: mcs_as_scs(2, 0, 1.0).fock_vector(n_max=2.5),
+    lambda: PhaseGrid(n_q=2.5),
 ], ids=["block-dim-0", "block-dim-2.5", "gap-dim-0", "gap-dim-2.5", "n_top-0",
-        "n_top-3.0", "build-n_max-2.5", "classes-n_max-0", "scs-n_max-2.5"])
+        "n_top-3.0", "build-n_max-2.5", "classes-n_max-0", "scs-n_max-2.5",
+        "grid-n_q-2.5"])
 def test_counts_must_be_positive_integers(call):
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: moments(MCSLabel(2, 0, 1.0), route_tol=math.nan), "route_tol"),
+    (lambda: apply_k_ladder(basis_state(7, 8), 1, +1, leak_tol=math.nan), "leak_tol"),
+    (lambda: wigner_numeric(basis_state(0, 8), window_half=-1.0), "window_half"),
+    (lambda: wigner_numeric(basis_state(0, 8), window_half=math.nan), "window_half"),
+], ids=["route_tol-nan", "leak_tol-nan", "window_half-negative", "window_half-nan"])
+def test_arguments_that_would_switch_a_check_off_raise(call, name):
+    # NaN compares false, so each of these returned with its check disabled
+    # or failed later inside numpy
+    with pytest.raises(ValueError, match=name):
         call()

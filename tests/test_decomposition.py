@@ -13,24 +13,15 @@ from mcskit import (
     basis_state,
     build_mcs,
     coherent_from_classes,
-    coherent_state,
     component_norm,
-    default_x_grid,
     density_movie,
-    dft_matrix,
     fock_wavefunction,
     mcs_as_scs,
     mcs_wavefunction,
 )
 
 COSH_1 = 1.5430806348152437
-
-
-def test_dft_roundtrip():
-    for k in range(1, 9):
-        m, minv = dft_matrix(k)
-        assert np.max(np.abs(m @ minv - np.eye(k))) < 1e-13
-        assert np.allclose(np.abs(m), 1.0)
+X = np.linspace(-12.0, 12.0, 2048)
 
 
 @settings(max_examples=20, deadline=None)
@@ -56,8 +47,9 @@ def test_decomposition_reproduces_class_state():
 
 def test_even_cat_weights_are_uniform():
     # k=2, j=0: both branches enter with the same weight 1/(2 sqrt(cosh|z|^2))
+    # on unnormalized coherent vectors sum_n z^n/sqrt(n!) |n>
     sup = mcs_as_scs(2, 0, 1.0)
-    raw = sup.raw_weights()
+    raw = sup.weights * math.exp(-0.5 * abs(sup.z) ** 2)
     assert raw[0] == pytest.approx(raw[1], abs=1e-15)
     assert abs(raw[0]) == pytest.approx(0.5 / math.sqrt(COSH_1), rel=1e-13)
 
@@ -66,18 +58,18 @@ def test_degenerate_class_guard():
     with pytest.raises(DegenerateNorm):
         mcs_as_scs(3, 1, 0.0)
     with pytest.raises(DegenerateNorm):
-        mcs_wavefunction(3, 1, 0.0)
+        mcs_wavefunction(3, 1, 0.0, X)
 
 
 def test_bad_label_raises_value_error():
     with pytest.raises(ValueError):
-        mcs_wavefunction(0, 0, 1.0)
+        mcs_wavefunction(0, 0, 1.0, X)
     with pytest.raises(ValueError):
-        density_movie(0, 0, 1.0)  # before the default t_grid divides by k
+        density_movie(0, 0, 1.0, X)  # before the default t_grid divides by k
     with pytest.raises(ValueError):
-        density_movie(2, 2, 1.0)
+        density_movie(2, 2, 1.0, X)
     with pytest.raises(ValueError):
-        density_movie(2, 0, 1.0, method="series")
+        density_movie(2, 0, 1.0, X, method="series")
 
 
 @pytest.mark.parametrize("k, j, z", [(2, 1, 1e-200), (5, 4, 1e-3), (3, 2, 1e-5)])
@@ -117,8 +109,8 @@ def test_non_finite_grid_raises_value_error(method, bad):
 def test_closed_route_far_out_is_zero(far):
     # a RuntimeWarning fails tier-1, so this also shows no square overflows
     x = np.array([0.0, far])
-    near = mcs_wavefunction(2, 0, 1.0, x[:1]).values
-    psi = mcs_wavefunction(2, 0, 1.0, x).values
+    near = mcs_wavefunction(2, 0, 1.0, x[:1])
+    psi = mcs_wavefunction(2, 0, 1.0, x)
     assert psi[1] == 0.0 and psi[0] == near[0]
     movie = density_movie(2, 0, 2.0 + 2.0j, x)
     assert np.all(movie[:, 1] == 0.0) and np.all(movie[:, 0] > 0.0)
@@ -128,16 +120,14 @@ def test_closed_route_far_out_is_zero(far):
     "call",
     [
         lambda: mcs_as_scs(2.5, 0, 1.0),
-        lambda: mcs_wavefunction(2, 1.0, 1.0),
-        lambda: density_movie(2.0, 0, 1.0),
+        lambda: mcs_wavefunction(2, 1.0, 1.0, X),
+        lambda: density_movie(2.0, 0, 1.0, X),
         lambda: coherent_from_classes(1.5, 1.0),
-        lambda: dft_matrix(2.5),
     ],
-    ids=["mcs_as_scs", "mcs_wavefunction", "density_movie", "coherent_from_classes",
-         "dft_matrix"],
+    ids=["mcs_as_scs", "mcs_wavefunction", "density_movie", "coherent_from_classes"],
 )
 def test_non_integer_order_or_class_raises_value_error(call):
-    # the ring routes and the transform run the check MCSLabel runs
+    # the ring routes run the check MCSLabel runs
     with pytest.raises(ValueError, match="must be integers"):
         call()
 
@@ -151,7 +141,7 @@ def test_nan_ring_label_raises_before_the_series(monkeypatch):
     for call in (
         lambda: component_norm(2, 0, nan),
         lambda: mcs_as_scs(2, 0, nan),
-        lambda: mcs_wavefunction(3, 1, nan),
+        lambda: mcs_wavefunction(3, 1, nan, X),
         lambda: coherent_from_classes(2, nan),
     ):
         with pytest.raises(ValueError):
@@ -162,11 +152,14 @@ def test_nan_ring_label_raises_before_the_series(monkeypatch):
     "call",
     [
         lambda: mcs_as_scs(8, 0, 1e20),  # |z|^16
-        lambda: mcs_wavefunction(4, 1, 1e80),  # |z|^8
+        lambda: mcs_wavefunction(4, 1, 1e80, X),  # |z|^8
         lambda: coherent_from_classes(3, 1e120),  # |z|^6
-        lambda: density_movie(2, 0, 1e200, method="fock"),  # z^2
+        lambda: density_movie(2, 0, 1e200, X, method="fock"),  # z^2
+        # (n_max - 1/2) t leaves double range; the closed route keeps t
+        lambda: density_movie(2, 0, 1.0, X[:3], [0.0, 1e307], method="fock"),
     ],
-    ids=["mcs_as_scs", "mcs_wavefunction", "coherent_from_classes", "fock_movie"],
+    ids=["mcs_as_scs", "mcs_wavefunction", "coherent_from_classes", "fock_movie",
+         "fock_movie_time"],
 )
 def test_label_past_double_range_raises_overflow(call):
     with pytest.raises(Overflow):
@@ -178,7 +171,7 @@ def test_ring_routes_past_the_norm_overflow():
     # label; the ring weight e^{|z|^2/2} / component_norm is one scaled ratio
     x = np.linspace(30.0, 55.0, 501)
     gauss = math.pi**-0.25 * np.exp(-0.5 * (x - 30.0 * math.sqrt(2.0)) ** 2)
-    assert np.max(np.abs(mcs_wavefunction(1, 0, 30.0, x).values - gauss)) < 1e-12
+    assert np.max(np.abs(mcs_wavefunction(1, 0, 30.0, x) - gauss)) < 1e-12
     ref = build_mcs(MCSLabel(1, 0, 30.0), n_max=2048)
     back = coherent_from_classes(2, 30.0, n_max=2048)
     assert np.linalg.norm(back.coeffs - ref.coeffs) < 1e-12
@@ -206,51 +199,49 @@ def test_coherent_reassembly():
     for k in (2, 3, 5):
         for z in (1.5, 0.8 - 1.1j):
             back = coherent_from_classes(k, z)
-            ref = coherent_state(z)
+            ref = build_mcs(MCSLabel(1, 0, z))
             assert np.linalg.norm(back.coeffs - ref.coeffs) < 1e-12
 
 
 def test_scs_wavefunction_is_moving_gaussian():
     z = 1.0 + 0.5j
     for t in (0.0, 0.9):
-        sample = mcs_wavefunction(1, 0, z, t=t)
+        density = np.abs(mcs_wavefunction(1, 0, z, X, t=t)) ** 2
         zt = z * np.exp(-1j * t)
-        peak = sample.x_grid[np.argmax(sample.density())]
+        peak = X[np.argmax(density)]
         assert peak == pytest.approx(math.sqrt(2.0) * zt.real, abs=0.02)
-        assert sample.total_mass() == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(density, X) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_closed_wavefunction_matches_fock_synthesis():
-    x = default_x_grid()
     for k, j, z, t in ((2, 0, 1.0, 0.0), (2, 1, 2.0, 0.7), (3, 2, 1.0 + 1.0j, 0.3)):
-        closed = mcs_wavefunction(k, j, z, x, t=t)
-        synth = mcs_wavefunction(k, j, z, x, t=t, method="fock")
-        assert np.max(np.abs(closed.values - synth.values)) < 1e-8
+        closed = mcs_wavefunction(k, j, z, X, t=t)
+        synth = mcs_wavefunction(k, j, z, X, t=t, method="fock")
+        assert np.max(np.abs(closed - synth)) < 1e-8
 
 
 def test_wavefunction_parity():
     x = np.linspace(-12.0, 12.0, 2049)  # odd count puts x=0 on the grid
-    even = mcs_wavefunction(2, 0, 1.3, x).values
-    odd = mcs_wavefunction(2, 1, 1.3, x).values
+    even = mcs_wavefunction(2, 0, 1.3, x)
+    odd = mcs_wavefunction(2, 1, 1.3, x)
     assert np.max(np.abs(even - even[::-1])) < 1e-12
     assert np.max(np.abs(odd + odd[::-1])) < 1e-12
     assert abs(odd[x.size // 2]) < 1e-12  # node at the origin
 
 
 def test_wavefunction_mass_and_overlap():
-    x = default_x_grid()
-    sample = mcs_wavefunction(3, 1, 1.5, x)
-    assert sample.total_mass() == pytest.approx(1.0, abs=1e-6)
+    psi = mcs_wavefunction(3, 1, 1.5, X)
+    assert np.trapezoid(np.abs(psi) ** 2, X) == pytest.approx(1.0, abs=1e-6)
     state = build_mcs(MCSLabel(3, 1, 1.5**3))
-    synth = fock_wavefunction(state, x)
-    overlap = np.trapezoid(np.conj(sample.values) * synth, x)
+    synth = fock_wavefunction(state, X)
+    overlap = np.trapezoid(np.conj(psi) * synth, X)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_density_period_order_three():
     x = np.linspace(-8.0, 8.0, 801)
-    base = mcs_wavefunction(3, 1, 1.2, x, t=0.4).density()
-    shifted = mcs_wavefunction(3, 1, 1.2, x, t=0.4 + 2.0 * math.pi / 3.0).density()
+    base = np.abs(mcs_wavefunction(3, 1, 1.2, x, t=0.4)) ** 2
+    shifted = np.abs(mcs_wavefunction(3, 1, 1.2, x, t=0.4 + 2.0 * math.pi / 3.0)) ** 2
     assert np.max(np.abs(base - shifted)) < 1e-10
 
 
@@ -267,8 +258,10 @@ def test_density_movie_rows():
 
 
 def test_density_movie_default_grids():
-    movie = density_movie(2, 0, 1.0, t_grid=np.array([0.0, 0.1]))
-    assert movie.shape == (2, default_x_grid().size)
+    # one revival period pi at 65 frames; its last row returns to the first
+    movie = density_movie(2, 0, 1.0, X)
+    assert movie.shape == (65, X.size)
+    assert np.max(np.abs(movie[-1] - movie[0])) < 1e-10
 
 
 def test_movie_methods_agree():
@@ -278,8 +271,8 @@ def test_movie_methods_agree():
     fock = density_movie(2, 0, 1.2, x, t_grid, method="fock")
     assert np.max(np.abs(closed - fock)) < 1e-10
     for i, t in enumerate(t_grid):
-        assert np.array_equal(closed[i], mcs_wavefunction(2, 0, 1.2, x, t=t).density())
+        assert np.array_equal(closed[i], np.abs(mcs_wavefunction(2, 0, 1.2, x, t=t)) ** 2)
         # one row is a matrix-vector product, the movie a matrix-matrix one,
         # and BLAS rounds their sums differently
-        row = mcs_wavefunction(2, 0, 1.2, x, t=t, method="fock").density()
+        row = np.abs(mcs_wavefunction(2, 0, 1.2, x, t=t, method="fock")) ** 2
         assert np.max(np.abs(fock[i] - row)) <= 1e-14 * np.max(row)

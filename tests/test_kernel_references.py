@@ -286,8 +286,8 @@ def test_closed_kernel_on_small_and_descending_grids(x):
             assert movie.shape == ref.shape
             assert relative_gap(movie, ref) <= REL_TOL
             wave = mcs_wavefunction(k, j, z, x, t=MOVIE_T[2])
-            assert wave.values.shape == x.shape
-            assert np.array_equal(wave.density().ravel(), movie[2])
+            assert wave.shape == x.shape
+            assert np.array_equal(np.abs(wave.ravel()) ** 2, movie[2])
 
 
 @pytest.mark.parametrize("k", (2, 5, 8))
@@ -313,7 +313,7 @@ def test_closed_movie_rows_are_single_instants(k):
     for j in range(k):
         movie = density_movie(k, j, 1.2, x, MOVIE_T)
         for row, t in zip(movie, MOVIE_T):
-            assert np.array_equal(row, mcs_wavefunction(k, j, 1.2, x, t=t).density())
+            assert np.array_equal(row, np.abs(mcs_wavefunction(k, j, 1.2, x, t=t)) ** 2)
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -11,6 +11,7 @@ from mcskit import (
     McskitError,
     MomentSet,
     Overflow,
+    PhaseGrid,
     RouteMismatch,
     TailTooHeavy,
     UnsupportedOrder,
@@ -21,11 +22,13 @@ from mcskit import (
     eigenvalue_residual,
     geometric_phase,
     inner,
+    ladder_spectrum,
     moments,
     norm_sum,
     numeric_moments,
     revival_phase,
     time_evolve,
+    wigner_closed,
 )
 
 # frozen reference values, computed once from the defining series by hand
@@ -128,6 +131,41 @@ def test_build_past_the_norm_overflow():
         state = build_mcs(label, 4096)
         assert numeric_moments(state).a_norm_sq == pytest.approx(closed, rel=1e-8)
         assert moments(label, 4096).a_norm_sq == pytest.approx(closed, rel=1e-8)
+
+
+@pytest.mark.parametrize("k", [124, 135, 171])
+def test_orders_whose_products_leave_double_range(k):
+    # the k-term products (n+1)...(n+k) of the series pass double range from
+    # k = 135 at class 0 and from k = 124 at class k - 1; at |alpha| = 1
+    # every class state is |j> to double precision
+    grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 33, 33)
+    vacuum = np.exp(-grid.q_axis[:, None] ** 2 - grid.p_axis**2) / math.pi
+    for j in (0, k - 1):
+        label = MCSLabel(k, j, 1.0)
+        state = build_mcs(label)
+        assert state.norm() == pytest.approx(1.0, abs=1e-15)
+        assert abs(inner(state, basis_state(j))) == pytest.approx(1.0, abs=1e-15)
+        assert norm_sum(k, j, 1.0) == pytest.approx(1.0 / math.factorial(j), rel=1e-14)
+        assert moments(label).a_norm_sq == pytest.approx(j, abs=1e-12)
+        try:
+            field = wigner_closed(k, j, 1.0, grid)
+        except McskitError:  # the ring of class k - 1 cancels
+            continue
+        assert np.max(np.abs(field.values - vacuum)) < 1e-12
+    assert ladder_spectrum(k, 2)[-1, -1] == 2 * k - 0.5
+
+
+def test_order_past_float_range_returns_at_once():
+    # the series stops forming a product once its ratio is sure to be 0;
+    # before, the first k-term product never finished
+    k = 10**330
+    state = build_mcs(MCSLabel(k, 0, 1.0))
+    assert np.array_equal(state.coeffs, basis_state(0).coeffs)
+    assert norm_sum(k, 0, 2.0) == 1.0
+    with pytest.raises(Overflow):
+        ladder_spectrum(k, 1)
+    with pytest.raises(McskitError):
+        moments(MCSLabel(k, 0, 1.0))
 
 
 def test_effective_support():
@@ -282,12 +320,13 @@ def test_undersized_truncation_refuses():
     (MCSLabel(1, 0, 24.0), 1024),  # gap 8.2e-12, <N> = 576
     (MCSLabel(1, 0, 23.57 + 7.79j), 1024),  # gap 5.0e-12
 ])
-def test_phase_routes_agree_relative_to_mean_number(label, n_max):
+def test_phase_routes_agree_relative_to_mean_number(label, n_max, monkeypatch):
     # beta ~ 2 pi <N> rounds like <N>; an absolute 1e-12 refused these
     a = abs(label.alpha) ** 2
     assert geometric_phase(label, n_max=n_max) == pytest.approx(2 * math.pi * a, rel=1e-14)
+    monkeypatch.setattr(states, "_PHASE_TOL", 1e-16)
     with pytest.raises(RouteMismatch):
-        geometric_phase(label, n_max=n_max, route_tol=1e-16)
+        geometric_phase(label, n_max=n_max)
 
 
 def test_moment_routes_agree_relative_to_mean_number():
