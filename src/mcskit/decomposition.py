@@ -18,7 +18,9 @@ The closed wavefunction and density movie share one kernel, `_amplitudes`.
 It cuts a uniform x grid into about sqrt(n) blocks of about sqrt(n) points
 and writes each Gaussian branch as the outer product of a factor on the
 block starts and a factor on the offsets within a block, so a frame costs
-about 6 sqrt(n) exp/cos/sin calls per branch instead of 3 per point.
+about 6 sqrt(n) exp/cos/sin calls per branch instead of 3 per point, and
+the sum over the k branches is one (blocks x k) @ (k x offsets) matrix
+product per frame. The Fock route phases only the occupied levels.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from .states import MCSLabel, _check_series, _power, _series, build_mcs
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 _LN2 = math.log(2.0)
+# largest argument whose exp is a double, and the room _ring_norm leaves below it
+_LOG_MAX = math.log(np.finfo(np.float64).max)
+_LOG_MARGIN = 8.0
 
 # e^{-u^2/2} < 1e-17 past u = _GAUSS_MARGIN (see _reach)
 _GAUSS_MARGIN = 9.0
@@ -143,8 +148,21 @@ def _ring_norm(
     num / (k den), which cancels down to the class amplitude; the k^2 ring
     pairs of a Wigner field take num / (k den)^2 / pi. DegenerateNorm,
     naming the fallback route, once that leaves worse than _RING_ACCURACY
-    absolute accuracy."""
+    absolute accuracy.
+
+    Where j! leaves double range by far (h << 0), num would too: its log
+    is checked first, and the excess moves onto den as a further power of
+    two. The bound compares num with den (den^2 with pairs=True), so it
+    decides as it would in exact arithmetic, and a class that cancelled
+    that far raises DegenerateNorm like any other; where num fits, nothing
+    moves."""
     den, h = _class_norm(k, j, z)
+    power = 2 if pairs else 1
+    excess = power * (0.5 * abs(z) ** 2 - h * _LN2) - _LOG_MAX
+    if excess > 0.0:
+        shift = math.ceil((excess + _LOG_MARGIN) / (power * _LN2))
+        h += shift
+        den = math.ldexp(den, -shift)
     eps = np.finfo(np.float64).eps
     if pairs:
         num = math.exp(abs(z) ** 2 - 2 * h * _LN2)
@@ -259,10 +277,11 @@ def density_movie(
     `abs(mcs_wavefunction(k, j, z, x_grid, t=t_grid[i], method=method))**2`
     bit for bit, from the same kernel evaluated on the whole grid at once:
     on the closed route each frame is a rank-k sum of outer products of
-    small per-branch factors over blocks of x (see `_amplitudes`), on the
-    Fock route one synthesis for all frames.
+    small per-branch factors over blocks of x, one matrix product per frame
+    (see `_amplitudes`), on the Fock route one synthesis for all frames.
     """
-    return np.abs(_amplitudes(k, j, z, x_grid, t_grid, method, n_max)) ** 2
+    density = np.abs(_amplitudes(k, j, z, x_grid, t_grid, method, n_max))
+    return np.square(density, out=density)
 
 
 def _amplitudes(
@@ -272,8 +291,9 @@ def _amplitudes(
     period 2*pi/k at 65 instants. ValueError for a non-finite x or t.
 
     fock: the eigenfunctions do not depend on time, so every row comes from
-    one synthesis C @ Psi with C[t, n] = c_n e^{-i(n+1/2)t}. Overflow when
-    the largest phase (n_max - 1/2) max|t| leaves double range.
+    one synthesis C @ Psi with C[t, n] = c_n e^{-i(n+1/2)t}, formed on the
+    occupied levels only (0 elsewhere, as c_n is). Overflow when the
+    largest phase (n_max - 1/2) max|t| leaves double range.
 
     closed: branch l of the ring is w_l e^{-(x-X_l)^2/2 + i P_l x}, with
     u_l = X_l + i P_l = sqrt2 z mu^l e^{-it} and row weight
@@ -284,17 +304,22 @@ def _amplitudes(
         q = e^{-x_b e - e^2/2},  e = x - x_b,
 
     so each frame is q (S + delta S'), S = sum_l head_l (x) tail_l and
-    S' = sum_l u_l head_l (x) tail_l: outer products of a (len(t), nb) head
-    and a (len(t), a) tail per branch, summed elementwise, with
-    e^{delta u} = 1 + delta u to first order (S' is skipped when delta is 0,
-    as on a linspace grid with a binary step). Head and tail each take one
-    real exp and a cos/sin pair per entry, so a frame and branch costs
-    3(nb + a), about 6 sqrt(n), of those calls instead of 3 per point. q
-    depends on neither t nor l, so it is applied once, after the branches
-    have cancelled. One-point blocks (a = 1) give back the per-point sum
-    of k Gaussians. Every operation acts on one frame at a time and no
-    product goes through BLAS, so a movie row is bit for bit the
-    single-instant wavefunction.
+    S' = sum_l u_l head_l (x) tail_l, with e^{delta u} = 1 + delta u to
+    first order (S' is skipped when delta is 0, as on a linspace grid with
+    a binary step). Stacking the branches, S is the product of the frame's
+    (nb, k) heads and (k, a) tails, one batched matmul
+    (len(t), nb, k) @ (len(t), k, a) for all frames, and S' likewise with
+    the heads times u. Head and tail each take one real exp and a cos/sin
+    pair per entry, so a frame and branch costs 3(nb + a), about
+    6 sqrt(n), of those calls instead of 3 per point. q depends on neither
+    t nor l, so it is applied once, after the branches have cancelled.
+    One-point blocks (a = 1) give back the per-point sum of k Gaussians.
+
+    A movie row is bit for bit the single-instant wavefunction: every
+    elementwise operation sees the same operands for that instant, and
+    matmul runs the batch as one product per frame, each on C-contiguous
+    heads and tails of the same shape, whether the batch holds one frame
+    or many.
     """
     k, j = _check_class(k, j)
     if method not in ("closed", "fock"):
@@ -310,40 +335,47 @@ def _amplitudes(
     if method == "fock":
         c = build_mcs(MCSLabel(k, j, _power(z, k)), n_max).coeffs
         _check_phase(c.size, t)
-        n = np.arange(c.size)
-        return _synthesize(np.exp(-1j * np.outer(t, n + 0.5)) * c, x)
+        # levels past the support hold 0, and 0 times any phase stays 0
+        occupied = np.flatnonzero(c)
+        rows = np.zeros((t.size, c.size), dtype=np.complex128)
+        rows[:, occupied] = np.exp(-1j * np.outer(t, occupied + 0.5)) * c[occupied]
+        return _synthesize(rows, x)
 
     num, den = _ring_norm(k, j, z, "method='fock'")
     seed = np.exp(-1j * j * np.angle(z)) * _QUARTIC_ROOT_PI * num / (k * den)
     xb, d, e, delta = _blocks(x, math.sqrt(2.0) * abs(z))
-    t = t[:, None]
-    branch = np.arange(k)[:, None, None]
+    t = t[:, None, None]
+    branch = np.arange(k)
     mu = np.exp(2j * np.pi / k)
-    u = math.sqrt(2.0) * (mu**branch * z * np.exp(-1j * t))  # (k, len(t), 1)
+    u = math.sqrt(2.0) * (mu**branch * z * np.exp(-1j * t))  # (len(t), 1, k)
     mean_x, mean_p = u.real, u.imag
     w = seed * mu ** (-j * branch) * np.exp(-0.5j * (mean_x * mean_p + t))
-    psi = np.zeros((t.size, *e.shape), dtype=np.complex128)
-    slope = np.zeros_like(psi) if delta.any() else None
-    prod = np.empty_like(psi)
     # every head is exactly 0 past |x| = 1e150; the clamp keeps (x - X)^2 and
     # P x from overflowing there and leaves every other block start alone
-    x_head = xb.clip(-1e150, 1e150)
+    x_head = xb.clip(-1e150, 1e150)[:, None]
+    uneven = bool(delta.any())
+    psi = slope = None
     # the heads of up to a branches at a time take no more room than psi
     group = min(k, e.shape[1])
     for lo in range(0, k, group):
-        part = slice(lo, lo + group)
+        part = (..., slice(lo, lo + group))
         heads = _cis(np.abs(w[part]) * np.exp(-0.5 * (x_head - mean_x[part]) ** 2),
-                     mean_p[part] * x_head + np.angle(w[part]))
-        tails = _cis(np.exp(mean_x[part] * d), mean_p[part] * d)
-        for head, tail, ul in zip(heads, tails, u[part]):
-            psi += np.multiply(head[:, :, None], tail[:, None, :], out=prod)
-            if slope is not None:
-                slope += np.multiply((ul * head)[:, :, None], tail[:, None, :], out=prod)
-    if slope is not None:
+                     mean_p[part] * x_head + np.angle(w[part]))  # (len(t), nb, group)
+        ux, up = mean_x[part].transpose(0, 2, 1), mean_p[part].transpose(0, 2, 1)
+        tails = _cis(np.exp(ux * d), up * d)  # (len(t), group, a)
+        psi = _accumulate(psi, heads @ tails)
+        if uneven:
+            slope = _accumulate(slope, (u[part] * heads) @ tails)
+    if uneven:
         slope *= delta
         psi += slope
     psi *= np.exp(-xb[:, None] * e - 0.5 * e * e)
     return psi.reshape(t.size, -1)[:, : x.size]
+
+
+def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """total + part in place, or part itself as the first term."""
+    return part if total is None else np.add(total, part, out=total)
 
 
 def _cis(modulus: np.ndarray, phase: np.ndarray) -> np.ndarray:

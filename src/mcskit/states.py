@@ -106,6 +106,13 @@ def _ratio(x: float, p: int) -> float:
     return math.ldexp(x / s, e)
 
 
+def _seed(seed: int) -> tuple[float, int]:
+    """seed! split as in _split; Overflow past _SERIES_MAX_TERMS!."""
+    if seed > _SERIES_MAX_TERMS:
+        raise Overflow(f"norm series seed past {_SERIES_MAX_TERMS}!; the order is too large")
+    return _split(math.factorial(seed))
+
+
 def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
     """sum_m x^(m+d) / (km+seed)!  as (s, e) with the sum equal to s 2^e.
 
@@ -119,9 +126,7 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
     or its seed, needs more than _SERIES_MAX_TERMS terms (x^(1/k) beyond
     about k 10^5).
     """
-    if seed > _SERIES_MAX_TERMS:
-        raise Overflow(f"norm series seed past {_SERIES_MAX_TERMS}!; the order is too large")
-    s, e = _split(math.factorial(seed))
+    s, e = _seed(seed)
     term = x**d / s
     if k >= _SEED_ONLY_K:  # no product of k factors is ever formed
         return term, e
@@ -174,11 +179,6 @@ def norm_sum(k: int, j: int, x: float) -> float:
 def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     """Truncated coefficient vector for |alpha; k, j>, exactly renormalized.
 
-    The analytic norm says how much weight the truncation dropped; if that
-    tail fraction exceeds 1e-12 the state is not representable at this
-    n_max and TailTooHeavy is raised instead of returning a quietly wrong
-    vector.
-
     The vector carries only the levels that matter: the coefficients stop
     at the first level n = km+j whose next ratio r = |alpha|^2 /
     ((n+1)...(n+k)) is below 1/2 and whose weight |c_n|^2 max(1, |alpha|^2)
@@ -188,31 +188,48 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     defining residual |alpha c_n| stays below 1e-17 of the norm.
     `top_occupied()` is that last level; `n_max` is unchanged.
 
+    Where that rule does not end the loop (n_max comes first, or a level
+    was zeroed, see below), the analytic norm says how much weight the
+    truncation dropped; if that tail fraction exceeds 1e-12 the state is
+    not representable at this n_max and TailTooHeavy is raised instead of
+    returning a quietly wrong vector.
+
     Weights and coefficients are scaled by exact powers of two as they grow
     (as in `norm_sum`), as is j! (see _split), so states whose norm series
     leaves double range, such as |alpha|^2 = 900 at order 1, build as long
     as n_max holds them. A level past a product (n+1)...(n+k) beyond double
     range gets 0, which the tail check refuses if it drops weight that
-    counts. ValueError unless n_max is an integer >= 1.
+    counts. Overflow when a level's weight leaves double range even so, as
+    the norm series does past |alpha|^2 ~ 2^511. ValueError unless n_max is
+    an integer >= 1.
     """
     n_max = _check_count("n_max", n_max)
     k, j, alpha = label.k, label.j, label.alpha
     x = _power(abs(alpha), 2)
-    total, e_total = _series(k, j, x)
     terms: list[complex] = []
-    seed, e = _split(math.factorial(j))  # the weights carry 2^e, the terms 2^(e/2)
+    seed, e = _seed(j)  # the weights carry 2^e, the terms 2^(e/2)
     term: complex = 1.0 / math.sqrt(seed)
     included = 0.0
     lift = max(1.0, x)  # the stop leaves a defining residual of |alpha c_n|
+    proved = False  # whether the support rule bounds the tail
     for m in range(j, n_max, k):
         terms.append(term)
-        weight = abs(term) ** 2
+        try:
+            weight = abs(term) ** 2
+        except OverflowError:
+            raise Overflow(
+                f"level weights overflow double precision at |alpha|={abs(alpha):.3g} "
+                f"(order {k}); the label is too large"
+            ) from None
         included += weight
         if m + k >= n_max:  # the last level that fits; k may have any size
             break
         den = math.prod(range(m + 1, m + k + 1))
         den = float(den) if den <= _DOUBLE_MAX else math.inf
         if x < 0.5 * den and weight * lift <= _SUPPORT_TOL * included:
+            # a zero level here was cut by a product past double range,
+            # so its weight is unknown
+            proved = term != 0.0
             break
         if included > _SCALE_LIMIT:
             included *= _SCALE
@@ -220,14 +237,16 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
             terms = [t * _ROOT_SCALE for t in terms]
             e += _SCALE_BITS
         term *= alpha / math.sqrt(den)
+    if not proved:
+        total, e_total = _series(k, j, x)
+        tail = 1.0 - math.ldexp(included / total, e - e_total)
+        if tail > _TAIL_TOL:
+            raise TailTooHeavy(
+                f"|alpha|={abs(alpha):.3g} needs more than n_max={n_max} levels "
+                f"for order {k} class {j}: tail fraction {tail:.3e} > {_TAIL_TOL:.1e}"
+            )
     coeffs = np.zeros(n_max, dtype=np.complex128)
     coeffs[j : j + k * len(terms) : k] = terms
-    tail = 1.0 - math.ldexp(included / total, e - e_total)
-    if tail > _TAIL_TOL:
-        raise TailTooHeavy(
-            f"|alpha|={abs(alpha):.3g} needs more than n_max={n_max} levels "
-            f"for order {k} class {j}: tail fraction {tail:.3e} > {_TAIL_TOL:.1e}"
-        )
     return FockVector(coeffs / np.linalg.norm(coeffs))
 
 

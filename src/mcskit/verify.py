@@ -458,7 +458,7 @@ SUITE_NAMES = tuple(dict.fromkeys(row.suite for row in CHECKS))
 
 def run_suite(name: str, n_max: int = 256) -> list[CheckResult]:
     if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES} or 'all'")
+        raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
     if name == "algebra":
         n_max = min(n_max, 128)
     shared = _INPUTS[name](n_max)

@@ -7,10 +7,13 @@ Kernel convention:
 so that integral(W dq dp) = 1, marginals are |psi(q)|^2 and |phi(p)|^2, and
 2*pi*integral(W^2) = 1 for a pure state.
 
-Both routes are dense linear algebra. The closed field sums k^2 ring
-pairs, each rank-1 in (q, p), so the whole field is one complex
-(n_q x k^2) @ (k^2 x n_p) product; every factor is peeled to modulus <= 1,
-so no intermediate overflows where the field itself is finite.
+Both routes are dense linear algebra, real by construction, and hold no
+full-grid array besides the field they return. The closed field sums k^2
+ring pairs, each rank-1 in (q, p); pair (b, a) is the conjugate of pair
+(a, b), so the k diagonal pairs and twice the real part of the k(k-1)/2
+pairs a < b make the whole field one real (n_q x k^2) @ (k^2 x n_p)
+product. Every factor is peeled to modulus <= 1, so no intermediate
+overflows where the field itself is finite.
 
 The numeric transform gets its speed from two choices. Its y step is the
 largest integer fraction of the q step that the state's momentum reach
@@ -20,20 +23,25 @@ puts every q +- y on a single shared fine lattice. psi is synthesized once
 on that lattice, psi(q+y) and psi(q-y) are strided views of it, and since
 the correlator C(q, y) = psi*(q+y) psi(q-y) obeys C(q, -y) = conj C(q, y),
 only y >= 0 is kept and the p integral is two real matmuls against
-cos(2yp) and sin(2yp). Those tables come from about 2 sqrt(n_y) complex
-exponentials per momentum by angle addition, and on a p axis mirrored
-bit for bit (PhaseGrid() and every CLI grid) only p >= 0 is tabulated
-and transformed: the even cos part and the odd sin part give both
-halves. Agreement with a naive transform at a far finer step is at
-machine precision, and a 257x257 field of (3, 1, z = 2) takes about
-1.7 ms on a 2-vCPU x86 machine with OpenBLAS (3.5 ms on an unmirrored
-p axis).
+cos(2yp) and sin(2yp), which carry the trapezoid weights and 1/pi. Those
+tables come from about 2 sqrt(n_y) complex exponentials per momentum by
+angle addition, and on a p axis mirrored bit for bit (PhaseGrid() and
+every CLI grid) only p >= 0 is tabulated and transformed: the even cos
+part and the odd sin part give both halves. C is formed a block of rows
+at a time, and each block's products go straight into the field;
+purity and negativity_volume likewise square or clip the field a block
+of rows at a time.
+Agreement with a naive transform at a far finer step is at machine
+precision, and a 257x257 field of (3, 1, z = 2) takes about 1.1 ms on a
+2-vCPU x86 machine with OpenBLAS (2.1 ms on an unmirrored p axis).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,6 +60,9 @@ _EDGE_TOL = 1e-16
 _LEVEL_TOL = 1e-32
 # (-i)^n by n mod 4, exact where a complex power drifts by n eps
 _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
+# field rows formed at once by the numeric transform and the folded
+# integrals, so no temporary grows with the grid beyond a block of rows
+_FIELD_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -86,25 +97,17 @@ class PhaseGrid:
 
 @dataclass(frozen=True)
 class WignerField:
-    """Real field W on a PhaseGrid plus the discarded imaginary residue.
-
-    imag_residue is the largest |Im| the closed route's complex product
-    produced before taking the real part; for a correct field it is
-    rounding noise, and it is kept visible instead of silently dropped. The
-    numeric route folds the Hermitian correlator and is real by
-    construction, so it reports 0.
-    """
+    """Real field W on a PhaseGrid."""
 
     grid: PhaseGrid
     values: np.ndarray
-    imag_residue: float = 0.0
 
     def total(self) -> float:
         return _trapz2d(self.values, self.grid)
 
     def purity(self) -> float:
         """2*pi*integral(W^2); equals Tr(rho^2), so 1 for pure states."""
-        return 2.0 * math.pi * _trapz2d(self.values**2, self.grid)
+        return 2.0 * math.pi * _trapz2d(self.values, self.grid, np.square)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -115,25 +118,49 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _trapz2d(v: np.ndarray, grid: PhaseGrid) -> float:
-    """Trapezoid rule over both axes as one contraction w_q @ v @ w_p."""
-    return float(_trapezoid_weights(grid.q_axis) @ v @ _trapezoid_weights(grid.p_axis))
+def _trapz2d(v: np.ndarray, grid: PhaseGrid, fold: Callable | None = None) -> float:
+    """Trapezoid rule over both axes as one contraction w_q @ v @ w_p.
+
+    With fold, a ufunc such as np.square called as fold(rows, out=buf),
+    the integrand is fold(v), formed _FIELD_ROWS rows at a time into one
+    small buffer instead of as a copy of the whole field.
+    """
+    w_q = _trapezoid_weights(grid.q_axis)
+    w_p = _trapezoid_weights(grid.p_axis)
+    if fold is None:
+        return float(w_q @ v @ w_p)
+    acc = np.zeros(v.shape[1])
+    buf = np.empty((min(_FIELD_ROWS, v.shape[0]), v.shape[1]))
+    for lo in range(0, v.shape[0], _FIELD_ROWS):
+        rows = v[lo : lo + _FIELD_ROWS]
+        acc += w_q[lo : lo + _FIELD_ROWS] @ fold(rows, out=buf[: len(rows)])
+    return float(acc @ w_p)
 
 
 def _phase_table(h: float, p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 l h p for l < n, each an (n, len(p)) array.
+    """w_l cos(2 l h p) / pi and w_l sin(2 l h p) / pi for l < n, each an
+    (n, len(p)) array, with w_l the folded trapezoid weights of the y
+    samples: h at l = 0 and l = n - 1, 2h between.
 
     With l = b a + c and a about sqrt(n), e^{2i l h p} is the product of
     e^{2i b a h p} and e^{2i c h p}: about 2 sqrt(n) exponentials per
     momentum and one complex product per entry, in place of n sines and
-    n cosines. Each entry carries a few ulp of rounding, as the direct
-    cos and sin of the rounded argument 2 l h p do.
+    n cosines, formed a rows at a time. Each entry carries a few ulp of
+    rounding, as the direct cos and sin of the rounded argument 2 l h p do.
     """
     a = math.isqrt(n - 1) + 1
     small = np.exp(2j * h * np.arange(a)[:, None] * p)
-    big = np.exp(2j * (a * h) * np.arange(-(-n // a))[:, None] * p)
-    phase = (big[:, None, :] * small).reshape(-1, p.size)[:n]
-    return np.ascontiguousarray(phase.real), np.ascontiguousarray(phase.imag)
+    big = (2.0 * h / math.pi) * np.exp(2j * (a * h) * np.arange(-(-n // a))[:, None] * p)
+    cos = np.empty((big.shape[0] * a, p.size))
+    sin = np.empty_like(cos)
+    for b, row in enumerate(big):
+        phase = row * small
+        cos[b * a : (b + 1) * a] = phase.real
+        sin[b * a : (b + 1) * a] = phase.imag
+    for table in (cos, sin):
+        table[0] *= 0.5
+        table[n - 1] *= 0.5
+    return cos[:n], sin[:n]
 
 
 def wigner_numeric(
@@ -205,27 +232,23 @@ def wigner_numeric(
         )
 
     # C(q, -y) = conj C(q, y), so the y < 0 half folds onto y > 0 and
-    # W = (1/pi) sum_y w_y (Re C cos 2yp - Im C sin 2yp) with interior
-    # weights doubled; the y = 0 and edge samples keep their single weight
-    corr = np.conj(plus) * minus
-    weights = np.full(n_half + 1, 2.0 * h)
-    weights[0] = weights[-1] = h
-    re_part = corr.real * weights
-    im_part = corr.imag * weights
-    # cos 2yp is even in p and sin 2yp odd, so on a mirrored p axis the
-    # p >= 0 half gives both halves of the field
-    if np.array_equal(p[::-1], -p):
-        half = grid.n_p // 2
-        cos, sin = _phase_table(h, p[half:], n_half + 1)
-        even = re_part @ cos
-        odd = im_part @ sin
-        field = np.empty((grid.n_q, grid.n_p))
-        field[:, half:] = even - odd
-        field[:, :half] = (even + odd)[:, : -half - 1 : -1]
-    else:
-        cos, sin = _phase_table(h, p, n_half + 1)
-        field = re_part @ cos - im_part @ sin
-    field /= math.pi
+    # W = sum_y w_y (Re C cos 2yp - Im C sin 2yp) / pi with interior
+    # weights doubled (both sit in the tables). cos 2yp is even in p and
+    # sin 2yp odd, so on a mirrored p axis the p >= 0 half gives both
+    # halves of the field. C is formed _FIELD_ROWS rows at a time, and each
+    # block of rows goes straight into the field.
+    half = grid.n_p // 2 if np.array_equal(p[::-1], -p) else 0
+    cos, sin = _phase_table(h, p[half:], n_half + 1)
+    field = np.empty((grid.n_q, grid.n_p))
+    for lo in range(0, grid.n_q, _FIELD_ROWS):
+        rows = slice(lo, lo + _FIELD_ROWS)
+        corr = np.conj(plus[rows]) * minus[rows]
+        even = np.ascontiguousarray(corr.real) @ cos
+        odd = np.ascontiguousarray(corr.imag) @ sin
+        np.subtract(even, odd, out=field[rows, half:])
+        if half:
+            mirror = slice(None, -half - 1, -1)
+            np.add(even[:, mirror], odd[:, mirror], out=field[rows, :half])
     return WignerField(grid=grid, values=field)
 
 
@@ -258,27 +281,34 @@ def wigner_closed(
     # pair (a, b) is rank-1 in (q, p): exp(-(q-Q)^2) exp(D) exp(-(p-P)^2).
     # Writing d = q - Re Q, -(q-Q)^2 = -d^2 + 2i d Im Q + (Im Q)^2, and the
     # (Im Q)^2 + (Im P)^2 this peels off both factors cancels Re D exactly,
-    # so each factor below has modulus <= 1 and the pair weight is a phase
+    # so each factor below has modulus <= 1 and the pair weight is a phase.
+    # Pair (b, a) is the conjugate of pair (a, b), so the field is the k
+    # diagonal pairs, which are real, plus twice the real part of the pairs
+    # a < b: Re(L R) = [Re L, Im L] @ [Re conj R; Im conj R], one real
+    # product of inner size k^2
     mu = np.exp(2j * np.pi / k)
-    a, b = np.divmod(np.arange(k * k), k)
+    a, b = np.triu_indices(k, 1)
+    a = np.concatenate([np.arange(k), a])  # the diagonal pairs first
+    b = np.concatenate([np.arange(k), b])
     za = np.conj(mu**a * z)
     zb = mu**b * z
     center_q = (za + zb) / math.sqrt(2.0)
     center_p = 1j * (za - zb) / math.sqrt(2.0)
-    weight = mu ** (j * (a - b)) * np.exp(1j * (za * zb).imag)
-    scale = num / (k * den) ** 2 / math.pi
+    turn = (j * (a - b)) % k * (2.0 * math.pi / k) + (za * zb).imag
+    weight = np.where(a == b, 1.0, 2.0) * (num / (k * den) ** 2 / math.pi)
     # every factor is exactly 0 past an offset of 1e150; the clamp keeps the
     # squares and the phases from overflowing there (inf * 0 would be NaN)
     d = (grid.q_axis[:, None] - center_q.real).clip(-1e150, 1e150)
-    e = (grid.p_axis[None, :] - center_p.real[:, None]).clip(-1e150, 1e150)
-    left = np.exp(-d * d + 2j * d * center_q.imag)
-    right = (scale * weight)[:, None] * np.exp(-e * e + 2j * e * center_p.imag[:, None])
-    acc = left @ right
-    return WignerField(
-        grid=grid,
-        values=np.ascontiguousarray(acc.real),
-        imag_residue=float(np.max(np.abs(acc.imag))),
-    )
+    e = (grid.p_axis[:, None] - center_p.real).clip(-1e150, 1e150)
+    left = _pair_parts(np.exp(-d * d), 2.0 * d * center_q.imag, k)
+    right = _pair_parts(weight * np.exp(-e * e), -2.0 * e * center_p.imag - turn, k)
+    return WignerField(grid=grid, values=left @ right.T)
+
+
+def _pair_parts(modulus: np.ndarray, phase: np.ndarray, k: int) -> np.ndarray:
+    """Columns modulus cos(phase) for every pair, then modulus sin(phase)
+    for the pairs past the k diagonal ones, whose sines are 0."""
+    return np.hstack([modulus * np.cos(phase), modulus[:, k:] * np.sin(phase[:, k:])])
 
 
 @dataclass(frozen=True)
@@ -333,7 +363,8 @@ def marginals(field: WignerField, state: FockVector | None = None) -> Marginals:
 
 def negativity_volume(field: WignerField) -> float:
     """Integrated magnitude of the negative part; 0 for any Gaussian state."""
-    return _trapz2d(np.clip(-field.values, 0.0, None), field.grid)
+    # the integral of min(W, 0); 0.0 - keeps a field with no negative part at +0.0
+    return 0.0 - _trapz2d(field.values, field.grid, partial(np.minimum, 0.0))
 
 
 def purity(field: WignerField) -> float:

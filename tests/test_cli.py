@@ -11,7 +11,7 @@ import pytest
 
 import mcskit
 from mcskit.cli import main, parse_complex, parse_phase_grid, parse_x_grid
-from mcskit.verify import CHECKS
+from mcskit.verify import CHECKS, SUITE_NAMES, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +239,14 @@ def test_verify_all_prints_one_line_per_check(capsys):
     for line, row in zip(lines, CHECKS):
         assert line.startswith(f"PASS [{row.suite}] {row.name}: ")
     assert lines[-1] == f"{len(CHECKS)} checks, all passed"
+
+
+def test_run_suite_names_only_the_suites_it_runs():
+    # 'all' is the CLI's option, not a suite of the table
+    for name in ("all", "nope"):
+        with pytest.raises(ValueError) as info:
+            run_suite(name)
+        assert str(info.value) == f"unknown suite {name!r}; pick from {SUITE_NAMES}"
 
 
 def test_verify_surfaces_forced_failure(capsys):

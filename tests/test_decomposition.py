@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from mcskit import decomposition
 from mcskit import (
     DegenerateNorm,
     MCSLabel,
+    McskitError,
     Overflow,
+    PhaseGrid,
     basis_state,
     build_mcs,
     coherent_from_classes,
@@ -18,6 +21,7 @@ from mcskit import (
     fock_wavefunction,
     mcs_as_scs,
     mcs_wavefunction,
+    wigner_closed,
 )
 
 COSH_1 = 1.5430806348152437
@@ -178,6 +182,62 @@ def test_ring_routes_past_the_norm_overflow():
     ring = mcs_as_scs(2, 0, 25.0).fock_vector(2048)
     direct = build_mcs(MCSLabel(2, 0, 625.0), n_max=2048)
     assert np.linalg.norm(ring.coeffs - direct.coeffs) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, route",
+    [
+        (lambda: wigner_closed(330, 329, 1.0, PhaseGrid(n_q=3, n_p=3)), "wigner_numeric"),
+        (lambda: mcs_as_scs(330, 329, 1.0), "build_mcs"),
+        (lambda: density_movie(330, 329, 1.0, np.linspace(-2.0, 2.0, 5)), "method='fock'"),
+    ],
+    ids=["field", "weights", "movie"],
+)
+def test_ring_routes_refuse_a_class_whose_ring_weight_leaves_double_range(call, route):
+    # 329! is beyond double range, so the scaled weight e^{|z|^2/2} 2^-h
+    # would be too; the class cancels far past the accuracy bound
+    with pytest.raises(DegenerateNorm, match=re.escape(route)):
+        call()
+
+
+def ring_norm_in_range(k, j, z, fallback, pairs=False):
+    """The cancellation check as it stood before num's log was checked
+    against double range: num is formed first, so this is the reference
+    wherever num fits a double."""
+    den, h = decomposition._class_norm(k, j, z)
+    eps = np.finfo(np.float64).eps
+    if pairs:
+        num = math.exp(abs(z) ** 2 - 2 * h * decomposition._LN2)
+        cancelled = eps * num / math.pi > decomposition._RING_ACCURACY * (k * den) ** 2
+    else:
+        num = math.exp(0.5 * abs(z) ** 2 - h * decomposition._LN2)
+        cancelled = eps * num > decomposition._RING_ACCURACY * den
+    if cancelled:
+        raise DegenerateNorm(fallback)
+    return num, den
+
+
+def test_ring_norm_keeps_its_outcome_where_the_weight_fits():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(1500):
+        k = int(rng.choice([int(rng.integers(1, 9)), int(rng.integers(9, 400))]))
+        j = int(rng.integers(k))
+        z = 10.0 ** rng.uniform(-150.0, 1.6) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        for pairs in (False, True):
+            try:
+                ref = ring_norm_in_range(k, j, z, "x", pairs)
+            except OverflowError:
+                continue  # the weight leaves double range: the case above
+            except McskitError as exc:
+                ref = type(exc)
+            try:
+                new = decomposition._ring_norm(k, j, z, "x", pairs)
+            except McskitError as exc:
+                new = type(exc)
+            assert new == ref, (k, j, z, pairs)
+            seen.add(ref if isinstance(ref, type) else "served")
+    assert seen == {"served", DegenerateNorm}
 
 
 def test_synthesis_refuses_an_underflowed_seed():

@@ -10,7 +10,15 @@ agreement is asked to 1e-13 of the field or density scale, not bit for bit.
 
 The full-length coefficient loop that `build_mcs` ran before it stopped at
 the last level that matters is kept too; what the trimmed states feed is
-asked to agree with it to 1e-15 of scale.
+asked to agree with it to 1e-15 of scale. So is the build that ran the norm
+series before its loop, whatever the loop proved: the build that runs it
+only when the support rule leaves the tail unproved must give the same
+coefficient bits or the same exception.
+
+The time phases of the Fock-route movie, now formed on occupied levels
+only, are asked to match the all-levels form bit for bit, and the blocked
+purity and negativity integrals the full-grid temporaries they replaced to
+1e-15.
 """
 
 import math
@@ -22,26 +30,47 @@ from mcskit import (
     FockVector,
     MCSLabel,
     MomentSet,
+    Overflow,
     PhaseGrid,
+    TailTooHeavy,
     basis_state,
     build_mcs,
     component_norm,
     density_movie,
     fock_wavefunction,
     mcs_wavefunction,
+    negativity_volume,
     numeric_moments,
+    purity,
     time_evolve,
     wigner_closed,
     wigner_numeric,
 )
-from mcskit.decomposition import _blocks
+from mcskit.decomposition import _blocks, _synthesize
+from mcskit.fock import _check_count
+from mcskit.states import (
+    _DOUBLE_MAX,
+    _ROOT_SCALE,
+    _SCALE,
+    _SCALE_BITS,
+    _SCALE_LIMIT,
+    _SEED_ONLY_K,
+    _SERIES_MAX_TERMS,
+    _SUPPORT_TOL,
+    _TAIL_TOL,
+    _power,
+    _series,
+    _split,
+)
+from mcskit.wigner import _trapz2d
 
 REL_TOL = 1e-13
 SUPPORT_TOL = 1e-15
 
 
 def closed_pairwise(k, j, z, grid):
-    """k^2 full-grid exponentials, one per ring pair (a, b)."""
+    """k^2 full-grid exponentials, one per ring pair (a, b), summed as
+    complex numbers; the field is the real part."""
     z = complex(z)
     nj = component_norm(k, j, z)
     qq = grid.q_axis[:, None]
@@ -59,7 +88,7 @@ def closed_pairwise(k, j, z, grid):
             acc += mu ** (j * (a - b)) * np.exp(
                 -((qq - center_q) ** 2) - (pp - center_p) ** 2 + damp
             )
-    return (acc * (math.exp(abs(z) ** 2) / (k * nj) ** 2 / math.pi)).real
+    return acc * (math.exp(abs(z) ** 2) / (k * nj) ** 2 / math.pi)
 
 
 def numeric_unfolded(state, grid, window_half=10.0, window_points=4096):
@@ -106,6 +135,44 @@ def full_length_build(label, n_max=256):
     return FockVector(coeffs / np.linalg.norm(coeffs))
 
 
+def series_first_build(label, n_max=256):
+    """build_mcs as it ran the norm series before the coefficient loop."""
+    n_max = _check_count("n_max", n_max)
+    k, j, alpha = label.k, label.j, label.alpha
+    x = _power(abs(alpha), 2)
+    total, e_total = _series(k, j, x)
+    terms: list[complex] = []
+    seed, e = _split(math.factorial(j))  # the weights carry 2^e, the terms 2^(e/2)
+    term: complex = 1.0 / math.sqrt(seed)
+    included = 0.0
+    lift = max(1.0, x)  # the stop leaves a defining residual of |alpha c_n|
+    for m in range(j, n_max, k):
+        terms.append(term)
+        weight = abs(term) ** 2
+        included += weight
+        if m + k >= n_max:  # the last level that fits; k may have any size
+            break
+        den = math.prod(range(m + 1, m + k + 1))
+        den = float(den) if den <= _DOUBLE_MAX else math.inf
+        if x < 0.5 * den and weight * lift <= _SUPPORT_TOL * included:
+            break
+        if included > _SCALE_LIMIT:
+            included *= _SCALE
+            term *= _ROOT_SCALE
+            terms = [t * _ROOT_SCALE for t in terms]
+            e += _SCALE_BITS
+        term *= alpha / math.sqrt(den)
+    coeffs = np.zeros(n_max, dtype=np.complex128)
+    coeffs[j : j + k * len(terms) : k] = terms
+    tail = 1.0 - math.ldexp(included / total, e - e_total)
+    if tail > _TAIL_TOL:
+        raise TailTooHeavy(
+            f"|alpha|={abs(alpha):.3g} needs more than n_max={n_max} levels "
+            f"for order {k} class {j}: tail fraction {tail:.3e} > {_TAIL_TOL:.1e}"
+        )
+    return FockVector(coeffs / np.linalg.norm(coeffs))
+
+
 def movie_per_frame(k, j, z, x, t_grid, n_max):
     base = build_mcs(MCSLabel(k, j, complex(z) ** k), n_max)
     return np.array(
@@ -148,8 +215,11 @@ def test_closed_gemm_matches_pairwise_sum(k):
         for j in {0, k // 2, k - 1}:
             new = wigner_closed(k, j, z, grid)
             ref = closed_pairwise(k, j, z, grid)
-            assert relative_gap(new.values, ref) <= REL_TOL
-            assert new.imag_residue <= REL_TOL * np.max(np.abs(ref))
+            assert new.values.dtype == np.float64
+            assert relative_gap(new.values, ref.real) <= REL_TOL
+            # the imaginary part the Hermitian fold never forms is rounding
+            # noise in the full complex sum
+            assert np.max(np.abs(ref.imag)) <= REL_TOL * np.max(np.abs(ref.real))
 
 
 @pytest.mark.parametrize("k", (2, 4))
@@ -170,7 +240,7 @@ def test_closed_gemm_past_the_naive_split_overflow(k):
     tol = REL_TOL + 2.0 * abs(z) ** 2 * np.finfo(float).eps
     for j in range(k):
         new = wigner_closed(k, j, z, grid)
-        ref = closed_pairwise(k, j, z, grid)
+        ref = closed_pairwise(k, j, z, grid).real
         assert np.all(np.isfinite(new.values))
         assert relative_gap(new.values, ref) <= tol
 
@@ -189,7 +259,7 @@ def test_numeric_fold_matches_unfolded_transform():
     for state in fold_states():
         new = wigner_numeric(state, grid)
         ref = numeric_unfolded(state, grid)
-        assert new.imag_residue == 0.0
+        assert new.values.dtype == np.float64  # real by construction
         assert relative_gap(new.values, ref) <= REL_TOL
 
 
@@ -351,3 +421,104 @@ def test_effective_support_matches_full_length_build(k):
             for name in MomentSet.__dataclass_fields__:
                 scale = max(1.0, abs(getattr(want, name)))
                 assert abs(getattr(got, name) - getattr(want, name)) <= SUPPORT_TOL * scale
+
+
+def build_outcome(build, label, n_max):
+    try:
+        return build(label, n_max).coeffs
+    except Exception as exc:  # any exception: its type is the outcome compared
+        return type(exc)
+
+
+@pytest.fixture
+def shared_series(monkeypatch):
+    """Both builds sum the same norm series, so the second one takes it from
+    a memo. A series whose terms still grow at its last allowed term,
+    x > (k _SERIES_MAX_TERMS + seed)^k, can only end in Overflow; the stub
+    raises that at once instead of summing 1e5 terms."""
+    memo = {}
+    original = _series
+
+    def series(k, seed, x):
+        args = (k, seed, x)
+        if args not in memo:
+            if 0.0 < x and k < _SEED_ONLY_K and (
+                math.log(x) > k * math.log(k * _SERIES_MAX_TERMS + seed) + 1e-6
+            ):
+                memo[args] = Overflow("the norm series cannot finish")
+            else:
+                try:
+                    memo[args] = original(*args)
+                except Overflow as exc:
+                    memo[args] = exc
+        if isinstance(memo[args], Overflow):
+            raise memo[args]
+        return memo[args]
+
+    monkeypatch.setitem(globals(), "_series", series)
+    monkeypatch.setattr("mcskit.states._series", series)
+
+
+def test_build_runs_the_series_only_for_an_unproved_tail(shared_series):
+    rng = np.random.default_rng(16)
+    seen = {}
+    for _ in range(5000):
+        k = int(rng.integers(1, 401))
+        j = int(rng.integers(k))
+        alpha = 10.0 ** rng.uniform(-150.0, 160.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        n_max = int(rng.integers(16, 2049))
+        label = MCSLabel(k, j, alpha)
+        ref = build_outcome(series_first_build, label, n_max)
+        new = build_outcome(build_mcs, label, n_max)
+        if isinstance(ref, type):
+            assert new is ref, (label, n_max)
+        else:
+            assert not isinstance(new, type) and np.array_equal(new, ref), (label, n_max)
+        key = ref.__name__ if isinstance(ref, type) else "state"
+        seen[key] = seen.get(key, 0) + 1
+    # every outcome is well represented, and no build ends in a bare error
+    assert set(seen) == {"state", "TailTooHeavy", "Overflow"}
+    assert min(seen.values()) > 100
+
+
+def test_build_outcomes_that_need_the_series():
+    # the level product 1..171 leaves double range, so the first level
+    # past the seed is zeroed with weight that counts: only the series sees it
+    label = MCSLabel(171, 0, 1e154)
+    for build in (series_first_build, build_mcs):
+        with pytest.raises(TailTooHeavy):
+            build(label, 512)
+    # past |alpha| ~ 1e81 the weights outgrow the 2^512 rescale
+    for alpha in (1e81, 3e90j, 1e120, 1e150):
+        for build in (series_first_build, build_mcs):
+            with pytest.raises(Overflow):
+                build(MCSLabel(1, 0, alpha), 2048)
+
+
+@pytest.mark.parametrize("k", (1, 3, 8))
+def test_basis_movie_phases_only_occupied_levels(k):
+    # the all-levels form gives 0 to every unoccupied level; its movie rows
+    # are the occupied-levels ones bit for bit
+    x = np.linspace(-9.0, 9.0, 257)
+    t_grid = np.linspace(0.0, 2.0 * math.pi / k, 65)
+    z = 1.7 * np.exp(0.3j)
+    for j in range(k):
+        c = build_mcs(MCSLabel(k, j, z**k)).coeffs
+        assert np.count_nonzero(c) < c.size
+        phases = np.exp(-1j * np.outer(t_grid, np.arange(c.size) + 0.5)) * c
+        ref = np.abs(_synthesize(phases, x)) ** 2
+        assert np.array_equal(density_movie(k, j, z, x, t_grid, method="fock"), ref)
+
+
+def test_blocked_integrals_match_full_temporaries():
+    for k, j, z, grid in (
+        (1, 0, 1.2, PhaseGrid()),
+        (2, 0, 2.0, PhaseGrid()),
+        (5, 2, 1.6 * np.exp(0.3j), PhaseGrid(-7.0, 6.0, -6.5, 7.5, 101, 67)),
+        (8, 7, 1.9, PhaseGrid(-8.0, 8.0, -8.0, 8.0, 31, 257)),
+    ):
+        field = wigner_closed(k, j, z, grid)
+        full_purity = 2.0 * math.pi * _trapz2d(field.values**2, grid)
+        full_negativity = _trapz2d(np.clip(-field.values, 0.0, None), grid)
+        assert abs(purity(field) - full_purity) <= 1e-15 * full_purity
+        assert abs(negativity_volume(field) - full_negativity) <= 1e-15 * full_negativity

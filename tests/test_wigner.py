@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,7 +64,8 @@ def test_closed_matches_numeric():
         state = build_mcs(MCSLabel(k, j, complex(z) ** k))
         numeric = wigner_numeric(state, grid)
         assert np.max(np.abs(closed.values - numeric.values)) < 1e-6
-        assert numeric.imag_residue < 1e-10
+        # both routes are real by construction
+        assert closed.values.dtype == numeric.values.dtype == np.float64
 
 
 def test_odd_cat_limit_is_first_fock_state():
@@ -226,3 +228,37 @@ def test_numeric_field_refuses_an_underflowed_seed():
 def test_purity_helper_matches_method():
     field = wigner_closed(2, 0, 1.0)
     assert purity(field) == field.purity()
+
+
+def traced_peak(call):
+    """Peak bytes traced during one call, after a first call outside the
+    trace; what the call returns is still held at the peak."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()  # held while the peak is read
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+BUDGET_Z = 1.5 * np.exp(0.7j)
+BUDGET_STATE = build_mcs(MCSLabel(8, 4, BUDGET_Z**8))
+BUDGET_FIELD = wigner_numeric(BUDGET_STATE)
+
+
+@pytest.mark.parametrize(
+    "call, limit",
+    [
+        (lambda: wigner_closed(8, 4, BUDGET_Z), 3.0),
+        (lambda: wigner_numeric(BUDGET_STATE), 3.0),
+        (lambda: purity(BUDGET_FIELD), 0.5),
+        (lambda: negativity_volume(BUDGET_FIELD), 0.5),
+    ],
+    ids=["closed", "numeric", "purity", "negativity"],
+)
+def test_field_kernels_hold_no_second_field(call, limit):
+    # on the default 257^2 grid the output field is the only full-grid
+    # array a kernel may hold; a further copy of it would pass the limit
+    assert BUDGET_FIELD.values.shape == (257, 257)
+    assert traced_peak(call) <= limit * BUDGET_FIELD.values.nbytes
