@@ -8,17 +8,18 @@ round-trip formatting, so identical invocations produce identical bytes,
 and a JSON column holds the same strings as its CSV column (JSON spells
 non-finite values NaN, Infinity and -Infinity).
 
-The writer streams the table in blocks of _BLOCK_ROWS rows. In a block,
-the distinct bit patterns of the float columns go through one call of
+The writer formats each column once: np.unique gives its distinct bit
+patterns (integers by value) and each cell's index into them, and
 `_shortest.repr_rows`, a numpy kernel that gives the bytes of repr(float)
-with no Python code per value; integers print with str, and non-finite
-floats with repr. The cells and their separators are copied into one
-zero-padded byte buffer of the block, and one bytes.translate drops the
-padding. A block holds numpy arrays only: the text rows of its distinct
-values (at most 24 bytes each), the kernel's temporaries (a few hundred
-bytes per distinct value) and the padded buffer of its rows: 2.8 MB at
-most for a block of four float columns, measured with tracemalloc. No
-Python string per cell, and no text of a whole table, is ever held.
+with no Python code per value, formats the distinct floats _BLOCK_ROWS at
+a time (integers print with str, non-finite floats with repr). Blocks of
+_BLOCK_ROWS rows then only set the layout: a block's cells and separators
+are copied into one zero-padded byte buffer, and one bytes.translate drops
+the padding. Only numpy arrays are held: each column's index (8 bytes per
+cell) and distinct text (at most 24 bytes per value), and one block's
+buffer; a 257^2 table of four float columns (2.1 MB) peaks at 5.3 MB as
+CSV, measured with tracemalloc. No Python string per cell, and no text of
+a whole table, is ever held.
 
 Complex values are parsed as 're,im' or polar 'r@theta' with theta in
 degrees; a bare number is taken as real. Grids are 'qmin,qmax,pmin,pmax,
@@ -138,53 +139,48 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _text_rows(text: list[str]) -> np.ndarray:
     """The strings as zero-padded rows of ASCII bytes."""
-    return np.array(text, dtype=np.bytes_).view(np.uint8).reshape(len(text), -1)
+    rows = np.array(text, dtype=np.bytes_)
+    return rows.view(np.uint8).reshape(rows.size, rows.itemsize)
 
 
 def _float_rows(values: np.ndarray, json_floats: bool) -> np.ndarray:
-    """Rows of repr text of float64 values, spelled for JSON if asked."""
+    """Rows of repr text of float64 values, spelled for JSON if asked.
+
+    The kernel formats _BLOCK_ROWS values at a time, so its uint64
+    temporaries stay cache-sized whatever the column's length.
+    """
     # imported on first use: a process that imports the cli but writes no
     # float never compiles the kernel (0.3 MB of peak RSS on grids)
     from . import _shortest
 
     finite = np.isfinite(values)
-    if finite.all():
-        return _shortest.repr_rows(values)
     text = list(map(repr, values[~finite].tolist()))
     if json_floats:
         text = [_JSON_NONFINITE[t] for t in text]
-    special, regular = _text_rows(text), _shortest.repr_rows(values[finite])
-    rows = np.zeros((values.size, max(special.shape[1], regular.shape[1])), np.uint8)
-    rows[~finite, :special.shape[1]] = special
-    rows[finite, :regular.shape[1]] = regular
+    parts = [(~finite, _text_rows(text))]
+    regular = np.flatnonzero(finite)
+    for start in range(0, regular.size, _BLOCK_ROWS):
+        where = regular[start:start + _BLOCK_ROWS]
+        parts.append((where, _shortest.repr_rows(values[where])))
+    rows = np.zeros((values.size, max(part.shape[1] for _, part in parts)), np.uint8)
+    for where, part in parts:
+        rows[where, :part.shape[1]] = part
     return rows
 
 
-def _cells(cols: list[np.ndarray], json_floats: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, index) per column slice: the text of cell i is rows[index[i]].
+def _cells(col: np.ndarray, json_floats: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, index) of a whole column: the text of cell i is rows[index[i]].
 
     Integers print with str and floats with repr, the shortest round-trip
-    form, each distinct value once. Floats are told apart by bit pattern,
-    so -0.0 and 0.0 keep their own text, and the float columns of a block
-    share one call of the vectorized repr.
+    form, each distinct value of the column once. Floats are told apart by
+    bit pattern, so -0.0 and 0.0 keep their own text.
     """
-    cells: list = [None] * len(cols)
-    floats = []
-    for c, col in enumerate(cols):
-        if col.dtype.kind in "iu":
-            uniq, inverse = np.unique(col, return_inverse=True)
-            cells[c] = (_text_rows(list(map(str, uniq.tolist()))), inverse)
-        else:
-            floats.append(c)
-    if floats:
-        bits = np.concatenate(
-            [np.asarray(cols[c], dtype=np.float64).view(np.int64) for c in floats]
-        )
-        uniq, inverse = np.unique(bits, return_inverse=True)
-        rows = _float_rows(uniq.view(np.float64), json_floats)
-        for c, index in zip(floats, np.split(inverse, len(floats))):
-            cells[c] = (rows, index)
-    return cells
+    if col.dtype.kind in "iu":
+        uniq, index = np.unique(col, return_inverse=True)
+        return _text_rows(list(map(str, uniq.tolist()))), index
+    bits = np.asarray(col, dtype=np.float64).view(np.int64)
+    uniq, index = np.unique(bits, return_inverse=True)
+    return _float_rows(uniq.view(np.float64), json_floats), index
 
 
 def _joined(
@@ -214,9 +210,10 @@ def _csv_blocks(
     yield ",".join(names) + "\n"
     n_rows = min((col.size for col in cols), default=0)
     seps = [b","] * (len(cols) - 1) + [b"\n"]
+    cells = [_cells(col[:n_rows], False) for col in cols]
     for start in range(0, n_rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n_rows)
-        yield _joined(_cells([col[start:stop] for col in cols], False), seps)
+        block = slice(start, start + _BLOCK_ROWS)
+        yield _joined([(rows, index[block]) for rows, index in cells], seps)
 
 
 def _json_blocks(config: dict[str, str], columns: dict[str, np.ndarray]) -> Iterator[str]:
@@ -232,8 +229,9 @@ def _json_blocks(config: dict[str, str], columns: dict[str, np.ndarray]) -> Iter
         if not col.size:
             yield "[]"
             continue
+        rows, index = _cells(col, True)
         for start in range(0, col.size, _BLOCK_ROWS):
-            cells = _cells([col[start:start + _BLOCK_ROWS]], True)
+            cells = [(rows, index[start:start + _BLOCK_ROWS])]
             text = _joined(cells, [b""], lead=b",\n      ")
             yield "[" + text[1:] if start == 0 else text
         yield "\n    ]"

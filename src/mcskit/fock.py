@@ -27,7 +27,8 @@ from .errors import EdgeSupport, LeakageExceeded, Overflow
 DEFAULT_N_MAX = 256
 DEFAULT_LEAK_TOL = 1e-12
 _FALLING_MAX = int(np.finfo(np.float64).max) // 2
-_INDEX_MAX = int(np.iinfo(np.intp).max)
+# the most entries ladder_spectrum builds: 512 MiB of float64
+_SPECTRUM_MAX = 2**26
 
 
 def _ints(what: str, *values: int) -> tuple[int, ...]:
@@ -229,12 +230,13 @@ def ladder_spectrum(k: int, levels: int = 32) -> np.ndarray:
 
     Row j, residue class j, is the ladder j + 1/2 + k m of spacing k from
     the extremal energy j + 1/2; the union of the rows recovers the full
-    oscillator spectrum n + 1/2. Overflow past what an array can index.
+    oscillator spectrum n + 1/2. Overflow when k * levels passes 2^26
+    entries (512 MiB), before anything is allocated.
     """
     k, _ = _check_class(k)
     levels = _check_count("levels", levels)
-    if k * levels > _INDEX_MAX:
-        raise Overflow(f"k * levels passes {_INDEX_MAX}, more entries than an array can index")
+    if k * levels > _SPECTRUM_MAX:
+        raise Overflow(f"k * levels passes {_SPECTRUM_MAX} spectrum entries (512 MiB)")
     return np.arange(k)[:, None] + 0.5 + k * np.arange(levels)
 
 

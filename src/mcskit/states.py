@@ -124,15 +124,21 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
     sums past double range stay usable. Overflow is raised when a single
     term ratio overflows even so, past |alpha|^2 ~ 2^511, and when the sum,
     or its seed, needs more than _SERIES_MAX_TERMS terms (x^(1/k) beyond
-    about k 10^5).
+    about k 10^5); a sum whose terms still grow at the last allowed one is
+    refused before any term is summed.
     """
     s, e = _seed(seed)
     term = x**d / s
     if k >= _SEED_ONLY_K:  # no product of k factors is ever formed
         return term, e
+    steps = _SERIES_MAX_TERMS
+    if x >= k * steps:  # below, the ratio past the last allowed term is < 1
+        last = k * (steps - 1) + seed
+        if x > math.prod(range(last + 1, last + k + 1)):
+            steps = 0  # the terms still grow there: refuse without summing
     total = 0.0
     small = 0
-    for m in range(_SERIES_MAX_TERMS):
+    for m in range(steps):
         total += term
         if total > _SCALE_LIMIT:
             if math.isinf(total):
@@ -199,9 +205,10 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     leaves double range, such as |alpha|^2 = 900 at order 1, build as long
     as n_max holds them. A level past a product (n+1)...(n+k) beyond double
     range gets 0, which the tail check refuses if it drops weight that
-    counts. Overflow when a level's weight leaves double range even so, as
-    the norm series does past |alpha|^2 ~ 2^511. ValueError unless n_max is
-    an integer >= 1.
+    counts, with a TailTooHeavy that names the product, since no n_max
+    brings that level back. Overflow when a level's weight leaves double
+    range even so, as the norm series does past |alpha|^2 ~ 2^511.
+    ValueError unless n_max is an integer >= 1.
     """
     n_max = _check_count("n_max", n_max)
     k, j, alpha = label.k, label.j, label.alpha
@@ -241,6 +248,12 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
         total, e_total = _series(k, j, x)
         tail = 1.0 - math.ldexp(included / total, e - e_total)
         if tail > _TAIL_TOL:
+            if term == 0.0:  # level m was cut by a product past double range
+                raise TailTooHeavy(
+                    f"|alpha|={abs(alpha):.3g} for order {k} class {j}: the level product "
+                    f"{m - k + 1}...{m} leaves double range, so level {m} and the levels "
+                    f"past it are 0 at any n_max: tail fraction {tail:.3e} > {_TAIL_TOL:.1e}"
+                )
             raise TailTooHeavy(
                 f"|alpha|={abs(alpha):.3g} needs more than n_max={n_max} levels "
                 f"for order {k} class {j}: tail fraction {tail:.3e} > {_TAIL_TOL:.1e}"

@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .decomposition import _reach, _ring_norm, fock_wavefunction
 from .errors import BoundaryMass, Overflow, WindowTooNarrow
-from .fock import _INDEX_MAX, FockVector, _check_class, _ints
+from .fock import FockVector, _check_class, _ints
 
 DEFAULT_WINDOW_HALF = 10.0
 # largest |W| marginals accepts on the grid edge
@@ -63,6 +63,8 @@ _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
 # field rows formed at once by the numeric transform and the folded
 # integrals, so no temporary grows with the grid beyond a block of rows
 _FIELD_ROWS = 32
+# the largest y lattice wigner_numeric asks for: what an array can index
+_INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)

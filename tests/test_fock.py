@@ -19,6 +19,7 @@ from mcskit import (
     pha_commutator_check,
     time_evolve,
 )
+from mcskit.fock import _SPECTRUM_MAX
 
 
 def random_state(rng, n_max=64, clear_top=8):
@@ -202,6 +203,14 @@ def test_spectrum_ladders():
     assert np.array_equal(spec[0], [0.5, 3.5, 6.5, 9.5])
     assert np.array_equal(spec[1], [1.5, 4.5, 7.5, 10.5])
     assert np.array_equal(spec[2], [2.5, 5.5, 8.5, 11.5])
+
+
+def test_spectrum_past_its_element_budget_raises_overflow():
+    # refused before numpy is asked for the array; one entry past the
+    # budget, so no case here allocates anything
+    for k, levels in ((_SPECTRUM_MAX + 1, 1), (1, _SPECTRUM_MAX + 1), (2**13, 2**13 + 1)):
+        with pytest.raises(Overflow, match="spectrum entries"):
+            ladder_spectrum(k, levels)
 
 
 def test_time_evolution_is_unitary(rng):

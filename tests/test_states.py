@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -307,6 +308,30 @@ def test_numeric_moments_match_route():
     closed = moments(label)
     numeric = numeric_moments(build_mcs(label))
     assert closed.mean_H == pytest.approx(numeric.mean_H, abs=1e-12)
+
+
+@pytest.mark.parametrize("k, j, x, parent_s", [
+    (1, 0, 1e6, 0.062),
+    (20, 3, 1e150, 0.29),
+])
+def test_series_that_cannot_finish_refuses_at_once(k, j, x, parent_s):
+    # the terms still grow at the 1e5th one; summing them all before the
+    # refusal took parent_s seconds
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(Overflow, match="needs more than 100000 terms"):
+            norm_sum(k, j, x)
+        elapsed = time.perf_counter() - start
+        if elapsed < parent_s / 10:
+            break
+    assert elapsed < parent_s / 10
+
+
+def test_zeroed_level_refusal_names_the_product():
+    # 171! leaves double range, so level 171 is 0 whatever n_max is
+    for n_max in (512, 4096):
+        with pytest.raises(TailTooHeavy, match=r"level product 1\.\.\.171 leaves double range"):
+            build_mcs(MCSLabel(171, 0, 1e154), n_max)
 
 
 def test_undersized_truncation_refuses():

@@ -7,14 +7,19 @@ writes the same layout by hand, so the two must agree byte for byte, to a
 file and to stdout, on the values where formatting is easiest to get
 wrong: signed zeros, subnormals, the largest doubles, non-finite values,
 integers, the repeated axis columns of the CLI, and row counts around the
-block size.
+block size and across several blocks, where values recur from block to
+block. Two more tests hold the writer to its cost: the kernel formats each
+distinct bit pattern of a float column once, and a table's write holds no
+more than a small multiple of its columns' bytes.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mcskit import MCSLabel, PhaseGrid, _shortest, build_mcs, wigner_closed, wigner_numeric
 from mcskit.cli import _BLOCK_ROWS, write_table
 
 
@@ -55,7 +60,7 @@ SPECIAL = np.array(
      np.nan, -np.nan, np.inf, -np.inf]
 )
 
-ROWS = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1)
+ROWS = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5)
 
 
 def columns(n_rows):
@@ -104,3 +109,49 @@ def test_tables_without_columns_or_config(capsys, fmt):
     for config, cols in (([], []), (CONFIG, []), ([], columns(3))):
         write_table("-", fmt, config, cols)
         assert_same_text(capsys.readouterr().out, table_reference(fmt, config, cols))
+
+
+def field_table():
+    """The four columns of `mcskit wigner --k 2 --j 0 --z 2 --method both`."""
+    grid = PhaseGrid()
+    state = build_mcs(MCSLabel(2, 0, 4.0))
+    return [
+        ("q", np.repeat(grid.q_axis, grid.n_p)),
+        ("p", np.tile(grid.p_axis, grid.n_q)),
+        ("w_closed", wigner_closed(2, 0, 2.0, grid).values.ravel()),
+        ("w_numeric", wigner_numeric(state, grid).values.ravel()),
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_distinct_value_is_formatted_once_per_column(monkeypatch, tmp_path, fmt):
+    cols = field_table()
+    calls = []
+    kernel = _shortest.repr_rows
+
+    def counted(values):
+        calls.append(values.size)
+        return kernel(values)
+
+    monkeypatch.setattr(_shortest, "repr_rows", counted)
+    write_table(str(tmp_path / f"table.{fmt}"), fmt, CONFIG, cols)
+    distinct = sum(np.unique(col.view(np.int64)).size for _, col in cols)
+    assert sum(calls) == distinct
+    assert max(calls) <= _BLOCK_ROWS  # the kernel's temporaries stay block-sized
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_holds_a_small_multiple_of_the_columns(tmp_path, fmt):
+    # each column's index and distinct text plus one block's buffer: about
+    # 2.5x the columns' bytes for CSV and 2x for JSON at 257^2 rows; the
+    # text of the whole table would pass the limit
+    cols = field_table()
+    path = str(tmp_path / f"table.{fmt}")
+    write_table(path, fmt, CONFIG, cols)  # the kernel's tables are built once
+    tracemalloc.start()
+    try:
+        write_table(path, fmt, CONFIG, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * sum(col.nbytes for _, col in cols)
