@@ -49,7 +49,7 @@ _SEED_LIMIT = 37.6
 # verify's closed-vs-synthesized row); its k branches cancel down to the
 # class amplitude, which leaves about eps e^{|z|^2/2} / component_norm, and
 # the k^2 ring pairs of a Wigner field about
-# eps e^{|z|^2} / (k component_norm)^2 / pi
+# 2 eps e^{|z|^2} / component_norm^2 (see _ring_norm)
 _RING_ACCURACY = 1e-8
 
 # eigenfunction rows held at once by the synthesis; bounds its memory to
@@ -146,9 +146,11 @@ def _ring_norm(
     those two factors bit for bit); with pairs=True num is squared too.
     A route summing the k coherent states on the ring weighs them
     num / (k den), which cancels down to the class amplitude; the k^2 ring
-    pairs of a Wigner field take num / (k den)^2 / pi. DegenerateNorm,
-    naming the fallback route, once that leaves worse than _RING_ACCURACY
-    absolute accuracy.
+    pairs of a Wigner field take num / (k den)^2 / pi each, and each pair's
+    phase, a turn of up to 2 pi, is rounded to about 2 pi eps, so the pairs
+    leave 2 eps num / den^2 (measured: up to 2.2 eps num / (pi den^2) at
+    k <= 8). DegenerateNorm, naming the fallback route, once that leaves
+    worse than _RING_ACCURACY absolute accuracy.
 
     Where j! leaves double range by far (h << 0), num would too: its log
     is checked first, and the excess moves onto den as a further power of
@@ -166,7 +168,7 @@ def _ring_norm(
     eps = np.finfo(np.float64).eps
     if pairs:
         num = math.exp(abs(z) ** 2 - 2 * h * _LN2)
-        cancelled = eps * num / math.pi > _RING_ACCURACY * (k * den) ** 2
+        cancelled = 2.0 * eps * num > _RING_ACCURACY * den**2
     else:
         num = math.exp(0.5 * abs(z) ** 2 - h * _LN2)
         cancelled = eps * num > _RING_ACCURACY * den

@@ -48,8 +48,9 @@ class RouteMismatch(McskitError):
 
 
 class WindowTooNarrow(McskitError):
-    """The position window passed to the phase-space transform truncates the
-    integrand visibly; widen the window or the grid."""
+    """The phase-space transform's integrand still carries weight at the
+    state's own reach, where its y window ends, so the field would be
+    visibly truncated."""
 
 
 class BoundaryMass(McskitError):

@@ -66,6 +66,7 @@ class FockVector:
     norm of the exact image past the truncation edge,
     sum_{n >= n_max-k} (n+k)!/n! |c_n|^2. It is bookkeeping, not part of
     the physical state, which is why equality stays identity-based.
+    Coefficients must be finite (ValueError otherwise).
     """
 
     coeffs: np.ndarray
@@ -75,6 +76,8 @@ class FockVector:
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d array")
+        if not np.isfinite(arr).all():
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", arr)
 
     @property

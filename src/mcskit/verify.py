@@ -21,7 +21,7 @@ from . import completeness as comp
 from . import decomposition as dec
 from . import states as st
 from . import wigner as wg
-from .errors import DegenerateNorm, EdgeSupport, WindowTooNarrow
+from .errors import DegenerateNorm, EdgeSupport
 from .fock import (FockVector, apply_k_ladder, basis_state, ladder_spectrum,
                    pha_commutator_check, time_evolve)
 
@@ -343,12 +343,11 @@ def _quarter_turn(s: SimpleNamespace) -> float:
     )
 
 
-def _window_guard(s: SimpleNamespace) -> float:
-    try:
-        wg.wigner_numeric(basis_state(200, n_max=max(s.n_max, 256)), s.grid)
-    except WindowTooNarrow:
-        return 0.0
-    return 1.0
+def _wide_window(s: SimpleNamespace) -> float:
+    # the branches sit 12.7 apart, so the y window must pass 10
+    state = st.build_mcs(st.MCSLabel(2, 0, 4.5**2), s.n_max)
+    closed = wg.wigner_closed(2, 0, 4.5, s.grid)
+    return float(np.max(np.abs(wg.wigner_numeric(state, s.grid).values - closed.values)))
 
 
 def _completeness_inputs(n_max: int) -> SimpleNamespace:
@@ -435,7 +434,8 @@ CHECKS = (
     Check("wigner", "coherent field nonnegativity", "<=", 1e-10, _coherent_negativity),
     Check("wigner", "cat negativity volume", ">=", 1e-3, _cat_negativity),
     Check("wigner", "quarter-turn rotation covariance", "<=", 1e-6, _quarter_turn),
-    Check("wigner", "window guard fires on a wide state", "<=", 0.0, _window_guard),
+    Check("wigner", "numeric window from the state, (2, 0, 4.5) vs closed", "<=",
+          1e-12, _wide_window),
     Check("completeness", "order-1 density moments (n <= 20)", "<=", 1e-8,
           _order_one_moments),
     Check("completeness", "order-1 identity resolution", "<=", 1e-6,

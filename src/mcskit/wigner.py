@@ -20,7 +20,10 @@ largest integer fraction of the q step that the state's momentum reach
 allows without aliasing, since the trapezoid rule is exact up to aliasing
 for this smooth, decaying integrand; and with a uniform q grid that step
 puts every q +- y on a single shared fine lattice. psi is synthesized once
-on that lattice, psi(q+y) and psi(q-y) are strided views of it, and since
+on that lattice, which extends the state's position reach past each end of
+the q axis, and psi(q+y) and psi(q-y) are strided views of it. The y
+window is the state's too: it ends at the last y where |psi(q+y) psi(q-y)|
+still exceeds 1e-16 somewhere on the q axis, so no caller sets it. Since
 the correlator C(q, y) = psi*(q+y) psi(q-y) obeys C(q, -y) = conj C(q, y),
 only y >= 0 is kept and the p integral is two real matmuls against
 cos(2yp) and sin(2yp), which carry the trapezoid weights and 1/pi. Those
@@ -50,7 +53,6 @@ from .decomposition import _reach, _ring_norm, fock_wavefunction
 from .errors import BoundaryMass, Overflow, WindowTooNarrow
 from .fock import FockVector, _check_class, _ints
 
-DEFAULT_WINDOW_HALF = 10.0
 # largest |W| marginals accepts on the grid edge
 _BOUNDARY_TOL = 1e-10
 
@@ -165,35 +167,30 @@ def _phase_table(h: float, p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     return cos[:n], sin[:n]
 
 
-def wigner_numeric(
-    state: FockVector,
-    grid: PhaseGrid | None = None,
-    window_half: float = DEFAULT_WINDOW_HALF,
-) -> WignerField:
+def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerField:
     """Transform a truncated state by direct quadrature on a shared lattice.
 
-    The y step comes from the state. psi reaches p_psi = sqrt(2 L + 1) + 9
-    in both position and momentum, where L counts the levels up to the last
-    one whose tail still holds 1e-32 of the norm (e^{-u^2/2} < 1e-17 past
-    u = 9). The integrand psi*(q+y) psi(q-y) e^{2ipy} then holds y
-    frequencies below 2 (p_psi + max|p|), and the trapezoid rule is exact up
-    to aliasing for such a smooth, decaying integrand, so any step
+    The y step and window come from the state. psi reaches
+    p_psi = sqrt(2 L + 1) + 9 in both position and momentum, where L counts
+    the levels up to the last one whose tail still holds 1e-32 of the norm
+    (e^{-u^2/2} < 1e-17 past u = 9). The integrand psi*(q+y) psi(q-y) e^{2ipy}
+    then holds y frequencies below 2 (p_psi + max|p|), and the trapezoid rule
+    is exact up to aliasing for such a smooth, decaying integrand, so any step
     h < pi / (p_psi + max|p|) reproduces the transform to rounding.
+
+    psi is synthesized once on a lattice that reaches p_psi past each end of
+    the q axis, and the y window ends at the last y whose correlator
+    envelope, max over q of |psi(q+y) psi(q-y)|, exceeds 1e-16 (at least one
+    y step); cutting the decayed tail costs only that tail. WindowTooNarrow
+    means psi still has weight at p_psi itself. Overflow means the lattice
+    would need more points than an array can index (max|p| near 1e18 on a
+    unit q step).
 
     The p integral is two real matmuls against cos 2yp and sin 2yp, built
     by angle addition (see _phase_table). When the p axis is mirrored bit
     for bit, they run on p >= 0 only, and the p < 0 columns come from the
     same two products with the sign of the odd sin part flipped.
-
-    window_half, finite and > 0 (else ValueError), is the half-width of the y
-    integration window. The correlator envelope at the window edge must stay
-    below 1e-16; WindowTooNarrow means psi still has weight at q +- window_half
-    and the field would be visibly truncated. Its message names p_psi, a
-    half-width that always suffices. Overflow means the fine lattice would need
-    more points than an array can index (max|p| near 1e18 on a unit q step).
     """
-    if not 0.0 < window_half < math.inf:  # NaN fails this too
-        raise ValueError(f"window_half must be finite and > 0, got {window_half!r}")
     if grid is None:
         grid = PhaseGrid()
     p = grid.p_axis
@@ -207,7 +204,7 @@ def wigner_numeric(
     # on one fine lattice
     max_p = max(abs(grid.p_min), abs(grid.p_max))
     ratio = max(1.0, h_q * (reach + max_p) / math.pi)
-    size = (grid.n_q - 1 + 2.0 * window_half / h_q) * ratio
+    size = (grid.n_q - 1 + 2.0 * reach / h_q) * ratio
     if not size < _INDEX_MAX:
         raise Overflow(
             f"the y lattice needs {size:.3g} points for max|p| = {max_p:.3g}, "
@@ -215,23 +212,34 @@ def wigner_numeric(
         )
     m = math.ceil(ratio)
     h = h_q / m
-    n_half = math.ceil(window_half / h)
-    n_fine = (grid.n_q - 1) * m + 2 * n_half + 1
-    lattice = grid.q_min - n_half * h + np.arange(n_fine) * h
+    n_reach = math.ceil(reach / h)
+    n_fine = (grid.n_q - 1) * m + 2 * n_reach + 1
+    lattice = grid.q_min - n_reach * h + np.arange(n_fine) * h
     psi = fock_wavefunction(state, lattice)
 
-    # windows[s] holds psi at lattice points s .. s + n_half, and q_i sits at
-    # point i m + n_half, so both halves of the correlator are strided views
-    windows = sliding_window_view(psi, n_half + 1)
-    plus = windows[n_half::m][: grid.n_q]   # psi(q_i + y_l), y_l = l h
-    minus = windows[::m][: grid.n_q, ::-1]  # psi(q_i - y_l)
-    # |C| is even in y, so the edge at +window_half stands for both edges
-    edge = float(np.max(np.abs(plus[:, -1] * minus[:, -1])))
-    if edge > _EDGE_TOL:
+    # windows[s] holds lattice points s .. s + n_reach, and q_i sits at point
+    # i m + n_reach, so f(q_i + y_l) and f(q_i - y_l), y_l = l h, are
+    # strided views of it
+    def shifted(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        windows = sliding_window_view(f, n_reach + 1)
+        return windows[n_reach::m][: grid.n_q], windows[::m][: grid.n_q, ::-1]
+
+    # |C| is even in y, so y >= 0 stands for both edges; the envelope is a
+    # running max over blocks of rows
+    mod_plus, mod_minus = shifted(np.abs(psi))
+    envelope = np.zeros(n_reach + 1)
+    for lo in range(0, grid.n_q, _FIELD_ROWS):
+        rows = slice(lo, lo + _FIELD_ROWS)
+        np.maximum(envelope, (mod_plus[rows] * mod_minus[rows]).max(axis=0), out=envelope)
+    above = np.flatnonzero(envelope > _EDGE_TOL)
+    last = int(above[-1]) if above.size else 0
+    if last == n_reach:
         raise WindowTooNarrow(
-            f"integrand envelope {edge:.3e} at y=+-{window_half} exceeds "
-            f"{_EDGE_TOL:.1e}; the state needs window_half={math.ceil(reach)}"
+            f"integrand envelope {envelope[-1]:.3e} at the state's reach "
+            f"y=+-{reach:.3g} exceeds {_EDGE_TOL:.1e}"
         )
+    n_half = max(last, 1)
+    plus, minus = (f[:, : n_half + 1] for f in shifted(psi))
 
     # C(q, -y) = conj C(q, y), so the y < 0 half folds onto y > 0 and
     # W = sum_y w_y (Re C cos 2yp - Im C sin 2yp) / pi with interior
@@ -271,9 +279,9 @@ def wigner_closed(
     their exact damping. k=1 collapses to the single displaced Gaussian.
 
     The pairs cancel down to the class field, which keeps about
-    eps e^{|z|^2} / (k component_norm)^2 / pi of absolute accuracy (small
-    |z| with j > 0); past 1e-8 DegenerateNorm is raised, and
-    wigner_numeric serves those labels.
+    2 eps e^{|z|^2} / component_norm^2 of absolute accuracy (small |z|
+    with j > 0); past 1e-8 DegenerateNorm is raised, and wigner_numeric
+    serves those labels.
     """
     k, j = _check_class(k, j)
     if grid is None:

@@ -20,6 +20,11 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def csv_header(out):
+    """The run configuration a CSV carries as leading `# name = value` lines."""
+    return dict(line[2:].split(" = ") for line in out.splitlines() if line.startswith("# "))
+
+
 def test_parse_complex_forms():
     assert parse_complex("2") == 2.0
     assert parse_complex("1,-1") == 1.0 - 1.0j
@@ -104,11 +109,7 @@ def test_wigner_both_reports_sup_diff(capsys):
         "--grid", "-5,5,-5,5,33,33", "--method", "both",
     )
     assert code == 0
-    header = dict(
-        line[2:].split(" = ")
-        for line in out.splitlines()
-        if line.startswith("# ")
-    )
+    header = csv_header(out)
     assert float(header["sup_abs_diff"]) < 1e-6
 
 
@@ -118,11 +119,19 @@ def test_wigner_closed_high_order_matches_numeric(capsys):
         "--grid", "-6,6,-6,6,41,37", "--method", "both",
     )
     assert code == 0
-    header = dict(
-        line[2:].split(" = ")
-        for line in out.splitlines()
-        if line.startswith("# ")
+    header = csv_header(out)
+    assert float(header["sup_abs_diff"]) <= 1e-9
+
+
+def test_wigner_numeric_serves_a_state_wider_than_a_fixed_window(capsys):
+    # the correlator of (8, 7, 3) still exceeds 1e-16 at |y| = 10, where a
+    # fixed y window used to end, so the numeric route exited 1
+    code, out, _ = run_cli(
+        capsys, "wigner", "--k", "8", "--j", "7", "--z", "3",
+        "--grid", "-8,8,-8,8,33,33", "--method", "both",
     )
+    assert code == 0
+    header = csv_header(out)
     assert float(header["sup_abs_diff"]) <= 1e-9
 
 
@@ -300,9 +309,5 @@ def test_evolve_default_period_header(capsys):
         capsys, "evolve", "--k", "3", "--z", "1", "--grid", "-6,6,61", "--nt", "3"
     )
     assert code == 0
-    header = dict(
-        line[2:].split(" = ")
-        for line in out.splitlines()
-        if line.startswith("# ")
-    )
+    header = csv_header(out)
     assert float(header["tmax"]) == pytest.approx(2.0 * math.pi / 3.0)

@@ -18,7 +18,6 @@ from mcskit import (
     moment_check,
     moments,
     root_exponential_density,
-    wigner_numeric,
 )
 
 
@@ -116,9 +115,7 @@ def test_counts_must_be_positive_integers(call):
 @pytest.mark.parametrize("call, name", [
     (lambda: moments(MCSLabel(2, 0, 1.0), route_tol=math.nan), "route_tol"),
     (lambda: apply_k_ladder(basis_state(7, 8), 1, +1, leak_tol=math.nan), "leak_tol"),
-    (lambda: wigner_numeric(basis_state(0, 8), window_half=-1.0), "window_half"),
-    (lambda: wigner_numeric(basis_state(0, 8), window_half=math.nan), "window_half"),
-], ids=["route_tol-nan", "leak_tol-nan", "window_half-negative", "window_half-nan"])
+], ids=["route_tol-nan", "leak_tol-nan"])
 def test_arguments_that_would_switch_a_check_off_raise(call, name):
     # NaN compares false, so each of these returned with its check disabled
     # or failed later inside numpy

@@ -208,7 +208,7 @@ def ring_norm_in_range(k, j, z, fallback, pairs=False):
     eps = np.finfo(np.float64).eps
     if pairs:
         num = math.exp(abs(z) ** 2 - 2 * h * decomposition._LN2)
-        cancelled = eps * num / math.pi > decomposition._RING_ACCURACY * (k * den) ** 2
+        cancelled = 2.0 * eps * num > decomposition._RING_ACCURACY * den**2
     else:
         num = math.exp(0.5 * abs(z) ** 2 - h * decomposition._LN2)
         cancelled = eps * num > decomposition._RING_ACCURACY * den

@@ -68,6 +68,17 @@ def test_ladder_sign_must_be_plus_or_minus_one(sign):
         apply_k_ladder(basis_state(2, 8), 1, sign)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1.0, math.nan], [1.0, math.inf], [complex(0.0, -math.inf), 1.0]],
+    ids=["nan", "inf", "imag-inf"],
+)
+def test_non_finite_coefficients_raise_value_error(coeffs):
+    # a vector holding inf used to build, and (a+) of it reported leakage inf
+    with pytest.raises(ValueError, match="finite"):
+        FockVector(np.array(coeffs))
+
+
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_time_raises_value_error(t):
     # a RuntimeWarning fails tier-1, so this also shows that none is emitted

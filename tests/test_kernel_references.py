@@ -89,12 +89,12 @@ def closed_pairwise(k, j, z, grid):
     return acc * (math.exp(abs(z) ** 2) / (k * nj) ** 2 / math.pi)
 
 
-def numeric_unfolded(state, grid, window_half=10.0, window_points=4096):
+def numeric_unfolded(state, grid, half_width=10.0, window_points=4096):
     """Full-window complex correlator times exp(2iyp), y from -W to W."""
     h_q = (grid.q_max - grid.q_min) / (grid.n_q - 1)
-    m = max(1, math.ceil(h_q * window_points / (2.0 * window_half)))
+    m = max(1, math.ceil(h_q * window_points / (2.0 * half_width)))
     h = h_q / m
-    n_half = math.ceil(window_half / h)
+    n_half = math.ceil(half_width / h)
     n_fine = (grid.n_q - 1) * m + 2 * n_half + 1
     lattice = grid.q_min - n_half * h + np.arange(n_fine) * h
     psi = sequential_synthesis(state.coeffs, lattice)
@@ -278,14 +278,15 @@ def test_numeric_mirrored_p_axis_matches_unfolded_transform(grid):
 
 
 def test_numeric_wide_window_matches_unfolded_transform():
-    # window_half = 14 on a +-9 p axis gives the phase table its largest
-    # arguments, 2 * 14 * 9; both cats reach past the default window
+    # both cats need y windows past 10 (12.3 and 12.8), which on a +-9 p
+    # axis give the phase table its largest arguments, about 2 * 13 * 9;
+    # the reference integrates out to 14
     grid = PhaseGrid(-9.0, 9.0, -9.0, 9.0, 61, 65)
     assert np.array_equal(grid.p_axis[::-1], -grid.p_axis)
     for k, j, z in ((2, 0, 4.5), (4, 1, 5.0 * np.exp(0.2j))):
         state = build_mcs(MCSLabel(k, j, z**k))
-        new = wigner_numeric(state, grid, window_half=14.0)
-        ref = numeric_unfolded(state, grid, window_half=14.0)
+        new = wigner_numeric(state, grid)
+        ref = numeric_unfolded(state, grid, half_width=14.0)
         assert relative_gap(new.values, ref) <= REL_TOL
 
 
@@ -399,8 +400,7 @@ def test_basis_movie_matches_per_frame_evolution(k):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_effective_support_matches_full_length_build(k):
     # the dropped levels hold under 1e-34 of the norm; what moves is the
-    # summation order of the shorter synthesis. The |z| = 3 rings of order
-    # 4 and up need a wider y window than the default 10
+    # summation order of the shorter synthesis
     grid = PhaseGrid(-7.0, 7.0, -6.5, 7.5, 61, 67)
     x = np.linspace(-12.0, 12.0, 401)
     for r in (0.5, 1.0, 2.0, 3.0):
@@ -412,8 +412,8 @@ def test_effective_support_matches_full_length_build(k):
             assert relative_gap(new.coeffs, ref.coeffs) <= SUPPORT_TOL
             gap = relative_gap(fock_wavefunction(new, x), fock_wavefunction(ref, x))
             assert gap <= SUPPORT_TOL
-            field = wigner_numeric(new, grid, window_half=14.0).values
-            ref_field = wigner_numeric(ref, grid, window_half=14.0).values
+            field = wigner_numeric(new, grid).values
+            ref_field = wigner_numeric(ref, grid).values
             assert relative_gap(field, ref_field) <= SUPPORT_TOL
             got, want = numeric_moments(new), numeric_moments(ref)
             for name in MomentSet.__dataclass_fields__:

@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -69,8 +68,9 @@ def test_closed_matches_numeric():
 
 
 def test_odd_cat_limit_is_first_fock_state():
-    # as z -> 0 the odd cat collapses onto |1>, whose field bottoms at -1/pi
-    field = wigner_closed(2, 1, 1e-4)
+    # as z -> 0 the odd cat collapses onto |1>, whose field bottoms at -1/pi;
+    # the closed route serves (2, 1) down to |z| = 2.1e-4
+    field = wigner_closed(2, 1, 3e-4)
     mid_q = field.grid.n_q // 2
     mid_p = field.grid.n_p // 2
     assert field.grid.q_axis[mid_q] == 0.0
@@ -112,10 +112,10 @@ def laguerre_field(n, grid):
     ids=["coarse", "fine"],
 )
 def test_numeric_fock_fields_match_laguerre_series(grid):
-    # |200> reaches sqrt(401) + 9 = 29.0, inside a window of 30; the coarse
-    # grid has a q step of 0.31, so the y step must come from the state
+    # |200> reaches sqrt(401) + 9 = 29.0; the coarse grid has a q step of
+    # 0.31, so the y step and window must come from the state
     for n in (0, 1, 7, 40, 100, 200):
-        field = wigner_numeric(basis_state(n, n_max=256), grid, window_half=30.0)
+        field = wigner_numeric(basis_state(n, n_max=256), grid)
         assert np.max(np.abs(field.values - laguerre_field(n, grid))) < 1e-12
 
 
@@ -151,17 +151,35 @@ def test_marginals_boundary_guard():
 
 
 def test_window_guard():
-    with pytest.raises(WindowTooNarrow):
-        wigner_numeric(basis_state(200, n_max=256))
+    # the guard stays quiet on |200>, whose correlator needs a y window of
+    # 22, past the fixed window of 10 that used to refuse it
+    field = wigner_numeric(basis_state(200, n_max=256))
+    assert np.max(np.abs(field.values - laguerre_field(200, PhaseGrid()))) < 1e-12
 
 
-def test_window_guard_names_a_sufficient_half_width():
-    state = build_mcs(MCSLabel(2, 0, 4.5**2))
-    with pytest.raises(WindowTooNarrow, match=r"window_half=\d+") as info:
-        wigner_numeric(state)
-    half = float(re.search(r"window_half=(\d+)", str(info.value)).group(1))
-    field = wigner_numeric(state, window_half=half)
+def test_window_from_the_state_serves_a_wide_cat():
+    # the branches of (2, 0, 4.5) sit 12.7 apart, so the correlator has
+    # weight out to |y| = 6.4 + its width and the window must pass 10
+    field = wigner_numeric(build_mcs(MCSLabel(2, 0, 4.5**2)))
     assert np.max(np.abs(field.values - wigner_closed(2, 0, 4.5).values)) < 1e-12
+
+
+def test_window_guard_fires_at_the_reach():
+    # |1000> holds under 1e-32 of the norm, so the reach counts only |0>,
+    # but at a norm of 100 its tail still lifts the envelope past 1e-16 at
+    # the reach itself
+    c = np.zeros(1001, dtype=complex)
+    c[0], c[1000] = 100.0, 9e-15
+    with pytest.raises(WindowTooNarrow, match="reach"):
+        wigner_numeric(FockVector(c))
+
+
+def test_window_keeps_one_y_step_far_from_the_state():
+    # psi stays below 1e-80 on the whole lattice, so no y column has an
+    # envelope above the edge tolerance; one step is still transformed
+    field = wigner_numeric(basis_state(0, 8), PhaseGrid(30.0, 40.0, -5.0, 5.0, 33, 33))
+    assert np.all(np.isfinite(field.values))
+    assert np.max(np.abs(field.values)) < 1e-100
 
 
 def test_degenerate_guard():
@@ -181,8 +199,8 @@ def test_degenerate_guard_covers_squared_norm():
 )
 def test_closed_field_refuses_cancelled_pairs(k, j, z):
     # the k^2 ring pairs cancel down to the class field, which keeps about
-    # eps e^{|z|^2} / (k component_norm)^2 / pi of absolute accuracy: at
-    # (2, 1, 1e-5) that bound is 1.8e-7, and the field was 3.7e-7 off the
+    # 2 eps e^{|z|^2} / component_norm^2 of absolute accuracy: at
+    # (2, 1, 1e-5) that bound is 4.4e-6, and the field was 3.7e-7 off the
     # numeric one before the guard
     with pytest.raises(DegenerateNorm, match="wigner_numeric"):
         wigner_closed(k, j, z)
@@ -214,12 +232,13 @@ def test_closed_field_rejects_bad_labels():
 
 
 def test_numeric_field_refuses_an_underflowed_seed():
-    # the lattice spans q = 22..63, inside the state's reach of 69, where
-    # the synthesis seed has underflowed: the field's mass was 3.2e-8
+    # the lattice spans q = 36 -+ 69, the state's reach, and between 37.6
+    # and 69 the synthesis seed has underflowed: with a window of 14 the
+    # field's mass was 3.2e-8
     state = build_mcs(MCSLabel(1, 0, 30.0), n_max=2048)
     grid = PhaseGrid(36.0, 49.0, -6.0, 6.0, 33, 33)
     with pytest.raises(Overflow, match="37.6"):
-        wigner_numeric(state, grid, window_half=14.0)
+        wigner_numeric(state, grid)
     # a p axis out to 1e308 would need a y step below any array's reach
     with pytest.raises(Overflow, match="y lattice"):
         wigner_numeric(state, PhaseGrid(-1.0, 1.0, -1.0, 1e308, 3, 3))
