@@ -47,7 +47,8 @@ _SEED_LIMIT = 37.6
 
 # absolute accuracy a sum over the coherent ring must keep (the threshold of
 # verify's closed-vs-synthesized row); its k branches cancel down to the
-# class amplitude, which leaves about eps e^{|z|^2/2} / component_norm, and
+# class amplitude, which leaves about
+# pi^{-1/4} (2 pi + j (k - 1) / 2) eps e^{|z|^2/2} / component_norm, and
 # the k^2 ring pairs of a Wigner field about
 # 2 eps e^{|z|^2} / component_norm^2 (see _ring_norm)
 _RING_ACCURACY = 1e-8
@@ -55,6 +56,11 @@ _RING_ACCURACY = 1e-8
 # eigenfunction rows held at once by the synthesis; bounds its memory to
 # _BLOCK_ROWS * len(x) doubles whatever n_max is
 _BLOCK_ROWS = 64
+
+# m k n of the largest matrix product issued at once (see _matmul_tiles):
+# OpenBLAS gives a product a second thread only from 65536 * 4 = 2^18
+# upward, so below twice that every product runs on the calling thread
+_SPLIT_SIZE = 2**19
 
 # the closed kernel's block factors e^{d u} and q (see `_blocks`) stay within
 # e^{+-_BLOCK_EXPONENT}, far from exp overflow
@@ -79,10 +85,31 @@ def fock_wavefunction(state: FockVector, x: np.ndarray) -> np.ndarray:
     return _synthesize(state.coeffs[None, :], x.ravel())[0].reshape(x.shape)
 
 
+def _matmul_tiles(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = left @ right for 2-d operands, in tiles of m k n < _SPLIT_SIZE.
+
+    Tiles are blocks of rows; the columns are cut too only when a single
+    row already reaches that size. Every tile then runs on the calling
+    thread, so no BLAS worker wakes to spin between products and the bits
+    do not depend on the thread count. A product that fits is one call.
+    """
+    m, inner = left.shape
+    n = right.shape[1]
+    # all n columns whenever one row fits; at least one column, for n = 0
+    width = max(1, min(n, (_SPLIT_SIZE - 1) // inner))
+    height = max(1, (_SPLIT_SIZE - 1) // (inner * width))
+    for lo in range(0, m, height):
+        for col in range(0, n, width):
+            rows, cols = slice(lo, lo + height), slice(col, col + width)
+            np.matmul(left[rows], right[:, cols], out=out[rows, cols])
+    return out
+
+
 def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """out[r] = sum_n coeffs[r, n] psi_n(x) for a (rows, n_max) coefficient
     matrix and a 1-d x: one recurrence over x, whose rows are contracted
-    with the coefficients as real matrix products, _BLOCK_ROWS at a time.
+    with the coefficients as real matrix products, _BLOCK_ROWS at a time,
+    each in tiles that stay on the calling thread (see _matmul_tiles).
 
     Only levels with a nonzero coefficient in some row are kept, and the
     recurrence stops at the highest of them. `build_mcs` states are zero
@@ -99,6 +126,7 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             f"underflows past |x| = {_SEED_LIMIT}; keep x within that limit"
         )
     basis = np.empty((_BLOCK_ROWS, x.size))
+    product = np.empty((coeffs.shape[0], x.size))
     held: list[int] = []
     prev = np.zeros_like(x)
     cur = _QUARTIC_ROOT_PI * np.exp(-0.5 * x * x)
@@ -110,8 +138,8 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             held.append(n)
         if len(held) == _BLOCK_ROWS or n == top - 1:
             c = coeffs[:, held]
-            out.real += c.real @ basis[: len(held)]
-            out.imag += c.imag @ basis[: len(held)]
+            out.real += _matmul_tiles(c.real, basis[: len(held)], product)
+            out.imag += _matmul_tiles(c.imag, basis[: len(held)], product)
             held = []
     return out
 
@@ -145,12 +173,18 @@ def _ring_norm(
     2^-h of `_class_norm` so neither leaves double range (for h = 0 they are
     those two factors bit for bit); with pairs=True num is squared too.
     A route summing the k coherent states on the ring weighs them
-    num / (k den), which cancels down to the class amplitude; the k^2 ring
-    pairs of a Wigner field take num / (k den)^2 / pi each, and each pair's
-    phase, a turn of up to 2 pi, is rounded to about 2 pi eps, so the pairs
-    leave 2 eps num / den^2 (measured: up to 2.2 eps num / (pi den^2) at
-    k <= 8). DegenerateNorm, naming the fallback route, once that leaves
-    worse than _RING_ACCURACY absolute accuracy.
+    num / (k den), which cancels down to the class amplitude. Each branch
+    of the wavefunction kernel, of modulus up to pi^{-1/4} num / (k den),
+    carries its own phase, a turn of up to 2 pi rounded to about 2 pi eps,
+    and its weight mu^{-jl} is a power of the rounded root mu = e^{2 pi i/k},
+    whose phase error of about eps grows to jl eps; so the k branches leave
+    pi^{-1/4} (2 pi + j (k - 1) / 2) eps num / den (measured near the
+    threshold: up to 0.34 of that for every class of k <= 8). The k^2 ring
+    pairs of a Wigner field take num / (k den)^2 / pi each, whose phase
+    turns are formed from j (a - b) mod k, so the pairs leave
+    2 eps num / den^2 (measured: up to 2.2 eps num / (pi den^2) at k <= 8).
+    DegenerateNorm, naming the fallback route, once that leaves worse than
+    _RING_ACCURACY absolute accuracy.
 
     Where j! leaves double range by far (h << 0), num would too: its log
     is checked first, and the excess moves onto den as a further power of
@@ -171,7 +205,8 @@ def _ring_norm(
         cancelled = 2.0 * eps * num > _RING_ACCURACY * den**2
     else:
         num = math.exp(0.5 * abs(z) ** 2 - h * _LN2)
-        cancelled = eps * num > _RING_ACCURACY * den
+        branches = _QUARTIC_ROOT_PI * (2.0 * math.pi + 0.5 * j * (k - 1))
+        cancelled = branches * eps * num > _RING_ACCURACY * den
     if cancelled:
         raise DegenerateNorm(
             f"class ({k}, {j}) carries too little weight at z={z} for the ring "

@@ -133,6 +133,7 @@ def apply_k_ladder(
     and its squared norm sum_{n >= n_max-k} F(n+k)|c_n|^2 is added to the
     vector's leakage. LeakageExceeded fires when the running total passes
     leak_tol; np.inf defers the check to the caller, and NaN raises ValueError.
+    Overflow when the image, or the leakage, leaves double range.
     """
     k, _ = _check_class(k)
     if sign not in (-1, 1):
@@ -143,11 +144,21 @@ def apply_k_ladder(
     cut = max(c.size - k, 0)
     weight = _falling(np.arange(k, c.size + k, dtype=np.float64), k)  # F(n + k)
     out = np.zeros_like(c)
+    with np.errstate(over="ignore"):  # checked below
+        if sign < 0:
+            out[:cut] = np.sqrt(weight[:cut]) * c[k:]
+            leaked = 0.0
+        else:
+            out[k:] = np.sqrt(weight[:cut]) * c[:cut]
+            leaked = float(weight[cut:] @ np.abs(c[cut:]) ** 2)
+    if not (np.isfinite(out).all() and math.isfinite(leaked)):
+        raise Overflow(
+            f"(a{'+' if sign > 0 else '-'})^{k} takes the state past double range; "
+            f"scale its coefficients down"
+        )
     if sign < 0:
-        out[:cut] = np.sqrt(weight[:cut]) * c[k:]
         return FockVector(out, state.leakage)
-    out[k:] = np.sqrt(weight[:cut]) * c[:cut]
-    leakage = state.leakage + float(weight[cut:] @ np.abs(c[cut:]) ** 2)
+    leakage = state.leakage + leaked
     if leakage > leak_tol:
         raise LeakageExceeded(
             f"accumulated raising leakage {leakage:.3e} exceeds {leak_tol:.1e} "

@@ -13,7 +13,11 @@ ring pairs, each rank-1 in (q, p); pair (b, a) is the conjugate of pair
 (a, b), so the k diagonal pairs and twice the real part of the k(k-1)/2
 pairs a < b make the whole field one real (n_q x k^2) @ (k^2 x n_p)
 product. Every factor is peeled to modulus <= 1, so no intermediate
-overflows where the field itself is finite.
+overflows where the field itself is finite. That product runs in blocks of
+rows small enough that OpenBLAS keeps each on the calling thread (see
+decomposition._matmul_tiles): at k >= 3 on 257^2 a single call would wake
+its thread pool, whose workers spin between products and whose split
+makes the last bits depend on the thread count.
 
 The numeric transform gets its speed from two choices. Its y step is the
 largest integer fraction of the q step that the state's momentum reach
@@ -33,7 +37,9 @@ every CLI grid) only p >= 0 is tabulated and transformed: the even cos
 part and the odd sin part give both halves. C is formed a block of rows
 at a time, and each block's products go straight into the field;
 purity and negativity_volume likewise square or clip the field a block
-of rows at a time.
+of rows at a time. Those 32-row blocks stay on one BLAS thread for the
+states of the CLI and the benchmark, but the long y window of a wide
+state such as |200> makes them large enough to split.
 Agreement with a naive transform at a far finer step is at machine
 precision, and a 257x257 field of (3, 1, z = 2) takes about 1.1 ms on a
 2-vCPU x86 machine with OpenBLAS (2.1 ms on an unmirrored p axis).
@@ -49,7 +55,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .decomposition import _reach, _ring_norm, fock_wavefunction
+from .decomposition import _matmul_tiles, _reach, _ring_norm, fock_wavefunction
 from .errors import BoundaryMass, Overflow, WindowTooNarrow
 from .fock import FockVector, _check_class, _ints
 
@@ -312,7 +318,8 @@ def wigner_closed(
     e = (grid.p_axis[:, None] - center_p.real).clip(-1e150, 1e150)
     left = _pair_parts(np.exp(-d * d), 2.0 * d * center_q.imag, k)
     right = _pair_parts(weight * np.exp(-e * e), -2.0 * e * center_p.imag - turn, k)
-    return WignerField(grid=grid, values=left @ right.T)
+    field = np.empty((grid.n_q, grid.n_p))
+    return WignerField(grid=grid, values=_matmul_tiles(left, right.T, field))
 
 
 def _pair_parts(modulus: np.ndarray, phase: np.ndarray, k: int) -> np.ndarray:

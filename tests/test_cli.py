@@ -230,6 +230,31 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.splitlines()[-3:] == ["class_index,step,energy", "0,0,0.5", "1,0,1.5"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner", "--k", "8", "--j", "4", "--z", "1.3", "--method", "closed",
+         "--grid", "-8,8,-8,8,129,129"],
+        ["evolve", "--k", "1", "--j", "0", "--z", "1.5", "--method", "fock"],
+    ],
+    ids=["wigner", "evolve"],
+)
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(argv):
+    # both hold products large enough for OpenBLAS to split over threads
+    # if they ran as one call
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(mcskit.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcskit", *argv],
+            capture_output=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
 def test_verify_algebra_passes_fast(capsys):
     start = time.monotonic()
     code, out, _ = run_cli(capsys, "verify", "--suite", "algebra")

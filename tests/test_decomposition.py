@@ -79,9 +79,10 @@ def test_bad_label_raises_value_error():
 @pytest.mark.parametrize("k, j, z", [(2, 1, 1e-200), (5, 4, 1e-3), (3, 2, 1e-5)])
 def test_closed_route_refuses_cancelled_branches(k, j, z):
     # the branches cancel down to a class amplitude of size component_norm,
-    # leaving eps e^{|z|^2/2} / component_norm of absolute accuracy: inf,
-    # 4e-4 and 2.9e-6 off the Fock route here before the guard, and a ring
-    # vector of norm inf, 7.6e-4 and 3.8e-6 off build_mcs
+    # leaving about pi^{-1/4} (2 pi + j (k - 1) / 2) eps e^{|z|^2/2} /
+    # component_norm of absolute accuracy (see _ring_norm): without the guard
+    # the closed route is inf, 4e-4 and 2.9e-6 off the Fock route here, and a
+    # ring vector of norm inf, 7.6e-4 and 3.8e-6 off build_mcs
     x = np.linspace(-6.0, 6.0, 121)
     with pytest.raises(DegenerateNorm, match="method='fock'"):
         mcs_wavefunction(k, j, z, x)
@@ -211,7 +212,8 @@ def ring_norm_in_range(k, j, z, fallback, pairs=False):
         cancelled = 2.0 * eps * num > decomposition._RING_ACCURACY * den**2
     else:
         num = math.exp(0.5 * abs(z) ** 2 - h * decomposition._LN2)
-        cancelled = eps * num > decomposition._RING_ACCURACY * den
+        branches = math.pi**-0.25 * (2.0 * math.pi + 0.5 * j * (k - 1))
+        cancelled = branches * eps * num > decomposition._RING_ACCURACY * den
     if cancelled:
         raise DegenerateNorm(fallback)
     return num, den
@@ -238,6 +240,75 @@ def test_ring_norm_keeps_its_outcome_where_the_weight_fits():
             assert new == ref, (k, j, z, pairs)
             seen.add(ref if isinstance(ref, type) else "served")
     assert seen == {"served", DegenerateNorm}
+
+
+def branch_threshold(k, j):
+    """The smallest |z|, to 1e-6 relative, whose ring the closed route serves."""
+    lo, hi = 1e-12, 5.0
+    while hi / lo > 1.0 + 1e-6:
+        mid = math.sqrt(lo * hi)
+        try:
+            decomposition._ring_norm(k, j, mid, "x")
+            hi = mid
+        except DegenerateNorm:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_closed_wavefunction_keeps_its_accuracy_past_the_threshold(k):
+    # j = k - 1 cancels worst; just past the threshold the closed route is
+    # served and stays within the 1e-8 it promises of the Fock route
+    j = k - 1
+    r = 1.02 * branch_threshold(k, j)
+    x = np.linspace(-8.0, 8.0, 401)
+    rng = np.random.default_rng(k)
+    for _ in range(4):
+        z = r * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        closed = mcs_wavefunction(k, j, z, x, t=t)
+        fock = mcs_wavefunction(k, j, z, x, t=t, method="fock")
+        assert np.max(np.abs(closed - fock)) <= decomposition._RING_ACCURACY, (z, t)
+
+
+def test_closed_wavefunction_refuses_a_label_it_served_off():
+    # under the bound eps e^{|z|^2/2} / component_norm this label was served
+    # 3.4e-8 off the Fock route, past the promised 1e-8
+    x = np.linspace(-8.0, 8.0, 401)
+    with pytest.raises(DegenerateNorm, match="method='fock'"):
+        mcs_wavefunction(8, 7, 0.1508 * np.exp(-2.069j), x, t=0.695)
+
+
+@pytest.mark.parametrize(
+    "m, inner, n",
+    [(257, 64, 257), (65, 64, 513), (10, 5, 7), (1, 64, 20000), (3, 600, 1000), (4, 3, 0)],
+    ids=["field", "movie", "fits", "wide-row", "wide-rows", "no-columns"],
+)
+def test_matmul_tiles_cover_the_product_once(monkeypatch, m, inner, n):
+    rng = np.random.default_rng(m * n)
+    left = rng.standard_normal((m, inner))
+    right = rng.standard_normal((n, inner)).T  # the closed field's layout
+    out = np.empty((m, n))
+    base = out.ctypes.data
+    seen = np.zeros((m, n), dtype=int)
+    matmul = np.matmul
+
+    def tile(a, b, out):
+        # each tile writes a view of the output: its offset locates the tile
+        assert a.shape[0] * a.shape[1] * b.shape[1] < decomposition._SPLIT_SIZE
+        row, col = divmod((out.ctypes.data - base) // out.itemsize, n)
+        seen[row : row + a.shape[0], col : col + b.shape[1]] += 1
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", tile)
+    decomposition._matmul_tiles(left, right, out)
+    monkeypatch.undo()
+    assert (seen == 1).all()
+    product = left @ right
+    if m * inner * n < decomposition._SPLIT_SIZE:  # one call, so the same bits
+        assert np.array_equal(out, product)
+    ulp = np.spacing(np.abs(left) @ np.abs(right))
+    assert np.all(np.abs(out - product) <= 4.0 * ulp)
 
 
 def test_synthesis_refuses_an_underflowed_seed():

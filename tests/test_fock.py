@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +156,24 @@ def test_ladder_weights_past_double_range_raise_overflow():
             apply_k_ladder(basis_state(0, 256), 150, sign, leak_tol=np.inf)
     with pytest.raises(Overflow):
         number_falling_apply(basis_state(255, 256), 200)
+
+
+@pytest.mark.parametrize(
+    "coeffs, sign",
+    [
+        ([0.0, 1.5e308, 0.0, 0.0], +1),  # the image sqrt(2) 1.5e308
+        ([0.0, 0.0, 0.0, 1.5e308], -1),  # the image sqrt(3) 1.5e308
+        ([0.0, 0.0, 0.0, 1e200], +1),  # the leakage 4e400
+    ],
+    ids=["raised", "lowered", "leaked"],
+)
+def test_ladder_past_double_range_raises_overflow(coeffs, sign):
+    # a finite vector whose ladder image leaves double range is refused by
+    # name, without a RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(Overflow, match=re.escape(f"(a{'+' if sign > 0 else '-'})^1")):
+            apply_k_ladder(FockVector(coeffs), 1, sign, leak_tol=np.inf)
 
 
 def test_k_ladder_matches_repeated_single(rng):
