@@ -21,7 +21,6 @@ from .errors import (
     WindowTooNarrow,
 )
 from .fock import (
-    DEFAULT_LEAK_TOL,
     DEFAULT_N_MAX,
     CommutatorResiduals,
     FockVector,
@@ -82,7 +81,7 @@ __all__ = [
     "BoundaryMass", "DegenerateNorm", "EdgeSupport", "LeakageExceeded",
     "McskitError", "Overflow", "QuadratureFailure",
     "RouteMismatch", "TailTooHeavy", "UnsupportedOrder", "WindowTooNarrow",
-    "DEFAULT_LEAK_TOL", "DEFAULT_N_MAX", "CommutatorResiduals", "FockVector",
+    "DEFAULT_N_MAX", "CommutatorResiduals", "FockVector",
     "apply_k_ladder", "basis_state", "hamiltonian_apply", "inner",
     "ladder_spectrum", "number_falling_apply", "pha_commutator_check",
     "time_evolve",

@@ -23,7 +23,9 @@ a whole table, is ever held.
 
 Complex values are parsed as 're,im' or polar 'r@theta' with theta in
 degrees; a bare number is taken as real. Grids are 'qmin,qmax,pmin,pmax,
-nq,np' for phase space and 'xmin,xmax,nx' for position space.
+nq,np' for phase space and 'xmin,xmax,nx' for position space. An axis,
+--nt among them, takes 2 to 2^26 points, the library's cap on one array,
+which also refuses a field or movie past 2^26 entries (exit 1).
 
 The parsed argparse namespace is the run configuration. Every option is
 checked when it is parsed, by its type= parser, which takes finite values
@@ -49,25 +51,34 @@ import numpy as np
 from . import __version__
 from .decomposition import density_movie
 from .errors import McskitError
-from .fock import DEFAULT_N_MAX, ladder_spectrum
-from .states import MCSLabel, a_norm_closed, build_mcs, moments
+from .fock import _ENTRIES_MAX, DEFAULT_N_MAX, ladder_spectrum
+from .states import _ROUTE_TOL, MCSLabel, a_norm_closed, build_mcs, moments
 from .verify import SUITE_NAMES, run_suite
 from .wigner import PhaseGrid, wigner_closed, wigner_numeric
 
 
-def _bounded(kind: type, low: float, strict: bool = False):
-    """A type= parser: kind(text), finite and >= low (> low if strict)."""
+def _bounded(kind: type, low: float, strict: bool = False, high: float = math.inf):
+    """A type= parser: kind(text), finite, >= low (> low if strict) and <= high."""
     relation = ">" if strict else ">="
     what = "an integer" if kind is int else "a finite number"
+    cap = f" and <= {high}" if high < math.inf else ""
 
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
-        if not (low < value < math.inf if strict else low <= value < math.inf):
-            raise argparse.ArgumentTypeError(f"must be {what} {relation} {low}, got {text!r}")
+        above = low < value if strict else low <= value
+        if not (above and value <= high and value < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"must be {what} {relation} {low}{cap}, got {text!r}"
+            )
         return value
 
     parse.__name__ = kind.__name__
     return parse
+
+
+# points on one axis (nq, np and nx of a grid, and --nt), refused past the
+# library's array cap before any axis is built
+_axis_points = _bounded(int, 2, high=_ENTRIES_MAX)
 
 
 def parse_complex(text: str) -> complex:
@@ -96,9 +107,9 @@ def parse_phase_grid(text: str) -> PhaseGrid:
         )
     try:
         qmin, qmax, pmin, pmax = (float(v) for v in parts[:4])
-        nq, npts = (int(v) for v in parts[4:])
+        nq, npts = (_axis_points(v) for v in parts[4:])
         return PhaseGrid(qmin, qmax, pmin, pmax, nq, npts)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad phase grid {text!r}: {exc}") from None
 
 
@@ -110,11 +121,11 @@ def parse_x_grid(text: str) -> np.ndarray:
         )
     try:
         lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2])
-    except ValueError as exc:
+        n = _axis_points(parts[2])
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad position grid {text!r}: {exc}") from None
     # a finite span also means finite bounds
-    if not (lo < hi and math.isfinite(hi - lo)) or n < 2:
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise argparse.ArgumentTypeError(f"bad position grid {text!r}")
     return np.linspace(lo, hi, n)
 
@@ -294,7 +305,7 @@ def cmd_uncertainty(args: argparse.Namespace) -> int:
         for name in ("a_norm_sq", "uncertainty_product", "mean_H", "geo_phase")
     }
     for i, a in enumerate(alphas):
-        mom = moments(MCSLabel(k, j, complex(a)), n_max=args.nmax, route_tol=args.tol)
+        mom = moments(MCSLabel(k, j, complex(a)), n_max=args.nmax)
         rows["a_norm_sq"][i] = mom.a_norm_sq
         rows["uncertainty_product"][i] = mom.uncertainty_product
         rows["mean_H"][i] = mom.mean_H
@@ -319,7 +330,7 @@ def cmd_uncertainty(args: argparse.Namespace) -> int:
             ("alpha", args.alpha),
             ("points", args.points),
             ("nmax", args.nmax),
-            ("tol", args.tol),
+            ("tol", _ROUTE_TOL),
         ],
         columns,
     )
@@ -399,7 +410,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total = 0
     for suite in suites:
         try:
-            results = run_suite(suite, n_max=args.nmax)
+            results = run_suite(suite)
         except McskitError as exc:
             print(f"ERROR {suite}: {type(exc).__name__}: {exc}")
             return 1
@@ -443,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_bounded(int, 1), default=81)
     p.add_argument("--nmax", type=_bounded(int, 2), default=DEFAULT_N_MAX,
                    help="truncation dimension")
-    p.add_argument("--tol", type=_bounded(float, 0.0, strict=True), default=1e-10,
-                   help="route agreement bound, per unit of max(1, <N>)")
     _add_io(p)
     p.set_defaults(func=cmd_uncertainty)
 
@@ -467,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=parse_x_grid, default="-12,12,513", help="xmin,xmax,nx")
     p.add_argument("--tmax", type=_bounded(float, 0.0, strict=True), default=None,
                    help="default: one revival period 2*pi/k")
-    p.add_argument("--nt", type=_bounded(int, 2), default=65)
+    p.add_argument("--nt", type=_axis_points, default=65)
     p.add_argument("--method", choices=("closed", "fock"), default="closed")
     p.add_argument("--nmax", type=_bounded(int, 2), default=DEFAULT_N_MAX)
     _add_io(p)
@@ -475,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--nmax", type=_bounded(int, 2), default=DEFAULT_N_MAX)
     p.set_defaults(func=cmd_verify)
 
     return parser

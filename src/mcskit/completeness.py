@@ -91,14 +91,12 @@ class MeasureCandidate:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Outcome of checking a candidate against the factorial moments."""
+    """Outcome of checking a candidate against the factorial moments:
+    rel_errors[n - 1] is the relative error of moment n."""
 
     k: int
     j: int
-    name: str
-    orders: np.ndarray
     rel_errors: np.ndarray
-    tol: float
     nonnegative: bool
     passed: bool
 
@@ -177,8 +175,7 @@ def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
     ])
     nonneg = bool(np.min(fs) >= -1e-12 * max(1.0, float(np.max(np.abs(fs)))))
     passed = nonneg and bool(np.all(rel <= _MOMENT_TOL))
-    return MomentReport(k=k, j=j, name=candidate.name, orders=orders, rel_errors=rel,
-                        tol=_MOMENT_TOL, nonnegative=nonneg, passed=passed)
+    return MomentReport(k=k, j=j, rel_errors=rel, nonnegative=nonneg, passed=passed)
 
 
 def root_exponential_density(k: int, j: int) -> MeasureCandidate:
@@ -235,13 +232,14 @@ def identity_block(k: int, j: int, dim_check: int = 12) -> np.ndarray:
                    f"identity assembly for class ({k}, {j})")
 
 
-def identity_resolution_numeric(k: int, j: int, dim_check: int = 12) -> float:
-    """Max deviation of `identity_block(k, j, dim_check)` from the identity.
+def identity_resolution_numeric(k: int, j: int) -> float:
+    """Max deviation of `identity_block(k, j)`, the first 12 states of the
+    class, from the identity.
 
     This is the end-to-end statement that the root-exponential measure
     makes the class states a complete family on their subspace: small only
     when moments, range and quadrature are all right at once. Every class
-    with k <= 5 reads below 1e-13 at the default dim_check.
+    with k <= 5 reads below 1e-13.
     """
-    block = identity_block(k, j, dim_check)
+    block = identity_block(k, j)
     return float(np.max(np.abs(block - np.eye(block.shape[0]))))

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNorm, Overflow
-from .fock import DEFAULT_N_MAX, FockVector, _check_class, _check_count, _check_phase
+from .fock import (DEFAULT_N_MAX, FockVector, _check_class, _check_count, _check_entries,
+                   _check_phase)
 from .states import MCSLabel, _check_series, _power, _series, build_mcs
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
@@ -316,6 +317,7 @@ def density_movie(
     on the closed route each frame is a rank-k sum of outer products of
     small per-branch factors over blocks of x, one matrix product per frame
     (see `_amplitudes`), on the Fock route one synthesis for all frames.
+    Overflow when the movie would pass 2^26 entries.
     """
     density = np.abs(_amplitudes(k, j, z, x_grid, t_grid, method, n_max))
     return np.square(density, out=density)
@@ -325,7 +327,8 @@ def _amplitudes(
     k: int, j: int, z: complex, x: np.ndarray, t: np.ndarray | None, method: str, n_max: int
 ) -> np.ndarray:
     """psi on the (len(t), x.size) grid, x raveled; t=None is one revival
-    period 2*pi/k at 65 instants. ValueError for a non-finite x or t.
+    period 2*pi/k at 65 instants. ValueError for a non-finite x or t,
+    Overflow past 2^26 entries.
 
     fock: the eigenfunctions do not depend on time, so every row comes from
     one synthesis C @ Psi with C[t, n] = c_n e^{-i(n+1/2)t}, formed on the
@@ -367,6 +370,7 @@ def _amplitudes(
     x = np.asarray(x, dtype=np.float64).ravel()
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
         raise ValueError("position and time grids must be finite")
+    _check_entries("movie entries (len(t) * x.size)", t.size * x.size)
     z = complex(z)
 
     if method == "fock":

@@ -27,8 +27,9 @@ from .errors import EdgeSupport, LeakageExceeded, Overflow
 DEFAULT_N_MAX = 256
 DEFAULT_LEAK_TOL = 1e-12
 _FALLING_MAX = int(np.finfo(np.float64).max) // 2
-# the most entries ladder_spectrum builds: 512 MiB of float64
-_SPECTRUM_MAX = 2**26
+# the most entries one array of ladder_spectrum, a Wigner field or a density
+# movie may hold: 512 MiB of float64
+_ENTRIES_MAX = 2**26
 
 
 def _ints(what: str, *values: int) -> tuple[int, ...]:
@@ -45,6 +46,13 @@ def _check_count(name: str, value: int) -> int:
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value
+
+
+def _check_entries(what: str, count: int) -> None:
+    """Overflow, before anything is allocated, when an array of `count`
+    entries would pass _ENTRIES_MAX."""
+    if count > _ENTRIES_MAX:
+        raise Overflow(f"{count} {what} pass the cap of {_ENTRIES_MAX} (512 MiB)")
 
 
 def _check_class(k: int, j: int = 0) -> tuple[int, int]:
@@ -249,8 +257,7 @@ def ladder_spectrum(k: int, levels: int = 32) -> np.ndarray:
     """
     k, _ = _check_class(k)
     levels = _check_count("levels", levels)
-    if k * levels > _SPECTRUM_MAX:
-        raise Overflow(f"k * levels passes {_SPECTRUM_MAX} spectrum entries (512 MiB)")
+    _check_entries("spectrum entries (k * levels)", k * levels)
     return np.arange(k)[:, None] + 0.5 + k * np.arange(levels)
 
 

@@ -1,46 +1,6 @@
-"""Thread-pool helper with an environment override.
+"""Empty: mcskit starts no threads of its own.
 
-The env var MCSKIT_THREADS caps the worker count for every parallel map in
-the package (useful on shared boxes and in CI). Unset means one worker per
-CPU. The work here is numpy-heavy, so threads are the right pool type: the
-heavy lifting releases the GIL inside BLAS.
+The thread-pool helper that lived here had no caller. The module stays only
+because perfbench/spans.py imports every module in its MODULES list; ROADMAP
+item 1 deletes it in the next change to the benchmark.
 """
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-_ENV_VAR = "MCSKIT_THREADS"
-
-
-def worker_cap() -> int:
-    """Number of workers to use, honoring MCSKIT_THREADS.
-
-    Raises ValueError on a malformed value; a silent fallback would hide
-    typos in job scripts.
-    """
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_VAR} must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"{_ENV_VAR} must be >= 1, got {n}")
-    return n
-
-
-def pmap(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map fn over items with a capped thread pool, preserving order."""
-    seq: Sequence[T] = list(items)
-    workers = min(worker_cap(), max(1, len(seq)))
-    if workers == 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))

@@ -31,8 +31,10 @@ import numpy as np
 from .errors import Overflow, RouteMismatch, TailTooHeavy, UnsupportedOrder
 from .fock import DEFAULT_N_MAX, FockVector, _check_class, _check_count, apply_k_ladder
 
-# tail share build_mcs may drop, and geometric_phase's route bound per max(1, <N>)
+# tail share build_mcs may drop, and the route bounds of moments and
+# geometric_phase per max(1, <N>)
 _TAIL_TOL = 1e-12
+_ROUTE_TOL = 1e-10
 _PHASE_TOL = 1e-12
 
 # stop a positive-term series once terms are this far below the running sum,
@@ -377,9 +379,7 @@ def a_norm_closed(label: MCSLabel) -> float:
     raise UnsupportedOrder(f"no closed number expectation for order {k}")
 
 
-def moments(
-    label: MCSLabel, n_max: int = DEFAULT_N_MAX, route_tol: float = 1e-10
-) -> MomentSet:
+def moments(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> MomentSet:
     """Moment set for |alpha; k, j>, series route cross-checked numerically.
 
     Order 1 is the familiar displaced Gaussian. For k >= 2 the first
@@ -388,14 +388,11 @@ def moments(
     where (a-)^2 contributes a direct <a^2> = alpha term.
 
     Raises RouteMismatch if the truncated matrix elements disagree with the
-    series values beyond route_tol max(1, <N>); that means n_max is too
-    small for this label (or a bug), and no silently wrong numbers are
-    returned. The bound grows with <N> because the rounding of both routes
-    does: the second moments are sums of terms of size <N>. ValueError for
-    a NaN route_tol, which would pass every gap.
+    series values beyond 1e-10 max(1, <N>); that means n_max is too small
+    for this label (or a bug), and no silently wrong numbers are returned.
+    The bound grows with <N> because the rounding of both routes does: the
+    second moments are sums of terms of size <N>.
     """
-    if math.isnan(route_tol):
-        raise ValueError("route_tol must not be NaN")
     k, j, alpha = label.k, label.j, label.alpha
     x = _power(abs(alpha), 2)
     # first, so a label too large for the series raises Overflow before a
@@ -436,7 +433,7 @@ def moments(
         d = abs(getattr(closed, name) - getattr(numeric, name))
         if d > worst:
             worst_field, worst = name, d
-    bound = route_tol * max(1.0, closed.a_norm_sq)
+    bound = _ROUTE_TOL * max(1.0, closed.a_norm_sq)
     if worst > bound:
         raise RouteMismatch(
             f"series and matrix-element moments disagree on {worst_field} "

@@ -4,8 +4,10 @@ CHECKS is the one table of checks: each row names its suite, its
 statement, a threshold with its relation, and the private function that
 measures it. `run_suite` builds a suite's shared inputs once per call and
 measures that suite's rows in table order; the acceptance tests read the
-same rows. Nothing here is fitted to the implementation, so a regression
-in any module shows up as a FAIL with the measured number.
+same rows. The inputs are the table's own, so a row always measures the
+same thing: states are truncated at n_max = 256 and the algebra probes at
+128. Nothing here is fitted to the implementation, so a regression in any
+module shows up as a FAIL with the measured number.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ _NUMERIC_CASES = (
     (3, 2, 1.0),
 )
 _QUARTER_TURN = (3, 0, 1.0 + 1.0j)
+# truncation of every suite's states, and of the algebra suite's probes
+_N_MAX = 256
+_ALGEBRA_N_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,8 @@ class CheckResult:
     name: str
     value: float
     threshold: float
-    relation: str = "<="
-    passed: bool = False
+    relation: str
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -66,12 +71,13 @@ class Check:
     measure: Callable[[SimpleNamespace], float]
 
 
-def _algebra_inputs(n_max: int) -> SimpleNamespace:
+def _algebra_inputs() -> SimpleNamespace:
     # one generator per run: the rows draw their probes from it in table order
-    return SimpleNamespace(n_max=n_max, rng=np.random.default_rng(_SEED))
+    return SimpleNamespace(rng=np.random.default_rng(_SEED))
 
 
-def _random_probe(rng: np.random.Generator, n_max: int, clear_top: int) -> FockVector:
+def _random_probe(rng: np.random.Generator, clear_top: int) -> FockVector:
+    n_max = _ALGEBRA_N_MAX
     c = rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)
     c[n_max - clear_top :] = 0.0
     return FockVector(c / np.linalg.norm(c))
@@ -81,7 +87,7 @@ def _commutators(s: SimpleNamespace) -> float:
     worst = 0.0
     for k in range(1, 6):
         for _ in range(10):
-            probe = _random_probe(s.rng, s.n_max, clear_top=k + 1)
+            probe = _random_probe(s.rng, clear_top=k + 1)
             res = pha_commutator_check(k, probe)
             worst = max(worst, res.lowering, res.raising, res.number_poly)
     return worst
@@ -96,34 +102,34 @@ def _ladder_union(s: SimpleNamespace) -> float:
 
 
 def _unitary_drift(s: SimpleNamespace) -> float:
-    state = _random_probe(s.rng, s.n_max, clear_top=1)
+    state = _random_probe(s.rng, clear_top=1)
     for _ in range(1000):
         state = time_evolve(state, 0.01)
     return abs(state.norm() - 1.0)
 
 
 def _edge_leakage(s: SimpleNamespace) -> float:
-    lifted = apply_k_ladder(basis_state(s.n_max - 1, s.n_max), 1, +1, leak_tol=np.inf)
-    return abs(lifted.leakage - s.n_max) + lifted.norm()
+    top = basis_state(_ALGEBRA_N_MAX - 1, _ALGEBRA_N_MAX)
+    lifted = apply_k_ladder(top, 1, +1, leak_tol=np.inf)
+    return abs(lifted.leakage - _ALGEBRA_N_MAX) + lifted.norm()
 
 
 def _edge_guard(s: SimpleNamespace) -> float:
     try:
-        pha_commutator_check(2, basis_state(s.n_max - 1, s.n_max))
+        pha_commutator_check(2, basis_state(_ALGEBRA_N_MAX - 1, _ALGEBRA_N_MAX))
     except EdgeSupport:
         return 0.0
     return 1.0
 
 
-def _state_inputs(n_max: int) -> SimpleNamespace:
+def _state_inputs() -> SimpleNamespace:
     labels = [
         st.MCSLabel(k, j, a) for k in (1, 2, 3) for j in range(k) for a in _LABEL_ALPHAS
     ]
-    built = {lab: st.build_mcs(lab, n_max) for lab in labels}
+    built = {lab: st.build_mcs(lab, _N_MAX) for lab in labels}
     return SimpleNamespace(
-        n_max=n_max,
         built=built,
-        closed={lab: st.moments(lab, n_max) for lab in labels},
+        closed={lab: st.moments(lab, _N_MAX) for lab in labels},
         numeric={lab: st.numeric_moments(vec) for lab, vec in built.items()},
     )
 
@@ -137,7 +143,7 @@ def _swept_moments(
         for r in _RADII:
             for phase in _PHASES:
                 lab = st.MCSLabel(k, j, r * phase)
-                out.append((lab, st.moments(lab, s.n_max)))
+                out.append((lab, st.moments(lab, _N_MAX)))
     return out
 
 
@@ -178,7 +184,7 @@ def _small_alpha_limits(s: SimpleNamespace) -> float:
     lim = 0.0
     for k in (1, 2, 3):
         for j in range(k):
-            prod = st.moments(st.MCSLabel(k, j, 1e-6), s.n_max).uncertainty_product
+            prod = st.moments(st.MCSLabel(k, j, 1e-6), _N_MAX).uncertainty_product
             lim = max(lim, abs(prod - (j + 0.5)))
     return lim
 
@@ -220,8 +226,8 @@ def _phase_routes(s: SimpleNamespace) -> float:
 def _order_two_phase(s: SimpleNamespace) -> float:
     gap = 0.0
     for r in _RADII:
-        beta0 = st.geometric_phase(st.MCSLabel(2, 0, r), s.n_max)
-        beta1 = st.geometric_phase(st.MCSLabel(2, 1, r), s.n_max)
+        beta0 = st.geometric_phase(st.MCSLabel(2, 0, r), _N_MAX)
+        beta1 = st.geometric_phase(st.MCSLabel(2, 1, r), _N_MAX)
         gap = max(gap, abs(beta0 - math.pi * r * math.tanh(r)))
         gap = max(gap, abs(beta1 - math.pi * (r / math.tanh(r) - 1.0)))
     return gap
@@ -232,8 +238,8 @@ def _ring_vs_direct(s: SimpleNamespace) -> float:
     for k in (2, 3):
         for j in range(k):
             for z in (1.5, 1.0 + 1.0j):
-                ring = dec.mcs_as_scs(k, j, z).fock_vector(s.n_max)
-                direct = st.build_mcs(st.MCSLabel(k, j, complex(z) ** k), s.n_max)
+                ring = dec.mcs_as_scs(k, j, z).fock_vector(_N_MAX)
+                direct = st.build_mcs(st.MCSLabel(k, j, complex(z) ** k), _N_MAX)
                 gap = max(gap, float(np.linalg.norm(ring.coeffs - direct.coeffs)))
     return gap
 
@@ -242,8 +248,8 @@ def _reassembly(s: SimpleNamespace) -> float:
     gap = 0.0
     for k in (2, 3, 5):
         for z in (1.5, 0.8 - 1.1j) + _RING_Z:
-            back = dec.coherent_from_classes(k, z, s.n_max)
-            ref = st.build_mcs(st.MCSLabel(1, 0, z), s.n_max)
+            back = dec.coherent_from_classes(k, z, _N_MAX)
+            ref = st.build_mcs(st.MCSLabel(1, 0, z), _N_MAX)
             gap = max(gap, float(np.linalg.norm(back.coeffs - ref.coeffs)))
     return gap
 
@@ -256,9 +262,7 @@ def _wavefunctions(s: SimpleNamespace) -> float:
             for z in _RING_Z:
                 for t in (0.0, 0.7):
                     closed = dec.mcs_wavefunction(k, j, z, x, t=t)
-                    synth = dec.mcs_wavefunction(
-                        k, j, z, x, t=t, method="fock", n_max=s.n_max
-                    )
+                    synth = dec.mcs_wavefunction(k, j, z, x, t=t, method="fock", n_max=_N_MAX)
                     gap = max(gap, float(np.max(np.abs(closed - synth))))
     return gap
 
@@ -271,7 +275,7 @@ def _degenerate_guard(s: SimpleNamespace) -> float:
     return 1.0
 
 
-def _wigner_inputs(n_max: int) -> SimpleNamespace:
+def _wigner_inputs() -> SimpleNamespace:
     """Closed fields of every (k, j, z) with k <= 3 and z in _RING_Z, and
     (state, closed, numeric) triples for the numeric cases; the last triple
     is the quarter-turn case, evolved by t = pi/2."""
@@ -283,7 +287,7 @@ def _wigner_inputs(n_max: int) -> SimpleNamespace:
         for z in _RING_Z
     }
     states = {
-        (k, j, z): st.build_mcs(st.MCSLabel(k, j, complex(z) ** k), n_max)
+        (k, j, z): st.build_mcs(st.MCSLabel(k, j, complex(z) ** k), _N_MAX)
         for k, j, z in _NUMERIC_CASES + (_QUARTER_TURN,)
     }
     triples = [
@@ -295,7 +299,7 @@ def _wigner_inputs(n_max: int) -> SimpleNamespace:
     turned = time_evolve(states[_QUARTER_TURN], t)
     closed_turned = wg.wigner_closed(k, j, complex(z) * np.exp(-1j * t), grid)
     triples.append((turned, closed_turned, wg.wigner_numeric(turned, grid)))
-    return SimpleNamespace(n_max=n_max, grid=grid, closed=closed, triples=triples)
+    return SimpleNamespace(grid=grid, closed=closed, triples=triples)
 
 
 def _closed_vs_numeric(s: SimpleNamespace) -> float:
@@ -345,13 +349,13 @@ def _quarter_turn(s: SimpleNamespace) -> float:
 
 def _wide_window(s: SimpleNamespace) -> float:
     # the branches sit 12.7 apart, so the y window must pass 10
-    state = st.build_mcs(st.MCSLabel(2, 0, 4.5**2), s.n_max)
+    state = st.build_mcs(st.MCSLabel(2, 0, 4.5**2), _N_MAX)
     closed = wg.wigner_closed(2, 0, 4.5, s.grid)
     return float(np.max(np.abs(wg.wigner_numeric(state, s.grid).values - closed.values)))
 
 
-def _completeness_inputs(n_max: int) -> SimpleNamespace:
-    del n_max  # radial quadrature, no truncation involved
+def _completeness_inputs() -> SimpleNamespace:
+    # radial quadrature, no truncation involved
     plain = comp.MeasureCandidate(
         k=1, j=0, density=lambda x: np.exp(-x), support_hint=200.0, name="exp(-x)"
     )
@@ -367,7 +371,7 @@ def _order_one_moments(s: SimpleNamespace) -> float:
 
 
 def _order_one_identity(s: SimpleNamespace) -> float:
-    return comp.identity_resolution_numeric(1, 0, dim_check=12)
+    return comp.identity_resolution_numeric(1, 0)
 
 
 def _order_two_moments(s: SimpleNamespace) -> float:
@@ -456,12 +460,12 @@ CHECKS = (
 SUITE_NAMES = tuple(dict.fromkeys(row.suite for row in CHECKS))
 
 
-def run_suite(name: str, n_max: int = 256) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
+    """Measure every row of suite `name` in table order, on inputs built once
+    for the suite. ValueError unless the name is one of SUITE_NAMES."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
-    if name == "algebra":
-        n_max = min(n_max, 128)
-    shared = _INPUTS[name](n_max)
+    shared = _INPUTS[name]()
     out = []
     for row in CHECKS:
         if row.suite == name:

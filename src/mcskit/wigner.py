@@ -57,7 +57,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .decomposition import _matmul_tiles, _reach, _ring_norm, fock_wavefunction
 from .errors import BoundaryMass, Overflow, WindowTooNarrow
-from .fock import FockVector, _check_class, _ints
+from .fock import FockVector, _check_class, _check_entries, _ints
 
 # largest |W| marginals accepts on the grid edge
 _BOUNDARY_TOL = 1e-10
@@ -188,9 +188,9 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     the q axis, and the y window ends at the last y whose correlator
     envelope, max over q of |psi(q+y) psi(q-y)|, exceeds 1e-16 (at least one
     y step); cutting the decayed tail costs only that tail. WindowTooNarrow
-    means psi still has weight at p_psi itself. Overflow means the lattice
-    would need more points than an array can index (max|p| near 1e18 on a
-    unit q step).
+    means psi still has weight at p_psi itself. Overflow means the grid has
+    more than 2^26 points, or the lattice would need more points than an
+    array can index (max|p| near 1e18 on a unit q step).
 
     The p integral is two real matmuls against cos 2yp and sin 2yp, built
     by angle addition (see _phase_table). When the p axis is mirrored bit
@@ -199,6 +199,7 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     """
     if grid is None:
         grid = PhaseGrid()
+    _check_entries("field entries (n_q * n_p)", grid.n_q * grid.n_p)
     p = grid.p_axis
     h_q = (grid.q_max - grid.q_min) / (grid.n_q - 1)
 
@@ -287,11 +288,12 @@ def wigner_closed(
     The pairs cancel down to the class field, which keeps about
     2 eps e^{|z|^2} / component_norm^2 of absolute accuracy (small |z|
     with j > 0); past 1e-8 DegenerateNorm is raised, and wigner_numeric
-    serves those labels.
+    serves those labels. Overflow when the grid has more than 2^26 points.
     """
     k, j = _check_class(k, j)
     if grid is None:
         grid = PhaseGrid()
+    _check_entries("field entries (n_q * n_p)", grid.n_q * grid.n_p)
     z = complex(z)
     num, den = _ring_norm(k, j, z, "wigner_numeric", pairs=True)
     # pair (a, b) is rank-1 in (q, p): exp(-(q-Q)^2) exp(D) exp(-(p-P)^2).
@@ -330,14 +332,13 @@ def _pair_parts(modulus: np.ndarray, phase: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Marginals:
-    """Wigner marginals next to independently synthesized densities."""
+    """Wigner marginals on the field's grid axes, next to independently
+    synthesized densities (None without a state)."""
 
-    q: np.ndarray
-    p: np.ndarray
     q_marginal: np.ndarray
     p_marginal: np.ndarray
-    q_density: np.ndarray | None = None
-    p_density: np.ndarray | None = None
+    q_density: np.ndarray | None
+    p_density: np.ndarray | None
 
 
 def marginals(field: WignerField, state: FockVector | None = None) -> Marginals:
@@ -373,8 +374,7 @@ def marginals(field: WignerField, state: FockVector | None = None) -> Marginals:
         twist = FockVector(state.coeffs * _QUARTER_TURNS[np.arange(state.n_max) % 4])
         p_dens = np.abs(fock_wavefunction(twist, p)) ** 2
     return Marginals(
-        q=q, p=p, q_marginal=q_marg, p_marginal=p_marg,
-        q_density=q_dens, p_density=p_dens,
+        q_marginal=q_marg, p_marginal=p_marg, q_density=q_dens, p_density=p_dens
     )
 
 

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import mcskit
+from mcskit import TailTooHeavy, verify
 from mcskit.cli import main, parse_complex, parse_phase_grid, parse_x_grid
 from mcskit.verify import CHECKS, SUITE_NAMES, run_suite
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -283,11 +286,15 @@ def test_run_suite_names_only_the_suites_it_runs():
         assert str(info.value) == f"unknown suite {name!r}; pick from {SUITE_NAMES}"
 
 
-def test_verify_surfaces_forced_failure(capsys):
-    # nmax=8 cannot hold |alpha|=4 states; the tail guard must surface
-    code, out, _ = run_cli(capsys, "verify", "--suite", "states", "--nmax", "8")
+def test_verify_surfaces_forced_failure(capsys, monkeypatch):
+    # a suite whose inputs cannot be built reports the typed error, not a row
+    def refuse():
+        raise TailTooHeavy("forced: the states suite cannot build its labels")
+
+    monkeypatch.setitem(verify._INPUTS, "states", refuse)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "states")
     assert code == 1
-    assert "ERROR" in out and "TailTooHeavy" in out
+    assert out == "ERROR states: TailTooHeavy: forced: the states suite cannot build its labels\n"
 
 
 def test_argument_errors_exit_two(capsys):
@@ -308,7 +315,11 @@ def test_argument_errors_exit_two(capsys):
         "evolve --k 2 --z 1 --grid -1,inf,5",
         "wigner --k 2 --z 1 --grid -1,1,-1,inf,3,3",
         "spectrum --k 2 --levels 0",
-        "verify --nmax 1",
+        # one axis past the library's 2^26-entry cap, refused before any
+        # axis is built
+        "wigner --k 1 --z 1 --grid -8,8,-8,8,2,67108865",
+        "evolve --k 1 --z 1 --grid -8,8,100000000 --nt 1000000",
+        "evolve --k 1 --z 1 --grid -8,8,3 --nt 67108865",
     ):
         with pytest.raises(SystemExit) as exc:
             main(args.split())
@@ -321,12 +332,34 @@ def test_argument_errors_exit_two(capsys):
     # finite t whose Fock phase (n_max - 1/2) t leaves double range
     "evolve --k 2 --z 1 --tmax 1e307 --nt 2 --grid -1,1,3 --method fock",
     "spectrum --k 1" + "0" * 330 + " --levels 1",
-], ids=["fock-time", "spectrum-order"])
+    # axes within the cap whose field or movie passes its 2^26 entries,
+    # refused before anything is allocated
+    "wigner --k 1 --z 1 --grid -8,8,-8,8,1000000,1000000",
+    "wigner --k 1 --z 1 --grid -8,8,-8,8,8192,8193 --method numeric",
+    "evolve --k 1 --z 1 --grid -8,8,8193 --nt 8192",
+    "evolve --k 1 --z 1 --grid -8,8,8193 --nt 8192 --method fock",
+], ids=["fock-time", "spectrum-order", "field", "numeric-field", "movie", "fock-movie"])
 def test_domain_errors_exit_one(capsys, args):
     code, out, err = run_cli(capsys, *args.split())
     assert code == 1
     assert out == ""
     assert err.startswith("error: Overflow: ") and "Traceback" not in err
+
+
+def readme_commands():
+    """argv of each `mcskit ...` line of the README's command-line block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```\n")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("mcskit ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_run(capsys, tmp_path, argv):
+    # every command the README documents runs as written
+    out = tmp_path / "out"
+    extra = [] if argv[0] == "verify" else ["--out", str(out)]  # verify prints only
+    code, stdout, err = run_cli(capsys, *argv, *extra)
+    assert (code, err) == (0, "")
+    assert stdout if argv[0] == "verify" else out.stat().st_size > 0
 
 
 def test_evolve_default_period_header(capsys):

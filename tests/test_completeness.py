@@ -16,9 +16,9 @@ from mcskit import (
     identity_resolution_numeric,
     mcs_as_scs,
     moment_check,
-    moments,
     root_exponential_density,
 )
+from mcskit.completeness import _MOMENT_TOL
 
 
 def test_family_moments_across_orders():
@@ -27,7 +27,7 @@ def test_family_moments_across_orders():
         report = moment_check(root_exponential_density(k, j), n_top=12)
         assert report.passed, report
         assert report.worst_error() < 1e-8
-        assert np.all(report.rel_errors <= report.tol)
+        assert np.all(report.rel_errors <= _MOMENT_TOL)
 
 
 def test_order_one_density_value():
@@ -41,7 +41,7 @@ def test_plain_exponential_fails_at_second_moment():
     report = moment_check(bad, n_top=4)
     assert not report.passed
     # the first moment passes and the second is the first to fail
-    assert report.rel_errors[0] <= report.tol < report.rel_errors[1]
+    assert report.rel_errors[0] <= _MOMENT_TOL < report.rel_errors[1]
     # moments of e^{-x} are (n-1)! against a target of n!, so the relative
     # error at order n is exactly 1 - 1/n
     assert report.rel_errors[1] == pytest.approx(0.5, abs=1e-9)
@@ -60,7 +60,7 @@ def test_negative_density_is_flagged_not_fatal():
 
 
 def test_identity_resolution_order_one():
-    dev = identity_resolution_numeric(1, 0, dim_check=12)
+    dev = identity_resolution_numeric(1, 0)
     assert dev < 1e-6
 
 
@@ -82,7 +82,8 @@ def test_identity_resolution_every_class_to_order_five():
 def test_identity_resolution_reaches_past_the_support_hint():
     # the range follows dim_check: orders up to 39 lie past the n <= 24
     # that the candidate's support_hint covers
-    assert identity_resolution_numeric(5, 4, dim_check=40) <= 1e-8
+    block = identity_block(5, 4, 40)
+    assert np.max(np.abs(block - np.eye(40))) <= 1e-8
 
 
 def test_truncated_moment_raises_instead_of_scoring():
@@ -96,8 +97,10 @@ def test_truncated_moment_raises_instead_of_scoring():
 @pytest.mark.parametrize("call", [
     lambda: identity_block(1, 0, dim_check=0),
     lambda: identity_block(2, 1, dim_check=2.5),
-    lambda: identity_resolution_numeric(1, 0, dim_check=0),
-    lambda: identity_resolution_numeric(3, 1, dim_check=2.5),
+    # gap-dim: the count verify's tiling gap passes on; the gap of
+    # identity_resolution_numeric takes none
+    lambda: identity_block(3, 1, dim_check=0),
+    lambda: identity_block(5, 4, dim_check=2.5),
     lambda: moment_check(root_exponential_density(1, 0), n_top=0),
     lambda: moment_check(root_exponential_density(2, 0), n_top=3.0),
     lambda: build_mcs(MCSLabel(2, 0, 1.0), n_max=2.5),
@@ -113,9 +116,8 @@ def test_counts_must_be_positive_integers(call):
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: moments(MCSLabel(2, 0, 1.0), route_tol=math.nan), "route_tol"),
     (lambda: apply_k_ladder(basis_state(7, 8), 1, +1, leak_tol=math.nan), "leak_tol"),
-], ids=["route_tol-nan", "leak_tol-nan"])
+], ids=["leak_tol-nan"])
 def test_arguments_that_would_switch_a_check_off_raise(call, name):
     # NaN compares false, so each of these returned with its check disabled
     # or failed later inside numpy

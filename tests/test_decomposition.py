@@ -407,3 +407,13 @@ def test_movie_methods_agree():
         # and BLAS rounds their sums differently
         row = np.abs(mcs_wavefunction(2, 0, 1.2, x, t=t, method="fock")) ** 2
         assert np.max(np.abs(fock[i] - row)) <= 1e-14 * np.max(row)
+
+
+@pytest.mark.parametrize("method", ["closed", "fock"])
+def test_movie_past_the_array_cap_raises_overflow(method):
+    # 8192 frames of 8193 points pass 2^26 entries by one frame; refused
+    # before any frame is built
+    x = np.linspace(-8.0, 8.0, 8193)
+    t = np.linspace(0.0, 1.0, 8192)
+    with pytest.raises(Overflow, match="67117056 movie entries"):
+        density_movie(1, 0, 1.0, x, t, method=method)

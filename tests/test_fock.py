@@ -21,7 +21,7 @@ from mcskit import (
     pha_commutator_check,
     time_evolve,
 )
-from mcskit.fock import _SPECTRUM_MAX
+from mcskit.fock import _ENTRIES_MAX
 
 
 def random_state(rng, n_max=64, clear_top=8):
@@ -239,7 +239,7 @@ def test_spectrum_ladders():
 def test_spectrum_past_its_element_budget_raises_overflow():
     # refused before numpy is asked for the array; one entry past the
     # budget, so no case here allocates anything
-    for k, levels in ((_SPECTRUM_MAX + 1, 1), (1, _SPECTRUM_MAX + 1), (2**13, 2**13 + 1)):
+    for k, levels in ((_ENTRIES_MAX + 1, 1), (1, _ENTRIES_MAX + 1), (2**13, 2**13 + 1)):
         with pytest.raises(Overflow, match="spectrum entries"):
             ladder_spectrum(k, levels)
 

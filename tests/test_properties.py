@@ -1,9 +1,19 @@
-"""Property test of the numeric Wigner route over random class states.
+"""Property tests of the public entry points over random class states.
 
-Every label with k <= 8, any class j < k and |z| in [0.2, 3] gets a finite
-numeric field of unit total on 65^2 and 129^2 copies of the default +-8 grid,
-and that field matches the closed one wherever the closed route serves the
-label. Each fixed example below is a label a search once failed on.
+The numeric Wigner route: every label with k <= 8, any class j < k and |z|
+in [0.2, 3] gets a finite numeric field of unit total on 65^2 and 129^2
+copies of the default +-8 grid, and that field matches the closed one
+wherever the closed route serves the label.
+
+The typed contract: over k <= 8 and a few orders past 120, |z| log-uniform
+in [1e-150, 40] and n_max up to 4096, `build_mcs`, `moments`,
+`geometric_phase`, `mcs_wavefunction` on both routes and `wigner_closed`
+either raise a McskitError or return finite values that meet their
+invariants: unit norm, an uncertainty product >= 1/2, and unit mass or a
+field total of 1 on a grid that covers the state's reach. Every argument
+drawn is valid, so not even a ValueError is allowed.
+
+Each fixed example below is a label a search once failed on.
 """
 
 import math
@@ -15,8 +25,12 @@ from hypothesis import strategies as st
 from mcskit import (
     DegenerateNorm,
     MCSLabel,
+    McskitError,
     PhaseGrid,
     build_mcs,
+    geometric_phase,
+    mcs_wavefunction,
+    moments,
     wigner_closed,
     wigner_numeric,
 )
@@ -61,3 +75,94 @@ def test_numeric_field_of_any_class_state(label, r, theta, n):
     gap = float(np.max(np.abs(field.values - closed.values)))
     assert gap <= _RING_ACCURACY
     assert gap <= 1e-9 + 2.0 * EPS * num / den**2
+
+
+# orders past 120 where the norm series once left double range
+any_order = st.one_of(st.integers(1, 8), st.sampled_from((124, 135, 171)))
+any_label = any_order.flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1)))
+# |z| log-uniform in [1e-150, 40]
+radius = st.floats(-150.0, math.log10(40.0)).map(lambda e: 10.0**e)
+angle = st.floats(0.0, 2.0 * math.pi)
+
+
+def ring_label(r, theta):
+    return r * complex(math.cos(theta), math.sin(theta))
+
+
+def covering_axis(r, j):
+    """An axis over the reach of a class-j state whose ring sits sqrt(2) r
+    from the origin, at a step that resolves its fringes. The state lies
+    within R = max(sqrt(2) r, sqrt(2 j + 1)) in position and momentum (at
+    small r it is nearly |j>), with tails of unit width that leave nothing
+    past R + 9, and its density and field hold frequencies below 2 R + 14,
+    which integrate exactly up to aliasing under 1e-16."""
+    reach = max(math.sqrt(2.0) * r, math.sqrt(2.0 * j + 1.0))
+    half = reach + 9.0
+    step = 2.0 * math.pi / (2.0 * reach + 14.0)
+    return half, math.ceil(2.0 * half / step) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=any_label, r=radius, theta=angle, n_max=st.integers(1, 4096))
+def test_states_moments_and_phases_are_finite_or_refused(label, r, theta, n_max):
+    k, j = label
+    mcs = MCSLabel(k, j, ring_label(r, theta) ** k)
+    try:
+        state = build_mcs(mcs, n_max)
+    except McskitError:
+        return
+    assert np.all(np.isfinite(state.coeffs))
+    assert abs(state.norm() - 1.0) <= 1e-12
+    try:
+        mom = moments(mcs, n_max)
+    except McskitError:
+        pass
+    else:
+        values = np.array([getattr(mom, f) for f in mom.__dataclass_fields__])
+        assert np.all(np.isfinite(values))
+        assert mom.uncertainty_product >= 0.5 - 1e-12
+    try:
+        beta = geometric_phase(mcs, n_max)
+    except McskitError:
+        return
+    assert math.isfinite(beta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(label=any_label, r=radius, theta=angle, t=st.floats(0.0, 2.0 * math.pi),
+       n_max=st.integers(1, 4096), method=st.sampled_from(["closed", "fock"]))
+def test_wavefunction_has_unit_mass_or_is_refused(label, r, theta, t, n_max, method):
+    k, j = label
+    half, n = covering_axis(r, j)
+    x = np.linspace(-half, half, n)
+    try:
+        psi = mcs_wavefunction(k, j, ring_label(r, theta), x, t=t, method=method,
+                               n_max=n_max)
+    except McskitError:
+        return
+    assert np.all(np.isfinite(psi))
+    density = np.abs(psi) ** 2
+    mass = float(np.sum(density) - 0.5 * (density[0] + density[-1])) * (x[1] - x[0])
+    # each point within the ring routes' promised 1e-8, which moves the
+    # mass by at most 2e-8 times the integral of |psi| <= sqrt(2 half)
+    assert abs(mass - 1.0) <= 1e-10 + 2.0 * _RING_ACCURACY * math.sqrt(2.0 * half)
+
+
+@settings(max_examples=80, deadline=None)
+@given(label=any_label, r=radius, theta=angle)
+def test_closed_field_has_unit_total_or_is_refused(label, r, theta):
+    k, j = label
+    # past order 120 a field holds k^2 ring pairs; keep its grid small
+    r = min(r, 2.0) if k > 8 else r
+    z = ring_label(r, theta)
+    half, n = covering_axis(r, j)
+    grid = PhaseGrid(-half, half, -half, half, n, n)
+    try:
+        field = wigner_closed(k, j, z, grid)
+    except McskitError:
+        return
+    assert np.all(np.isfinite(field.values))
+    # every cell within the ring pairs' rounding bound
+    num, den = _ring_norm(k, j, z, "wigner_numeric", pairs=True)
+    area = (2.0 * half) ** 2
+    assert abs(field.total() - 1.0) <= 1e-10 + area * 2.0 * EPS * num / den**2

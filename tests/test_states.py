@@ -354,15 +354,16 @@ def test_phase_routes_agree_relative_to_mean_number(label, n_max, monkeypatch):
         geometric_phase(label, n_max=n_max)
 
 
-def test_moment_routes_agree_relative_to_mean_number():
+def test_moment_routes_agree_relative_to_mean_number(monkeypatch):
     # var_p = A + 1/2 - alpha cancels at real alpha for k = 2, leaving the
     # <N> eps rounding of both routes (gap 2.5e-10 at <N> = 3025); an
     # absolute 1e-10 refused this label
     label = MCSLabel(2, 0, 3025.0)
     mom = moments(label, n_max=4096)
     assert mom.a_norm_sq == pytest.approx(a_norm_closed(label), rel=1e-14)
+    monkeypatch.setattr(states, "_ROUTE_TOL", 1e-14)
     with pytest.raises(RouteMismatch):
-        moments(label, n_max=4096, route_tol=1e-14)
+        moments(label, n_max=4096)
 
 
 def test_revival_phase_matches_evolution():

@@ -281,3 +281,14 @@ def test_field_kernels_hold_no_second_field(call, limit):
     # array a kernel may hold; a further copy of it would pass the limit
     assert BUDGET_FIELD.values.shape == (257, 257)
     assert traced_peak(call) <= limit * BUDGET_FIELD.values.nbytes
+
+
+@pytest.mark.parametrize("field", [
+    lambda grid: wigner_closed(1, 0, 1.0, grid),
+    lambda grid: wigner_numeric(basis_state(0, 8), grid),
+], ids=["closed", "numeric"])
+def test_field_past_the_array_cap_raises_overflow(field):
+    # 8192 x 8193 points pass 2^26 by one row; the grid is refused before
+    # any axis or field is built
+    with pytest.raises(Overflow, match="67117056 field entries"):
+        field(PhaseGrid(n_q=8192, n_p=8193))
