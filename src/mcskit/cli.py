@@ -52,7 +52,7 @@ from . import __version__
 from .decomposition import density_movie
 from .errors import McskitError
 from .fock import _ENTRIES_MAX, DEFAULT_N_MAX, ladder_spectrum
-from .states import _ROUTE_TOL, MCSLabel, a_norm_closed, build_mcs, moments
+from .states import _ROUTE_TOL, MCSLabel, _power, a_norm_closed, build_mcs, moments
 from .verify import SUITE_NAMES, run_suite
 from .wigner import PhaseGrid, wigner_closed, wigner_numeric
 
@@ -343,7 +343,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     if args.method in ("closed", "both"):
         computed["closed"] = wigner_closed(k, j, z, grid)
     if args.method in ("numeric", "both"):
-        state = build_mcs(MCSLabel(k, j, complex(z) ** k), n_max=args.nmax)
+        state = build_mcs(MCSLabel(k, j, _power(complex(z), k)), n_max=args.nmax)
         computed["numeric"] = wigner_numeric(state, grid)
 
     config: list[tuple[str, object]] = [

@@ -15,10 +15,11 @@ the running total passes a tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,10 @@ _FALLING_MAX = int(np.finfo(np.float64).max) // 2
 # the most entries one array of ladder_spectrum, a Wigner field or a density
 # movie may hold: 512 MiB of float64
 _ENTRIES_MAX = 2**26
+# per-level tables are cached for up to _TABLE_LEVELS levels and
+# _TABLE_KEYS keys per table, so no table cache holds more than 512 KiB
+_TABLE_LEVELS = 512
+_TABLE_KEYS = 32
 
 
 def _ints(what: str, *values: int) -> tuple[int, ...]:
@@ -42,7 +47,8 @@ def _ints(what: str, *values: int) -> tuple[int, ...]:
 
 def _check_count(name: str, value: int) -> int:
     """value as an int: ValueError unless it is an integer >= 1."""
-    (value,) = _ints(name, value)
+    if type(value) is not int:
+        (value,) = _ints(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value
@@ -58,7 +64,8 @@ def _check_entries(what: str, count: int) -> None:
 def _check_class(k: int, j: int = 0) -> tuple[int, int]:
     """Order k and class j as ints: ValueError unless both are integers with
     k >= 1 and 0 <= j < k. Every entry point that takes an order runs it."""
-    k, j = _ints("order and class", k, j)
+    if type(k) is not int or type(j) is not int:  # plain ints pass as they are
+        k, j = _ints("order and class", k, j)
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     if not 0 <= j < k:
@@ -84,7 +91,7 @@ class FockVector:
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d array")
-        if not np.isfinite(arr).all():
+        if np.count_nonzero(np.isfinite(arr)) < arr.size:  # faster than .all()
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", arr)
 
@@ -130,6 +137,24 @@ def _falling(n: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _cached(table: Callable, size: int, *key: int):
+    """table(size, *key), taken from its cache while size <= _TABLE_LEVELS."""
+    return (table if size <= _TABLE_LEVELS else table.__wrapped__)(size, *key)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=_TABLE_KEYS)
+def _raising_weights(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """F(n + k) = (n+k)!/n! over n < size and its square root, read-only.
+    Overflow as _falling, and then nothing is cached."""
+    weight = _falling(np.arange(k, size + k, dtype=np.float64), k)
+    return _read_only(weight), _read_only(np.sqrt(weight))
+
+
 def apply_k_ladder(
     state: FockVector, k: int, sign: int, leak_tol: float = DEFAULT_LEAK_TOL
 ) -> FockVector:
@@ -150,16 +175,16 @@ def apply_k_ladder(
         raise ValueError("leak_tol must not be NaN; pass np.inf to defer the check")
     c = state.coeffs
     cut = max(c.size - k, 0)
-    weight = _falling(np.arange(k, c.size + k, dtype=np.float64), k)  # F(n + k)
+    weight, root = _cached(_raising_weights, c.size, k)  # F(n + k) and its root
     out = np.zeros_like(c)
     with np.errstate(over="ignore"):  # checked below
         if sign < 0:
-            out[:cut] = np.sqrt(weight[:cut]) * c[k:]
+            np.multiply(root[:cut], c[k:], out=out[:cut])
             leaked = 0.0
         else:
-            out[k:] = np.sqrt(weight[:cut]) * c[:cut]
+            np.multiply(root[:cut], c[:cut], out=out[k:])
             leaked = float(weight[cut:] @ np.abs(c[cut:]) ** 2)
-    if not (np.isfinite(out).all() and math.isfinite(leaked)):
+    if np.count_nonzero(np.isfinite(out)) < out.size or not math.isfinite(leaked):
         raise Overflow(
             f"(a{'+' if sign > 0 else '-'})^{k} takes the state past double range; "
             f"scale its coefficients down"
@@ -264,7 +289,10 @@ def ladder_spectrum(k: int, levels: int = 32) -> np.ndarray:
 def _check_phase(n_max: int, t) -> None:
     """ValueError unless every time in t is finite; Overflow when the largest
     phase (n_max - 1/2) max|t| of exp(-iHt) leaves double range."""
-    top = float(np.max(np.abs(t), initial=0.0))  # NaN stays NaN
+    if isinstance(t, float):  # a scalar, np.float64 included
+        top = abs(float(t))
+    else:
+        top = float(np.max(np.abs(t), initial=0.0))  # NaN stays NaN
     if not math.isfinite(top):
         raise ValueError(f"time must be finite, got max|t| = {top!r}")
     if not math.isfinite((n_max - 0.5) * top):  # floats overflow to inf, unwarned
@@ -275,5 +303,14 @@ def time_evolve(state: FockVector, t: float) -> FockVector:
     """exp(-iHt) in the number basis: c_n -> exp(-i(n+1/2)t) c_n. ValueError for a
     non-finite t, Overflow once the phase (n_max - 1/2) t leaves double range."""
     _check_phase(state.n_max, t)
-    n = np.arange(state.n_max)
-    return FockVector(np.exp(-1j * (n + 0.5) * t) * state.coeffs, state.leakage)
+    phase = _cached(_phase_rates, state.n_max) * t
+    np.exp(phase, out=phase)
+    # not in place: numpy rounds an in-place complex product of one entry
+    # differently
+    return FockVector(phase * state.coeffs, state.leakage)
+
+
+@functools.lru_cache(maxsize=_TABLE_KEYS)
+def _phase_rates(n_max: int) -> np.ndarray:
+    """-1j (n + 1/2) over n < n_max, read-only: the rates of exp(-iHt)."""
+    return _read_only(-1j * (np.arange(n_max) + 0.5))

@@ -23,13 +23,19 @@ holds it.
 
 from __future__ import annotations
 
+import cmath
+import contextlib
+import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import Overflow, RouteMismatch, TailTooHeavy, UnsupportedOrder
-from .fock import DEFAULT_N_MAX, FockVector, _check_class, _check_count, apply_k_ladder
+from .fock import (DEFAULT_N_MAX, _TABLE_KEYS, _TABLE_LEVELS, FockVector, _check_class,
+                   _check_count, apply_k_ladder)
 
 # tail share build_mcs may drop, and the route bounds of moments and
 # geometric_phase per max(1, <N>)
@@ -84,13 +90,16 @@ def _check_series(k: int, j: int, x: float) -> None:
 
 
 def _power(base: complex, n: int) -> complex:
-    """base ** n, raising Overflow instead of OverflowError past double range."""
+    """base ** n, raising Overflow where a finite base leaves double range:
+    Python raises OverflowError there for some n, and returns inf or NaN
+    parts for others (a complex base and n <= 100)."""
     try:
-        return base**n
+        out = base**n
+        if cmath.isfinite(out) or not cmath.isfinite(base):
+            return out
     except OverflowError:
-        raise Overflow(
-            f"{base:.3g} ** {n} overflows double precision; the label is too large"
-        ) from None
+        pass
+    raise Overflow(f"{base:.3g} ** {n} overflows double precision; the label is too large")
 
 
 def _split(p: int) -> tuple[float, int]:
@@ -108,6 +117,22 @@ def _ratio(x: float, p: int) -> float:
     return math.ldexp(x / s, e)
 
 
+@functools.lru_cache(maxsize=_TABLE_KEYS)
+def _level_products(k: int, seed: int) -> tuple[float, ...]:
+    """float((n+1)...(n+k)) for n = seed, seed + k, ... while n + k is below
+    _TABLE_LEVELS and the product fits a double: the denominators of the
+    term ratios of _series and of the coefficient steps of build_mcs, each
+    formed from the exact integer product and rounded once."""
+    dens = []
+    for n in range(seed, _TABLE_LEVELS - k, k):
+        den = math.prod(range(n + 1, n + k + 1))
+        if den > _DOUBLE_MAX:
+            break
+        dens.append(float(den))
+    return tuple(dens)
+
+
+@functools.lru_cache(maxsize=_TABLE_KEYS)
 def _seed(seed: int) -> tuple[float, int]:
     """seed! split as in _split; Overflow past _SERIES_MAX_TERMS!."""
     if seed > _SERIES_MAX_TERMS:
@@ -138,6 +163,8 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
         last = k * (steps - 1) + seed
         if x > math.prod(range(last + 1, last + k + 1)):
             steps = 0  # the terms still grow there: refuse without summing
+    dens = _level_products(k, seed)
+    tabled = len(dens)
     total = 0.0
     small = 0
     for m in range(steps):
@@ -157,6 +184,9 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
                 return total, e
         else:
             small = 0
+        if m < tabled:
+            term *= x / dens[m]
+            continue
         idx = k * m + seed
         den = math.prod(range(idx + 1, idx + k + 1))
         term *= x / float(den) if den <= _DOUBLE_MAX else _ratio(x, den)
@@ -182,6 +212,23 @@ def norm_sum(k: int, j: int, x: float) -> float:
             f"norm sum overflows double precision at x={x:.3g} "
             f"(order {k}, class {j}); the label is too large"
         ) from None
+
+
+# while _shared_builds runs, build_mcs keeps each vector it returns here,
+# keyed by label and n_max; None outside it
+_BUILDS: ContextVar[dict | None] = ContextVar("mcskit_builds", default=None)
+
+
+@contextlib.contextmanager
+def _shared_builds() -> Iterator[None]:
+    """Within the block, build_mcs builds each distinct label and n_max once
+    and hands every caller that one vector, read-only; the vectors are
+    dropped when the block ends."""
+    token = _BUILDS.set({})
+    try:
+        yield
+    finally:
+        _BUILDS.reset(token)
 
 
 def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
@@ -213,6 +260,19 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     ValueError unless n_max is an integer >= 1.
     """
     n_max = _check_count("n_max", n_max)
+    builds = _BUILDS.get()
+    if builds is None:
+        return _build_mcs(label, n_max)
+    alpha = label.alpha  # its bits, so that -0.0 and 0.0 stay apart
+    key = (label.k, label.j, alpha.real.hex(), alpha.imag.hex(), n_max)
+    if key not in builds:
+        state = _build_mcs(label, n_max)
+        state.coeffs.flags.writeable = False
+        builds[key] = state
+    return builds[key]
+
+
+def _build_mcs(label: MCSLabel, n_max: int) -> FockVector:
     k, j, alpha = label.k, label.j, label.alpha
     x = _power(abs(alpha), 2)
     terms: list[complex] = []
@@ -221,7 +281,9 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     included = 0.0
     lift = max(1.0, x)  # the stop leaves a defining residual of |alpha c_n|
     proved = False  # whether the support rule bounds the tail
-    for m in range(j, n_max, k):
+    dens = _level_products(k, j)
+    tabled = len(dens)
+    for level, m in enumerate(range(j, n_max, k)):
         terms.append(term)
         try:
             weight = abs(term) ** 2
@@ -233,8 +295,11 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
         included += weight
         if m + k >= n_max:  # the last level that fits; k may have any size
             break
-        den = math.prod(range(m + 1, m + k + 1))
-        den = float(den) if den <= _DOUBLE_MAX else math.inf
+        if level < tabled:
+            den = dens[level]
+        else:
+            den = math.prod(range(m + 1, m + k + 1))
+            den = float(den) if den <= _DOUBLE_MAX else math.inf
         if x < 0.5 * den and weight * lift <= _SUPPORT_TOL * included:
             # a zero level here was cut by a product past double range,
             # so its weight is unknown

@@ -56,7 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .decomposition import _matmul_tiles, _reach, _ring_norm, fock_wavefunction
-from .errors import BoundaryMass, Overflow, WindowTooNarrow
+from .errors import BoundaryMass, WindowTooNarrow
 from .fock import FockVector, _check_class, _check_entries, _ints
 
 # largest |W| marginals accepts on the grid edge
@@ -71,8 +71,6 @@ _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
 # field rows formed at once by the numeric transform and the folded
 # integrals, so no temporary grows with the grid beyond a block of rows
 _FIELD_ROWS = 32
-# the largest y lattice wigner_numeric asks for: what an array can index
-_INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -188,9 +186,10 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     the q axis, and the y window ends at the last y whose correlator
     envelope, max over q of |psi(q+y) psi(q-y)|, exceeds 1e-16 (at least one
     y step); cutting the decayed tail costs only that tail. WindowTooNarrow
-    means psi still has weight at p_psi itself. Overflow means the grid has
-    more than 2^26 points, or the lattice would need more points than an
-    array can index (max|p| near 1e18 on a unit q step).
+    means psi still has weight at p_psi itself. Overflow when the grid or
+    the y lattice would pass 2^26 points (on a unit q step, max|p| past
+    about 1e7), or the phase tables 2^26 entries, each checked before it is
+    allocated.
 
     The p integral is two real matmuls against cos 2yp and sin 2yp, built
     by angle addition (see _phase_table). When the p axis is mirrored bit
@@ -211,12 +210,7 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     # on one fine lattice
     max_p = max(abs(grid.p_min), abs(grid.p_max))
     ratio = max(1.0, h_q * (reach + max_p) / math.pi)
-    size = (grid.n_q - 1 + 2.0 * reach / h_q) * ratio
-    if not size < _INDEX_MAX:
-        raise Overflow(
-            f"the y lattice needs {size:.3g} points for max|p| = {max_p:.3g}, "
-            f"more than an array can index; narrow the p axis or widen the q step"
-        )
+    _check_entries("y lattice points", (grid.n_q - 1 + 2.0 * reach / h_q) * ratio)
     m = math.ceil(ratio)
     h = h_q / m
     n_reach = math.ceil(reach / h)
@@ -255,6 +249,7 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     # halves of the field. C is formed _FIELD_ROWS rows at a time, and each
     # block of rows goes straight into the field.
     half = grid.n_p // 2 if np.array_equal(p[::-1], -p) else 0
+    _check_entries("phase table entries", (n_half + 1) * grid.n_p)
     cos, sin = _phase_table(h, p[half:], n_half + 1)
     field = np.empty((grid.n_q, grid.n_p))
     for lo in range(0, grid.n_q, _FIELD_ROWS):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -338,12 +339,35 @@ def test_argument_errors_exit_two(capsys):
     "wigner --k 1 --z 1 --grid -8,8,-8,8,8192,8193 --method numeric",
     "evolve --k 1 --z 1 --grid -8,8,8193 --nt 8192",
     "evolve --k 1 --z 1 --grid -8,8,8193 --nt 8192 --method fock",
-], ids=["fock-time", "spectrum-order", "field", "numeric-field", "movie", "fock-movie"])
+    # ring labels whose k-th power leaves double range: a complex power of
+    # order <= 100 turns NaN without raising, a higher one raises
+    "evolve --k 64 --j 5 --z 1e308 --method fock --grid -8,40,129 --nt 2",
+    "wigner --k 330 --j 8 --z 1e3 --method numeric --grid -0.5,0.5,0,1,17,33 --nmax 2",
+], ids=["fock-time", "spectrum-order", "field", "numeric-field", "movie", "fock-movie",
+        "power-nan", "power-raises"])
 def test_domain_errors_exit_one(capsys, args):
     code, out, err = run_cli(capsys, *args.split())
     assert code == 1
     assert out == ""
     assert err.startswith("error: Overflow: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["numeric", "both"])
+def test_far_p_axis_is_refused_before_the_y_lattice_is_allocated(method):
+    # at max|p| = 1e10 the y lattice would take 556 GiB; under an address
+    # space of 3 GB any such allocation fails, so exit 1 with Overflow shows
+    # the cap refused it first
+    limit = 3 * 10**9
+    env = {**os.environ, "PYTHONPATH": str(Path(mcskit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcskit", "wigner", "--k", "1", "--z", "0",
+         "--method", method, "--grid", "-1,1,-1,1e10,3,3"],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: Overflow: ") and "Traceback" not in proc.stderr
+    assert "y lattice" in proc.stderr
 
 
 def readme_commands():

@@ -19,20 +19,31 @@ The time phases of the Fock-route movie, now formed on occupied levels
 only, are asked to match the all-levels form bit for bit, and the blocked
 purity and negativity integrals the full-grid temporaries they replaced to
 1e-15.
+
+The small kernels that take their per-level factors from read-only tables
+(`time_evolve`, `apply_k_ladder`, the norm series) or run their recurrence
+in place (`_synthesize`) keep their arithmetic, so each is asked to give
+the bits, or the exception and its message, of the per-call expression it
+replaced. So is `_check_class` with its fast path for plain ints. The
+tables must stay read-only and their caches bounded, and clearing the
+caches must move no bit.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from mcskit import (
     FockVector,
+    LeakageExceeded,
     MCSLabel,
     MomentSet,
     Overflow,
     PhaseGrid,
     TailTooHeavy,
+    apply_k_ladder,
     basis_state,
     build_mcs,
     component_norm,
@@ -46,9 +57,11 @@ from mcskit import (
     wigner_closed,
     wigner_numeric,
 )
-from mcskit.decomposition import _blocks, _synthesize
-from mcskit.fock import _check_count
+from mcskit.decomposition import _blocks, _matmul_tiles, _synthesize
+from mcskit.fock import (_TABLE_KEYS, _TABLE_LEVELS, _check_class, _check_count, _phase_rates,
+                         _raising_weights)
 from mcskit.states import (
+    _BUILDS,
     _DOUBLE_MAX,
     _ROOT_SCALE,
     _SCALE,
@@ -56,8 +69,12 @@ from mcskit.states import (
     _SCALE_LIMIT,
     _SUPPORT_TOL,
     _TAIL_TOL,
+    _level_products,
     _power,
+    _ratio,
+    _seed,
     _series,
+    _shared_builds,
     _split,
 )
 from mcskit.wigner import _trapz2d
@@ -513,3 +530,278 @@ def test_blocked_integrals_match_full_temporaries():
         full_negativity = _trapz2d(np.clip(-field.values, 0.0, None), grid)
         assert abs(purity(field) - full_purity) <= 1e-15 * full_purity
         assert abs(negativity_volume(field) - full_negativity) <= 1e-15 * full_negativity
+
+
+# The per-call kernels below keep their arithmetic and take what does not
+# depend on the call from read-only tables; each is asked to match the
+# expression it replaced bit for bit, outcome for outcome.
+
+
+def outcome(call):
+    """The bytes of what a call returns, or its exception's type and text."""
+    try:
+        result = call()
+    except Exception as exc:  # any exception: its type and message are the outcome
+        return type(exc), str(exc)
+    if isinstance(result, FockVector):
+        return result.coeffs.tobytes(), float(result.leakage).hex()
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    return tuple(float(v).hex() for v in result)
+
+
+def time_evolve_reference(state, t):
+    top = float(np.max(np.abs(t), initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError(f"time must be finite, got max|t| = {top!r}")
+    if not math.isfinite((state.n_max - 0.5) * top):
+        raise Overflow(f"phase (n_max - 1/2) t past double range at |t| = {top:.3g}")
+    n = np.arange(state.n_max)
+    return FockVector(np.exp(-1j * (n + 0.5) * t) * state.coeffs, state.leakage)
+
+
+def random_state(rng, n_max, scale=1.0, leakage=0.0):
+    c = rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)
+    return FockVector(scale * c / np.linalg.norm(c), leakage)
+
+
+def test_time_evolve_matches_the_all_levels_expression():
+    rng = np.random.default_rng(21)
+    times = [0.0, -0.0, 0.01, -2.7, 1e-300, 3e305, 1e307, math.nan, math.inf, -math.inf]
+    for n_max in (1, 7, 128, _TABLE_LEVELS + 1):
+        state = random_state(rng, n_max, leakage=2.5e-13)
+        for t in times:
+            for form in (t, np.float64(t), np.array(t), np.array([t])):
+                got = outcome(lambda: time_evolve(state, form))
+                assert got == outcome(lambda: time_evolve_reference(state, form)), (n_max, t)
+        assert outcome(lambda: time_evolve(state, 3)) == outcome(
+            lambda: time_evolve_reference(state, 3))
+
+
+def falling_reference(n, k):
+    top = int(n[-1])
+    if math.perm(top, min(k, top)) > int(np.finfo(np.float64).max) // 2:
+        raise Overflow(f"n!/(n-k)! leaves double range at k={k}, n <= {top}")
+    out = n.copy()
+    for i in range(1, k):
+        out *= n - i
+    return out
+
+
+def ladder_reference(state, k, sign, leak_tol=1e-12):
+    """apply_k_ladder with F(n + k) and its root formed on every call."""
+    c = state.coeffs
+    cut = max(c.size - k, 0)
+    weight = falling_reference(np.arange(k, c.size + k, dtype=np.float64), k)
+    out = np.zeros_like(c)
+    with np.errstate(over="ignore"):
+        if sign < 0:
+            out[:cut] = np.sqrt(weight[:cut]) * c[k:]
+            leaked = 0.0
+        else:
+            out[k:] = np.sqrt(weight[:cut]) * c[:cut]
+            leaked = float(weight[cut:] @ np.abs(c[cut:]) ** 2)
+    if not (np.isfinite(out).all() and math.isfinite(leaked)):
+        raise Overflow(
+            f"(a{'+' if sign > 0 else '-'})^{k} takes the state past double range; "
+            f"scale its coefficients down"
+        )
+    if sign < 0:
+        return FockVector(out, state.leakage)
+    leakage = state.leakage + leaked
+    if leakage > leak_tol:
+        raise LeakageExceeded(
+            f"accumulated raising leakage {leakage:.3e} exceeds {leak_tol:.1e} "
+            f"at n_max={c.size}; raise n_max"
+        )
+    return FockVector(out, leakage)
+
+
+def test_ladders_match_the_per_call_weights():
+    rng = np.random.default_rng(22)
+    seen = set()
+    for n_max in (1, 5, 128, _TABLE_LEVELS + 3):
+        for scale in (1.0, 1e-3, 1e150, 1e300):
+            state = random_state(rng, n_max, scale)
+            for k in (1, 2, 3, 6, n_max + 2):
+                for sign in (-1, 1):
+                    for tol in (1e-12, 1e300, np.inf):
+                        got = outcome(lambda: apply_k_ladder(state, k, sign, tol))
+                        ref = outcome(lambda: ladder_reference(state, k, sign, tol))
+                        assert got == ref, (n_max, scale, k, sign, tol)
+                        seen.add(ref[0].__name__ if isinstance(ref[0], type) else "state")
+    # a raised level, leakage past the tolerance, and images past double range
+    assert seen == {"state", "LeakageExceeded", "Overflow"}
+
+
+def test_ladder_weights_past_double_range_raise_and_are_not_cached():
+    state = basis_state(0, 200)
+    _raising_weights.cache_clear()
+    for _ in range(2):
+        for call in (lambda: apply_k_ladder(state, 170, 1, np.inf),
+                     lambda: ladder_reference(state, 170, 1, np.inf)):
+            with pytest.raises(Overflow, match="leaves double range at k=170"):
+                call()
+    assert _raising_weights.cache_info().currsize == 0
+
+
+def check_class_reference(k, j):
+    """_check_class with every argument sent through operator.index."""
+    try:
+        k, j = tuple(operator.index(v) for v in (k, j))
+    except TypeError:
+        raise ValueError(f"order and class must be integers, got {(k, j)!r}") from None
+    if k < 1:
+        raise ValueError(f"order must be >= 1, got {k}")
+    if not 0 <= j < k:
+        raise ValueError(f"class index {j} outside [0, {k})")
+    return k, j
+
+
+def test_check_class_fast_path_keeps_every_outcome():
+    for k, j in ((3, 1), (True, False), (np.int64(3), 2), (2.0, 0), (0, 0), (2, 2), (2, -1)):
+        got = outcome(lambda: _check_class(k, j))
+        ref = outcome(lambda: check_class_reference(k, j))
+        assert got == ref, (k, j)
+        if not isinstance(got[0], type):
+            assert all(type(v) is int for v in _check_class(k, j))
+
+
+def series_reference(k, seed, x, d=0):
+    """_series with every level product formed from exact integers per term."""
+    s, e = _seed(seed)
+    term = x**d / s
+    if k >= 307:
+        return term, e
+    steps = 100_000
+    if x >= k * steps:
+        last = k * (steps - 1) + seed
+        if x > math.prod(range(last + 1, last + k + 1)):
+            steps = 0
+    total = 0.0
+    small = 0
+    for m in range(steps):
+        total += term
+        if total > _SCALE_LIMIT:
+            if math.isinf(total):
+                raise Overflow("norm series overflows double precision")
+            total *= _SCALE
+            term *= _SCALE
+            e += _SCALE_BITS
+        if term <= total * 1e-16:
+            small += 1
+            if small >= 3 or term == 0.0:
+                return total, e
+        else:
+            small = 0
+        idx = k * m + seed
+        den = math.prod(range(idx + 1, idx + k + 1))
+        term *= x / float(den) if den <= _DOUBLE_MAX else _ratio(x, den)
+    raise Overflow("norm series needs more terms")
+
+
+def test_series_matches_per_term_products():
+    # x = 900 and 5000 at order 1 pass the 2^512 rescale, and 5000 runs past
+    # the tabled levels; from order 171 on every level product leaves double
+    # range, so each ratio goes through _ratio
+    xs = (0.0, 1e-300, 0.3, 16.0, 900.0, 5000.0, 1e40, 1e160, 1e300)
+    for k in (1, 2, 3, 5, 8, 170, 171, 200, 306, 307):
+        for seed in {0, 1, k // 2, k - 1}:
+            for x in xs:
+                for d in (0, 1):
+                    got = outcome(lambda: _series(k, seed, x, d))
+                    ref = outcome(lambda: series_reference(k, seed, x, d))
+                    if isinstance(ref[0], type):
+                        assert got[0] is ref[0], (k, seed, x, d)
+                    else:
+                        assert got == ref, (k, seed, x, d)
+
+
+def synthesize_reference(coeffs, x):
+    """_synthesize with three temporaries per level in its recurrence."""
+    out = np.zeros((coeffs.shape[0], x.size), dtype=np.complex128)
+    used = np.any(coeffs != 0.0, axis=0)
+    top = int(np.flatnonzero(used)[-1]) + 1 if used.any() else 0
+    basis = np.empty((64, x.size))
+    product = np.empty((coeffs.shape[0], x.size))
+    held = []
+    prev = np.zeros_like(x)
+    cur = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    for n in range(top):
+        if n > 0:
+            prev, cur = cur, math.sqrt(2.0 / n) * x * cur - math.sqrt((n - 1) / n) * prev
+        if used[n]:
+            basis[len(held)] = cur
+            held.append(n)
+        if len(held) == 64 or n == top - 1:
+            c = coeffs[:, held]
+            out.real += _matmul_tiles(c.real, basis[: len(held)], product)
+            out.imag += _matmul_tiles(c.imag, basis[: len(held)], product)
+            held = []
+    return out
+
+
+def test_in_place_recurrence_matches_the_temporaries():
+    rng = np.random.default_rng(23)
+    c = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
+    c[:, ::5] = 0.0
+    c[1] = 0.0
+    for x in (np.linspace(-30.0, 30.0, 401), np.array([0.0]), np.linspace(-9.0, 9.0, 4096)):
+        assert _synthesize(c, x).tobytes() == synthesize_reference(c, x).tobytes()
+    state = build_mcs(MCSLabel(3, 1, 2.0))
+    x = np.linspace(-10.0, 10.0, 801)
+    ref = synthesize_reference(state.coeffs[None, :], x)[0]
+    assert fock_wavefunction(state, x).tobytes() == ref.tobytes()
+
+
+def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
+    caches = (_phase_rates, _raising_weights, _level_products, _seed)
+    state = random_state(np.random.default_rng(24), 64)
+    label = MCSLabel(3, 2, 1.7 + 0.4j)
+
+    def results():
+        return (outcome(lambda: time_evolve(state, 0.37)),
+                outcome(lambda: apply_k_ladder(state, 3, 1, np.inf)),
+                outcome(lambda: _series(3, 2, 2.9, 1)),
+                outcome(lambda: build_mcs(label, 64)))
+
+    warm = results()
+    for table in (_phase_rates(64), *_raising_weights(64, 3)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    assert isinstance(_level_products(3, 2), tuple)
+    for cache in caches:
+        assert cache.cache_info().maxsize == _TABLE_KEYS
+        cache.cache_clear()
+    assert results() == warm
+    # more keys than a cache holds, and sizes past the tabled levels, which
+    # are formed without being kept
+    for n_max in range(1, 2 * _TABLE_KEYS):
+        time_evolve(basis_state(0, n_max), 0.1)
+        apply_k_ladder(basis_state(0, n_max), 1, -1)
+        _series(1 + n_max % 7, n_max % (1 + n_max % 7), 1.5)
+    size = _phase_rates.cache_info().currsize
+    time_evolve(basis_state(0, _TABLE_LEVELS + 1), 0.1)
+    assert _phase_rates.cache_info().currsize == size
+    for cache in caches:
+        assert cache.cache_info().currsize <= _TABLE_KEYS
+    assert results() == warm
+
+
+def test_shared_builds_hand_out_one_read_only_vector_per_label():
+    signed = MCSLabel(1, 0, complex(-2.0, -0.0))
+    plain = MCSLabel(1, 0, complex(-2.0, 0.0))
+    label = MCSLabel(3, 1, 2.0)
+    fresh = build_mcs(label)
+    assert fresh.coeffs.flags.writeable
+    with _shared_builds():
+        first = build_mcs(label)
+        assert build_mcs(label, 256) is first
+        assert build_mcs(label, 128) is not first
+        assert not first.coeffs.flags.writeable
+        assert first.coeffs.tobytes() == fresh.coeffs.tobytes()
+        # labels equal as numbers but not in their bits are built apart
+        assert signed == plain and build_mcs(signed) is not build_mcs(plain)
+    assert _BUILDS.get() is None
+    assert build_mcs(label) is not first
