@@ -8,18 +8,23 @@ round-trip formatting, so identical invocations produce identical bytes,
 and a JSON column holds the same strings as its CSV column (JSON spells
 non-finite values NaN, Infinity and -Infinity).
 
-The writer formats each column once: np.unique gives its distinct bit
-patterns (integers by value) and each cell's index into them, and
-`_shortest.repr_rows`, a numpy kernel that gives the bytes of repr(float)
-with no Python code per value, formats the distinct floats _BLOCK_ROWS at
-a time (integers print with str, non-finite floats with repr). Blocks of
-_BLOCK_ROWS rows then only set the layout: a block's cells and separators
-are copied into one zero-padded byte buffer, and one bytes.translate drops
-the padding. Only numpy arrays are held: each column's index (8 bytes per
-cell) and distinct text (at most 24 bytes per value), and one block's
-buffer; a 257^2 table of four float columns (2.1 MB) peaks at 5.3 MB as
-CSV, measured with tracemalloc. No Python string per cell, and no text of
-a whole table, is ever held.
+The writer formats each column once. A grid axis comes as an _Axis, its
+values with their repeat and tile counts, so each axis value is formatted
+once and a row's cell is found by arithmetic; any other column goes
+through np.unique, which gives its distinct bit patterns (integers by
+value) and each cell's index into them. `_shortest.repr_rows`, a numpy
+kernel that gives the bytes of repr(float) with no Python code per value,
+formats the distinct floats _BLOCK_ROWS at a time (integers print with
+str, non-finite floats with repr). Blocks of _BLOCK_ROWS rows then only
+set the layout: each row is one item of a structured array whose fields
+are fixed-width cells and separators, so a block copies one item per cell,
+and one bytes.translate drops the padding. Blocks stay bytes up to a file
+opened "wb"; only stdout decodes them. Only numpy arrays are held: the
+index of each value column (8 bytes per cell), the distinct text (at most
+24 bytes per value), and one block's buffer; the 257^2 table of `wigner
+--method both` (four float columns, 2.1 MB as arrays) peaks at 4.0 MiB as
+CSV and 3.2 MiB as JSON, measured with tracemalloc. No Python string per
+cell, and no text of a whole table, is ever held.
 
 Complex values are parsed as 're,im' or polar 'r@theta' with theta in
 degrees; a bare number is taken as real. Grids are 'qmin,qmax,pmin,pmax,
@@ -40,6 +45,7 @@ any option that is non-finite or out of range (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -165,112 +171,145 @@ def _float_rows(values: np.ndarray, json_floats: bool) -> np.ndarray:
     from . import _shortest
 
     finite = np.isfinite(values)
+    regular = values[finite]
+    parts = [_shortest.repr_rows(regular[start:start + _BLOCK_ROWS])
+             for start in range(0, regular.size, _BLOCK_ROWS)]
     text = list(map(repr, values[~finite].tolist()))
     if json_floats:
         text = [_JSON_NONFINITE[t] for t in text]
-    parts = [(~finite, _text_rows(text))]
-    regular = np.flatnonzero(finite)
-    for start in range(0, regular.size, _BLOCK_ROWS):
-        where = regular[start:start + _BLOCK_ROWS]
-        parts.append((where, _shortest.repr_rows(values[where])))
-    rows = np.zeros((values.size, max(part.shape[1] for _, part in parts)), np.uint8)
-    for where, part in parts:
-        rows[where, :part.shape[1]] = part
+    odd = _text_rows(text)
+    width = max([odd.shape[1]] + [part.shape[1] for part in parts])
+    rows = np.zeros((values.size, width), np.uint8)
+    # the finite rows go in by slices, straight into rows when all are finite
+    good = np.zeros((regular.size, width), np.uint8) if odd.size else rows
+    start = 0
+    for part in parts:
+        good[start:start + len(part), :part.shape[1]] = part
+        start += len(part)
+    if odd.size:
+        rows[finite] = good
+        rows[~finite, :odd.shape[1]] = odd
     return rows
 
 
-def _cells(col: np.ndarray, json_floats: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, index) of a whole column: the text of cell i is rows[index[i]].
+class _Axis:
+    """A grid axis as a table column: np.tile(np.repeat(values, repeat), tile).
 
-    Integers print with str and floats with repr, the shortest round-trip
-    form, each distinct value of the column once. Floats are told apart by
-    bit pattern, so -0.0 and 0.0 keep their own text.
+    Row i holds values[i // repeat % values.size], so the writer formats
+    each axis value once and finds a row's cell by arithmetic; len() is the
+    row count, as for an array column.
     """
-    if col.dtype.kind in "iu":
-        uniq, index = np.unique(col, return_inverse=True)
-        return _text_rows(list(map(str, uniq.tolist()))), index
-    bits = np.asarray(col, dtype=np.float64).view(np.int64)
-    uniq, index = np.unique(bits, return_inverse=True)
-    return _float_rows(uniq.view(np.float64), json_floats), index
+
+    def __init__(self, values: np.ndarray, repeat: int = 1, tile: int = 1) -> None:
+        self.values, self.repeat, self.tile = np.asarray(values), repeat, tile
+
+    def __len__(self) -> int:
+        return self.values.size * self.repeat * self.tile
 
 
-def _joined(
-    cells: list[tuple[np.ndarray, np.ndarray]], seps: list[bytes], lead: bytes = b""
-) -> str:
-    """Each row as lead, then every cell followed by its separator.
+def _cells(col: np.ndarray | _Axis, json_floats: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """(text, index, repeat): the text of cell i is text[index[i // repeat % index.size]].
 
-    The cells are copied into one zero-padded buffer of the block, and one
-    translate pass drops the padding.
+    text holds one fixed-width void item per distinct value; index maps
+    each value of the column, or of the axis, to its text. Integers print
+    with str and floats with repr, the shortest round-trip form, each
+    distinct value once. Floats are told apart by bit pattern, so -0.0 and
+    0.0 keep their own text.
     """
-    widths = [rows.shape[1] + len(sep) for (rows, _), sep in zip(cells, seps)]
-    buf = np.empty((cells[0][1].size, len(lead) + sum(widths)), dtype=np.uint8)
-    buf[:, :len(lead)] = np.frombuffer(lead, dtype=np.uint8)
-    pos = len(lead)
-    for (rows, index), sep, width in zip(cells, seps, widths):
-        end = pos + rows.shape[1]
-        rows.take(index, axis=0, out=buf[:, pos:end], mode="clip")
-        buf[:, end:pos + width] = np.frombuffer(sep, dtype=np.uint8)
-        pos += width
-    return buf.tobytes().translate(None, b"\0").decode("ascii")
+    values, repeat = (col.values, col.repeat) if isinstance(col, _Axis) else (col, 1)
+    if values.dtype.kind in "iu":
+        uniq, index = np.unique(values, return_inverse=True)
+        rows = _text_rows(list(map(str, uniq.tolist())))
+    else:
+        bits = np.asarray(values, dtype=np.float64).view(np.int64)
+        uniq, index = np.unique(bits, return_inverse=True)
+        rows = _float_rows(uniq.view(np.float64), json_floats)
+    return rows.view(f"V{rows.shape[1]}").ravel(), index, repeat
+
+
+def _blocks(parts: list, n_rows: int) -> Iterator[bytes]:
+    """Rows 0 to n_rows - 1, _BLOCK_ROWS at a time, each row being its parts
+    in order: a bytes part as it is, a _cells part as that row's cell.
+
+    The parts are the fields of one structured array of fixed-width void
+    items: the bytes parts are set once by broadcast, each block copies one
+    item per cell, and one translate pass drops the cells' zero padding.
+    """
+    fields = [(f"f{i}", f"V{len(p) if isinstance(p, bytes) else p[0].itemsize}")
+              for i, p in enumerate(parts)]
+    buf = np.empty(min(n_rows, _BLOCK_ROWS), dtype=fields)
+    cells = []
+    for (name, _), part in zip(fields, parts):
+        if isinstance(part, bytes):
+            buf[name] = np.void(part)
+        else:
+            cells.append((name, *part))
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        rows = np.arange(start, min(start + _BLOCK_ROWS, n_rows))
+        block = buf[:rows.size]
+        for name, text, index, repeat in cells:
+            pick = index.take(rows // repeat, mode="wrap")
+            text.take(pick, out=block[name], mode="clip")
+        yield block.tobytes().translate(None, b"\0")
 
 
 def _csv_blocks(
-    config: list[tuple[str, str]], names: list[str], cols: list[np.ndarray]
-) -> Iterator[str]:
-    yield "".join(f"# {key} = {val}\n" for key, val in config)
-    yield ",".join(names) + "\n"
-    n_rows = min((col.size for col in cols), default=0)
-    seps = [b","] * (len(cols) - 1) + [b"\n"]
-    cells = [_cells(col[:n_rows], False) for col in cols]
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        yield _joined([(rows, index[block]) for rows, index in cells], seps)
+    config: list[tuple[str, str]], names: list[str], cols: list
+) -> Iterator[bytes]:
+    yield "".join(f"# {key} = {val}\n" for key, val in config).encode()
+    yield (",".join(names) + "\n").encode()
+    if not cols:
+        return
+    n_rows = min(map(len, cols))
+    parts: list = []
+    for col in cols:
+        parts += [_cells(col if isinstance(col, _Axis) else col[:n_rows], False), b","]
+    parts[-1] = b"\n"
+    yield from _blocks(parts, n_rows)
 
 
-def _json_blocks(config: dict[str, str], columns: dict[str, np.ndarray]) -> Iterator[str]:
+def _json_blocks(config: dict[str, str], columns: dict[str, object]) -> Iterator[bytes]:
     """The bytes of json.dumps({"config": ..., "columns": ...}, indent=2)."""
     # one level deeper; json.dumps escapes any newline inside a string
     conf = json.dumps(config, indent=2).replace("\n", "\n  ")
-    yield '{\n  "config": ' + conf + ',\n  "columns": '
+    yield ('{\n  "config": ' + conf + ',\n  "columns": ').encode()
     if not columns:
-        yield "{}\n}\n"
+        yield b"{}\n}\n"
         return
     for c, (name, col) in enumerate(columns.items()):
-        yield ("{" if c == 0 else ",") + f"\n    {json.dumps(name)}: "
-        if not col.size:
-            yield "[]"
+        yield (("{" if c == 0 else ",") + f"\n    {json.dumps(name)}: ").encode()
+        if not len(col):
+            yield b"[]"
             continue
-        rows, index = _cells(col, True)
-        for start in range(0, col.size, _BLOCK_ROWS):
-            cells = [(rows, index[start:start + _BLOCK_ROWS])]
-            text = _joined(cells, [b""], lead=b",\n      ")
-            yield "[" + text[1:] if start == 0 else text
-        yield "\n    ]"
-    yield "\n  }\n}\n"
+        blocks = _blocks([b",\n      ", _cells(col, True)], len(col))
+        yield b"[" + next(blocks)[1:]
+        yield from blocks
+        yield b"\n    ]"
+    yield b"\n  }\n}\n"
 
 
 def write_table(
     out: str,
     fmt: str,
     config: list[tuple[str, object]],
-    columns: list[tuple[str, np.ndarray]],
+    columns: list[tuple[str, np.ndarray | _Axis]],
 ) -> None:
     """Write the table as CSV or JSON, formatted and streamed in row blocks.
 
-    Both formats carry the same cell strings, so a JSON column holds
-    exactly the floats of its CSV twin.
+    A column is an array or an _Axis. Both formats carry the same cell
+    strings, so a JSON column holds exactly the floats of its CSV twin.
     """
     conf = [(key, _fmt(val)) for key, val in config]
     names = [name for name, _ in columns]
-    cols = [np.asarray(col) for _, col in columns]
+    cols = [col if isinstance(col, _Axis) else np.asarray(col) for _, col in columns]
     if fmt == "csv":
         blocks = _csv_blocks(conf, names, cols)
     else:
         blocks = _json_blocks(dict(conf), dict(zip(names, cols)))
     if out == "-":
-        sys.stdout.writelines(blocks)
+        sys.stdout.writelines(block.decode() for block in blocks)
     else:
-        with open(out, "w") as fh:
+        with open(out, "wb") as fh:
             fh.writelines(blocks)
 
 
@@ -289,8 +328,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         args.fmt,
         [("command", "spectrum"), ("k", args.k), ("levels", args.levels)],
         [
-            ("class_index", np.repeat(np.arange(args.k), args.levels)),
-            ("step", np.tile(np.arange(args.levels), args.k)),
+            ("class_index", _Axis(np.arange(args.k), repeat=args.levels)),
+            ("step", _Axis(np.arange(args.levels), tile=args.k)),
             ("energy", spec.ravel()),
         ],
     )
@@ -356,9 +395,10 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         ("method", args.method),
         ("nmax", args.nmax),
     ]
-    qq = np.repeat(grid.q_axis, grid.n_p)
-    pp = np.tile(grid.p_axis, grid.n_q)
-    columns = [("q", qq), ("p", pp)]
+    columns = [
+        ("q", _Axis(grid.q_axis, repeat=grid.n_p)),
+        ("p", _Axis(grid.p_axis, tile=grid.n_q)),
+    ]
     if args.method == "both":
         diff = float(
             np.max(np.abs(computed["closed"].values - computed["numeric"].values))
@@ -396,8 +436,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             ("nmax", args.nmax),
         ],
         [
-            ("t", np.repeat(t_grid, x.size)),
-            ("x", np.tile(x, t_grid.size)),
+            ("t", _Axis(t_grid, repeat=x.size)),
+            ("x", _Axis(x, tile=t_grid.size)),
             ("density", movie.ravel()),
         ],
     )
@@ -509,10 +549,16 @@ def _absorb_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+# building the parser takes about 1.4 ms (argparse asks for the terminal
+# size once per option), ten times what parsing takes, so main builds it
+# once per process
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(_absorb_dash_values(list(argv)))
     # the bounds that tie two options together; argparse's exit code 2
     if "j" in args and args.j >= args.k:

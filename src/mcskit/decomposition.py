@@ -45,6 +45,9 @@ _LOG_MARGIN = 8.0
 _GAUSS_MARGIN = 9.0
 # past this |x| the synthesis seed pi^{-1/4} e^{-x^2/2} is subnormal
 _SEED_LIMIT = 37.6
+# past this |x| the seed, and so every level, is 0; _synthesize clips x to it,
+# so that x^2 and the recurrence's products stay finite at any double
+_SEED_ZERO = 64.0
 
 # absolute accuracy a sum over the coherent ring must keep (the threshold of
 # verify's closed-vs-synthesized row); its k branches cancel down to the
@@ -126,6 +129,7 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             f"the state reaches |x| = {reach:.3g}, but the eigenfunction seed "
             f"underflows past |x| = {_SEED_LIMIT}; keep x within that limit"
         )
+    x = np.clip(x, -_SEED_ZERO, _SEED_ZERO)
     basis = np.empty((_BLOCK_ROWS, x.size))
     product = np.empty((coeffs.shape[0], x.size))
     held: list[int] = []

@@ -118,18 +118,36 @@ def _ratio(x: float, p: int) -> float:
 
 
 @functools.lru_cache(maxsize=_TABLE_KEYS)
-def _level_products(k: int, seed: int) -> tuple[float, ...]:
-    """float((n+1)...(n+k)) for n = seed, seed + k, ... while n + k is below
-    _TABLE_LEVELS and the product fits a double: the denominators of the
-    term ratios of _series and of the coefficient steps of build_mcs, each
-    formed from the exact integer product and rounded once."""
-    dens = []
-    for n in range(seed, _TABLE_LEVELS - k, k):
-        den = math.prod(range(n + 1, n + k + 1))
+def _product_table(k: int, seed: int) -> list:
+    """[products, complete]: the level products of (k, seed) built so far."""
+    return [(), False]
+
+
+def _level_products(k: int, seed: int, levels: int) -> tuple[float, ...]:
+    """float((n+1)...(n+k)) for n = seed, seed + k, ..., at least the first
+    `levels` of them or all there are: those with n + k below _TABLE_LEVELS,
+    up to the first product past double range. They are the denominators of
+    the term ratios of _series and of the coefficient steps of build_mcs,
+    each formed from the exact integer product and rounded once. A table is
+    built only as deep as its callers have reached, deepened by doubling,
+    and a deeper tuple replaces the one handed out before; every tuple is a
+    prefix of the same products, so two callers deepening it at once can
+    cost a rebuild, never a wrong entry."""
+    table = _product_table(k, seed)
+    dens, complete = table
+    if complete or len(dens) >= levels:
+        return dens
+    grown = list(dens)
+    n = seed + k * len(dens)
+    while len(grown) < max(levels, 2 * len(dens)):
+        den = math.prod(range(n + 1, n + k + 1)) if n + k < _TABLE_LEVELS else math.inf
         if den > _DOUBLE_MAX:
+            complete = True
             break
-        dens.append(float(den))
-    return tuple(dens)
+        grown.append(float(den))
+        n += k
+    table[:] = tuple(grown), complete
+    return table[0]
 
 
 @functools.lru_cache(maxsize=_TABLE_KEYS)
@@ -163,7 +181,7 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
         last = k * (steps - 1) + seed
         if x > math.prod(range(last + 1, last + k + 1)):
             steps = 0  # the terms still grow there: refuse without summing
-    dens = _level_products(k, seed)
+    dens = _product_table(k, seed)[0]  # the products at hand
     tabled = len(dens)
     total = 0.0
     small = 0
@@ -184,6 +202,9 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
                 return total, e
         else:
             small = 0
+        if m == tabled:  # past the products at hand: deepen them, or -1 if none are left
+            dens = _level_products(k, seed, m + 1)
+            tabled = len(dens) if len(dens) > m else -1
         if m < tabled:
             term *= x / dens[m]
             continue
@@ -281,7 +302,7 @@ def _build_mcs(label: MCSLabel, n_max: int) -> FockVector:
     included = 0.0
     lift = max(1.0, x)  # the stop leaves a defining residual of |alpha c_n|
     proved = False  # whether the support rule bounds the tail
-    dens = _level_products(k, j)
+    dens = _product_table(k, j)[0]
     tabled = len(dens)
     for level, m in enumerate(range(j, n_max, k)):
         terms.append(term)
@@ -295,6 +316,9 @@ def _build_mcs(label: MCSLabel, n_max: int) -> FockVector:
         included += weight
         if m + k >= n_max:  # the last level that fits; k may have any size
             break
+        if level == tabled:  # as in _series
+            dens = _level_products(k, j, level + 1)
+            tabled = len(dens) if len(dens) > level else -1
         if level < tabled:
             den = dens[level]
         else:

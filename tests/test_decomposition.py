@@ -326,6 +326,21 @@ def test_synthesis_refuses_an_underflowed_seed():
     assert fock_wavefunction(basis_state(0, 8), np.array([50.0]))[0] == 0.0
 
 
+def test_synthesis_past_the_seed_is_zero_at_any_double():
+    # x^2 overflowed past |x| = 1.3e154 and the first recurrence product past
+    # 1.27e308, which turned the level, and the density there, into NaN
+    state = build_mcs(MCSLabel(2, 0, 4j), n_max=256)
+    near = np.array([-1.0, 0.0, 2.5])
+    far = np.array([-1.7e308, -1e200, -64.0, 100.0, 1e160, 1.7976931348623157e308])
+    psi = fock_wavefunction(state, np.concatenate([far, near]))
+    assert np.all(psi[:far.size] == 0.0)
+    # the grid's size sets the product tiles, so near points agree to rounding
+    assert np.max(np.abs(psi[far.size:] - fock_wavefunction(state, near))) < 1e-15
+    movie = density_movie(2, 0, 1.0 + 1.0j, np.array([-1.7e308, 1.0]), np.array([0.0, 1.0]),
+                          method="fock")
+    assert np.all(np.isfinite(movie)) and np.all(movie[:, 0] == 0.0)
+
+
 def test_coherent_reassembly():
     for k in (2, 3, 5):
         for z in (1.5, 0.8 - 1.1j):

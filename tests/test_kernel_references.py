@@ -71,6 +71,7 @@ from mcskit.states import (
     _TAIL_TOL,
     _level_products,
     _power,
+    _product_table,
     _ratio,
     _seed,
     _series,
@@ -754,8 +755,35 @@ def test_in_place_recurrence_matches_the_temporaries():
     assert fock_wavefunction(state, x).tobytes() == ref.tobytes()
 
 
+def level_products_reference(k, seed):
+    """Every product of (k, seed) below _TABLE_LEVELS, as one table built whole."""
+    dens = []
+    for n in range(seed, _TABLE_LEVELS - k, k):
+        den = math.prod(range(n + 1, n + k + 1))
+        if den > _DOUBLE_MAX:
+            break
+        dens.append(float(den))
+    return tuple(dens)
+
+
+def test_level_products_are_built_only_as_deep_as_asked():
+    _product_table.cache_clear()
+    assert len(_level_products(1, 0, 3)) == 3
+    assert len(_level_products(1, 0, 2)) == 3  # a shallower ask gets the table at hand
+    assert len(_level_products(1, 0, 4)) == 6  # deepened by doubling
+    for k in (1, 2, 3, 8, 100, 113, 170, 171, 400, 511, 512, 600):
+        for seed in sorted({0, 1, k // 2, k - 1}):
+            full = level_products_reference(k, seed)
+            for levels in range(1, len(full) + 2):  # level by level, as the loops ask
+                dens = _level_products(k, seed, levels)
+                assert dens == full[:len(dens)] and len(dens) >= min(levels, len(full))
+            assert _level_products(k, seed, _TABLE_LEVELS) == full
+            _product_table.cache_clear()
+            assert _level_products(k, seed, _TABLE_LEVELS) == full  # in one go
+
+
 def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
-    caches = (_phase_rates, _raising_weights, _level_products, _seed)
+    caches = (_phase_rates, _raising_weights, _product_table, _seed)
     state = random_state(np.random.default_rng(24), 64)
     label = MCSLabel(3, 2, 1.7 + 0.4j)
 
@@ -770,7 +798,7 @@ def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
-    assert isinstance(_level_products(3, 2), tuple)
+    assert isinstance(_level_products(3, 2, 4), tuple)
     for cache in caches:
         assert cache.cache_info().maxsize == _TABLE_KEYS
         cache.cache_clear()

@@ -13,9 +13,18 @@ invariants: unit norm, an uncertainty product >= 1/2, and unit mass or a
 field total of 1 on a grid that covers the state's reach. Every argument
 drawn is valid, so not even a ValueError is allowed.
 
+The command line: over argv drawn for spectrum, uncertainty, wigner and
+evolve, with orders up to 8 and 124, 171 and 330, option values from edge
+sets (0, 1e-300, 1e308, nan, inf, polar forms) and grids of at most 33
+points per axis, `cli.main` exits 0, 1 or 2 and lets no exception escape,
+and every table it writes with exit 0 holds finite numbers only. Grid
+bounds are either at most 16 apart or past double range, so no drawn grid
+lies between what the array cap refuses and what fits in memory.
+
 Each fixed example below is a label a search once failed on.
 """
 
+import json
 import math
 
 import numpy as np
@@ -34,6 +43,7 @@ from mcskit import (
     wigner_closed,
     wigner_numeric,
 )
+from mcskit.cli import main
 from mcskit.decomposition import _RING_ACCURACY, _ring_norm
 
 EPS = np.finfo(np.float64).eps
@@ -166,3 +176,72 @@ def test_closed_field_has_unit_total_or_is_refused(label, r, theta):
     num, den = _ring_norm(k, j, z, "wigner_numeric", pairs=True)
     area = (2.0 * half) ** 2
     assert abs(field.total() - 1.0) <= 1e-10 + area * 2.0 * EPS * num / den**2
+
+
+# edge values of the command line as a user spells them, each set ending in
+# values that are refused (exit 2)
+REALS = st.sampled_from(("0", "1e-300", "1.5", "8", "30", "1e308", "-1", "nan", "inf"))
+COMPLEXES = st.sampled_from(("0", "1e-300", "-2", "6@60", "1e308", "0,-0", "1,1", "2@45", "1e308@90",
+                             "1e-300@180", "3@-30", "nan", "inf", "nan@10", "1,inf"))
+# bounds at most 16 apart or past double range
+AXES = st.sampled_from(("-8,8", "-1,1", "0,1e-300", "1e-300,1", "-8,0", "-1e308,1", "0,1e308",
+                        "-1.7e308,1", "-1e308,1e308", "8,-8", "nan,1"))
+POINTS = st.sampled_from(("2", "3", "17", "33", "1"))
+
+
+@st.composite
+def cli_argv(draw):
+    """argv of one table command."""
+    cmd = draw(st.sampled_from(("spectrum", "uncertainty", "wigner", "evolve")))
+    k = draw(st.sampled_from((1, 2, 3, 4, 5, 8, 124, 171, 330)))
+    argv = [cmd, "--k", str(k)]
+    if cmd == "spectrum":
+        argv += ["--levels", draw(POINTS)]
+    else:
+        argv += ["--j", str(draw(st.integers(0, k - 1))),
+                 "--nmax", draw(st.sampled_from(("2", "16", "256")))]
+    if cmd == "uncertainty":
+        argv += ["--alpha", draw(REALS), "--points", draw(POINTS)]
+        if draw(st.booleans()):
+            argv += ["--alpha-min", draw(REALS)]
+    elif cmd == "wigner":
+        grid = [draw(AXES), draw(AXES), draw(POINTS), draw(POINTS)]
+        argv += ["--z", draw(COMPLEXES), "--grid", ",".join(grid),
+                 "--method", draw(st.sampled_from(("closed", "numeric", "both")))]
+    elif cmd == "evolve":
+        argv += ["--z", draw(COMPLEXES), "--grid", f"{draw(AXES)},{draw(POINTS)}",
+                 "--nt", draw(POINTS), "--method", draw(st.sampled_from(("closed", "fock")))]
+        if draw(st.booleans()):
+            argv += ["--tmax", draw(REALS)]
+    return argv + ["--format", draw(st.sampled_from(("csv", "json")))]
+
+
+def table_columns(text, fmt):
+    """The columns of a written table as float arrays."""
+    if fmt == "json":
+        return {name: np.array(col, dtype=float) for name, col in json.loads(text)["columns"].items()}
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    rows = [line.split(",") for line in lines[1:]]
+    return {name: np.array([float(row[c]) for row in rows])
+            for c, name in enumerate(lines[0].split(","))}
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=cli_argv())
+# the synthesis seed e^{-x^2/2} formed x^2 past double range (a RuntimeWarning)
+@example(argv="evolve --k 1 --j 0 --nmax 2 --z 0 --grid=-1e308,1,2 --nt 2 --method fock "
+              "--format csv".split())
+# and the first recurrence product overflowed, so the density there was NaN
+@example(argv="evolve --k 2 --j 0 --nmax 256 --z 2@45 --grid=-1.7e308,1,3 --nt 2 "
+              "--method fock --format json".split())
+def test_cli_exits_0_1_or_2_and_writes_finite_tables(tmp_path_factory, argv):
+    out = tmp_path_factory.getbasetemp() / "cli_property.out"
+    out.unlink(missing_ok=True)
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse's exit 2
+        code = exc.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        for name, col in table_columns(out.read_text(), argv[-1]).items():
+            assert col.size and np.all(np.isfinite(col)), name

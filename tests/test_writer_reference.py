@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from mcskit import MCSLabel, PhaseGrid, _shortest, build_mcs, wigner_closed, wigner_numeric
-from mcskit.cli import _BLOCK_ROWS, write_table
+from mcskit.cli import _BLOCK_ROWS, _Axis, write_table
 
 
 def _fmt_reference(value) -> str:
@@ -111,13 +111,66 @@ def test_tables_without_columns_or_config(capsys, fmt):
         assert_same_text(capsys.readouterr().out, table_reference(fmt, config, cols))
 
 
+def grid_columns(slow, fast, value=None):
+    """A grid table as the CLI passes it, slow axis outermost, and the same
+    table as expanded arrays for the reference."""
+    n_rows = slow.size * fast.size
+    if value is None:  # random values with the special ones at every fifth row
+        value = np.random.default_rng(n_rows).standard_normal(n_rows)
+        value[::5] = np.resize(SPECIAL, value[::5].size)
+    axes = [("slow", _Axis(slow, repeat=fast.size)), ("fast", _Axis(fast, tile=slow.size)),
+            ("value", value)]
+    arrays = [("slow", np.repeat(slow, fast.size)), ("fast", np.tile(fast, slow.size)),
+              ("value", value)]
+    return axes, arrays
+
+
+GRIDS = {
+    # rows and strides on both sides of _BLOCK_ROWS
+    "3x4097": (np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 7.0, _BLOCK_ROWS + 1)),
+    "65x63": (np.linspace(0.0, 2.0 * np.pi / 3.0, 65), np.linspace(-12.0, 12.0, 63)),
+    "4097x2": (np.linspace(-6.0, 6.0, _BLOCK_ROWS + 1), np.array([-0.0, 0.0])),
+    "1x1": (np.array([0.5]), np.array([1e-300])),
+    # the special values as an axis, repeated values included
+    "special": (SPECIAL, np.append(SPECIAL, SPECIAL[:3])),
+    # spectrum's class_index x step
+    "int": (np.arange(7), np.arange(_BLOCK_ROWS // 3)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", GRIDS)
+def test_axis_columns_match_the_expanded_reference(tmp_path, capsys, fmt, grid):
+    axes, arrays = grid_columns(*GRIDS[grid])
+    want = table_reference(fmt, CONFIG, arrays)
+    path = tmp_path / f"table.{fmt}"
+    write_table(str(path), fmt, CONFIG, axes)
+    assert_same_text(path.read_bytes().decode("ascii"), want)
+    write_table("-", fmt, CONFIG, axes)
+    assert_same_text(capsys.readouterr().out, want)
+
+
+def test_axis_length_is_its_row_count():
+    # the benchmark counts a table's cells as the len() of its columns
+    assert len(_Axis(np.arange(5), repeat=3, tile=2)) == 30
+    assert len(_Axis(np.arange(5))) == 5
+
+
+def test_csv_rows_stop_at_the_shortest_column(capsys):
+    axes, arrays = grid_columns(np.arange(3.0), np.arange(4.0), np.arange(20.0))
+    write_table("-", "csv", CONFIG, axes)
+    trimmed = [(name, col[:12]) for name, col in arrays]
+    assert_same_text(capsys.readouterr().out, table_reference("csv", CONFIG, trimmed))
+
+
 def field_table():
-    """The four columns of `mcskit wigner --k 2 --j 0 --z 2 --method both`."""
+    """The four columns of `mcskit wigner --k 2 --j 0 --z 2 --method both`,
+    axes as the CLI passes them."""
     grid = PhaseGrid()
     state = build_mcs(MCSLabel(2, 0, 4.0))
     return [
-        ("q", np.repeat(grid.q_axis, grid.n_p)),
-        ("p", np.tile(grid.p_axis, grid.n_q)),
+        ("q", _Axis(grid.q_axis, repeat=grid.n_p)),
+        ("p", _Axis(grid.p_axis, tile=grid.n_q)),
         ("w_closed", wigner_closed(2, 0, 2.0, grid).values.ravel()),
         ("w_numeric", wigner_numeric(state, grid).values.ravel()),
     ]
@@ -135,16 +188,22 @@ def test_each_distinct_value_is_formatted_once_per_column(monkeypatch, tmp_path,
 
     monkeypatch.setattr(_shortest, "repr_rows", counted)
     write_table(str(tmp_path / f"table.{fmt}"), fmt, CONFIG, cols)
-    distinct = sum(np.unique(col.view(np.int64)).size for _, col in cols)
-    assert sum(calls) == distinct
+    # an axis reaches the kernel once per distinct axis value, not per row
+    values = [col.values if isinstance(col, _Axis) else col for _, col in cols]
+    distinct = [np.unique(v.view(np.int64)).size for v in values]
+    assert distinct[:2] == [PhaseGrid().n_q, PhaseGrid().n_p]
+    assert sum(calls) == sum(distinct)
     assert max(calls) <= _BLOCK_ROWS  # the kernel's temporaries stay block-sized
+
+
+# peak over the columns' bytes as float64 arrays, measured 1.99 (CSV) and 1.59
+# (JSON) at 257^2 rows, plus 20%; the text of the whole table would pass it
+PEAK_RATIO = {"csv": 2.4, "json": 1.9}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_write_holds_a_small_multiple_of_the_columns(tmp_path, fmt):
-    # each column's index and distinct text plus one block's buffer: about
-    # 2.5x the columns' bytes for CSV and 2x for JSON at 257^2 rows; the
-    # text of the whole table would pass the limit
+    # the value columns' indices and distinct text plus one block's buffer
     cols = field_table()
     path = str(tmp_path / f"table.{fmt}")
     write_table(path, fmt, CONFIG, cols)  # the kernel's tables are built once
@@ -154,4 +213,4 @@ def test_write_holds_a_small_multiple_of_the_columns(tmp_path, fmt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * sum(col.nbytes for _, col in cols)
+    assert peak <= PEAK_RATIO[fmt] * sum(8 * len(col) for _, col in cols)
