@@ -5,8 +5,11 @@ CSV table (default) or JSON document on stdout or --out; CSV carries the
 run configuration as leading '# key = value' lines so a file is
 reproducible from its own header. All numbers are emitted with shortest
 round-trip formatting, so identical invocations produce identical bytes,
-and a JSON column holds the same strings as its CSV column (JSON spells
-non-finite values NaN, Infinity and -Infinity).
+and a JSON column holds the same strings as its CSV column. A table is
+finite, rectangular and non-empty: the writer raises ValueError, before it
+opens its output, for a table with no column, an empty column, columns of
+unequal length or a non-finite value, since any of these is a fault of the
+program, not of its input.
 
 The writer formats each column once. A grid axis comes as an _Axis, its
 values with their repeat and tile counts, so each axis value is formatted
@@ -15,16 +18,16 @@ through np.unique, which gives its distinct bit patterns (integers by
 value) and each cell's index into them. `_shortest.repr_rows`, a numpy
 kernel that gives the bytes of repr(float) with no Python code per value,
 formats the distinct floats _BLOCK_ROWS at a time (integers print with
-str, non-finite floats with repr). Blocks of _BLOCK_ROWS rows then only
-set the layout: each row is one item of a structured array whose fields
-are fixed-width cells and separators, so a block copies one item per cell,
-and one bytes.translate drops the padding. Blocks stay bytes up to a file
-opened "wb"; only stdout decodes them. Only numpy arrays are held: the
-index of each value column (8 bytes per cell), the distinct text (at most
-24 bytes per value), and one block's buffer; the 257^2 table of `wigner
---method both` (four float columns, 2.1 MB as arrays) peaks at 4.0 MiB as
-CSV and 3.2 MiB as JSON, measured with tracemalloc. No Python string per
-cell, and no text of a whole table, is ever held.
+str). Blocks of _BLOCK_ROWS rows then only set the layout: each row is one
+item of a structured array whose fields are fixed-width cells and
+separators, so a block copies one item per cell, and one bytes.translate
+drops the padding. Blocks stay bytes up to a file opened "wb"; only
+stdout decodes them. Only numpy arrays are held: the index of each value
+column (8 bytes per cell), the distinct text (at most 24 bytes per value),
+and one block's buffer; the 257^2 table of `wigner --method both` (four
+float columns, 2.1 MB as arrays) peaks at 4.0 MiB as CSV and 2.9 MiB as
+JSON, measured with tracemalloc. No Python string per cell, and no text of
+a whole table, is ever held.
 
 Complex values are parsed as 're,im' or polar 'r@theta' with theta in
 degrees; a bare number is taken as real. Grids are 'qmin,qmax,pmin,pmax,
@@ -150,18 +153,9 @@ def _fmt(value) -> str:
 # peak RSS)
 _BLOCK_ROWS = 4096
 
-# json.dumps spells the non-finite floats this way; repr gives nan/inf/-inf
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-
-def _text_rows(text: list[str]) -> np.ndarray:
-    """The strings as zero-padded rows of ASCII bytes."""
-    rows = np.array(text, dtype=np.bytes_)
-    return rows.view(np.uint8).reshape(rows.size, rows.itemsize)
-
-
-def _float_rows(values: np.ndarray, json_floats: bool) -> np.ndarray:
-    """Rows of repr text of float64 values, spelled for JSON if asked.
+def _float_rows(values: np.ndarray) -> np.ndarray:
+    """Rows of repr text of finite float64 values.
 
     The kernel formats _BLOCK_ROWS values at a time, so its uint64
     temporaries stay cache-sized whatever the column's length.
@@ -170,25 +164,11 @@ def _float_rows(values: np.ndarray, json_floats: bool) -> np.ndarray:
     # float never compiles the kernel (0.3 MB of peak RSS on grids)
     from . import _shortest
 
-    finite = np.isfinite(values)
-    regular = values[finite]
-    parts = [_shortest.repr_rows(regular[start:start + _BLOCK_ROWS])
-             for start in range(0, regular.size, _BLOCK_ROWS)]
-    text = list(map(repr, values[~finite].tolist()))
-    if json_floats:
-        text = [_JSON_NONFINITE[t] for t in text]
-    odd = _text_rows(text)
-    width = max([odd.shape[1]] + [part.shape[1] for part in parts])
-    rows = np.zeros((values.size, width), np.uint8)
-    # the finite rows go in by slices, straight into rows when all are finite
-    good = np.zeros((regular.size, width), np.uint8) if odd.size else rows
-    start = 0
-    for part in parts:
-        good[start:start + len(part), :part.shape[1]] = part
-        start += len(part)
-    if odd.size:
-        rows[finite] = good
-        rows[~finite, :odd.shape[1]] = odd
+    starts = range(0, values.size, _BLOCK_ROWS)
+    parts = [_shortest.repr_rows(values[start:start + _BLOCK_ROWS]) for start in starts]
+    rows = np.zeros((values.size, max(part.shape[1] for part in parts)), np.uint8)
+    for start, part in zip(starts, parts):
+        rows[start:start + len(part), :part.shape[1]] = part
     return rows
 
 
@@ -207,7 +187,7 @@ class _Axis:
         return self.values.size * self.repeat * self.tile
 
 
-def _cells(col: np.ndarray | _Axis, json_floats: bool) -> tuple[np.ndarray, np.ndarray, int]:
+def _cells(col: np.ndarray | _Axis) -> tuple[np.ndarray, np.ndarray, int]:
     """(text, index, repeat): the text of cell i is text[index[i // repeat % index.size]].
 
     text holds one fixed-width void item per distinct value; index maps
@@ -219,11 +199,12 @@ def _cells(col: np.ndarray | _Axis, json_floats: bool) -> tuple[np.ndarray, np.n
     values, repeat = (col.values, col.repeat) if isinstance(col, _Axis) else (col, 1)
     if values.dtype.kind in "iu":
         uniq, index = np.unique(values, return_inverse=True)
-        rows = _text_rows(list(map(str, uniq.tolist())))
+        text = np.array(list(map(str, uniq.tolist())), dtype=np.bytes_)
+        rows = text.view(np.uint8).reshape(text.size, text.itemsize)
     else:
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
         uniq, index = np.unique(bits, return_inverse=True)
-        rows = _float_rows(uniq.view(np.float64), json_floats)
+        rows = _float_rows(uniq.view(np.float64))
     return rows.view(f"V{rows.shape[1]}").ravel(), index, repeat
 
 
@@ -258,14 +239,11 @@ def _csv_blocks(
 ) -> Iterator[bytes]:
     yield "".join(f"# {key} = {val}\n" for key, val in config).encode()
     yield (",".join(names) + "\n").encode()
-    if not cols:
-        return
-    n_rows = min(map(len, cols))
     parts: list = []
     for col in cols:
-        parts += [_cells(col if isinstance(col, _Axis) else col[:n_rows], False), b","]
+        parts += [_cells(col), b","]
     parts[-1] = b"\n"
-    yield from _blocks(parts, n_rows)
+    yield from _blocks(parts, len(cols[0]))
 
 
 def _json_blocks(config: dict[str, str], columns: dict[str, object]) -> Iterator[bytes]:
@@ -273,15 +251,9 @@ def _json_blocks(config: dict[str, str], columns: dict[str, object]) -> Iterator
     # one level deeper; json.dumps escapes any newline inside a string
     conf = json.dumps(config, indent=2).replace("\n", "\n  ")
     yield ('{\n  "config": ' + conf + ',\n  "columns": ').encode()
-    if not columns:
-        yield b"{}\n}\n"
-        return
     for c, (name, col) in enumerate(columns.items()):
         yield (("{" if c == 0 else ",") + f"\n    {json.dumps(name)}: ").encode()
-        if not len(col):
-            yield b"[]"
-            continue
-        blocks = _blocks([b",\n      ", _cells(col, True)], len(col))
+        blocks = _blocks([b",\n      ", _cells(col)], len(col))
         yield b"[" + next(blocks)[1:]
         yield from blocks
         yield b"\n    ]"
@@ -298,10 +270,19 @@ def write_table(
 
     A column is an array or an _Axis. Both formats carry the same cell
     strings, so a JSON column holds exactly the floats of its CSV twin.
+    ValueError, before the output is opened, unless the table has a column,
+    its columns have one length of at least 1, and every value is finite.
     """
     conf = [(key, _fmt(val)) for key, val in config]
     names = [name for name, _ in columns]
     cols = [col if isinstance(col, _Axis) else np.asarray(col) for _, col in columns]
+    lengths = {len(col) for col in cols}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValueError(f"a table needs columns of one length of at least 1, "
+                         f"got lengths {sorted(lengths)}")
+    for name, col in zip(names, cols):
+        if not np.isfinite(col.values if isinstance(col, _Axis) else col).all():
+            raise ValueError(f"column {name!r} holds a non-finite value")
     if fmt == "csv":
         blocks = _csv_blocks(conf, names, cols)
     else:

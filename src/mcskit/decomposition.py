@@ -135,16 +135,9 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     held: list[int] = []
     prev = np.zeros_like(x)
     cur = _QUARTIC_ROOT_PI * np.exp(-0.5 * x * x)
-    step = np.empty_like(x)
     for n in range(top):
         if n > 0:
-            # sqrt(2/n) x cur - sqrt((n-1)/n) prev, operation by operation
-            # into buffers that stay, the new level overwriting prev
-            np.multiply(x, math.sqrt(2.0 / n), step)
-            step *= cur
-            prev *= math.sqrt((n - 1) / n)
-            np.subtract(step, prev, prev)
-            prev, cur = cur, prev
+            prev, cur = cur, x * math.sqrt(2.0 / n) * cur - math.sqrt((n - 1) / n) * prev
         if used[n]:
             basis[len(held)] = cur
             held.append(n)

@@ -272,7 +272,7 @@ def _h_commutator(probe: FockVector, k: int, sign: int) -> FockVector:
     return FockVector(hg.coeffs - gh.coeffs)
 
 
-def ladder_spectrum(k: int, levels: int = 32) -> np.ndarray:
+def ladder_spectrum(k: int, levels: int) -> np.ndarray:
     """Spectrum of H as seen by the order-k algebra, as a (k, levels) array.
 
     Row j, residue class j, is the ladder j + 1/2 + k m of spacing k from

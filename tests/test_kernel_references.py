@@ -21,12 +21,13 @@ purity and negativity integrals the full-grid temporaries they replaced to
 1e-15.
 
 The small kernels that take their per-level factors from read-only tables
-(`time_evolve`, `apply_k_ladder`, the norm series) or run their recurrence
-in place (`_synthesize`) keep their arithmetic, so each is asked to give
-the bits, or the exception and its message, of the per-call expression it
-replaced. So is `_check_class` with its fast path for plain ints. The
-tables must stay read-only and their caches bounded, and clearing the
-caches must move no bit.
+(`time_evolve`, `apply_k_ladder`, the norm series) keep their arithmetic,
+so each is asked to give the bits, or the exception and its message, of
+the per-call expression it replaced. So is `_check_class` with its fast
+path for plain ints, and so is `_synthesize`, against its recurrence and
+block contraction written out on their own. The tables must stay
+read-only and their caches bounded, and clearing the caches must move no
+bit.
 """
 
 import math
@@ -742,7 +743,7 @@ def synthesize_reference(coeffs, x):
     return out
 
 
-def test_in_place_recurrence_matches_the_temporaries():
+def test_synthesis_matches_the_reference_recurrence():
     rng = np.random.default_rng(23)
     c = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
     c[:, ::5] = 0.0

@@ -89,16 +89,20 @@ def test_empty_and_unaligned_input():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_nonfinite_rows_through_the_writer(tmp_path, fmt):
+    # the writer refuses a non-finite row before it opens its output, and
+    # writes the finite rows beside it as repr does
     col = np.array([np.nan, 1.5, np.inf, -np.inf, -0.0, np.nan, 2.0**-1074])
     path = tmp_path / f"t.{fmt}"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_table(str(path), fmt, [("k", 1)], [("w", col), ("i", np.arange(col.size))])
+    assert not path.exists()
+    col = col[np.isfinite(col)]
     write_table(str(path), fmt, [("k", 1)], [("w", col), ("i", np.arange(col.size))])
     text = path.read_text()
     if fmt == "csv":
         rows = text.splitlines()[2:]
         assert [r.split(",")[0] for r in rows] == list(map(repr, col.tolist()))
     else:
-        assert json.loads(text)["columns"]["w"][1:5] == [1.5, np.inf, -np.inf, -0.0]
-        assert '"w": [\n      NaN,\n      1.5,\n      Infinity,\n      -Infinity,\n' in text
         assert text == json.dumps(
             {"config": {"k": "1"}, "columns": {"w": col.tolist(), "i": list(range(col.size))}},
             indent=2,

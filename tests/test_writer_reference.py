@@ -5,12 +5,14 @@ call per cell for CSV, and `json.dumps(doc, indent=2)` of the columns'
 `tolist()` for JSON. The new writer formats each distinct value once and
 writes the same layout by hand, so the two must agree byte for byte, to a
 file and to stdout, on the values where formatting is easiest to get
-wrong: signed zeros, subnormals, the largest doubles, non-finite values,
-integers, the repeated axis columns of the CLI, and row counts around the
-block size and across several blocks, where values recur from block to
-block. Two more tests hold the writer to its cost: the kernel formats each
-distinct bit pattern of a float column once, and a table's write holds no
-more than a small multiple of its columns' bytes.
+wrong: signed zeros, subnormals, the largest doubles, integers, the
+repeated axis columns of the CLI, and row counts around the block size and
+across several blocks, where values recur from block to block. The writer
+takes finite, rectangular, non-empty tables only: a non-finite value, no
+column, an empty column or columns of unequal length raise ValueError
+before a byte is written. Two more tests hold the writer to its cost: the
+kernel formats each distinct bit pattern of a float column once, and a
+table's write holds no more than a small multiple of its columns' bytes.
 """
 
 import json
@@ -55,12 +57,9 @@ CONFIG = [
     ("note", 'quoted "text", a\\b'),
 ]
 
-SPECIAL = np.array(
-    [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, 2.0,
-     np.nan, -np.nan, np.inf, -np.inf]
-)
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, 2.0])
 
-ROWS = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5)
+ROWS = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5)
 
 
 def columns(n_rows):
@@ -104,11 +103,24 @@ def test_stdout_matches_reference(capsys, fmt, n_rows):
     assert_same_text(capsys.readouterr().out, table_reference(fmt, CONFIG, cols))
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_tables_without_columns_or_config(capsys, fmt):
-    for config, cols in (([], []), (CONFIG, []), ([], columns(3))):
+def assert_refused(tmp_path, capsys, fmt, config, cols, match):
+    """ValueError to a file and to stdout, with no file made and nothing printed."""
+    path = tmp_path / f"table.{fmt}"
+    with pytest.raises(ValueError, match=match):
+        write_table(str(path), fmt, config, cols)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=match):
         write_table("-", fmt, config, cols)
-        assert_same_text(capsys.readouterr().out, table_reference(fmt, config, cols))
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_without_columns_or_config(tmp_path, capsys, fmt):
+    cols = columns(3)
+    write_table("-", fmt, [], cols)
+    assert_same_text(capsys.readouterr().out, table_reference(fmt, [], cols))
+    for config in ([], CONFIG):
+        assert_refused(tmp_path, capsys, fmt, config, [], "one length of at least 1")
 
 
 def grid_columns(slow, fast, value=None):
@@ -156,11 +168,36 @@ def test_axis_length_is_its_row_count():
     assert len(_Axis(np.arange(5))) == 5
 
 
-def test_csv_rows_stop_at_the_shortest_column(capsys):
-    axes, arrays = grid_columns(np.arange(3.0), np.arange(4.0), np.arange(20.0))
-    write_table("-", "csv", CONFIG, axes)
-    trimmed = [(name, col[:12]) for name, col in arrays]
-    assert_same_text(capsys.readouterr().out, table_reference("csv", CONFIG, trimmed))
+NONFINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("where", ["value", "axis"])
+def test_non_finite_values_are_refused(tmp_path, capsys, fmt, bad, where):
+    slow, fast = np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 7.0, 5)
+    value = np.random.default_rng(15).standard_normal(15)
+    if where == "value":
+        value[7] = NONFINITE[bad]
+    else:
+        fast[2] = NONFINITE[bad]
+    axes, _ = grid_columns(slow, fast, value)
+    name = "value" if where == "value" else "fast"
+    assert_refused(tmp_path, capsys, fmt, CONFIG, axes,
+                   f"column '{name}' holds a non-finite value")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_empty_columns_are_refused(tmp_path, capsys, fmt):
+    cols = [("q", np.array([])), ("p", _Axis(np.array([]), tile=3))]
+    assert_refused(tmp_path, capsys, fmt, CONFIG, cols, "one length of at least 1")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ragged_columns_are_refused(tmp_path, capsys, fmt):
+    # 3 x 4 axes beside a 20-row value column
+    axes, _ = grid_columns(np.arange(3.0), np.arange(4.0), np.arange(20.0))
+    assert_refused(tmp_path, capsys, fmt, CONFIG, axes, r"got lengths \[12, 20\]")
 
 
 def field_table():
@@ -196,9 +233,9 @@ def test_each_distinct_value_is_formatted_once_per_column(monkeypatch, tmp_path,
     assert max(calls) <= _BLOCK_ROWS  # the kernel's temporaries stay block-sized
 
 
-# peak over the columns' bytes as float64 arrays, measured 1.99 (CSV) and 1.59
+# peak over the columns' bytes as float64 arrays, measured 1.99 (CSV) and 1.44
 # (JSON) at 257^2 rows, plus 20%; the text of the whole table would pass it
-PEAK_RATIO = {"csv": 2.4, "json": 1.9}
+PEAK_RATIO = {"csv": 2.4, "json": 1.73}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
