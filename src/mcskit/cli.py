@@ -32,8 +32,9 @@ a whole table, is ever held.
 Complex values are parsed as 're,im' or polar 'r@theta' with theta in
 degrees; a bare number is taken as real. Grids are 'qmin,qmax,pmin,pmax,
 nq,np' for phase space and 'xmin,xmax,nx' for position space. An axis,
---nt among them, takes 2 to 2^26 points, the library's cap on one array,
-which also refuses a field or movie past 2^26 entries (exit 1).
+--nt among them, and --nmax take 2 to 2^26 points, and --points 1 to
+2^26: the library's cap on one array, which also refuses a field or movie
+past 2^26 entries (exit 1).
 
 The parsed argparse namespace is the run configuration. Every option is
 checked when it is parsed, by its type= parser, which takes finite values
@@ -58,10 +59,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .decomposition import density_movie
+from .decomposition import _ring_state, density_movie
 from .errors import McskitError
 from .fock import _ENTRIES_MAX, DEFAULT_N_MAX, ladder_spectrum
-from .states import _ROUTE_TOL, MCSLabel, _power, a_norm_closed, build_mcs, moments
+from .states import _ROUTE_TOL, MCSLabel, a_norm_closed, moments
 from .verify import SUITE_NAMES, run_suite
 from .wigner import PhaseGrid, wigner_closed, wigner_numeric
 
@@ -85,8 +86,9 @@ def _bounded(kind: type, low: float, strict: bool = False, high: float = math.in
     return parse
 
 
-# points on one axis (nq, np and nx of a grid, and --nt), refused past the
-# library's array cap before any axis is built
+# points on one axis (nq, np and nx of a grid, and --nt) and levels of a
+# truncation (--nmax), refused past the library's array cap before any
+# array is built
 _axis_points = _bounded(int, 2, high=_ENTRIES_MAX)
 
 
@@ -363,8 +365,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     if args.method in ("closed", "both"):
         computed["closed"] = wigner_closed(k, j, z, grid)
     if args.method in ("numeric", "both"):
-        state = build_mcs(MCSLabel(k, j, _power(complex(z), k)), n_max=args.nmax)
-        computed["numeric"] = wigner_numeric(state, grid)
+        computed["numeric"] = wigner_numeric(_ring_state(k, j, z, args.nmax), grid)
 
     config: list[tuple[str, object]] = [
         ("command", "wigner"),
@@ -472,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_bounded(float, 0.0), default=4.0,
                    help="sweep endpoint; the table covers [alpha-min, alpha]")
     p.add_argument("--alpha-min", type=_bounded(float, 0.0), default=0.0)
-    p.add_argument("--points", type=_bounded(int, 1), default=81)
-    p.add_argument("--nmax", type=_bounded(int, 2), default=DEFAULT_N_MAX,
+    p.add_argument("--points", type=_bounded(int, 1, high=_ENTRIES_MAX), default=81)
+    p.add_argument("--nmax", type=_axis_points, default=DEFAULT_N_MAX,
                    help="truncation dimension")
     _add_io(p)
     p.set_defaults(func=cmd_uncertainty)
@@ -486,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=parse_phase_grid,
                    default=PhaseGrid(), help="qmin,qmax,pmin,pmax,nq,np")
     p.add_argument("--method", choices=("closed", "numeric", "both"), default="closed")
-    p.add_argument("--nmax", type=_bounded(int, 2), default=DEFAULT_N_MAX)
+    p.add_argument("--nmax", type=_axis_points, default=DEFAULT_N_MAX)
     _add_io(p)
     p.set_defaults(func=cmd_wigner)
 
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: one revival period 2*pi/k")
     p.add_argument("--nt", type=_axis_points, default=65)
     p.add_argument("--method", choices=("closed", "fock"), default="closed")
-    p.add_argument("--nmax", type=_bounded(int, 2), default=DEFAULT_N_MAX)
+    p.add_argument("--nmax", type=_axis_points, default=DEFAULT_N_MAX)
     _add_io(p)
     p.set_defaults(func=cmd_evolve)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNorm, Overflow
-from .fock import (DEFAULT_N_MAX, FockVector, _check_class, _check_count, _check_entries,
+from .fock import (DEFAULT_N_MAX, FockVector, _check_class, _check_entries, _check_n_max,
                    _check_phase)
 from .states import MCSLabel, _check_series, _power, _series, build_mcs
 
@@ -236,7 +236,7 @@ class ScsSuperposition:
         return mu ** np.arange(self.k) * self.z
 
     def fock_vector(self, n_max: int = DEFAULT_N_MAX) -> FockVector:
-        acc = np.zeros(_check_count("n_max", n_max), dtype=np.complex128)
+        acc = np.zeros(_check_n_max(n_max), dtype=np.complex128)
         for w, label in zip(self.weights, self.constituents()):
             acc += w * build_mcs(MCSLabel(1, 0, label), n_max).coeffs
         return FockVector(acc)
@@ -269,12 +269,17 @@ def coherent_from_classes(k: int, z: complex, n_max: int = DEFAULT_N_MAX) -> Foc
     """
     k, _ = _check_class(k)
     z = complex(z)
-    acc = np.zeros(_check_count("n_max", n_max), dtype=np.complex128)
+    acc = np.zeros(_check_n_max(n_max), dtype=np.complex128)
     for j in range(k):
         c, h = _class_norm(k, j, z)
         w = np.exp(1j * j * np.angle(z)) * c * math.exp(-0.5 * abs(z) ** 2 + h * _LN2)
-        acc += w * build_mcs(MCSLabel(k, j, _power(z, k)), n_max).coeffs
+        acc += w * _ring_state(k, j, z, n_max).coeffs
     return FockVector(acc)
+
+
+def _ring_state(k: int, j: int, z: complex, n_max: int) -> FockVector:
+    """build_mcs of the class state with ring label z: eigenvalue z^k."""
+    return build_mcs(MCSLabel(k, j, _power(complex(z), k)), n_max)
 
 
 def mcs_wavefunction(
@@ -378,7 +383,7 @@ def _amplitudes(
     z = complex(z)
 
     if method == "fock":
-        c = build_mcs(MCSLabel(k, j, _power(z, k)), n_max).coeffs
+        c = _ring_state(k, j, z, n_max).coeffs
         _check_phase(c.size, t)
         # levels past the support hold 0, and 0 times any phase stays 0
         occupied = np.flatnonzero(c)

@@ -61,6 +61,13 @@ def _check_entries(what: str, count: int) -> None:
         raise Overflow(f"{count} {what} pass the cap of {_ENTRIES_MAX} (512 MiB)")
 
 
+def _check_n_max(n_max: int) -> int:
+    """n_max as an int: ValueError unless an integer >= 1, Overflow past _ENTRIES_MAX."""
+    n_max = _check_count("n_max", n_max)
+    _check_entries("levels (n_max)", n_max)
+    return n_max
+
+
 def _check_class(k: int, j: int = 0) -> tuple[int, int]:
     """Order k and class j as ints: ValueError unless both are integers with
     k >= 1 and 0 <= j < k. Every entry point that takes an order runs it."""
@@ -112,6 +119,7 @@ def basis_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockVector:
     n, n_max = _ints("basis index and n_max", n, n_max)
     if not 0 <= n < n_max:
         raise ValueError(f"basis index {n} outside [0, {n_max})")
+    _check_entries("levels (n_max)", n_max)
     c = np.zeros(n_max, dtype=np.complex128)
     c[n] = 1.0
     return FockVector(c)

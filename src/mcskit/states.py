@@ -24,18 +24,15 @@ holds it.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import Overflow, RouteMismatch, TailTooHeavy, UnsupportedOrder
 from .fock import (DEFAULT_N_MAX, _TABLE_KEYS, _TABLE_LEVELS, FockVector, _check_class,
-                   _check_count, apply_k_ladder)
+                   _check_n_max, apply_k_ladder)
 
 # tail share build_mcs may drop, and the route bounds of moments and
 # geometric_phase per max(1, <N>)
@@ -118,39 +115,21 @@ def _ratio(x: float, p: int) -> float:
 
 
 @functools.lru_cache(maxsize=_TABLE_KEYS)
-def _product_table(k: int, seed: int) -> list:
-    """[products, complete]: the level products of (k, seed) built so far."""
-    return [(), False]
-
-
-def _level_products(k: int, seed: int, levels: int) -> tuple[float, ...]:
-    """float((n+1)...(n+k)) for n = seed, seed + k, ..., at least the first
-    `levels` of them or all there are: those with n + k below _TABLE_LEVELS,
-    up to the first product past double range. They are the denominators of
-    the term ratios of _series and of the coefficient steps of build_mcs,
-    each formed from the exact integer product and rounded once. A table is
-    built only as deep as its callers have reached, deepened by doubling,
-    and a deeper tuple replaces the one handed out before; every tuple is a
-    prefix of the same products, so two callers deepening it at once can
-    cost a rebuild, never a wrong entry."""
-    table = _product_table(k, seed)
-    dens, complete = table
-    if complete or len(dens) >= levels:
-        return dens
-    grown = list(dens)
-    n = seed + k * len(dens)
-    while len(grown) < max(levels, 2 * len(dens)):
-        den = math.prod(range(n + 1, n + k + 1)) if n + k < _TABLE_LEVELS else math.inf
+def _level_products(k: int, seed: int) -> tuple[float, ...]:
+    """float((n+1)...(n+k)) for n = seed, seed + k, ... while n + k is below
+    _TABLE_LEVELS, up to the first product past double range. They are the
+    denominators of the term ratios of _series and of the coefficient steps
+    of build_mcs, each formed from the exact integer product and rounded
+    once; past the table both form their products as they go."""
+    dens = []
+    for n in range(seed, _TABLE_LEVELS - k, k):
+        den = math.prod(range(n + 1, n + k + 1))
         if den > _DOUBLE_MAX:
-            complete = True
             break
-        grown.append(float(den))
-        n += k
-    table[:] = tuple(grown), complete
-    return table[0]
+        dens.append(float(den))
+    return tuple(dens)
 
 
-@functools.lru_cache(maxsize=_TABLE_KEYS)
 def _seed(seed: int) -> tuple[float, int]:
     """seed! split as in _split; Overflow past _SERIES_MAX_TERMS!."""
     if seed > _SERIES_MAX_TERMS:
@@ -181,8 +160,7 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
         last = k * (steps - 1) + seed
         if x > math.prod(range(last + 1, last + k + 1)):
             steps = 0  # the terms still grow there: refuse without summing
-    dens = _product_table(k, seed)[0]  # the products at hand
-    tabled = len(dens)
+    dens = _level_products(k, seed)
     total = 0.0
     small = 0
     for m in range(steps):
@@ -202,10 +180,7 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
                 return total, e
         else:
             small = 0
-        if m == tabled:  # past the products at hand: deepen them, or -1 if none are left
-            dens = _level_products(k, seed, m + 1)
-            tabled = len(dens) if len(dens) > m else -1
-        if m < tabled:
+        if m < len(dens):
             term *= x / dens[m]
             continue
         idx = k * m + seed
@@ -235,23 +210,6 @@ def norm_sum(k: int, j: int, x: float) -> float:
         ) from None
 
 
-# while _shared_builds runs, build_mcs keeps each vector it returns here,
-# keyed by label and n_max; None outside it
-_BUILDS: ContextVar[dict | None] = ContextVar("mcskit_builds", default=None)
-
-
-@contextlib.contextmanager
-def _shared_builds() -> Iterator[None]:
-    """Within the block, build_mcs builds each distinct label and n_max once
-    and hands every caller that one vector, read-only; the vectors are
-    dropped when the block ends."""
-    token = _BUILDS.set({})
-    try:
-        yield
-    finally:
-        _BUILDS.reset(token)
-
-
 def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     """Truncated coefficient vector for |alpha; k, j>, exactly renormalized.
 
@@ -278,22 +236,9 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     counts, with a TailTooHeavy that names the product, since no n_max
     brings that level back. Overflow when a level's weight leaves double
     range even so, as the norm series does past |alpha|^2 ~ 2^511.
-    ValueError unless n_max is an integer >= 1.
+    ValueError unless n_max is an integer >= 1, Overflow past 2^26 levels.
     """
-    n_max = _check_count("n_max", n_max)
-    builds = _BUILDS.get()
-    if builds is None:
-        return _build_mcs(label, n_max)
-    alpha = label.alpha  # its bits, so that -0.0 and 0.0 stay apart
-    key = (label.k, label.j, alpha.real.hex(), alpha.imag.hex(), n_max)
-    if key not in builds:
-        state = _build_mcs(label, n_max)
-        state.coeffs.flags.writeable = False
-        builds[key] = state
-    return builds[key]
-
-
-def _build_mcs(label: MCSLabel, n_max: int) -> FockVector:
+    n_max = _check_n_max(n_max)
     k, j, alpha = label.k, label.j, label.alpha
     x = _power(abs(alpha), 2)
     terms: list[complex] = []
@@ -302,8 +247,7 @@ def _build_mcs(label: MCSLabel, n_max: int) -> FockVector:
     included = 0.0
     lift = max(1.0, x)  # the stop leaves a defining residual of |alpha c_n|
     proved = False  # whether the support rule bounds the tail
-    dens = _product_table(k, j)[0]
-    tabled = len(dens)
+    dens = _level_products(k, j)
     for level, m in enumerate(range(j, n_max, k)):
         terms.append(term)
         try:
@@ -316,10 +260,7 @@ def _build_mcs(label: MCSLabel, n_max: int) -> FockVector:
         included += weight
         if m + k >= n_max:  # the last level that fits; k may have any size
             break
-        if level == tabled:  # as in _series
-            dens = _level_products(k, j, level + 1)
-            tabled = len(dens) if len(dens) > level else -1
-        if level < tabled:
+        if level < len(dens):
             den = dens[level]
         else:
             den = math.prod(range(m + 1, m + k + 1))

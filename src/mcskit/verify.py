@@ -3,12 +3,11 @@
 CHECKS is the one table of checks: each row names its suite, its
 statement, a threshold with its relation, and the private function that
 measures it. `run_suite` builds a suite's shared inputs once per call and
-measures that suite's rows in table order, building each distinct state
-once per call; the acceptance tests read the same rows. The inputs are the
-table's own, so a row always measures the same thing: states are truncated
-at n_max = 256 and the algebra probes at 128. Nothing here is fitted to
-the implementation, so a regression in any module shows up as a FAIL with
-the measured number.
+measures that suite's rows in table order; the acceptance tests read the
+same rows. The inputs are the table's own, so a row always measures the
+same thing: states are truncated at n_max = 256 and the algebra probes at
+128. Nothing here is fitted to the implementation, so a regression in any
+module shows up as a FAIL with the measured number.
 """
 
 from __future__ import annotations
@@ -240,7 +239,7 @@ def _ring_vs_direct(s: SimpleNamespace) -> float:
         for j in range(k):
             for z in (1.5, 1.0 + 1.0j):
                 ring = dec.mcs_as_scs(k, j, z).fock_vector(_N_MAX)
-                direct = st.build_mcs(st.MCSLabel(k, j, st._power(complex(z), k)), _N_MAX)
+                direct = dec._ring_state(k, j, z, _N_MAX)
                 gap = max(gap, float(np.linalg.norm(ring.coeffs - direct.coeffs)))
     return gap
 
@@ -287,10 +286,7 @@ def _wigner_inputs() -> SimpleNamespace:
         for j in range(k)
         for z in _RING_Z
     }
-    states = {
-        (k, j, z): st.build_mcs(st.MCSLabel(k, j, st._power(complex(z), k)), _N_MAX)
-        for k, j, z in _NUMERIC_CASES + (_QUARTER_TURN,)
-    }
+    states = {c: dec._ring_state(*c, _N_MAX) for c in _NUMERIC_CASES + (_QUARTER_TURN,)}
     triples = [
         (states[c], closed[c], wg.wigner_numeric(states[c], grid))
         for c in _NUMERIC_CASES
@@ -350,7 +346,7 @@ def _quarter_turn(s: SimpleNamespace) -> float:
 
 def _wide_window(s: SimpleNamespace) -> float:
     # the branches sit 12.7 apart, so the y window must pass 10
-    state = st.build_mcs(st.MCSLabel(2, 0, 4.5**2), _N_MAX)
+    state = dec._ring_state(2, 0, 4.5, _N_MAX)
     closed = wg.wigner_closed(2, 0, 4.5, s.grid)
     return float(np.max(np.abs(wg.wigner_numeric(state, s.grid).values - closed.values)))
 
@@ -463,17 +459,15 @@ SUITE_NAMES = tuple(dict.fromkeys(row.suite for row in CHECKS))
 
 def run_suite(name: str) -> list[CheckResult]:
     """Measure every row of suite `name` in table order, on inputs built once
-    for the suite. Within the call build_mcs builds each distinct label
-    once (see states._shared_builds), and nothing is kept past it.
-    ValueError unless the name is one of SUITE_NAMES."""
+    for the suite, and keep nothing past the call. ValueError unless the
+    name is one of SUITE_NAMES."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
     out = []
-    with st._shared_builds():
-        shared = _INPUTS[name]()
-        for row in CHECKS:
-            if row.suite == name:
-                v = float(row.measure(shared))
-                ok = v <= row.threshold if row.relation == "<=" else v >= row.threshold
-                out.append(CheckResult(row.name, v, row.threshold, row.relation, ok))
+    shared = _INPUTS[name]()
+    for row in CHECKS:
+        if row.suite == name:
+            v = float(row.measure(shared))
+            ok = v <= row.threshold if row.relation == "<=" else v >= row.threshold
+            out.append(CheckResult(row.name, v, row.threshold, row.relation, ok))
     return out

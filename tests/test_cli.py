@@ -321,6 +321,12 @@ def test_argument_errors_exit_two(capsys):
         "wigner --k 1 --z 1 --grid -8,8,-8,8,2,67108865",
         "evolve --k 1 --z 1 --grid -8,8,100000000 --nt 1000000",
         "evolve --k 1 --z 1 --grid -8,8,3 --nt 67108865",
+        # sweep lengths and truncations past the same cap
+        "uncertainty --k 2 --points 100000000000",
+        "uncertainty --k 2 --points 67108865",
+        "uncertainty --k 2 --nmax 67108865",
+        "wigner --k 2 --z 1 --method numeric --nmax 100000000000",
+        "evolve --k 2 --z 1 --method fock --nmax 67108865",
     ):
         with pytest.raises(SystemExit) as exc:
             main(args.split())

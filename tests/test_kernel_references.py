@@ -62,7 +62,6 @@ from mcskit.decomposition import _blocks, _matmul_tiles, _synthesize
 from mcskit.fock import (_TABLE_KEYS, _TABLE_LEVELS, _check_class, _check_count, _phase_rates,
                          _raising_weights)
 from mcskit.states import (
-    _BUILDS,
     _DOUBLE_MAX,
     _ROOT_SCALE,
     _SCALE,
@@ -72,11 +71,9 @@ from mcskit.states import (
     _TAIL_TOL,
     _level_products,
     _power,
-    _product_table,
     _ratio,
     _seed,
     _series,
-    _shared_builds,
     _split,
 )
 from mcskit.wigner import _trapz2d
@@ -767,24 +764,14 @@ def level_products_reference(k, seed):
     return tuple(dens)
 
 
-def test_level_products_are_built_only_as_deep_as_asked():
-    _product_table.cache_clear()
-    assert len(_level_products(1, 0, 3)) == 3
-    assert len(_level_products(1, 0, 2)) == 3  # a shallower ask gets the table at hand
-    assert len(_level_products(1, 0, 4)) == 6  # deepened by doubling
+def test_level_products_match_the_table_built_whole():
     for k in (1, 2, 3, 8, 100, 113, 170, 171, 400, 511, 512, 600):
         for seed in sorted({0, 1, k // 2, k - 1}):
-            full = level_products_reference(k, seed)
-            for levels in range(1, len(full) + 2):  # level by level, as the loops ask
-                dens = _level_products(k, seed, levels)
-                assert dens == full[:len(dens)] and len(dens) >= min(levels, len(full))
-            assert _level_products(k, seed, _TABLE_LEVELS) == full
-            _product_table.cache_clear()
-            assert _level_products(k, seed, _TABLE_LEVELS) == full  # in one go
+            assert _level_products(k, seed) == level_products_reference(k, seed), (k, seed)
 
 
 def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
-    caches = (_phase_rates, _raising_weights, _product_table, _seed)
+    caches = (_phase_rates, _raising_weights, _level_products)
     state = random_state(np.random.default_rng(24), 64)
     label = MCSLabel(3, 2, 1.7 + 0.4j)
 
@@ -799,7 +786,7 @@ def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
-    assert isinstance(_level_products(3, 2, 4), tuple)
+    assert isinstance(_level_products(3, 2), tuple)
     for cache in caches:
         assert cache.cache_info().maxsize == _TABLE_KEYS
         cache.cache_clear()
@@ -816,21 +803,3 @@ def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
     for cache in caches:
         assert cache.cache_info().currsize <= _TABLE_KEYS
     assert results() == warm
-
-
-def test_shared_builds_hand_out_one_read_only_vector_per_label():
-    signed = MCSLabel(1, 0, complex(-2.0, -0.0))
-    plain = MCSLabel(1, 0, complex(-2.0, 0.0))
-    label = MCSLabel(3, 1, 2.0)
-    fresh = build_mcs(label)
-    assert fresh.coeffs.flags.writeable
-    with _shared_builds():
-        first = build_mcs(label)
-        assert build_mcs(label, 256) is first
-        assert build_mcs(label, 128) is not first
-        assert not first.coeffs.flags.writeable
-        assert first.coeffs.tobytes() == fresh.coeffs.tobytes()
-        # labels equal as numbers but not in their bits are built apart
-        assert signed == plain and build_mcs(signed) is not build_mcs(plain)
-    assert _BUILDS.get() is None
-    assert build_mcs(label) is not first

@@ -20,10 +20,12 @@ from mcskit import (
     a_norm_series,
     basis_state,
     build_mcs,
+    coherent_from_classes,
     eigenvalue_residual,
     geometric_phase,
     inner,
     ladder_spectrum,
+    mcs_as_scs,
     moments,
     norm_sum,
     numeric_moments,
@@ -228,6 +230,18 @@ def test_zero_alpha_is_basis_state():
 def test_tail_guard():
     with pytest.raises(TailTooHeavy):
         build_mcs(MCSLabel(1, 0, 4.0), n_max=8)
+
+
+@pytest.mark.parametrize("n_max", [2**26 + 1, 10**11])
+def test_truncation_past_the_array_cap_raises_overflow(n_max):
+    # refused before any level is allocated: at 10^11 levels numpy would
+    # be asked for 1.5 TiB
+    for call in (lambda: build_mcs(MCSLabel(2, 1, 1.0), n_max),
+                 lambda: basis_state(0, n_max),
+                 lambda: coherent_from_classes(2, 1.0, n_max),
+                 lambda: mcs_as_scs(2, 1, 1.0).fock_vector(n_max)):
+        with pytest.raises(Overflow, match="levels"):
+            call()
 
 
 def test_momentset_rejects_bad_values():
