@@ -17,12 +17,16 @@ Numerical notes, all load-bearing:
 * Moments and identity blocks both integrate in v = x^(1/k) (an exact
   change of variables), where the root-exponential integrand is analytic
   at 0, so one panel-doubling loop converges at spectral rate for both.
+  Each panel count is one density call and one (nodes x orders) integrand
+  for all orders; the lgamma scales and angular factor are formed once.
 * Each integrand is scaled by exp(-lgamma(kn+j+1)) inside the exponential,
   so moments match against 1.0 and nothing overflows at large kn. In the
   identity assembly the S_{k,j} factor of the measure cancels the squared
   normalization of the state analytically, so S is never evaluated.
 * Moments end at support_hint, and raise if their tail there is visible;
-  identity blocks end past the weight of every order they hold.
+  identity blocks end past the weight of every order they hold. Arrays are
+  capped before they are built, and a range whose x = v^k leaves double
+  range raises Overflow.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureFailure
-from .fock import _check_class, _check_count
+from .errors import Overflow, QuadratureFailure
+from .fock import _check_class, _check_count, _check_entries
 
 # Gauss-Legendre points per panel, and the panel doubling of every integral
 _GL_ORDER = 32
@@ -73,20 +77,20 @@ class MeasureCandidate:
     """A radial density f(x) proposed for class (k, j). `density` maps an
     array of x to an array of f(x), as np.exp does.
 
-    support_hint bounds where the density (times any checked moment) still
-    carries weight; integrations stop there.
+    support_hint, finite and positive, bounds where the density (times any
+    checked moment) still carries weight; integrations stop there.
     """
 
     k: int
     j: int
     density: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    support_hint: float = 200.0
-    name: str = ""
+    support_hint: float
+    name: str
 
     def __post_init__(self) -> None:
         _check_class(self.k, self.j)
-        if self.support_hint <= 0:
-            raise ValueError("support_hint must be positive")
+        if not (math.isfinite(self.support_hint) and self.support_hint > 0):
+            raise ValueError(f"support_hint must be finite and positive, got {self.support_hint}")
 
 
 @dataclass(frozen=True)
@@ -106,73 +110,79 @@ class MomentReport:
 
 def _v_limit(k: int, j: int, n: int) -> float:
     """End in v = x^(1/k) of the root-exponential weight of moment orders up
-    to n: 12 standard deviations plus 30 past the Gamma(kn+j+1) peak."""
-    return k * n + j + 12.0 * math.sqrt(k * n + j) + 30.0
+    to n: 12 standard deviations plus 30 past the Gamma(kn+j+1) peak.
+    Overflow when x = v^k there leaves double range."""
+    v = k * n + j + 12.0 * math.sqrt(k * n + j) + 30.0
+    if k * math.log(v) > 709.0:  # a margin below log(DBL_MAX)
+        raise Overflow(f"class ({k}, {j}) to order {n} reaches x = {v:.4g}^{k}, past double range")
+    return v
 
 
-def _refine(compute: Callable, distance: Callable, tol: float, what: str):
-    """compute(n_panels), panels doubling from _BASE_PANELS until successive
-    results lie within tol by distance; QuadratureFailure past _MAX_PANELS."""
+def _refine(compute: Callable, distance: Callable, tol: float, what: Callable[[int], str]):
+    """compute(n_panels), panels doubling from _BASE_PANELS until every entry
+    of distance(new, old) is within tol; past _MAX_PANELS QuadratureFailure
+    naming what(i) of the first flat entry i that was not."""
     n_panels = _BASE_PANELS
     prev = compute(n_panels)
     while n_panels < _MAX_PANELS:
         n_panels *= 2
         val = compute(n_panels)
-        if distance(val, prev) <= tol:
+        settled = distance(val, prev) <= tol
+        if np.all(settled):
             return val
         prev = val
-    raise QuadratureFailure(f"{what} did not converge within {_MAX_PANELS} panels")
+    i = int(np.argmin(settled))
+    raise QuadratureFailure(f"{what(i)} did not converge within {_MAX_PANELS} panels")
 
 
-def _log_integrand(candidate: MeasureCandidate, v: np.ndarray, orders: np.ndarray):
-    """sign f(v^k), and log |v^(kn-1) f(v^k)| - lgamma(kn+j+1) per node and
-    order n (k times its integral is the scaled moment). The sign carries
-    negative densities through, so bad candidates are measured, not crashed."""
-    k, j = candidate.k, candidate.j
+def _integrand(candidate: MeasureCandidate, v_hi: float, orders: np.ndarray,
+               target: np.ndarray, n_panels: int):
+    """Node weights k w sign f(v^k) on n_panels panels of [0, v_hi], and per
+    node and order n log |v^(kn-1) f(v^k)| - target (target lgamma(kn+j+1)
+    makes weights @ exp of it the scaled moments). The sign carries negative
+    densities through, so bad candidates are measured, not crashed."""
+    k = candidate.k
+    v, w = _panel_nodes(0.0, v_hi, n_panels)
+    _check_entries("integrand entries (nodes x orders)", v.size * orders.size)
     f = np.asarray(candidate.density(v**k), dtype=np.float64)
-    target = np.array([math.lgamma(k * n + j + 1) for n in orders.tolist()])
     with np.errstate(divide="ignore"):
         log_mag = np.log(v)[:, None] * (k * orders - 1) + np.log(np.abs(f))[:, None]
-    return np.sign(f), log_mag - target
-
-
-def _scaled_moment(candidate: MeasureCandidate, n: int, n_panels: int) -> float:
-    """integral x^(n-1) f(x) dx / Gamma(kn+j+1), computed in v = x^(1/k)."""
-    v, w = _panel_nodes(0.0, candidate.support_hint ** (1.0 / candidate.k), n_panels)
-    sign, log_mag = _log_integrand(candidate, v, np.array([n]))
-    return float(candidate.k * np.sum(w * (sign * np.exp(log_mag[:, 0]))))
+    return k * w * np.sign(f), log_mag - target
 
 
 def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
-    """Check moments n = 1..n_top, each by adaptive panel doubling.
+    """Check moments n = 1..n_top in one adaptive panel doubling.
 
-    Each integral is refined until successive panel counts agree to 1e-11
-    in the Gamma-scaled value. QuadratureFailure if 4096 panels do not do
-    that, or if the tail estimate k x^n f(x) / Gamma(kn+j+1) exceeds 1e-11
-    at support_hint, so no non-converged or truncated integral is scored.
-    The candidate passes when it is nonnegative and every moment is within
-    1e-8 of its target. ValueError unless n_top is an integer >= 1.
+    Panels double until successive counts agree to 1e-11 in the
+    Gamma-scaled value of every order. QuadratureFailure naming an order if
+    4096 panels do not do that, or if the tail estimate k x^n f(x) /
+    Gamma(kn+j+1) exceeds 1e-11 at support_hint, so no non-converged or
+    truncated integral is scored. The candidate passes when it is
+    nonnegative and every moment is within 1e-8 of its target. ValueError
+    unless n_top is an integer >= 1, Overflow past the array cap.
     """
     n_top = _check_count("n_top", n_top)
+    # the first panel count's integrand bounds the order range
+    _check_entries("integrand entries (nodes x orders)", _BASE_PANELS * _GL_ORDER * n_top)
     k, j, x_hi = candidate.k, candidate.j, candidate.support_hint
-    label = candidate.name or candidate.density
     orders = np.arange(1, n_top + 1)
+    target = np.array([math.lgamma(k * n + j + 1) for n in orders.tolist()])
     fs = np.asarray(candidate.density(np.linspace(0.0, x_hi, 512)), dtype=np.float64)
-    log_edge = [n * math.log(x_hi) - math.lgamma(k * n + j + 1) for n in orders]
-    with np.errstate(divide="ignore"):
-        edge = k * np.exp(np.array(log_edge) + np.log(abs(fs[-1])))
+    with np.errstate(divide="ignore", over="ignore"):
+        edge = k * np.exp(orders * math.log(x_hi) - target + np.log(abs(fs[-1])))
     if np.any(edge > _MOMENT_STEP):
-        n = int(np.argmax(edge > _MOMENT_STEP)) + 1
-        raise QuadratureFailure(
-            f"moment {n} of {label!r} still carries {edge[n - 1]:.1e} of its target "
-            f"at support_hint={x_hi:.6g}; raise support_hint"
-        )
-    rel = np.array([
-        abs(_refine(lambda p: _scaled_moment(candidate, int(n), p),
-                    lambda a, b: abs(a - b) / max(abs(a), 1e-3), _MOMENT_STEP,
-                    f"moment {n} of {label!r}") - 1.0)
-        for n in orders
-    ])
+        n = int(np.argmax(edge > _MOMENT_STEP))
+        raise QuadratureFailure(f"moment {n + 1} of {candidate.name!r} still carries {edge[n]:.1e}"
+                                f" of its target at support_hint={x_hi:.6g}; raise support_hint")
+    v_hi = x_hi ** (1.0 / k)
+
+    def moments(n_panels: int) -> np.ndarray:
+        weights, log_mag = _integrand(candidate, v_hi, orders, target, n_panels)
+        return weights @ np.exp(log_mag)
+
+    scaled = _refine(moments, lambda a, b: np.abs(a - b) / np.maximum(np.abs(a), 1e-3),
+                     _MOMENT_STEP, lambda i: f"moment {i + 1} of {candidate.name!r}")
+    rel = np.abs(scaled - 1.0)
     nonneg = bool(np.min(fs) >= -1e-12 * max(1.0, float(np.max(np.abs(fs)))))
     passed = nonneg and bool(np.all(rel <= _MOMENT_TOL))
     return MomentReport(k=k, j=j, rel_errors=rel, nonnegative=nonneg, passed=passed)
@@ -184,8 +194,10 @@ def root_exponential_density(k: int, j: int) -> MeasureCandidate:
     Substituting t = x^(1/k) shows its (n-1)-th moment is exactly
     Gamma(kn+j+1) for every order, so one family covers all classes; at
     k=1, j=0 it reduces to x e^(-x). The support hint covers moments up to
-    n = 24 with a wide safety margin in t.
+    n = 24 with a wide safety margin in t; Overflow from k = 90 on, where
+    that hint leaves double range.
     """
+    k, j = _check_class(k, j)
 
     def density(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -197,39 +209,39 @@ def root_exponential_density(k: int, j: int) -> MeasureCandidate:
     )
 
 
-def _assemble(candidate: MeasureCandidate, dim_check: int, n_panels: int) -> np.ndarray:
-    """The dim_check x dim_check overlap matrix of integral dmu |alpha><alpha|
-    on the class basis at one resolution, in v = x^(1/k).
-
-    The measure is k w f(v^k)/v times the angular weight and basis column m
-    is v^(km/2)/sqrt(Gamma(km+j+1)) (the S factor cancelled): a column is the
-    root of the order-m scaled moment integrand. The dim_check + 1 uniform
-    angles kill every off-diagonal phase exactly (roots of unity).
-    """
-    v, w = _panel_nodes(0.0, _v_limit(candidate.k, candidate.j, dim_check), n_panels)
-    sign, log_mag = _log_integrand(candidate, v, np.arange(dim_check))
-    # entries below 1e-150 cannot reach the block's rounding; flushing them
-    # keeps subnormal products, ~100x slower, out of the matrix product
-    cols = np.exp(0.5 * np.where(log_mag > -690.0, log_mag, -np.inf))
-    radial = (cols.T * (candidate.k * w * sign)) @ cols
-    turns = np.outer(np.arange(dim_check + 1), np.arange(dim_check)) / (dim_check + 1)
-    phases = np.exp(2j * np.pi * turns)
-    return radial * (phases.conj().T @ phases / (dim_check + 1))
-
-
 def identity_block(k: int, j: int, dim_check: int = 12) -> np.ndarray:
     """Converged overlap matrix of `root_exponential_density(k, j)` on the
     first dim_check states of class (k, j).
 
-    The range in v covers the weight of every order the block holds; panels
-    double until the matrix moves by less than 1e-10 entrywise, with
-    QuadratureFailure past 4096. ValueError unless dim_check is an int >= 1.
+    In v = x^(1/k) the measure is k w f(v^k)/v times the angular weight, and
+    basis column m, v^(km/2)/sqrt(Gamma(km+j+1)) with S cancelled, is the
+    root of the order-m scaled moment integrand; dim_check + 1 uniform angles
+    kill every off-diagonal phase exactly (roots of unity). The range covers
+    the weight of every order the block holds; panels double until the
+    matrix moves by less than 1e-10 entrywise, QuadratureFailure past 4096.
+    ValueError unless dim_check is an int >= 1, Overflow past the array cap
+    or where x = v^k leaves double range.
     """
     dim_check = _check_count("dim_check", dim_check)
+    _check_entries("block entries ((dim_check + 1) x dim_check)", (dim_check + 1) * dim_check)
     candidate = root_exponential_density(k, j)
-    return _refine(lambda n_panels: _assemble(candidate, dim_check, n_panels),
-                   lambda a, b: float(np.max(np.abs(a - b))), _BLOCK_STEP,
-                   f"identity assembly for class ({k}, {j})")
+    k, j = candidate.k, candidate.j
+    v_hi = _v_limit(k, j, dim_check)
+    orders = np.arange(dim_check)
+    target = np.array([math.lgamma(k * n + j + 1) for n in orders.tolist()])
+    turns = np.outer(np.arange(dim_check + 1), orders) / (dim_check + 1)
+    phases = np.exp(2j * np.pi * turns)
+    angular = phases.conj().T @ phases / (dim_check + 1)
+
+    def assemble(n_panels: int) -> np.ndarray:
+        weights, log_mag = _integrand(candidate, v_hi, orders, target, n_panels)
+        # entries below 1e-150 cannot reach the block's rounding; flushing
+        # them keeps subnormal products, ~100x slower, out of the product
+        cols = np.exp(0.5 * np.where(log_mag > -690.0, log_mag, -np.inf))
+        return ((cols.T * weights) @ cols) * angular
+
+    return _refine(assemble, lambda a, b: np.abs(a - b), _BLOCK_STEP,
+                   lambda i: f"identity assembly for class ({k}, {j})")
 
 
 def identity_resolution_numeric(k: int, j: int) -> float:

@@ -6,6 +6,7 @@ import pytest
 from mcskit import (
     MCSLabel,
     MeasureCandidate,
+    Overflow,
     PhaseGrid,
     QuadratureFailure,
     apply_k_ladder,
@@ -37,7 +38,8 @@ def test_order_one_density_value():
 
 
 def test_plain_exponential_fails_at_second_moment():
-    bad = MeasureCandidate(k=1, j=0, density=lambda x: np.exp(-x), support_hint=60.0)
+    bad = MeasureCandidate(k=1, j=0, density=lambda x: np.exp(-x), support_hint=60.0,
+                           name="exp(-x)")
     report = moment_check(bad, n_top=4)
     assert not report.passed
     # the first moment passes and the second is the first to fail
@@ -52,7 +54,7 @@ def test_negative_density_is_flagged_not_fatal():
     wobble = MeasureCandidate(
         k=1, j=0,
         density=lambda x: x * np.exp(-x) * np.cos(3.0 * x),
-        support_hint=60.0,
+        support_hint=60.0, name="wobble",
     )
     report = moment_check(wobble, n_top=3)
     assert not report.nonnegative
@@ -94,6 +96,41 @@ def test_truncated_moment_raises_instead_of_scoring():
     assert moment_check(root_exponential_density(5, 4), n_top=24).passed
 
 
+def test_a_density_that_never_settles_names_its_order():
+    # NaN compares false, so no panel count settles and the doubling runs out
+    nowhere = MeasureCandidate(k=2, j=1, density=lambda x: np.full_like(x, np.nan),
+                               support_hint=50.0, name="nan")
+    with pytest.raises(QuadratureFailure, match=r"moment 1 of 'nan' did not converge"):
+        moment_check(nowhere, n_top=3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: root_exponential_density(90, 0),
+    lambda: root_exponential_density(400, 399),
+    lambda: identity_block(100, 0, dim_check=2),
+    lambda: identity_block(400, 7, dim_check=1),
+    lambda: identity_resolution_numeric(100, 0),
+    lambda: identity_resolution_numeric(90, 89),
+    # the hint of k = 89 fits, the range of 30 orders does not
+    lambda: identity_block(89, 0, dim_check=30),
+    # past the array cap, refused before anything is allocated
+    lambda: moment_check(root_exponential_density(1, 0), n_top=10**11),
+    lambda: moment_check(root_exponential_density(1, 0), n_top=2**18 + 1),
+    lambda: identity_block(1, 0, dim_check=10**6),
+], ids=["density-k90", "density-k400", "block-k100", "block-k400", "gap-k100", "gap-k90",
+        "block-range-k89", "n_top-1e11", "n_top-2^18+1", "dim-1e6"])
+def test_ranges_past_double_range_or_the_array_cap_raise_overflow(call):
+    with pytest.raises(Overflow):
+        call()
+
+
+def test_order_89_is_the_last_whose_hint_fits():
+    candidate = root_exponential_density(89, 88)
+    assert math.isfinite(candidate.support_hint)
+    assert np.all(np.isfinite(moment_check(candidate, n_top=2).rel_errors))
+    assert np.all(np.isfinite(identity_block(89, 0, dim_check=2)))
+
+
 @pytest.mark.parametrize("call", [
     lambda: identity_block(1, 0, dim_check=0),
     lambda: identity_block(2, 1, dim_check=2.5),
@@ -117,7 +154,9 @@ def test_counts_must_be_positive_integers(call):
 
 @pytest.mark.parametrize("call, name", [
     (lambda: apply_k_ladder(basis_state(7, 8), 1, +1, leak_tol=math.nan), "leak_tol"),
-], ids=["leak_tol-nan"])
+    (lambda: MeasureCandidate(1, 0, np.exp, support_hint=math.nan, name="nan"), "support_hint"),
+    (lambda: MeasureCandidate(1, 0, np.exp, support_hint=math.inf, name="inf"), "support_hint"),
+], ids=["leak_tol-nan", "support_hint-nan", "support_hint-inf"])
 def test_arguments_that_would_switch_a_check_off_raise(call, name):
     # NaN compares false, so each of these returned with its check disabled
     # or failed later inside numpy

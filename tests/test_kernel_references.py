@@ -28,6 +28,11 @@ path for plain ints, and so is `_synthesize`, against its recurrence and
 block contraction written out on their own. The tables must stay
 read-only and their caches bounded, and clearing the caches must move no
 bit.
+
+`moment_check` refines every order in one panel doubling. The doubling of
+each order on its own that it replaced is kept verbatim in arithmetic, and
+each order's relative error must agree with it to the refinement step,
+1e-11 of the moment (or of 1e-3 where the moment is smaller).
 """
 
 import math
@@ -40,6 +45,7 @@ from mcskit import (
     FockVector,
     LeakageExceeded,
     MCSLabel,
+    MeasureCandidate,
     MomentSet,
     Overflow,
     PhaseGrid,
@@ -51,13 +57,16 @@ from mcskit import (
     density_movie,
     fock_wavefunction,
     mcs_wavefunction,
+    moment_check,
     negativity_volume,
     numeric_moments,
     purity,
+    root_exponential_density,
     time_evolve,
     wigner_closed,
     wigner_numeric,
 )
+from mcskit.completeness import _BASE_PANELS, _MAX_PANELS, _MOMENT_STEP, _panel_nodes
 from mcskit.decomposition import _blocks, _matmul_tiles, _synthesize
 from mcskit.fock import (_TABLE_KEYS, _TABLE_LEVELS, _check_class, _check_count, _phase_rates,
                          _raising_weights)
@@ -803,3 +812,56 @@ def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
     for cache in caches:
         assert cache.cache_info().currsize <= _TABLE_KEYS
     assert results() == warm
+
+
+def scaled_moment_reference(candidate, n, n_panels):
+    """integral x^(n-1) f(x) dx / Gamma(kn+j+1) for one order, in v = x^(1/k)."""
+    k, j = candidate.k, candidate.j
+    v, w = _panel_nodes(0.0, candidate.support_hint ** (1.0 / k), n_panels)
+    f = np.asarray(candidate.density(v**k), dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(v) * (k * n - 1) + np.log(np.abs(f)) - math.lgamma(k * n + j + 1)
+    return float(k * np.sum(w * (np.sign(f) * np.exp(log_mag))))
+
+
+def moments_reference(candidate, n_top):
+    """Each scaled moment 1..n_top, its panels doubled until it alone settles."""
+    moments = []
+    for n in range(1, n_top + 1):
+        n_panels = _BASE_PANELS
+        prev = scaled_moment_reference(candidate, n, n_panels)
+        while True:
+            assert n_panels < _MAX_PANELS, (candidate.name, n)
+            n_panels *= 2
+            val = scaled_moment_reference(candidate, n, n_panels)
+            if abs(val - prev) / max(abs(val), 1e-3) <= _MOMENT_STEP:
+                break
+            prev = val
+        moments.append(val)
+    return np.array(moments)
+
+
+def reference_candidates():
+    """The candidates verify and tests/test_completeness.py check, with their n_top."""
+    def named(density, hint, name):
+        return MeasureCandidate(k=1, j=0, density=density, support_hint=hint, name=name)
+
+    family = [(root_exponential_density(k, j), 12) for k, j in ((1, 0), (2, 1), (3, 0), (3, 2))]
+    return family + [
+        (named(lambda x: np.exp(-x), 200.0, "exp(-x)"), 6),
+        (root_exponential_density(1, 0), 20),
+        (root_exponential_density(2, 0), 12),
+        (named(np.zeros_like, 10.0, "zero"), 3),
+        (named(lambda x: np.exp(-x), 60.0, "exp(-x), short"), 4),
+        (named(lambda x: x * np.exp(-x) * np.cos(3.0 * x), 60.0, "wobble"), 3),
+        (root_exponential_density(5, 4), 24),
+    ]
+
+
+@pytest.mark.parametrize("candidate, n_top", reference_candidates(),
+                         ids=lambda c: getattr(c, "name", None))
+def test_one_pass_moments_match_the_per_order_refinement(candidate, n_top):
+    ref = moments_reference(candidate, n_top)
+    got = moment_check(candidate, n_top).rel_errors
+    gap = np.abs(got - np.abs(ref - 1.0))
+    assert np.all(gap <= 1e-11 * np.maximum(np.abs(ref), 1e-3)), (gap, ref)

@@ -13,6 +13,12 @@ invariants: unit norm, an uncertainty product >= 1/2, and unit mass or a
 field total of 1 on a grid that covers the state's reach. Every argument
 drawn is valid, so not even a ValueError is allowed.
 
+Completeness: over every class with k <= 400, n_top and dim_check up to 8,
+`root_exponential_density`, `moment_check` and `identity_block` return
+finite values or raise a McskitError or ValueError, and the density is
+refused with Overflow exactly from k = 90 on, where its support hint
+leaves double range.
+
 The command line: over argv drawn for spectrum, uncertainty, wigner and
 evolve, with orders up to 8 and 124, 171 and 330, option values from edge
 sets (0, 1e-300, 1e308, nan, inf, polar forms) and grids of at most 33
@@ -35,11 +41,15 @@ from mcskit import (
     DegenerateNorm,
     MCSLabel,
     McskitError,
+    Overflow,
     PhaseGrid,
     build_mcs,
     geometric_phase,
+    identity_block,
     mcs_wavefunction,
+    moment_check,
     moments,
+    root_exponential_density,
     wigner_closed,
     wigner_numeric,
 )
@@ -110,6 +120,29 @@ def covering_axis(r, j):
     half = reach + 9.0
     step = 2.0 * math.pi / (2.0 * reach + 14.0)
     return half, math.ceil(2.0 * half / step) + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(label=st.integers(1, 400).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
+       n_top=st.integers(1, 8), dim_check=st.integers(1, 8))
+@example(label=(89, 88), n_top=8, dim_check=8)
+@example(label=(90, 0), n_top=1, dim_check=1)
+def test_completeness_is_finite_or_refused(label, n_top, dim_check):
+    k, j = label
+    calls = [lambda: identity_block(k, j, dim_check)]
+    try:
+        candidate = root_exponential_density(k, j)
+    except Overflow:
+        assert k >= 90
+    else:
+        assert k < 90 and math.isfinite(candidate.support_hint)
+        calls.append(lambda: moment_check(candidate, n_top).rel_errors)
+    for call in calls:
+        try:
+            values = call()
+        except (McskitError, ValueError):
+            continue
+        assert np.all(np.isfinite(values))
 
 
 @settings(max_examples=200, deadline=None)
