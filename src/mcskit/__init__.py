@@ -26,10 +26,8 @@ from .fock import (
     FockVector,
     apply_k_ladder,
     basis_state,
-    hamiltonian_apply,
     inner,
     ladder_spectrum,
-    number_falling_apply,
     pha_commutator_check,
     time_evolve,
 )
@@ -82,9 +80,8 @@ __all__ = [
     "McskitError", "Overflow", "QuadratureFailure",
     "RouteMismatch", "TailTooHeavy", "UnsupportedOrder", "WindowTooNarrow",
     "DEFAULT_N_MAX", "CommutatorResiduals", "FockVector",
-    "apply_k_ladder", "basis_state", "hamiltonian_apply", "inner",
-    "ladder_spectrum", "number_falling_apply", "pha_commutator_check",
-    "time_evolve",
+    "apply_k_ladder", "basis_state", "inner", "ladder_spectrum",
+    "pha_commutator_check", "time_evolve",
     "MCSLabel", "MomentSet", "a_norm_closed", "a_norm_series", "build_mcs",
     "eigenvalue_residual", "geometric_phase", "moments", "norm_sum",
     "numeric_moments", "revival_phase",

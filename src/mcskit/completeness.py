@@ -14,19 +14,20 @@ numerically as an end-to-end verification.
 
 Numerical notes, all load-bearing:
 
-* Moments and identity blocks both integrate in v = x^(1/k) (an exact
-  change of variables), where the root-exponential integrand is analytic
-  at 0, so one panel-doubling loop converges at spectral rate for both.
-  Each panel count is one density call and one (nodes x orders) integrand
-  for all orders; the lgamma scales and angular factor are formed once.
+* Candidates are stated in v = x^(1/k), an exact change of variables,
+  and in logs: log |f(v^k)| and its sign. The integrand is formed in logs
+  and never forms x = v^k, so the range is bounded by the array cap and
+  the 4096-panel budget, not by double range; its rounding, about
+  eps (kn+j) ln v, sets the accuracy.
+* The root-exponential integrand is analytic at v = 0, so one panel
+  doubling converges at spectral rate for moments and blocks alike. Each
+  panel count is one density call and one (nodes x orders) integrand.
 * Each integrand is scaled by exp(-lgamma(kn+j+1)) inside the exponential,
-  so moments match against 1.0 and nothing overflows at large kn. In the
-  identity assembly the S_{k,j} factor of the measure cancels the squared
-  normalization of the state analytically, so S is never evaluated.
+  so moments match against 1.0. In the identity assembly the S_{k,j}
+  factor of the measure cancels the squared normalization of the state
+  analytically, so S is never evaluated.
 * Moments end at support_hint, and raise if their tail there is visible;
-  identity blocks end past the weight of every order they hold. Arrays are
-  capped before they are built, and a range whose x = v^k leaves double
-  range raises Overflow.
+  identity blocks end past the weight of every order they hold.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Overflow, QuadratureFailure
+from .errors import QuadratureFailure
 from .fock import _check_class, _check_count, _check_entries
 
 # Gauss-Legendre points per panel, and the panel doubling of every integral
@@ -74,16 +75,17 @@ def _panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class MeasureCandidate:
-    """A radial density f(x) proposed for class (k, j). `density` maps an
-    array of x to an array of f(x), as np.exp does.
+    """A radial density f(x) proposed for class (k, j), stated in
+    v = x^(1/k). `log_density` maps an array of v > 0 to the pair of arrays
+    (log |f(v^k)|, sign f(v^k)); a zero density is (-inf, 0).
 
-    support_hint, finite and positive, bounds where the density (times any
-    checked moment) still carries weight; integrations stop there.
+    support_hint, finite and positive, bounds in v where the density (times
+    any checked moment) still carries weight; integrations stop there.
     """
 
     k: int
     j: int
-    density: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    log_density: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     support_hint: float
     name: str
 
@@ -110,12 +112,8 @@ class MomentReport:
 
 def _v_limit(k: int, j: int, n: int) -> float:
     """End in v = x^(1/k) of the root-exponential weight of moment orders up
-    to n: 12 standard deviations plus 30 past the Gamma(kn+j+1) peak.
-    Overflow when x = v^k there leaves double range."""
-    v = k * n + j + 12.0 * math.sqrt(k * n + j) + 30.0
-    if k * math.log(v) > 709.0:  # a margin below log(DBL_MAX)
-        raise Overflow(f"class ({k}, {j}) to order {n} reaches x = {v:.4g}^{k}, past double range")
-    return v
+    to n: 12 standard deviations plus 30 past the Gamma(kn+j+1) peak."""
+    return k * n + j + 12.0 * math.sqrt(k * n + j) + 30.0
 
 
 def _refine(compute: Callable, distance: Callable, tol: float, what: Callable[[int], str]):
@@ -144,10 +142,9 @@ def _integrand(candidate: MeasureCandidate, v_hi: float, orders: np.ndarray,
     k = candidate.k
     v, w = _panel_nodes(0.0, v_hi, n_panels)
     _check_entries("integrand entries (nodes x orders)", v.size * orders.size)
-    f = np.asarray(candidate.density(v**k), dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(v)[:, None] * (k * orders - 1) + np.log(np.abs(f))[:, None]
-    return k * w * np.sign(f), log_mag - target
+    log_f, sign = candidate.log_density(v)
+    log_mag = np.log(v)[:, None] * (k * orders - 1) + log_f[:, None]
+    return k * w * sign, log_mag - target
 
 
 def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
@@ -155,7 +152,7 @@ def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
 
     Panels double until successive counts agree to 1e-11 in the
     Gamma-scaled value of every order. QuadratureFailure naming an order if
-    4096 panels do not do that, or if the tail estimate k x^n f(x) /
+    4096 panels do not do that, or if the tail estimate k v^(kn) f(v^k) /
     Gamma(kn+j+1) exceeds 1e-11 at support_hint, so no non-converged or
     truncated integral is scored. The candidate passes when it is
     nonnegative and every moment is within 1e-8 of its target. ValueError
@@ -164,17 +161,17 @@ def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
     n_top = _check_count("n_top", n_top)
     # the first panel count's integrand bounds the order range
     _check_entries("integrand entries (nodes x orders)", _BASE_PANELS * _GL_ORDER * n_top)
-    k, j, x_hi = candidate.k, candidate.j, candidate.support_hint
+    k, j, v_hi = candidate.k, candidate.j, candidate.support_hint
     orders = np.arange(1, n_top + 1)
     target = np.array([math.lgamma(k * n + j + 1) for n in orders.tolist()])
-    fs = np.asarray(candidate.density(np.linspace(0.0, x_hi, 512)), dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore"):
-        edge = k * np.exp(orders * math.log(x_hi) - target + np.log(abs(fs[-1])))
+    # v = 0 left out: its log is -inf, and a RuntimeWarning is an error
+    log_f, sign = candidate.log_density(np.linspace(0.0, v_hi, 513)[1:])
+    with np.errstate(over="ignore"):
+        edge = k * np.exp(k * orders * math.log(v_hi) - target + log_f[-1])
     if np.any(edge > _MOMENT_STEP):
         n = int(np.argmax(edge > _MOMENT_STEP))
         raise QuadratureFailure(f"moment {n + 1} of {candidate.name!r} still carries {edge[n]:.1e}"
-                                f" of its target at support_hint={x_hi:.6g}; raise support_hint")
-    v_hi = x_hi ** (1.0 / k)
+                                f" of its target at support_hint={v_hi:.6g}; raise support_hint")
 
     def moments(n_panels: int) -> np.ndarray:
         weights, log_mag = _integrand(candidate, v_hi, orders, target, n_panels)
@@ -183,28 +180,27 @@ def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
     scaled = _refine(moments, lambda a, b: np.abs(a - b) / np.maximum(np.abs(a), 1e-3),
                      _MOMENT_STEP, lambda i: f"moment {i + 1} of {candidate.name!r}")
     rel = np.abs(scaled - 1.0)
-    nonneg = bool(np.min(fs) >= -1e-12 * max(1.0, float(np.max(np.abs(fs)))))
+    nonneg = bool(np.min(sign) >= 0)
     passed = nonneg and bool(np.all(rel <= _MOMENT_TOL))
     return MomentReport(k=k, j=j, rel_errors=rel, nonnegative=nonneg, passed=passed)
 
 
 def root_exponential_density(k: int, j: int) -> MeasureCandidate:
-    """The density x^((j+1)/k) exp(-x^(1/k)) / k for class (k, j).
+    """The density x^((j+1)/k) exp(-x^(1/k)) / k for class (k, j), stated
+    in v = x^(1/k) as log f = (j+1) log v - v - log k.
 
-    Substituting t = x^(1/k) shows its (n-1)-th moment is exactly
+    Its (n-1)-th moment is the integral of v^(kn+j) e^(-v), exactly
     Gamma(kn+j+1) for every order, so one family covers all classes; at
-    k=1, j=0 it reduces to x e^(-x). The support hint covers moments up to
-    n = 24 with a wide safety margin in t; Overflow from k = 90 on, where
-    that hint leaves double range.
+    k=1, j=0 it is x e^(-x). The support hint covers moments up to n = 24.
     """
     k, j = _check_class(k, j)
+    log_k = math.log(k)
 
-    def density(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return x ** ((j + 1.0) / k) * np.exp(-(x ** (1.0 / k))) / k
+    def log_density(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (j + 1) * np.log(v) - v - log_k, np.ones_like(v)
 
     return MeasureCandidate(
-        k=k, j=j, density=density, support_hint=_v_limit(k, j, _N_TOP_HINT) ** k,
+        k=k, j=j, log_density=log_density, support_hint=_v_limit(k, j, _N_TOP_HINT),
         name=f"x^({j + 1}/{k}) exp(-x^(1/{k}))/{k}",
     )
 
@@ -216,17 +212,18 @@ def identity_block(k: int, j: int, dim_check: int = 12) -> np.ndarray:
     In v = x^(1/k) the measure is k w f(v^k)/v times the angular weight, and
     basis column m, v^(km/2)/sqrt(Gamma(km+j+1)) with S cancelled, is the
     root of the order-m scaled moment integrand; dim_check + 1 uniform angles
-    kill every off-diagonal phase exactly (roots of unity). The range covers
-    the weight of every order the block holds; panels double until the
-    matrix moves by less than 1e-10 entrywise, QuadratureFailure past 4096.
-    ValueError unless dim_check is an int >= 1, Overflow past the array cap
-    or where x = v^k leaves double range.
+    kill every off-diagonal phase exactly (roots of unity). The range ends
+    past the weight of order dim_check - 1, the highest the block holds;
+    panels double until the matrix moves by less than 1e-10 entrywise,
+    QuadratureFailure past 4096. Entries carry about eps (kn+j) ln v of
+    rounding from the log integrand. ValueError unless dim_check is an
+    int >= 1, Overflow past the array cap.
     """
     dim_check = _check_count("dim_check", dim_check)
     _check_entries("block entries ((dim_check + 1) x dim_check)", (dim_check + 1) * dim_check)
     candidate = root_exponential_density(k, j)
     k, j = candidate.k, candidate.j
-    v_hi = _v_limit(k, j, dim_check)
+    v_hi = _v_limit(k, j, dim_check - 1)
     orders = np.arange(dim_check)
     target = np.array([math.lgamma(k * n + j + 1) for n in orders.tolist()])
     turns = np.outer(np.arange(dim_check + 1), orders) / (dim_check + 1)

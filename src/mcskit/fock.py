@@ -208,13 +208,13 @@ def apply_k_ladder(
     return FockVector(out, leakage)
 
 
-def hamiltonian_apply(state: FockVector) -> FockVector:
+def _hamiltonian_apply(state: FockVector) -> FockVector:
     """H|n> = (n + 1/2)|n>."""
     n = np.arange(state.n_max)
     return FockVector((n + 0.5) * state.coeffs, state.leakage)
 
 
-def number_falling_apply(state: FockVector, k: int) -> FockVector:
+def _number_falling_apply(state: FockVector, k: int) -> FockVector:
     """Diagonal action of the degree-k generator polynomial.
 
     The product (H - 1 + 1/2)(H - 2 + 1/2)...(H - k + 1/2) acts on |n> as
@@ -267,7 +267,7 @@ def pha_commutator_check(k: int, probe: FockVector) -> CommutatorResiduals:
     high = apply_k_ladder(probe, k, +1, leak_tol=np.inf)
     r_high = rel(_h_commutator(probe, k, +1).coeffs - k * high.coeffs, high.coeffs)
 
-    poly = number_falling_apply(probe, k)
+    poly = _number_falling_apply(probe, k)
     prod = apply_k_ladder(low, k, +1, leak_tol=np.inf)
     r_poly = rel(prod.coeffs - poly.coeffs, poly.coeffs)
     return CommutatorResiduals(lowering=r_low, raising=r_high, number_poly=r_poly)
@@ -275,8 +275,8 @@ def pha_commutator_check(k: int, probe: FockVector) -> CommutatorResiduals:
 
 def _h_commutator(probe: FockVector, k: int, sign: int) -> FockVector:
     """[H, (a^sign)^k] applied to probe, assembled operator by operator."""
-    hg = hamiltonian_apply(apply_k_ladder(probe, k, sign, leak_tol=np.inf))
-    gh = apply_k_ladder(hamiltonian_apply(probe), k, sign, leak_tol=np.inf)
+    hg = _hamiltonian_apply(apply_k_ladder(probe, k, sign, leak_tol=np.inf))
+    gh = apply_k_ladder(_hamiltonian_apply(probe), k, sign, leak_tol=np.inf)
     return FockVector(hg.coeffs - gh.coeffs)
 
 

@@ -354,7 +354,7 @@ def _wide_window(s: SimpleNamespace) -> float:
 def _completeness_inputs() -> SimpleNamespace:
     # radial quadrature, no truncation involved
     plain = comp.MeasureCandidate(
-        k=1, j=0, density=lambda x: np.exp(-x), support_hint=200.0, name="exp(-x)"
+        k=1, j=0, log_density=lambda v: (-v, np.ones_like(v)), support_hint=200.0, name="exp(-x)"
     )
     return SimpleNamespace(
         order_two=[comp.root_exponential_density(2, j) for j in (0, 1)],
@@ -387,7 +387,8 @@ def _tiling_gap(k: int, dim_check: int = 8) -> float:
 
 def _zero_density(s: SimpleNamespace) -> float:
     zero = comp.MeasureCandidate(
-        k=1, j=0, density=lambda x: np.zeros_like(x), support_hint=10.0, name="zero"
+        k=1, j=0, log_density=lambda v: (np.full_like(v, -np.inf), np.zeros_like(v)),
+        support_hint=10.0, name="zero",
     )
     return comp.moment_check(zero, n_top=3).worst_error()
 

@@ -14,14 +14,12 @@ from mcskit import (
     Overflow,
     apply_k_ladder,
     basis_state,
-    hamiltonian_apply,
     inner,
     ladder_spectrum,
-    number_falling_apply,
     pha_commutator_check,
     time_evolve,
 )
-from mcskit.fock import _ENTRIES_MAX
+from mcskit.fock import _ENTRIES_MAX, _hamiltonian_apply, _number_falling_apply
 
 
 def random_state(rng, n_max=64, clear_top=8):
@@ -155,7 +153,7 @@ def test_ladder_weights_past_double_range_raise_overflow():
         with pytest.raises(Overflow):
             apply_k_ladder(basis_state(0, 256), 150, sign, leak_tol=np.inf)
     with pytest.raises(Overflow):
-        number_falling_apply(basis_state(255, 256), 200)
+        _number_falling_apply(basis_state(255, 256), 200)
 
 
 @pytest.mark.parametrize(
@@ -203,7 +201,7 @@ def test_number_falling_is_lower_then_raise(rng):
     v = random_state(rng)
     for k in (1, 2, 3, 4):
         composed = apply_k_ladder(apply_k_ladder(v, k, -1), k, +1)
-        direct = number_falling_apply(v, k)
+        direct = _number_falling_apply(v, k)
         assert np.allclose(direct.coeffs, composed.coeffs, atol=1e-12)
 
 
@@ -225,7 +223,7 @@ def test_commutator_edge_guard(rng):
 
 def test_hamiltonian_apply():
     v = basis_state(2, n_max=4)
-    assert hamiltonian_apply(v).coeffs[2] == pytest.approx(2.5)
+    assert _hamiltonian_apply(v).coeffs[2] == pytest.approx(2.5)
 
 
 def test_spectrum_ladders():

@@ -32,7 +32,10 @@ bit.
 `moment_check` refines every order in one panel doubling. The doubling of
 each order on its own that it replaced is kept verbatim in arithmetic, and
 each order's relative error must agree with it to the refinement step,
-1e-11 of the moment (or of 1e-3 where the moment is smaller).
+1e-11 of the moment (or of 1e-3 where the moment is smaller). The
+root-exponential identity blocks and scaled moments of every class with
+k <= 8 are also asked to match Gauss-Laguerre quadrature in v, an
+independent rule exact for their integrands, to 1e-12.
 """
 
 import math
@@ -56,6 +59,7 @@ from mcskit import (
     component_norm,
     density_movie,
     fock_wavefunction,
+    identity_block,
     mcs_wavefunction,
     moment_check,
     negativity_volume,
@@ -817,11 +821,10 @@ def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
 def scaled_moment_reference(candidate, n, n_panels):
     """integral x^(n-1) f(x) dx / Gamma(kn+j+1) for one order, in v = x^(1/k)."""
     k, j = candidate.k, candidate.j
-    v, w = _panel_nodes(0.0, candidate.support_hint ** (1.0 / k), n_panels)
-    f = np.asarray(candidate.density(v**k), dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(v) * (k * n - 1) + np.log(np.abs(f)) - math.lgamma(k * n + j + 1)
-    return float(k * np.sum(w * (np.sign(f) * np.exp(log_mag))))
+    v, w = _panel_nodes(0.0, candidate.support_hint, n_panels)
+    log_f, sign = candidate.log_density(v)
+    log_mag = np.log(v) * (k * n - 1) + log_f - math.lgamma(k * n + j + 1)
+    return float(k * np.sum(w * (sign * np.exp(log_mag))))
 
 
 def moments_reference(candidate, n_top):
@@ -843,17 +846,26 @@ def moments_reference(candidate, n_top):
 
 def reference_candidates():
     """The candidates verify and tests/test_completeness.py check, with their n_top."""
-    def named(density, hint, name):
-        return MeasureCandidate(k=1, j=0, density=density, support_hint=hint, name=name)
+    def named(log_density, hint, name):
+        return MeasureCandidate(k=1, j=0, log_density=log_density, support_hint=hint, name=name)
+
+    def exponential(v):
+        return -v, np.ones_like(v)
+
+    def zero(v):
+        return np.full_like(v, -np.inf), np.zeros_like(v)
+
+    def wobble(v):
+        return np.log(v) - v + np.log(np.abs(np.cos(3.0 * v))), np.sign(np.cos(3.0 * v))
 
     family = [(root_exponential_density(k, j), 12) for k, j in ((1, 0), (2, 1), (3, 0), (3, 2))]
     return family + [
-        (named(lambda x: np.exp(-x), 200.0, "exp(-x)"), 6),
+        (named(exponential, 200.0, "exp(-x)"), 6),
         (root_exponential_density(1, 0), 20),
         (root_exponential_density(2, 0), 12),
-        (named(np.zeros_like, 10.0, "zero"), 3),
-        (named(lambda x: np.exp(-x), 60.0, "exp(-x), short"), 4),
-        (named(lambda x: x * np.exp(-x) * np.cos(3.0 * x), 60.0, "wobble"), 3),
+        (named(zero, 10.0, "zero"), 3),
+        (named(exponential, 60.0, "exp(-x), short"), 4),
+        (named(wobble, 60.0, "wobble"), 3),
         (root_exponential_density(5, 4), 24),
     ]
 
@@ -865,3 +877,44 @@ def test_one_pass_moments_match_the_per_order_refinement(candidate, n_top):
     got = moment_check(candidate, n_top).rel_errors
     gap = np.abs(got - np.abs(ref - 1.0))
     assert np.all(gap <= 1e-11 * np.maximum(np.abs(ref), 1e-3)), (gap, ref)
+
+
+# exact to degree 119, past the 103 of 12 moments of k <= 8; the rule's own
+# rounding grows with its size (8e-13 at 100 nodes) and its weights are NaN
+# at 198
+_LAGUERRE_NODES = 60
+
+
+def laguerre_log_moments(k, j, orders):
+    """Log weights and, per node and order n, log v^(kn+j) - lgamma(kn+j+1):
+    Gauss-Laguerre in v integrates v^(kn+j) e^(-v), the root-exponential
+    family's order-n integrand, exactly."""
+    v, w = np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
+    powers = k * np.asarray(orders) + j
+    lgammas = np.array([math.lgamma(p + 1) for p in powers.tolist()])
+    return np.log(w), np.log(v)[:, None] * powers - lgammas
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_identity_blocks_match_gauss_laguerre(k):
+    # the block's columns are the roots of the scaled integrands, so its
+    # diagonal is exact; the off-diagonal phases cancel as in the block
+    dim = 12
+    turns = np.outer(np.arange(dim + 1), np.arange(dim)) / (dim + 1)
+    phases = np.exp(2j * np.pi * turns)
+    angular = phases.conj().T @ phases / (dim + 1)
+    for j in range(k):
+        log_w, log_mag = laguerre_log_moments(k, j, np.arange(dim))
+        cols = np.exp(0.5 * (log_w[:, None] + log_mag))
+        ref = (cols.T @ cols) * angular
+        assert np.max(np.abs(identity_block(k, j, dim) - ref)) <= 1e-12, j
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_scaled_moments_match_gauss_laguerre(k):
+    orders = np.arange(1, 13)
+    for j in range(k):
+        log_w, log_mag = laguerre_log_moments(k, j, orders)
+        ref = np.exp(log_w[:, None] + log_mag).sum(axis=0)
+        got = moment_check(root_exponential_density(k, j), n_top=12).rel_errors
+        assert np.all(np.abs(got - np.abs(ref - 1.0)) <= 1e-12), j
