@@ -52,8 +52,6 @@ _MOMENT_TOL = 1e-8
 _MOMENT_STEP = 1e-11
 # identity_block: entrywise change that ends the panel doubling
 _BLOCK_STEP = 1e-10
-# root_exponential_density: highest moment order its support hint covers
-_N_TOP_HINT = 24
 
 
 @functools.cache
@@ -66,8 +64,7 @@ def _panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.nd
     """Gauss-Legendre nodes/weights on n_panels equal panels of [lo, hi]."""
     x0, w0 = _gauss_legendre()
     edges = np.linspace(lo, hi, n_panels + 1)
-    a = edges[:-1, None]
-    b = edges[1:, None]
+    a, b = edges[:-1, None], edges[1:, None]
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * x0[None, :]
     weights = 0.5 * (b - a) * np.broadcast_to(w0, nodes.shape)
     return nodes.ravel(), weights.ravel()
@@ -112,8 +109,8 @@ class MomentReport:
 
 def _v_limit(k: int, j: int, n: int) -> float:
     """End in v = x^(1/k) of the root-exponential weight of moment orders up
-    to n: 12 standard deviations plus 30 past the Gamma(kn+j+1) peak."""
-    return k * n + j + 12.0 * math.sqrt(k * n + j) + 30.0
+    to n: 12 standard deviations plus 40 (e^-40 at order 0) past the peak."""
+    return k * n + j + 12.0 * math.sqrt(k * n + j) + 40.0
 
 
 def _refine(compute: Callable, distance: Callable, tol: float, what: Callable[[int], str]):
@@ -138,8 +135,14 @@ def _integrand(candidate: MeasureCandidate, v_hi: float, orders: np.ndarray,
     """Node weights k w sign f(v^k) on n_panels panels of [0, v_hi], and per
     node and order n log |v^(kn-1) f(v^k)| - target (target lgamma(kn+j+1)
     makes weights @ exp of it the scaled moments). The sign carries negative
-    densities through, so bad candidates are measured, not crashed."""
-    k = candidate.k
+    densities through, so bad candidates are measured, not crashed.
+    QuadratureFailure if 4096 panels are wider than the narrowest weight,
+    sqrt(kn+j) + 30 at the lowest order: coarser counts would miss it alike."""
+    k, j, low = candidate.k, candidate.j, int(orders[0])
+    width = math.sqrt(k * low + j) + 30.0
+    if v_hi / _MAX_PANELS > width:
+        raise QuadratureFailure(f"{_MAX_PANELS} panels on [0, {v_hi:.6g}] miss order {low} of"
+                                f" class ({k}, {j}), about {width:.3g} wide")
     v, w = _panel_nodes(0.0, v_hi, n_panels)
     _check_entries("integrand entries (nodes x orders)", v.size * orders.size)
     log_f, sign = candidate.log_density(v)
@@ -152,11 +155,11 @@ def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
 
     Panels double until successive counts agree to 1e-11 in the
     Gamma-scaled value of every order. QuadratureFailure naming an order if
-    4096 panels do not do that, or if the tail estimate k v^(kn) f(v^k) /
-    Gamma(kn+j+1) exceeds 1e-11 at support_hint, so no non-converged or
-    truncated integral is scored. The candidate passes when it is
-    nonnegative and every moment is within 1e-8 of its target. ValueError
-    unless n_top is an integer >= 1, Overflow past the array cap.
+    4096 panels do not do that or miss order 1, or if the tail estimate
+    k v^(kn) f(v^k) / Gamma(kn+j+1) exceeds 1e-11 at support_hint, so no
+    non-converged or truncated integral is scored. The candidate passes
+    when it is nonnegative and every moment is within 1e-8 of its target.
+    ValueError unless n_top is an integer >= 1, Overflow past the array cap.
     """
     n_top = _check_count("n_top", n_top)
     # the first panel count's integrand bounds the order range
@@ -200,7 +203,7 @@ def root_exponential_density(k: int, j: int) -> MeasureCandidate:
         return (j + 1) * np.log(v) - v - log_k, np.ones_like(v)
 
     return MeasureCandidate(
-        k=k, j=j, log_density=log_density, support_hint=_v_limit(k, j, _N_TOP_HINT),
+        k=k, j=j, log_density=log_density, support_hint=_v_limit(k, j, 24),
         name=f"x^({j + 1}/{k}) exp(-x^(1/{k}))/{k}",
     )
 
@@ -215,9 +218,9 @@ def identity_block(k: int, j: int, dim_check: int = 12) -> np.ndarray:
     kill every off-diagonal phase exactly (roots of unity). The range ends
     past the weight of order dim_check - 1, the highest the block holds;
     panels double until the matrix moves by less than 1e-10 entrywise,
-    QuadratureFailure past 4096. Entries carry about eps (kn+j) ln v of
-    rounding from the log integrand. ValueError unless dim_check is an
-    int >= 1, Overflow past the array cap.
+    QuadratureFailure past 4096, or up front if 4096 miss order 0. Entries
+    carry about eps (kn+j) ln v of rounding from the log integrand.
+    ValueError unless dim_check is an int >= 1, Overflow past the array cap.
     """
     dim_check = _check_count("dim_check", dim_check)
     _check_entries("block entries ((dim_check + 1) x dim_check)", (dim_check + 1) * dim_check)
@@ -226,8 +229,7 @@ def identity_block(k: int, j: int, dim_check: int = 12) -> np.ndarray:
     v_hi = _v_limit(k, j, dim_check - 1)
     orders = np.arange(dim_check)
     target = np.array([math.lgamma(k * n + j + 1) for n in orders.tolist()])
-    turns = np.outer(np.arange(dim_check + 1), orders) / (dim_check + 1)
-    phases = np.exp(2j * np.pi * turns)
+    phases = np.exp(2j * np.pi * (np.outer(np.arange(dim_check + 1), orders) / (dim_check + 1)))
     angular = phases.conj().T @ phases / (dim_check + 1)
 
     def assemble(n_panels: int) -> np.ndarray:

@@ -6,7 +6,6 @@ import pytest
 from mcskit import (
     MCSLabel,
     MeasureCandidate,
-    MomentReport,
     Overflow,
     PhaseGrid,
     QuadratureFailure,
@@ -23,14 +22,15 @@ from mcskit import (
 from mcskit.completeness import _MOMENT_TOL
 
 
-def _gap(result):
-    """Worst moment error of a passed report, a block's distance to the
-    identity, or a gap already measured."""
-    if isinstance(result, MomentReport):
-        return result.worst_error() if result.passed else math.inf
-    if isinstance(result, float):
-        return result
-    return float(np.max(np.abs(result - np.eye(result.shape[0]))))
+def _moment_gap(k, j, n_top):
+    """Worst moment error of the family on class (k, j); inf unless it passes."""
+    report = moment_check(root_exponential_density(k, j), n_top)
+    return report.worst_error() if report.passed else math.inf
+
+
+def _block_gap(k, j, dim_check):
+    """Distance of the class's identity block to the identity."""
+    return float(np.max(np.abs(identity_block(k, j, dim_check) - np.eye(dim_check))))
 
 
 def test_family_moments_across_orders():
@@ -93,56 +93,55 @@ def test_identity_resolution_every_class_to_order_five():
     assert max(gaps.values()) <= 1e-8, gaps
 
 
-@pytest.mark.parametrize("k", [10**3, 10**4, 10**5, 4 * 10**5, 10**6, 10**9])
-def test_blocks_of_high_order_are_right_or_refused(k):
-    # rounding in the log integrand, about eps (kn+j) ln v, grows with k, so
-    # past some order the doubling cannot settle; that must raise, never
-    # return a block off the identity. Nothing here nears the array cap, so
-    # the refusal is QuadratureFailure, not Overflow. The range must end at
-    # the block's highest order, dim_check - 1: one period further, from
-    # k = 4e5 a one-state block's nodes miss its weight and settle 1.0 off
+@pytest.mark.parametrize("k", [10**3, 10**4, 10**5, 4 * 10**5, 10**6, 10**9, 10**11, 10**12])
+def test_high_orders_are_right_or_refused(k):
+    # rounding in the log integrand, about eps (kn+j) ln v, grows with k, and
+    # from some order 4096 panels cannot resolve the narrowest weight; either
+    # must raise, never return moments or a block off their targets. Nothing
+    # here nears the array cap, so the refusal is QuadratureFailure, not
+    # Overflow. The block's range must end at its highest order, dim_check - 1:
+    # one period further, from k = 4e5 a one-state block's nodes miss its
+    # weight and settle 1.0 off. From k = 1e11 coarse panel counts miss a
+    # narrow weight alike and settle on 0 unless refused up front
     for j in (0, 3, k - 1):
-        for dim in (1, 2, 3, 12):
+        for gap, count in ((_block_gap, 1), (_block_gap, 2), (_block_gap, 3), (_block_gap, 12),
+                           (_moment_gap, 1), (_moment_gap, 2)):
             try:
-                block = identity_block(k, j, dim)
+                assert gap(k, j, count) <= 1e-8, (gap.__name__, j, count)
             except QuadratureFailure:
-                assert k > 10**4, (j, dim)
-                continue
-            assert np.max(np.abs(block - np.eye(dim))) <= 1e-8, (j, dim)
+                assert k > 10**4, (gap.__name__, j, count)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: moment_check(root_exponential_density(74, 0), 8),
-    lambda: moment_check(root_exponential_density(400, 0), 8),
-    lambda: identity_block(88, 0, 12),
-    lambda: identity_block(200, 7, 12),
-    lambda: identity_block(400, 0, 12),
-    lambda: identity_block(2, 1, 300),
-    lambda: identity_block(5, 4, 200),
-], ids=["moments-74-0", "moments-400-0", "block-88-0", "block-200-7", "block-400-0",
-        "block-2-1-300", "block-5-4-200"])
-def test_high_orders_resolve_the_identity(call):
-    # orders whose weight lies past v = 708, where f(v^k) underflows unless
-    # it is formed in logs
-    assert _gap(call()) <= 1e-11
-
-
-@pytest.mark.parametrize("call", [
-    lambda: moment_check(root_exponential_density(90, 0)),
-    lambda: moment_check(root_exponential_density(400, 399)),
-    lambda: identity_block(100, 0, dim_check=2),
-    lambda: identity_block(400, 7, dim_check=1),
+    lambda: _moment_gap(74, 0, 8),
+    lambda: _moment_gap(400, 0, 8),
+    lambda: _block_gap(88, 0, 12),
+    lambda: _block_gap(200, 7, 12),
+    lambda: _block_gap(400, 0, 12),
+    lambda: _block_gap(2, 1, 300),
+    lambda: _block_gap(5, 4, 200),
+    lambda: _moment_gap(90, 0, 20),
+    lambda: _moment_gap(400, 399, 20),
+    lambda: _block_gap(100, 0, 2),
+    lambda: _block_gap(400, 7, 1),
     lambda: identity_resolution_numeric(100, 0),
     lambda: identity_resolution_numeric(90, 89),
-    lambda: identity_block(89, 0, dim_check=30),
-    lambda: max(_gap(moment_check(root_exponential_density(89, 88), n_top=2)),
-                _gap(identity_block(89, 0, dim_check=2))),
-], ids=["density-k90", "density-k400", "block-k100", "block-k400", "gap-k100", "gap-k90",
-        "block-range-k89", "order-k89"])
-def test_ranges_once_past_double_range_are_served(call):
-    # from k = 90, x = v^k of the support hint leaves double range; nothing
-    # forms it, so each call meets the family's bound
-    assert _gap(call()) <= 1e-11
+    lambda: _block_gap(89, 0, 30),
+    lambda: max(_moment_gap(89, 88, 2), _block_gap(89, 0, 2)),
+], ids=["moments-74-0", "moments-400-0", "block-88-0", "block-200-7", "block-400-0",
+        "block-2-1-300", "block-5-4-200", "density-k90", "density-k400", "block-k100",
+        "block-k400", "gap-k100", "gap-k90", "block-range-k89", "order-k89"])
+def test_high_orders_resolve_the_identity(call):
+    # orders whose weight lies past v = 708, where f(v^k) underflows unless
+    # it is formed in logs, and classes from k = 90, where x = v^k of the
+    # support hint leaves double range; nothing forms either
+    assert call() <= 1e-11
+
+
+def test_one_state_blocks_keep_their_tail():
+    # order 0 at j = 0 is e^-v: the range ends 40 past its peak, so the
+    # tail it leaves out, e^-40, is below rounding (e^-30 would read 9.4e-14)
+    assert max(_block_gap(k, j, 1) for k in range(1, 9) for j in range(k)) <= 4e-15
 
 
 def test_identity_resolution_reaches_past_the_support_hint():

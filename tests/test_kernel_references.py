@@ -899,15 +899,15 @@ def laguerre_log_moments(k, j, orders):
 def test_identity_blocks_match_gauss_laguerre(k):
     # the block's columns are the roots of the scaled integrands, so its
     # diagonal is exact; the off-diagonal phases cancel as in the block
-    dim = 12
-    turns = np.outer(np.arange(dim + 1), np.arange(dim)) / (dim + 1)
-    phases = np.exp(2j * np.pi * turns)
-    angular = phases.conj().T @ phases / (dim + 1)
-    for j in range(k):
-        log_w, log_mag = laguerre_log_moments(k, j, np.arange(dim))
-        cols = np.exp(0.5 * (log_w[:, None] + log_mag))
-        ref = (cols.T @ cols) * angular
-        assert np.max(np.abs(identity_block(k, j, dim) - ref)) <= 1e-12, j
+    for dim in (1, 12):
+        turns = np.outer(np.arange(dim + 1), np.arange(dim)) / (dim + 1)
+        phases = np.exp(2j * np.pi * turns)
+        angular = phases.conj().T @ phases / (dim + 1)
+        for j in range(k):
+            log_w, log_mag = laguerre_log_moments(k, j, np.arange(dim))
+            cols = np.exp(0.5 * (log_w[:, None] + log_mag))
+            ref = (cols.T @ cols) * angular
+            assert np.max(np.abs(identity_block(k, j, dim) - ref)) <= 1e-12, (j, dim)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
