@@ -118,11 +118,13 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     Only levels with a nonzero coefficient in some row are kept, and the
     recurrence stops at the highest of them. `build_mcs` states are zero
     past their effective support (about 45-80 levels at |z| <= 3), so the
-    cost follows that support, not n_max.
+    cost follows that support, not n_max. The recurrence runs in place on
+    preallocated rows, so it allocates nothing per level.
     """
     out = np.zeros((coeffs.shape[0], x.size), dtype=np.complex128)
     used = np.any(coeffs != 0.0, axis=0)
     top = int(np.flatnonzero(used)[-1]) + 1 if used.any() else 0
+    used = used.tolist()
     reach = _reach(top)
     if reach > _SEED_LIMIT and np.any((np.abs(x) > _SEED_LIMIT) & (np.abs(x) < reach)):
         raise Overflow(
@@ -133,11 +135,15 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     basis = np.empty((_BLOCK_ROWS, x.size))
     product = np.empty((coeffs.shape[0], x.size))
     held: list[int] = []
-    prev = np.zeros_like(x)
+    prev, nxt, scratch = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
     cur = _QUARTIC_ROOT_PI * np.exp(-0.5 * x * x)
     for n in range(top):
         if n > 0:
-            prev, cur = cur, x * math.sqrt(2.0 / n) * cur - math.sqrt((n - 1) / n) * prev
+            np.multiply(x, math.sqrt(2.0 / n), out=scratch)
+            scratch *= cur
+            np.multiply(prev, math.sqrt((n - 1) / n), out=nxt)
+            np.subtract(scratch, nxt, out=nxt)
+            prev, cur, nxt = cur, nxt, prev
         if used[n]:
             basis[len(held)] = cur
             held.append(n)

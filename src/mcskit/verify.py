@@ -260,10 +260,10 @@ def _wavefunctions(s: SimpleNamespace) -> float:
     for k in (2, 3):
         for j in range(k):
             for z in _RING_Z:
-                for t in (0.0, 0.7):
-                    closed = dec.mcs_wavefunction(k, j, z, x, t=t)
-                    synth = dec.mcs_wavefunction(k, j, z, x, t=t, method="fock", n_max=_N_MAX)
-                    gap = max(gap, float(np.max(np.abs(closed - synth))))
+                # both instants from one kernel call per route
+                closed, synth = (dec._amplitudes(k, j, z, x, (0.0, 0.7), route, _N_MAX)
+                                 for route in ("closed", "fock"))
+                gap = max(gap, float(np.max(np.abs(closed - synth))))
     return gap
 
 

@@ -41,21 +41,25 @@ of rows at a time. Those 32-row blocks stay on one BLAS thread for the
 states of the CLI and the benchmark, but the long y window of a wide
 state such as |200> makes them large enough to split.
 Agreement with a naive transform at a far finer step is at machine
-precision, and a 257x257 field of (3, 1, z = 2) takes about 1.1 ms on a
-2-vCPU x86 machine with OpenBLAS (2.1 ms on an unmirrored p axis).
+precision, and a 257x257 field of (3, 1, z = 2) takes about 1.0 ms on a
+2-vCPU x86 machine with OpenBLAS (1.7 ms on an unmirrored p axis).
+
+A PhaseGrid builds its axes and trapezoid weights once, as read-only
+arrays that every field and integral on it shares; marginals synthesizes
+|psi(q)|^2 and |phi(p)|^2 as two rows of one Hermite recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .decomposition import _matmul_tiles, _reach, _ring_norm, fock_wavefunction
+from .decomposition import _matmul_tiles, _reach, _ring_norm, _synthesize, fock_wavefunction
 from .errors import BoundaryMass, WindowTooNarrow
 from .fock import FockVector, _check_class, _check_entries, _ints
 
@@ -75,7 +79,8 @@ _FIELD_ROWS = 32
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform rectangular grid; values are indexed [i_q, i_p]."""
+    """Uniform rectangular grid; values are indexed [i_q, i_p]. Overflow past
+    2^26 points on an axis; axes and weights are built once, read-only."""
 
     q_min: float = -8.0
     q_max: float = 8.0
@@ -91,16 +96,24 @@ class PhaseGrid:
             raise ValueError("grid bounds and spans must be finite")
         if not (self.q_min < self.q_max and self.p_min < self.p_max):
             raise ValueError("grid bounds must be increasing")
-        if min(_ints("grid sizes n_q and n_p", self.n_q, self.n_p)) < 2:
+        n_q, n_p = _ints("grid sizes n_q and n_p", self.n_q, self.n_p)
+        if min(n_q, n_p) < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        _check_entries("q axis points (n_q)", n_q)
+        _check_entries("p axis points (n_p)", n_p)
 
-    @property
+    @cached_property
     def q_axis(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.n_q)
+        return _frozen(np.linspace(self.q_min, self.q_max, self.n_q))
 
-    @property
+    @cached_property
     def p_axis(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.n_p)
+        return _frozen(np.linspace(self.p_min, self.p_max, self.n_p))
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Trapezoid weights of the q and p axes."""
+        return tuple(_frozen(_trapezoid_weights(x)) for x in (self.q_axis, self.p_axis))
 
 
 @dataclass(frozen=True)
@@ -118,6 +131,11 @@ class WignerField:
         return 2.0 * math.pi * _trapz2d(self.values, self.grid, np.square)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     half = 0.5 * np.diff(x)
     w = np.zeros_like(x)
@@ -133,8 +151,7 @@ def _trapz2d(v: np.ndarray, grid: PhaseGrid, fold: Callable | None = None) -> fl
     the integrand is fold(v), formed _FIELD_ROWS rows at a time into one
     small buffer instead of as a copy of the whole field.
     """
-    w_q = _trapezoid_weights(grid.q_axis)
-    w_p = _trapezoid_weights(grid.p_axis)
+    w_q, w_p = grid._weights
     if fold is None:
         return float(w_q @ v @ w_p)
     acc = np.zeros(v.shape[1])
@@ -342,7 +359,8 @@ def marginals(field: WignerField, state: FockVector | None = None) -> Marginals:
     The position reference is |psi(q)|^2 from the coefficients; the
     momentum reference applies the basis twist c_n -> (-i)^n c_n, under
     which the same synthesis yields |phi(p)|^2. Both are independent of the
-    transform route.
+    transform route. One recurrence serves both, on q alone when p equals
+    it bit for bit and on q and p joined otherwise.
 
     A field whose edges still carry more than 1e-10 cannot produce
     trustworthy marginals on this grid, hence BoundaryMass.
@@ -359,15 +377,16 @@ def marginals(field: WignerField, state: FockVector | None = None) -> Marginals:
             f"field magnitude {edge:.3e} on the grid edge exceeds "
             f"{_BOUNDARY_TOL:.1e}; enlarge the grid"
         )
-    q = field.grid.q_axis
-    p = field.grid.p_axis
-    q_marg = w @ _trapezoid_weights(p)
-    p_marg = _trapezoid_weights(q) @ w
+    q, p = field.grid.q_axis, field.grid.p_axis
+    w_q, w_p = field.grid._weights
+    q_marg, p_marg = w @ w_p, w_q @ w
     q_dens = p_dens = None
     if state is not None:
-        q_dens = np.abs(fock_wavefunction(state, q)) ** 2
-        twist = FockVector(state.coeffs * _QUARTER_TURNS[np.arange(state.n_max) % 4])
-        p_dens = np.abs(fock_wavefunction(twist, p)) ** 2
+        twist = state.coeffs * _QUARTER_TURNS[np.arange(state.n_max) % 4]
+        shared = np.array_equal(q, p)
+        psi = _synthesize(np.stack([state.coeffs, twist]), q if shared else np.concatenate([q, p]))
+        dens = np.abs(psi) ** 2
+        q_dens, p_dens = dens[0, : q.size], dens[1, 0 if shared else q.size :]
     return Marginals(
         q_marginal=q_marg, p_marginal=p_marg, q_density=q_dens, p_density=p_dens
     )

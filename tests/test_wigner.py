@@ -22,6 +22,7 @@ from mcskit import (
     wigner_closed,
     wigner_numeric,
 )
+from mcskit.decomposition import _synthesize
 
 
 def test_phase_grid_validation():
@@ -35,6 +36,21 @@ def test_phase_grid_validation():
             PhaseGrid(*bounds, 3, 3)
     g = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 5, 3)
     assert g.q_axis.size == 5 and g.p_axis.size == 3
+    # an axis past 2^26 points is refused before it is built
+    for sizes in ((2**40, 2), (2, 2**26 + 1)):
+        with pytest.raises(Overflow, match="axis points"):
+            PhaseGrid(n_q=sizes[0], n_p=sizes[1])
+
+
+def test_grid_axes_are_built_once_and_read_only():
+    g = PhaseGrid(-6.0, 5.0, -5.5, 6.5, 97, 89)
+    assert np.array_equal(g.q_axis, np.linspace(-6.0, 5.0, 97))
+    assert np.array_equal(g.p_axis, np.linspace(-5.5, 6.5, 89))
+    assert g.q_axis is g.q_axis and g.p_axis is g.p_axis
+    for axis in (g.q_axis, g.p_axis):
+        assert not axis.flags.writeable
+        with pytest.raises(ValueError):
+            axis[0] = 0.0
 
 
 def test_scs_field_is_shifted_gaussian_peak():
@@ -121,10 +137,18 @@ def test_numeric_fock_fields_match_laguerre_series(grid):
 
 def test_marginals_match_reference_densities():
     state = build_mcs(MCSLabel(2, 0, 4.0))  # z = 2
-    field = wigner_numeric(state)
-    m = marginals(field, state)
-    assert np.max(np.abs(m.q_marginal - m.q_density)) < 1e-6
-    assert np.max(np.abs(m.p_marginal - m.p_density)) < 1e-6
+    twist = FockVector(state.coeffs * (-1j) ** np.arange(state.n_max))
+    # PhaseGrid() shares one axis between the two density rows; the
+    # off-centre grid runs them on q and p joined
+    for grid in (PhaseGrid(), PhaseGrid(-8.5, 8.0, -6.0, 6.5, 97, 89)):
+        field = wigner_numeric(state, grid)
+        m = marginals(field, state)
+        assert np.max(np.abs(m.q_marginal - m.q_density)) < 1e-6
+        assert np.max(np.abs(m.p_marginal - m.p_density)) < 1e-6
+        # the one two-row recurrence against one synthesis per axis
+        for dens, ref in ((m.q_density, np.abs(fock_wavefunction(state, grid.q_axis)) ** 2),
+                          (m.p_density, np.abs(fock_wavefunction(twist, grid.p_axis)) ** 2)):
+            assert np.max(np.abs(dens - ref)) <= 1e-14 * np.max(ref)
 
 
 def test_momentum_twist_is_exact_at_4096_levels():
@@ -140,7 +164,11 @@ def test_momentum_twist_is_exact_at_4096_levels():
         turned = turned.imag - 1j * turned.real  # times -i, exactly
     grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 5, 41)
     m = marginals(WignerField(grid, np.zeros((5, 41))), state)
-    assert np.array_equal(m.p_density, np.abs(fock_wavefunction(FockVector(want), grid.p_axis)) ** 2)
+    # the reference runs the same two-row synthesis on the joined axes, so
+    # only the twist itself can differ
+    rows = np.stack([state.coeffs, want])
+    ref = _synthesize(rows, np.concatenate([grid.q_axis, grid.p_axis]))[1, 5:]
+    assert np.array_equal(m.p_density, np.abs(ref) ** 2)
 
 
 def test_marginals_boundary_guard():
