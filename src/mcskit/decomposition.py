@@ -43,10 +43,10 @@ _LOG_MARGIN = 8.0
 
 # e^{-u^2/2} < 1e-17 past u = _GAUSS_MARGIN (see _reach)
 _GAUSS_MARGIN = 9.0
-# past this |x| the synthesis seed pi^{-1/4} e^{-x^2/2} is subnormal
-_SEED_LIMIT = 37.6
-# past this |x| the seed, and so every level, is 0; _synthesize clips x to it,
-# so that x^2 and the recurrence's products stay finite at any double
+# past x^2/2 = this the seed pi^{-1/4} e^{-x^2/2} is carried with a power of two
+_SEED_SCALED = 708.0
+# _synthesize clips |x| to the larger of this and the state's reach; a clipped
+# point keeps the unscaled seed, 0 past this |x|, so all its levels are 0
 _SEED_ZERO = 64.0
 
 # absolute accuracy a sum over the coherent ring must keep (the threshold of
@@ -82,8 +82,8 @@ def fock_wavefunction(state: FockVector, x: np.ndarray) -> np.ndarray:
     Uses the stable two-term recurrence
     psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1};
     no Hermite polynomial or factorial ever appears explicitly, so n_max in
-    the thousands is routine. Overflow is raised when some |x| past 37.6,
-    where the recurrence seed underflows, lies within the state's reach.
+    the thousands is routine. n_max sets the range: where the seed
+    pi^{-1/4} e^{-x^2/2} would underflow it is carried with a power of two.
     """
     x = np.asarray(x, dtype=np.float64)
     return _synthesize(state.coeffs[None, :], x.ravel())[0].reshape(x.shape)
@@ -119,24 +119,26 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     recurrence stops at the highest of them. `build_mcs` states are zero
     past their effective support (about 45-80 levels at |z| <= 3), so the
     cost follows that support, not n_max. The recurrence runs in place on
-    preallocated rows, so it allocates nothing per level.
+    preallocated rows, so it allocates nothing per level. n_max sets the range:
+    past x^2/2 = _SEED_SCALED the seed is cur 2^scale, an int32 scale per
+    point renormalized every 16 levels, paid for only by such calls.
     """
     out = np.zeros((coeffs.shape[0], x.size), dtype=np.complex128)
     used = np.any(coeffs != 0.0, axis=0)
     top = int(np.flatnonzero(used)[-1]) + 1 if used.any() else 0
     used = used.tolist()
-    reach = _reach(top)
-    if reach > _SEED_LIMIT and np.any((np.abs(x) > _SEED_LIMIT) & (np.abs(x) < reach)):
-        raise Overflow(
-            f"the state reaches |x| = {reach:.3g}, but the eigenfunction seed "
-            f"underflows past |x| = {_SEED_LIMIT}; keep x within that limit"
-        )
-    x = np.clip(x, -_SEED_ZERO, _SEED_ZERO)
+    bound = max(_SEED_ZERO, _reach(top))
+    x = np.clip(x, -bound, bound)
     basis = np.empty((_BLOCK_ROWS, x.size))
     product = np.empty((coeffs.shape[0], x.size))
     held: list[int] = []
     prev, nxt, scratch = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
-    cur = _QUARTIC_ROOT_PI * np.exp(-0.5 * x * x)
+    half_square, scale = 0.5 * x * x, 0
+    scaled = float(np.max(half_square, initial=0.0)) > _SEED_SCALED
+    if scaled:
+        far = (half_square > _SEED_SCALED) & (np.abs(x) < bound)
+        scale = np.where(far, np.floor(-half_square / _LN2), 0.0).astype(np.int32)
+    cur = _QUARTIC_ROOT_PI * np.exp(-half_square - scale * _LN2)
     for n in range(top):
         if n > 0:
             np.multiply(x, math.sqrt(2.0 / n), out=scratch)
@@ -144,8 +146,11 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             np.multiply(prev, math.sqrt((n - 1) / n), out=nxt)
             np.subtract(scratch, nxt, out=nxt)
             prev, cur, nxt = cur, nxt, prev
+        if scaled and n % 16 == 0:
+            shift = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))[1]
+            cur, prev, scale = np.ldexp(cur, -shift), np.ldexp(prev, -shift), scale + shift
         if used[n]:
-            basis[len(held)] = cur
+            basis[len(held)] = np.ldexp(cur, scale) if scaled else cur
             held.append(n)
         if len(held) == _BLOCK_ROWS or n == top - 1:
             c = coeffs[:, held]

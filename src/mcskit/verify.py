@@ -134,17 +134,15 @@ def _state_inputs() -> SimpleNamespace:
     )
 
 
-def _swept_moments(
-    s: SimpleNamespace, k: int
-) -> list[tuple[st.MCSLabel, st.MomentSet]]:
-    """Order-k moments over the label set and the shared radial sweep."""
-    out = [(lab, mom) for lab, mom in s.closed.items() if lab.k == k]
-    for j in range(k):
-        for r in _RADII:
-            for phase in _PHASES:
-                lab = st.MCSLabel(k, j, r * phase)
-                out.append((lab, st.moments(lab, _N_MAX)))
-    return out
+def _swept_labels(s: SimpleNamespace, k: int) -> list[st.MCSLabel]:
+    """Order-k labels of the label set, then of the shared radial sweep."""
+    sweep = [st.MCSLabel(k, j, r * ph) for j in range(k) for r in _RADII for ph in _PHASES]
+    return [lab for lab in s.closed if lab.k == k] + sweep
+
+
+def _swept_moments(s: SimpleNamespace, k: int) -> list[tuple[st.MCSLabel, st.MomentSet]]:
+    """Order-k closed moments over `_swept_labels`."""
+    return [(lab, s.closed.get(lab) or st.moments(lab, _N_MAX)) for lab in _swept_labels(s, k)]
 
 
 def _state_norms(s: SimpleNamespace) -> float:
@@ -165,7 +163,9 @@ def _moment_routes(s: SimpleNamespace) -> float:
 
 
 def _order_one_product(s: SimpleNamespace) -> float:
-    return max(abs(mom.uncertainty_product - 0.5) for _, mom in _swept_moments(s, 1))
+    # the closed order-one moments hold 1/2 itself, so this reads the built states
+    built = (st.build_mcs(lab, _N_MAX) for lab in _swept_labels(s, 1))
+    return max(abs(st.numeric_moments(vec).uncertainty_product - 0.5) for vec in built)
 
 
 def _number_closed_vs_series(s: SimpleNamespace) -> float:

@@ -311,19 +311,50 @@ def test_matmul_tiles_cover_the_product_once(monkeypatch, m, inner, n):
     assert np.all(np.abs(out - product) <= 4.0 * ulp)
 
 
-def test_synthesis_refuses_an_underflowed_seed():
-    # the recurrence seed pi^{-1/4} e^{-x^2/2} is subnormal past |x| = 37.6;
-    # this state peaks at x = 42.4 and reaches sqrt(2 * 1801 + 1) + 9 = 69
+def test_synthesis_serves_a_state_past_the_unscaled_seed():
+    # the recurrence seed pi^{-1/4} e^{-x^2/2} would be subnormal past
+    # |x| = 37.6 and is carried with a power of two there; this state peaks
+    # at x = 42.4 and reaches sqrt(2 * 1801 + 1) + 9 = 69
     state = build_mcs(MCSLabel(1, 0, 30.0), n_max=2048)
-    for x in (38.5, 42.4, -50.0):
-        with pytest.raises(Overflow, match="37.6"):
-            fock_wavefunction(state, np.array([0.0, x]))
+    x = np.linspace(20.0, 65.0, 2001)
+    closed = mcs_wavefunction(1, 0, 30.0, x)
+    assert np.max(np.abs(fock_wavefunction(state, x) - closed)) < 1e-12
     x = np.linspace(25.0, 37.5, 51)
     gauss = math.pi**-0.25 * np.exp(-0.5 * (x - 30.0 * math.sqrt(2.0)) ** 2)
     assert np.max(np.abs(fock_wavefunction(state, x) - gauss)) < 1e-12
     # past a state's reach the amplitudes are truly 0
     assert np.all(fock_wavefunction(state, np.array([-100.0, 70.0])) == 0.0)
     assert fock_wavefunction(basis_state(0, 8), np.array([50.0]))[0] == 0.0
+
+
+def test_far_fock_movie_matches_the_closed_movie():
+    x = np.linspace(20.0, 65.0, 801)
+    fock = density_movie(1, 0, 30.0, x, method="fock", n_max=2048)
+    closed = density_movie(1, 0, 30.0, x, method="closed", n_max=2048)
+    assert np.max(np.abs(fock - closed)) < 1e-12
+
+
+def hermite_reference(n, x):
+    """psi_n(x) from the plain recurrence in long double, whose exponent
+    range holds the seed e^{-x^2/2} at every x used here."""
+    x = np.asarray(x, dtype=np.longdouble)
+    prev = np.zeros_like(x)
+    cur = np.longdouble(math.pi) ** np.longdouble(-0.25) * np.exp(-x * x / 2)
+    for m in range(1, n + 1):
+        a, b = np.sqrt(np.longdouble(2) / m), np.sqrt(np.longdouble(m - 1) / m)
+        prev, cur = cur, a * x * cur - b * prev
+    return cur.astype(np.float64)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).maxexp < 16384,
+                    reason="long double has no wider exponent range than double")
+def test_synthesis_of_a_high_level_matches_an_extended_range_reference():
+    # psi_2047 reaches sqrt(2 * 2048 + 1) + 9 = 73; clipping |x| at 64
+    # there gave psi_2047(64) = 0.217 at x = 65, 66 and 68, where the values
+    # are 5.6e-5, 4.3e-11 and 2.5e-28
+    x = np.array([40.0, 63.0, 65.0, 66.0, 68.0, -70.0])
+    psi = fock_wavefunction(basis_state(2047, 2048), x)
+    assert np.max(np.abs(psi - hermite_reference(2047, x))) < 1e-12
 
 
 def test_synthesis_past_the_seed_is_zero_at_any_double():

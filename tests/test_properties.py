@@ -125,8 +125,7 @@ def covering_axis(r, j):
 @example(label=(89, 88), n_top=8, dim_check=8)
 @example(label=(90, 0), n_top=1, dim_check=1)
 @example(label=(400, 399), n_top=8, dim_check=8)
-def test_completeness_is_finite_or_refused(label, n_top, dim_check):
-    # every drawn class passes: nothing up to k = 400 is refused
+def test_completeness_holds_for_every_class_to_order_400(label, n_top, dim_check):
     k, j = label
     report = moment_check(root_exponential_density(k, j), n_top)
     assert report.passed, report

@@ -259,14 +259,17 @@ def test_closed_field_rejects_bad_labels():
         wigner_closed(8, 3, 1e20)  # |z|^16
 
 
-def test_numeric_field_refuses_an_underflowed_seed():
-    # the lattice spans q = 36 -+ 69, the state's reach, and between 37.6
-    # and 69 the synthesis seed has underflowed: with a window of 14 the
-    # field's mass was 3.2e-8
+def test_numeric_field_of_a_far_state_matches_the_closed_field():
+    # the lattice spans q = 36 -+ 69, the state's reach, and past 37.6 the
+    # synthesis seed is carried with a power of two
     state = build_mcs(MCSLabel(1, 0, 30.0), n_max=2048)
     grid = PhaseGrid(36.0, 49.0, -6.0, 6.0, 33, 33)
-    with pytest.raises(Overflow, match="37.6"):
-        wigner_numeric(state, grid)
+    field = wigner_numeric(state, grid)
+    closed = wigner_closed(1, 0, 30.0, grid)
+    assert np.max(np.abs(field.values - closed.values)) < 1e-12
+    m = marginals(field, state)
+    assert np.max(np.abs(m.q_marginal - m.q_density)) < 1e-12
+    assert np.max(np.abs(m.p_marginal - m.p_density)) < 1e-12
     # a p axis out to 1e308 would need a y step below any array's reach
     with pytest.raises(Overflow, match="y lattice"):
         wigner_numeric(state, PhaseGrid(-1.0, 1.0, -1.0, 1e308, 3, 3))
