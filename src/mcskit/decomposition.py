@@ -84,8 +84,11 @@ def fock_wavefunction(state: FockVector, x: np.ndarray) -> np.ndarray:
     no Hermite polynomial or factorial ever appears explicitly, so n_max in
     the thousands is routine. n_max sets the range: where the seed
     pi^{-1/4} e^{-x^2/2} would underflow it is carried with a power of two.
+    ValueError for a non-finite x.
     """
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("position grid must be finite")
     return _synthesize(state.coeffs[None, :], x.ravel())[0].reshape(x.shape)
 
 

@@ -105,6 +105,7 @@ def test_non_finite_grid_raises_value_error(method, bad):
         lambda: mcs_wavefunction(3, 1, 1.2, x, t=bad, method=method),
         lambda: density_movie(3, 1, 1.2, x_bad, method=method),
         lambda: density_movie(3, 1, 1.2, x, t_bad, method=method),
+        lambda: fock_wavefunction(build_mcs(MCSLabel(3, 1, 1.2)), x_bad),
     ):
         with pytest.raises(ValueError, match="finite"):
             call()

@@ -275,6 +275,28 @@ def test_numeric_field_of_a_far_state_matches_the_closed_field():
         wigner_numeric(state, PhaseGrid(-1.0, 1.0, -1.0, 1e308, 3, 3))
 
 
+def test_numeric_field_of_a_parity_state_is_point_symmetric():
+    # a state on levels of one parity has W(-q, -p) = W(q, p); on mirrored
+    # axes and lattice the rows q < 0 are the rows q > 0 turned over in p,
+    # bit for bit, and the q = 0 row, computed directly, is left out
+    states = {(k, j, z): build_mcs(MCSLabel(k, j, z**k))
+              for k, j, z in ((2, 0, 1.5 + 0.5j), (2, 1, 1.2 - 0.9j), (8, 3, 1.1 + 0.6j))}
+    # y step = q step / 1, / 2 and / 3, the last on a lattice of even length
+    mirrored = [PhaseGrid(), PhaseGrid(-8.0, 8.0, -60.0, 60.0, 257, 257),
+                PhaseGrid(-1.3125, 1.3125, -5.0, 5.0, 8, 257)]
+    # a lattice (q step / 3) and a q axis (step 0.08) not mirrored bit for bit
+    fallback = [PhaseGrid(-8.0, 8.0, -100.0, 100.0, 257, 257), PhaseGrid(n_q=201, n_p=201)]
+    for grid in mirrored + fallback:
+        fields = [(wigner_numeric(state, grid).values, wigner_closed(*label, grid).values)
+                  for label, state in states.items()]
+        fields.append((wigner_numeric(basis_state(3, 40), grid).values, laguerre_field(3, grid)))
+        off_centre = np.arange(grid.n_q) != (grid.n_q - 1) / 2
+        for numeric, exact in fields:
+            assert np.max(np.abs(numeric - exact)) < 1e-6
+            if grid in mirrored:
+                assert np.array_equal(numeric[off_centre], numeric[::-1, ::-1][off_centre])
+
+
 def test_purity_helper_matches_method():
     field = wigner_closed(2, 0, 1.0)
     assert purity(field) == field.purity()
