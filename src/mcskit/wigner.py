@@ -19,34 +19,31 @@ decomposition._matmul_tiles): at k >= 3 on 257^2 a single call would wake
 its thread pool, whose workers spin between products and whose split
 makes the last bits depend on the thread count.
 
-The numeric transform gets its speed from two choices. Its y step is the
-largest integer fraction of the q step that the state's momentum reach
-allows without aliasing, since the trapezoid rule is exact up to aliasing
-for this smooth, decaying integrand; and with a uniform q grid that step
-puts every q +- y on a single shared fine lattice. psi is synthesized once
-on that lattice, which extends the state's position reach past each end of
-the q axis, and psi(q+y) and psi(q-y) are strided views of it. The y
-window is the state's too: it ends at the last y where |psi(q+y) psi(q-y)|
-still exceeds 1e-16 somewhere on the q axis, so no caller sets it. Since
-the correlator C(q, y) = psi*(q+y) psi(q-y) obeys C(q, -y) = conj C(q, y),
-only y >= 0 is kept and the p integral is two real matmuls against
-cos(2yp) and sin(2yp), which carry the trapezoid weights and 1/pi. Those
-tables come from about 2 sqrt(n_y) complex exponentials per momentum by
-angle addition, and on a p axis mirrored bit for bit (PhaseGrid() and
-every CLI grid) only p >= 0 is tabulated and transformed: the even cos
-part and the odd sin part give both halves. C is formed a block of rows
-at a time, and each block's products go straight into the field;
-purity and negativity_volume likewise square or clip the field a block
-of rows at a time. Those 32-row blocks stay on one BLAS thread for the
-states of the CLI and the benchmark, but the long y window of a wide
-state such as |200> makes them large enough to split. For a state on
-levels of one parity (|n>, each class state of even order), on q and p
-axes and a lattice mirrored bit for bit, psi is synthesized at x >= 0,
-which keeps |psi| exactly even and the envelope exact from rows q >= 0,
-and W(-q, -p) = W(q, p) gives the rows q < 0 (see wigner_numeric).
-Agreement with a naive transform at a far finer step is at machine
-precision. On a 2-vCPU x86 machine with OpenBLAS a 257x257 field of
-(2, 0, z = 2) takes about 0.60 ms, and 0.82 ms for the mixed (3, 1, 2).
+The numeric transform gets its speed from two choices. Its y step sits
+at the integrand's band limit pi / (reach + max|p|), the reach taken level
+by level (see wigner_numeric), since the trapezoid rule is exact up to
+aliasing for this smooth, decaying integrand: whole q steps where the
+limit allows, else an integer fraction of one, so every q +- y lies on
+one shared lattice. psi is synthesized once on that lattice, and
+psi(q+y) and psi(q-y) are strided views of it. The y window is the
+state's too: it ends at the last y where |psi(q+y) psi(q-y)| still
+exceeds 1e-16 somewhere on the q axis, so no caller sets it. Since
+C(q, y) = psi*(q+y) psi(q-y) obeys C(q, -y) = conj C(q, y), only y >= 0 is
+kept and the p integral is two real matmuls against cos(2yp) and sin(2yp),
+which carry the trapezoid weights and 1/pi. Those tables come from about
+2 sqrt(n_y) complex exponentials per momentum by angle addition, and on a
+mirrored p axis (symmetric bounds) only p >= 0 is tabulated and
+transformed: the even cos part and the odd sin part give both halves. C
+is formed a block of rows at a time, each product small enough to stay on
+the calling thread even for a state as wide as |200>, and goes straight
+into the field; purity and negativity_volume likewise square or clip the
+field a block of rows at a time. For a state on levels of one parity
+(|n>, each class state of even order), on mirrored q and p axes, psi is
+synthesized at x >= 0 and W(-q, -p) = W(q, p) gives the rows q < 0 (see
+wigner_numeric). Agreement with a naive transform at a far finer step is
+at machine precision. On a 2-vCPU x86 machine with OpenBLAS a 257x257
+field of (2, 0, z = 2) takes about 0.44 ms, and 0.59 ms for the mixed
+(3, 1, 2).
 
 A PhaseGrid builds its axes and trapezoid weights once, as read-only
 arrays that every field and integral on it shares; marginals synthesizes
@@ -63,28 +60,33 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .decomposition import _matmul_tiles, _reach, _ring_norm, _synthesize, fock_wavefunction
+from .decomposition import _SPLIT_SIZE, _matmul_tiles, _ring_norm, _synthesize, fock_wavefunction
 from .errors import BoundaryMass, WindowTooNarrow
 from .fock import FockVector, _check_class, _check_entries, _ints
 
 # largest |W| marginals accepts on the grid edge
 _BOUNDARY_TOL = 1e-10
 
-# the numeric route's edge tolerance, and the tail share that counts a
-# level towards its reach p_psi (see wigner_numeric)
+# the numeric route's edge tolerance, the tail share that counts a level
+# towards its reach p_psi, and the share of |c| a level's term falls below
+# at that reach (see wigner_numeric)
 _EDGE_TOL = 1e-16
 _LEVEL_TOL = 1e-32
+_TERM_TOL = 1e-17
 # (-i)^n by n mod 4, exact where a complex power drifts by n eps
 _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
-# field rows formed at once by the numeric transform and the folded
-# integrals, so no temporary grows with the grid beyond a block of rows
+# field rows folded at once by the integrals, and correlator rows whose
+# envelope the numeric route takes at once, so no temporary grows with the
+# grid beyond a block of rows
 _FIELD_ROWS = 32
+_ENVELOPE_ROWS = 128
 
 
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform rectangular grid; values are indexed [i_q, i_p]. Overflow past
-    2^26 points on an axis; axes and weights are built once, read-only."""
+    2^26 points on an axis; axes and weights are built once, read-only, and
+    an axis with symmetric bounds is mirrored bit for bit."""
 
     q_min: float = -8.0
     q_max: float = 8.0
@@ -107,12 +109,17 @@ class PhaseGrid:
         _check_entries("p axis points (n_p)", n_p)
 
     @cached_property
+    def _mirrored(self) -> tuple[bool, bool]:
+        """Whether the q and p axes are mirrored, a[::-1] == -a (see _axis)."""
+        return self.q_min == -self.q_max, self.p_min == -self.p_max
+
+    @cached_property
     def q_axis(self) -> np.ndarray:
-        return _frozen(np.linspace(self.q_min, self.q_max, self.n_q))
+        return _frozen(_axis(self.q_min, self.q_max, self.n_q, self._mirrored[0]))
 
     @cached_property
     def p_axis(self) -> np.ndarray:
-        return _frozen(np.linspace(self.p_min, self.p_max, self.n_p))
+        return _frozen(_axis(self.p_min, self.p_max, self.n_p, self._mirrored[1]))
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -138,6 +145,14 @@ class WignerField:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _axis(lo: float, hi: float, n: int, mirrored: bool) -> np.ndarray:
+    """n uniform points from lo to hi: linspace's, or if mirrored (lo == -hi)
+    h (i - (n - 1) / 2), so a[::-1] == -a bit for bit at any n."""
+    if mirrored:
+        return (hi - lo) / (n - 1) * (np.arange(n) - (n - 1) / 2)
+    return np.linspace(lo, hi, n)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -195,34 +210,37 @@ def _phase_table(h: float, p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
 def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerField:
     """Transform a truncated state by direct quadrature on a shared lattice.
 
-    The y step and window come from the state. psi reaches
-    p_psi = sqrt(2 L + 1) + 9 in both position and momentum, where L counts
-    the levels up to the last one whose tail still holds 1e-32 of the norm
-    (e^{-u^2/2} < 1e-17 past u = 9). The integrand psi*(q+y) psi(q-y) e^{2ipy}
-    then holds y frequencies below 2 (p_psi + max|p|), and the trapezoid rule
-    is exact up to aliasing for such a smooth, decaying integrand, so any step
-    h < pi / (p_psi + max|p|) reproduces the transform to rounding.
+    The y step and window come from the state. Level n's term stays below
+    |c_n| e^{-u^2/2} at |x| = sqrt(2n + 1) + u, so past p_psi, the max over
+    levels of sqrt(2n + 1) + sqrt(2 ln(|c_n| / (1e-17 |c|))), every term is
+    below 1e-17 |c|, in position and momentum alike (levels past the last
+    whose tail holds 1e-32 of the norm do not count). The integrand then
+    holds y frequencies below 2 (p_psi + max|p|), and the trapezoid rule is
+    exact up to aliasing for such a smooth, decaying integrand, so any step
+    h <= pi / (p_psi + max|p|) reproduces the transform to rounding: h is
+    the most whole q steps within it, or else the largest integer fraction
+    of one.
 
-    psi is synthesized once on a lattice that reaches p_psi past each end of
-    the q axis, and the y window ends at the last y whose correlator
-    envelope, max over q of |psi(q+y) psi(q-y)|, exceeds 1e-16 (at least one
-    y step); cutting the decayed tail costs only that tail. WindowTooNarrow
-    means psi still has weight at p_psi itself. Overflow when the grid or
-    the y lattice would pass 2^26 points (on a unit q step, max|p| past
-    about 1e7), or the phase tables 2^26 entries, each checked before it is
-    allocated.
+    psi is synthesized once on a lattice that holds every q +- y and
+    reaches p_psi past each end of the q axis, and the y window ends at the
+    last y whose correlator envelope, max over q of |psi(q+y) psi(q-y)|,
+    exceeds 1e-16 (at least one y step). WindowTooNarrow means psi still
+    has weight at p_psi itself. Overflow when the grid or the y lattice
+    would pass 2^26 points (on a unit q step, max|p| past about 1e7), or
+    the phase tables 2^26 entries, each checked before it is allocated.
 
     The p integral is two real matmuls against cos 2yp and sin 2yp, built
-    by angle addition (see _phase_table). When the p axis is mirrored bit
-    for bit, they run on p >= 0 only, and the p < 0 columns come from the
-    same two products with the sign of the odd sin part flipped.
+    by angle addition (see _phase_table), in blocks of rows each below
+    _SPLIT_SIZE, so no product wakes the BLAS thread pool. On a mirrored p
+    axis they run on p >= 0 only, and the p < 0 columns come from the same
+    two products with the sign of the odd sin part flipped.
 
     A state on levels of one parity has psi(-x) = sign psi(x) and, W being
-    the mean of the displaced parity operator, W(-q, -p) = W(q, p). When
-    the q and p axes and the lattice are mirrored bit for bit, psi is
-    synthesized at x >= 0 and filled by the sign, so |psi| is exactly even
-    and the envelope over rows q >= 0 is the full one bit for bit; rows
-    q < 0 are then rows q > 0 turned over in p. Else every row is worked.
+    the mean of the displaced parity operator, W(-q, -p) = W(q, p). On
+    mirrored q and p axes, and so a mirrored lattice, psi is synthesized at
+    x >= 0 and filled by the sign, so |psi| is exactly even and the
+    envelope over rows q >= 0 is the full one bit for bit; rows q < 0 are
+    then rows q > 0 turned over in p. Else every row is worked.
     """
     if grid is None:
         grid = PhaseGrid()
@@ -233,42 +251,46 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     weight = np.abs(state.coeffs) ** 2
     tail = np.cumsum(weight[::-1])[::-1]
     levels = int(np.count_nonzero(tail > _LEVEL_TOL * tail[0]))
-    reach = _reach(levels)
-    # y step = q step / m below the aliasing limit, so q_i +- y_l all live
-    # on one fine lattice
+    # past this reach every level's term is below _TERM_TOL |c|
+    share = weight[:levels] / tail[0] / _TERM_TOL**2
+    reach = float(np.max(np.sqrt(2.0 * np.arange(levels) + 1.0)
+                         + np.sqrt(np.log(np.maximum(share, 1.0))), initial=1.0))
+    # y step = stride q steps or q step / m within the band limit, so
+    # q_i +- y_l all live on one lattice of step q step / m
     max_p = max(abs(grid.p_min), abs(grid.p_max))
-    ratio = max(1.0, h_q * (reach + max_p) / math.pi)
-    _check_entries("y lattice points", (grid.n_q - 1 + 2.0 * reach / h_q) * ratio)
-    m = math.ceil(ratio)
-    h = h_q / m
-    n_reach = math.ceil(reach / h)
+    ratio = h_q * (reach + max_p) / math.pi
+    _check_entries("y lattice points", (grid.n_q - 1 + 2.0 * reach / h_q) * max(1.0, ratio))
+    m, stride = max(1, math.ceil(ratio)), max(1, int(1.0 / ratio))
+    h = h_q * stride / m
+    n_y = math.ceil(reach / h)
+    n_reach = n_y * stride
     n_fine = (grid.n_q - 1) * m + 2 * n_reach + 1
-    lattice = grid.q_min - n_reach * h + np.arange(n_fine) * h
+    lattice = _axis(grid.q_min - n_reach * h_q / m, grid.q_max + n_reach * h_q / m,
+                    n_fine, grid._mirrored[0])
     sign = 1 if not state.coeffs[1::2].any() else -1 if not state.coeffs[::2].any() else 0
-    half = grid.n_p // 2 if np.array_equal(p[::-1], -p) else 0
-    parity = (sign != 0 and half > 0 and np.array_equal(grid.q_axis[::-1], -grid.q_axis)
-              and np.array_equal(lattice[::-1], -lattice))
+    half = grid.n_p // 2 if grid._mirrored[1] else 0
+    parity = sign != 0 and all(grid._mirrored)
     start, mid = (grid.n_q // 2, n_fine // 2) if parity else (0, 0)
     psi = fock_wavefunction(state, lattice[mid:])
     psi = np.concatenate([sign * psi[::-1][:mid], psi])
 
     # windows[s] holds lattice points s .. s + n_reach, and q_i sits at point
-    # i m + n_reach, so f(q_i + y_l) and f(q_i - y_l), y_l = l h, are
-    # strided views of it
+    # i m + n_reach, so f(q_i + y_l) and f(q_i - y_l), y_l = l h = l stride
+    # points, are strided views of it
     def shifted(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         windows = sliding_window_view(f, n_reach + 1)
-        return windows[n_reach::m][: grid.n_q], windows[::m][: grid.n_q, ::-1]
+        return windows[n_reach::m][: grid.n_q, ::stride], windows[::m][: grid.n_q, ::-stride]
 
     # |C| is even in y, so y >= 0 stands for both edges; the envelope is a
     # running max over blocks of rows
     mod_plus, mod_minus = shifted(np.abs(psi))
-    envelope = np.zeros(n_reach + 1)
-    for lo in range(start, grid.n_q, _FIELD_ROWS):
-        rows = slice(lo, lo + _FIELD_ROWS)
+    envelope = np.zeros(n_y + 1)
+    for lo in range(start, grid.n_q, _ENVELOPE_ROWS):
+        rows = slice(lo, lo + _ENVELOPE_ROWS)
         np.maximum(envelope, (mod_plus[rows] * mod_minus[rows]).max(axis=0), out=envelope)
     above = np.flatnonzero(envelope > _EDGE_TOL)
     last = int(above[-1]) if above.size else 0
-    if last == n_reach:
+    if last == n_y:
         raise WindowTooNarrow(
             f"integrand envelope {envelope[-1]:.3e} at the state's reach "
             f"y=+-{reach:.3g} exceeds {_EDGE_TOL:.1e}"
@@ -280,13 +302,15 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     # W = sum_y w_y (Re C cos 2yp - Im C sin 2yp) / pi with interior
     # weights doubled (both sit in the tables). cos 2yp is even in p and
     # sin 2yp odd, so on a mirrored p axis the p >= 0 half gives both
-    # halves of the field. C is formed _FIELD_ROWS rows at a time, and each
+    # halves of the field. C is formed a block of rows at a time, each
+    # product below _SPLIT_SIZE so it runs on the calling thread, and each
     # block of rows goes straight into the field.
     _check_entries("phase table entries", (n_half + 1) * grid.n_p)
     cos, sin = _phase_table(h, p[half:], n_half + 1)
     field = np.empty((grid.n_q, grid.n_p))
-    for lo in range(start, grid.n_q, _FIELD_ROWS):
-        rows = slice(lo, lo + _FIELD_ROWS)
+    block = max(1, (_SPLIT_SIZE - 1) // ((n_half + 1) * (grid.n_p - half)))
+    for lo in range(start, grid.n_q, block):
+        rows = slice(lo, lo + block)
         corr = np.conj(plus[rows]) * minus[rows]
         even = np.ascontiguousarray(corr.real) @ cos
         odd = np.ascontiguousarray(corr.imag) @ sin

@@ -3,7 +3,9 @@
 The numeric Wigner route: every label with k <= 8, any class j < k and |z|
 in [0.2, 3] gets a finite numeric field of unit total on 65^2 and 129^2
 copies of the default +-8 grid, and that field matches the closed one
-wherever the closed route serves the label.
+wherever the closed route serves the label. At |z| in [1, 3], on 65^2 to
+513^2 grids of half-width 8 or 10, the two fields agree within 1e-13
+plus the closed route's rounding bound.
 
 The typed contract: over k <= 8 and a few orders past 120, |z| log-uniform
 in [1e-150, 40] and n_max up to 4096, `build_mcs`, `moments`,
@@ -92,6 +94,28 @@ def test_numeric_field_of_any_class_state(label, r, theta, n):
     gap = float(np.max(np.abs(field.values - closed.values)))
     assert gap <= _RING_ACCURACY
     assert gap <= 1e-9 + 2.0 * EPS * num / den**2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    label=labels,
+    r=st.floats(1.0, 3.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    n=st.sampled_from([65, 129, 201, 257, 513]),
+    edge=st.sampled_from([8.0, 10.0]),
+)
+def test_numeric_field_meets_the_closed_field_to_rounding(label, r, theta, n, edge):
+    # y steps from a third of a q step (65 points on +-10) to 4 q steps (513
+    # on +-8), each below the integrand's band limit, where the trapezoid
+    # rule is exact to rounding; past 1e-13 the gap is the closed route's
+    # own rounding (5.8e-13 at (8, 7, |z| = 1)), which its ring pairs bound
+    k, j = label
+    z = r * complex(math.cos(theta), math.sin(theta))
+    grid = PhaseGrid(-edge, edge, -edge, edge, n, n)
+    field = wigner_numeric(build_mcs(MCSLabel(k, j, z**k)), grid)
+    gap = float(np.max(np.abs(field.values - wigner_closed(k, j, z, grid).values)))
+    num, den = _ring_norm(k, j, z, "wigner_numeric", pairs=True)
+    assert gap <= 1e-13 + 2.0 * EPS * num / den**2
 
 
 # orders past 120 where the norm series once left double range

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcskit
 from mcskit import (
     BoundaryMass,
     DegenerateNorm,
@@ -281,11 +286,13 @@ def test_numeric_field_of_a_parity_state_is_point_symmetric():
     # bit for bit, and the q = 0 row, computed directly, is left out
     states = {(k, j, z): build_mcs(MCSLabel(k, j, z**k))
               for k, j, z in ((2, 0, 1.5 + 0.5j), (2, 1, 1.2 - 0.9j), (8, 3, 1.1 + 0.6j))}
-    # y step = q step / 1, / 2 and / 3, the last on a lattice of even length
+    # y step = 2 q steps, q step / 2, q step / 3 (on a lattice of even
+    # length and on one of odd length) and 1 or 2 q steps of 0.08
     mirrored = [PhaseGrid(), PhaseGrid(-8.0, 8.0, -60.0, 60.0, 257, 257),
-                PhaseGrid(-1.3125, 1.3125, -5.0, 5.0, 8, 257)]
-    # a lattice (q step / 3) and a q axis (step 0.08) not mirrored bit for bit
-    fallback = [PhaseGrid(-8.0, 8.0, -100.0, 100.0, 257, 257), PhaseGrid(n_q=201, n_p=201)]
+                PhaseGrid(-1.3125, 1.3125, -5.0, 5.0, 8, 257),
+                PhaseGrid(-8.0, 8.0, -100.0, 100.0, 257, 257), PhaseGrid(n_q=201, n_p=201)]
+    # a q axis with asymmetric bounds, so not mirrored
+    fallback = [PhaseGrid(-7.0, 9.0, -8.0, 8.0, 257, 257)]
     for grid in mirrored + fallback:
         fields = [(wigner_numeric(state, grid).values, wigner_closed(*label, grid).values)
                   for label, state in states.items()]
@@ -295,6 +302,58 @@ def test_numeric_field_of_a_parity_state_is_point_symmetric():
             assert np.max(np.abs(numeric - exact)) < 1e-6
             if grid in mirrored:
                 assert np.array_equal(numeric[off_centre], numeric[::-1, ::-1][off_centre])
+
+
+def test_symmetric_axes_are_mirrored_and_others_keep_linspace():
+    # symmetric bounds give axes built about the midpoint, mirrored bit for
+    # bit at any n; at a dyadic step those are linspace's bits, and
+    # asymmetric bounds keep linspace
+    for n in (101, 201, 1001):
+        grid = PhaseGrid(n_q=n, n_p=n)
+        for axis in (grid.q_axis, grid.p_axis):
+            assert np.array_equal(axis[::-1], -axis)
+    for n in (129, 257, 513):
+        grid = PhaseGrid(n_q=n, n_p=n)
+        for axis in (grid.q_axis, grid.p_axis):
+            assert np.array_equal(axis, np.linspace(-8.0, 8.0, n))
+    grid = PhaseGrid(-7.0, 9.0, -1.0, 3.0, 201, 101)
+    assert np.array_equal(grid.q_axis, np.linspace(-7.0, 9.0, 201))
+    assert np.array_equal(grid.p_axis, np.linspace(-1.0, 3.0, 101))
+    # so the parity path serves 201^2 too: every row but q = 0 is its
+    # partner turned over
+    grid = PhaseGrid(n_q=201, n_p=201)
+    field = wigner_numeric(build_mcs(MCSLabel(2, 0, 4.0)), grid).values
+    off_centre = np.arange(201) != 100
+    assert np.array_equal(field[off_centre], field[::-1, ::-1][off_centre])
+
+
+def test_level_terms_decay_as_the_numeric_reach_assumes():
+    # wigner_numeric's reach rests on |psi_n(x)| <= e^{-u^2/2} at
+    # |x| = sqrt(2n + 1) + u
+    u = np.linspace(0.0, 12.0, 241)
+    bound = np.tile(np.exp(-0.5 * u**2), 2)
+    for n in [*range(60), 100, 200, 400, 800, 1500, 2047]:
+        x = math.sqrt(2.0 * n + 1.0) + u
+        psi = fock_wavefunction(basis_state(n, 2048), np.concatenate([x, -x]))
+        assert np.all(np.abs(psi) <= bound), n
+
+
+def test_wide_field_bytes_do_not_depend_on_the_blas_thread_count():
+    # the y window of |200> is wide, so its transform blocks would be large
+    # enough for OpenBLAS to split over threads if they were not sized
+    # below the split
+    code = ("import hashlib; from mcskit import PhaseGrid, basis_state, wigner_numeric; "
+            "field = wigner_numeric(basis_state(200, 256), PhaseGrid()); "
+            "print(hashlib.sha1(field.values.tobytes()).hexdigest())")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(mcskit.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 def test_purity_helper_matches_method():
