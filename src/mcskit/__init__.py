@@ -35,19 +35,16 @@ from .states import (
     MCSLabel,
     MomentSet,
     a_norm_closed,
-    a_norm_series,
     build_mcs,
     eigenvalue_residual,
     geometric_phase,
     moments,
-    norm_sum,
     numeric_moments,
     revival_phase,
 )
 from .decomposition import (
     ScsSuperposition,
     coherent_from_classes,
-    component_norm,
     density_movie,
     fock_wavefunction,
     mcs_as_scs,
@@ -82,10 +79,10 @@ __all__ = [
     "DEFAULT_N_MAX", "CommutatorResiduals", "FockVector",
     "apply_k_ladder", "basis_state", "inner", "ladder_spectrum",
     "pha_commutator_check", "time_evolve",
-    "MCSLabel", "MomentSet", "a_norm_closed", "a_norm_series", "build_mcs",
-    "eigenvalue_residual", "geometric_phase", "moments", "norm_sum",
+    "MCSLabel", "MomentSet", "a_norm_closed", "build_mcs",
+    "eigenvalue_residual", "geometric_phase", "moments",
     "numeric_moments", "revival_phase",
-    "ScsSuperposition", "coherent_from_classes", "component_norm",
+    "ScsSuperposition", "coherent_from_classes",
     "density_movie", "fock_wavefunction", "mcs_as_scs", "mcs_wavefunction",
     "Marginals", "PhaseGrid", "WignerField", "marginals",
     "negativity_volume", "purity", "wigner_closed", "wigner_numeric",

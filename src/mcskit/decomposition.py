@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNorm, Overflow
+from .errors import DegenerateNorm
 from .fock import (DEFAULT_N_MAX, FockVector, _check_class, _check_entries, _check_n_max,
                    _check_phase)
 from .states import MCSLabel, _check_series, _power, _series, build_mcs
@@ -52,9 +52,9 @@ _SEED_ZERO = 64.0
 # absolute accuracy a sum over the coherent ring must keep (the threshold of
 # verify's closed-vs-synthesized row); its k branches cancel down to the
 # class amplitude, which leaves about
-# pi^{-1/4} (2 pi + j (k - 1) / 2) eps e^{|z|^2/2} / component_norm, and
-# the k^2 ring pairs of a Wigner field about
-# 2 eps e^{|z|^2} / component_norm^2 (see _ring_norm)
+# pi^{-1/4} (2 pi + j (k - 1) / 2) eps e^{|z|^2/2} / N_j, and the k^2 ring
+# pairs of a Wigner field about 2 eps e^{|z|^2} / N_j^2, with N_j the class
+# norm of `_class_norm` (see _ring_norm)
 _RING_ACCURACY = 1e-8
 
 # eigenfunction rows held at once by the synthesis; bounds its memory to
@@ -163,22 +163,11 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def component_norm(k: int, j: int, z: complex) -> float:
-    """Norm |z|^j sqrt(S_{k,j}(|z|^(2k))) of the class-j part of exp(|z|^2/2)-
-    scaled |z>; the share of the coherent state living on n = j mod k.
-    Overflow once that norm leaves double range."""
-    c, h = _class_norm(k, j, z)
-    try:
-        return math.ldexp(c, h)
-    except OverflowError:
-        raise Overflow(
-            f"class ({k}, {j}) norm at |z|={abs(z):.3g} overflows double precision"
-        ) from None
-
-
 def _class_norm(k: int, j: int, z: complex) -> tuple[float, int]:
-    """component_norm(k, j, z) as c 2^h: the norm series is s 2^e (see
-    `states._series`, e a multiple of 512), so c = |z|^j sqrt(s), h = e/2."""
+    """The class norm N_j = |z|^j sqrt(S_{k,j}(|z|^(2k))), the norm of the
+    class-j part of e^{|z|^2/2} |z> (the share of the coherent state on
+    n = j mod k), as c 2^h: the norm series is s 2^e (see `states._series`,
+    e a multiple of 512), so c = |z|^j sqrt(s), h = e/2."""
     r = abs(z)
     _check_series(k, j, r)  # a NaN z fails here, before any series runs
     s, e = _series(k, j, _power(r, 2 * k))
@@ -188,7 +177,7 @@ def _class_norm(k: int, j: int, z: complex) -> tuple[float, int]:
 def _ring_norm(
     k: int, j: int, z: complex, fallback: str, pairs: bool = False
 ) -> tuple[float, float]:
-    """e^{|z|^2/2} / component_norm(k, j, z) as num / den, both scaled by
+    """e^{|z|^2/2} / N_j (see `_class_norm`) as num / den, both scaled by
     2^-h of `_class_norm` so neither leaves double range (for h = 0 they are
     those two factors bit for bit); with pairs=True num is squared too.
     A route summing the k coherent states on the ring weighs them
@@ -260,10 +249,11 @@ def mcs_as_scs(k: int, j: int, z: complex) -> ScsSuperposition:
     """Decompose |z^k; k, j> into k coherent states at angles 2*pi*l/k.
 
     The weight of constituent l on normalized coherent states is
-    mu^(-jl) e^(-i j arg z) e^(|z|^2/2) / (k component_norm). As z -> 0 the
-    class norm vanishes for j > 0 and these weights grow until summing them
-    cancels away the class amplitude; past 1e-8 absolute accuracy
-    DegenerateNorm is raised, and build_mcs serves those labels.
+    mu^(-jl) e^(-i j arg z) e^(|z|^2/2) / (k N_j), with N_j the class norm
+    of `_class_norm`. As z -> 0 the class norm vanishes for j > 0 and these
+    weights grow until summing them cancels away the class amplitude; past
+    1e-8 absolute accuracy DegenerateNorm is raised, and build_mcs serves
+    those labels.
     """
     k, j = _check_class(k, j)
     z = complex(z)
@@ -277,8 +267,8 @@ def mcs_as_scs(k: int, j: int, z: complex) -> ScsSuperposition:
 def coherent_from_classes(k: int, z: complex, n_max: int = DEFAULT_N_MAX) -> FockVector:
     """Inverse direction: reassemble |z> from its k class projections.
 
-    The class-j component enters with weight e^(i j arg z) component_norm
-    e^(-|z|^2/2), whose factors are rescaled by 2^h (see `_class_norm`);
+    The class-j component enters with weight e^(i j arg z) N_j e^(-|z|^2/2),
+    N_j the class norm, whose factors are rescaled by 2^h (see `_class_norm`);
     summing over j must reproduce the coherent state exactly.
     """
     k, _ = _check_class(k)
@@ -434,7 +424,7 @@ def _amplitudes(
         slope *= delta
         psi += slope
     psi *= np.exp(-xb[:, None] * e - 0.5 * e * e)
-    return psi.reshape(t.size, -1)[:, : x.size]
+    return psi.reshape(t.size, e.size)[:, : x.size]
 
 
 def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:

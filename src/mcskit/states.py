@@ -7,7 +7,7 @@ For each order k and residue class j in 0..k-1 there is a normalized state
 annihilated onto itself by (a-)^k with eigenvalue alpha. The class is the
 order-k generalization of the coherent states (k=1, j=0 reduces to them
 exactly, modulo the alpha -> |alpha|^2 norm convention used throughout:
-norm_sum takes x = |alpha|^2).
+the norm series S_{k,j}(x) takes x = |alpha|^2).
 
 Moments come in two independent routes, a series route built from the norm
 function and a numeric route from truncated matrix elements; `moments`
@@ -192,24 +192,6 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
     )
 
 
-def norm_sum(k: int, j: int, x: float) -> float:
-    """S_{k,j}(x) = sum_m x^m / (km+j)!  for x >= 0.
-
-    This is the squared norm of the unnormalized state at x = |alpha|^2.
-    Computed by term ratios; no factorial is ever materialized beyond the
-    j! seed. Overflow is raised when S itself leaves double range.
-    """
-    _check_series(k, j, x)
-    s, e = _series(k, j, x)
-    try:
-        return math.ldexp(s, e)
-    except OverflowError:
-        raise Overflow(
-            f"norm sum overflows double precision at x={x:.3g} "
-            f"(order {k}, class {j}); the label is too large"
-        ) from None
-
-
 def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     """Truncated coefficient vector for |alpha; k, j>, exactly renormalized.
 
@@ -229,7 +211,7 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     returning a quietly wrong vector.
 
     Weights and coefficients are scaled by exact powers of two as they grow
-    (as in `norm_sum`), as is j! (see _split), so states whose norm series
+    (as in `_series`), as is j! (see _split), so states whose norm series
     leaves double range, such as |alpha|^2 = 900 at order 1, build as long
     as n_max holds them. A level past a product (n+1)...(n+k) beyond double
     range gets 0, which the tail check refuses if it drops weight that
@@ -340,8 +322,12 @@ class MomentSet:
 
 
 def numeric_moments(state: FockVector) -> MomentSet:
-    """Moments straight from truncated matrix elements of a, a^2, N."""
-    c = state.coeffs / np.linalg.norm(state.coeffs)
+    """Moments straight from truncated matrix elements of a, a^2, N.
+    ValueError unless the norm of the vector is positive and finite."""
+    norm = np.linalg.norm(state.coeffs)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"moments need a vector of positive, finite norm, got {norm}")
+    c = state.coeffs / norm
     n = np.arange(c.size, dtype=np.float64)
     mean_n = float(np.sum(n * np.abs(c) ** 2))
     mean_a = complex(np.sum(np.sqrt(n[1:]) * np.conj(c[:-1]) * c[1:]))
@@ -365,7 +351,7 @@ def numeric_moments(state: FockVector) -> MomentSet:
     )
 
 
-def a_norm_series(k: int, j: int, x: float) -> float:
+def _a_norm_series(k: int, j: int, x: float) -> float:
     """Number expectation A as a ratio of two norm-type series at x=|alpha|^2.
 
     The numerator is sum_n n' x^{n'} / (kn'+j)! reindexed so that the n'=0
@@ -443,7 +429,7 @@ def moments(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> MomentSet:
             mean_H=x + 0.5,
         )
     else:
-        a = a_norm_series(k, j, x)
+        a = _a_norm_series(k, j, x)
         cross = alpha.real if k == 2 else 0.0
         mean_x2 = a + 0.5 + cross
         mean_p2 = a + 0.5 - cross
@@ -458,11 +444,7 @@ def moments(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> MomentSet:
             a_norm_sq=a,
             mean_H=a + 0.5,
         )
-    worst_field, worst = "", 0.0
-    for name in MomentSet.__dataclass_fields__:
-        d = abs(getattr(closed, name) - getattr(numeric, name))
-        if d > worst:
-            worst_field, worst = name, d
+    worst_field, worst = _route_gap(closed, numeric)
     bound = _ROUTE_TOL * max(1.0, closed.a_norm_sq)
     if worst > bound:
         raise RouteMismatch(
@@ -481,17 +463,32 @@ def geometric_phase(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> float:
     1e-12 max(1, <N>), since beta grows like 2 pi <N> / k and so does
     its rounding, or RouteMismatch is raised.
     """
-    k, j = label.k, label.j
-    a = a_norm_series(k, j, _power(abs(label.alpha), 2))
-    beta = (2.0 * math.pi / k) * (a - j)
-    tau = 2.0 * math.pi / k
-    total_phase = -(2 * j + 1) * math.pi / k
-    dynamical = numeric_moments(build_mcs(label, n_max)).mean_H
-    beta_alt = total_phase + tau * dynamical
+    a, beta, gap = _phase_routes(label, numeric_moments(build_mcs(label, n_max)).mean_H)
     bound = _PHASE_TOL * max(1.0, a)
-    if abs(beta - beta_alt) > bound:
+    if gap > bound:
         raise RouteMismatch(
-            f"geometric phase routes disagree by {abs(beta - beta_alt):.3e} "
+            f"geometric phase routes disagree by {gap:.3e} "
             f"(> {bound:.1e}) for {label}; raise n_max"
         )
     return beta
+
+
+def _route_gap(closed: MomentSet, numeric: MomentSet) -> tuple[str, float]:
+    """The field where two moment sets differ most, and by how much."""
+    worst_field, worst = "", 0.0
+    for name in MomentSet.__dataclass_fields__:
+        d = abs(getattr(closed, name) - getattr(numeric, name))
+        if d > worst:
+            worst_field, worst = name, d
+    return worst_field, worst
+
+
+def _phase_routes(label: MCSLabel, energy: float) -> tuple[float, float, float]:
+    """The series A, beta = (2 pi / k)(A - j), and |beta - beta_alt|, where
+    beta_alt is the revival phase minus the dynamical phase -(2 pi / k) energy."""
+    k, j = label.k, label.j
+    a = _a_norm_series(k, j, _power(abs(label.alpha), 2))
+    tau = 2.0 * math.pi / k
+    beta = tau * (a - j)
+    beta_alt = -(2 * j + 1) * math.pi / k + tau * energy
+    return a, beta, abs(beta - beta_alt)

@@ -154,12 +154,7 @@ def _eigen_residuals(s: SimpleNamespace) -> float:
 
 
 def _moment_routes(s: SimpleNamespace) -> float:
-    gap = 0.0
-    for lab, closed in s.closed.items():
-        numeric = s.numeric[lab]
-        for name in st.MomentSet.__dataclass_fields__:
-            gap = max(gap, abs(getattr(closed, name) - getattr(numeric, name)))
-    return gap
+    return max(st._route_gap(closed, s.numeric[lab])[1] for lab, closed in s.closed.items())
 
 
 def _order_one_product(s: SimpleNamespace) -> float:
@@ -174,7 +169,7 @@ def _number_closed_vs_series(s: SimpleNamespace) -> float:
     for k in (2, 3):
         for j in range(k):
             for r in radii:
-                a_series = st.a_norm_series(k, j, r * r)
+                a_series = st._a_norm_series(k, j, r * r)
                 a_closed = st.a_norm_closed(st.MCSLabel(k, j, r))
                 rel = max(rel, abs(a_closed - a_series) / max(a_series, 1e-300))
     return rel
@@ -213,14 +208,7 @@ def _revival(s: SimpleNamespace) -> float:
 
 
 def _phase_routes(s: SimpleNamespace) -> float:
-    gap = 0.0
-    for lab, numeric in s.numeric.items():
-        a = st.a_norm_series(lab.k, lab.j, abs(lab.alpha) ** 2)
-        beta = (2.0 * math.pi / lab.k) * (a - lab.j)
-        energy = numeric.mean_H
-        alt = -(2 * lab.j + 1) * math.pi / lab.k + (2.0 * math.pi / lab.k) * energy
-        gap = max(gap, abs(beta - alt))
-    return gap
+    return max(st._phase_routes(lab, numeric.mean_H)[2] for lab, numeric in s.numeric.items())
 
 
 def _order_two_phase(s: SimpleNamespace) -> float:

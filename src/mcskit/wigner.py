@@ -62,7 +62,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .decomposition import _SPLIT_SIZE, _matmul_tiles, _ring_norm, _synthesize, fock_wavefunction
 from .errors import BoundaryMass, WindowTooNarrow
-from .fock import FockVector, _check_class, _check_entries, _ints
+from .fock import FockVector, _check_class, _check_entries, _ints, _read_only
 
 # largest |W| marginals accepts on the grid edge
 _BOUNDARY_TOL = 1e-10
@@ -115,16 +115,16 @@ class PhaseGrid:
 
     @cached_property
     def q_axis(self) -> np.ndarray:
-        return _frozen(_axis(self.q_min, self.q_max, self.n_q, self._mirrored[0]))
+        return _read_only(_axis(self.q_min, self.q_max, self.n_q, self._mirrored[0]))
 
     @cached_property
     def p_axis(self) -> np.ndarray:
-        return _frozen(_axis(self.p_min, self.p_max, self.n_p, self._mirrored[1]))
+        return _read_only(_axis(self.p_min, self.p_max, self.n_p, self._mirrored[1]))
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Trapezoid weights of the q and p axes."""
-        return tuple(_frozen(_trapezoid_weights(x)) for x in (self.q_axis, self.p_axis))
+        return tuple(_read_only(_trapezoid_weights(x)) for x in (self.q_axis, self.p_axis))
 
 
 @dataclass(frozen=True)
@@ -140,11 +140,6 @@ class WignerField:
     def purity(self) -> float:
         """2*pi*integral(W^2); equals Tr(rho^2), so 1 for pure states."""
         return 2.0 * math.pi * _trapz2d(self.values, self.grid, np.square)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _axis(lo: float, hi: float, n: int, mirrored: bool) -> np.ndarray:
@@ -334,14 +329,15 @@ def wigner_closed(
         Q_ab = (conj(z_a)+z_b)/sqrt2,  P_ab = i(conj(z_a)-z_b)/sqrt2,
         D_ab = conj(z_a) z_b - |z|^2,
 
-    scaled by e^{|z|^2} / (k^2 component_norm^2) / pi. Diagonal pairs are
-    the branch Gaussians, off-diagonal pairs the interference fringes with
-    their exact damping. k=1 collapses to the single displaced Gaussian.
+    scaled by e^{|z|^2} / (k^2 N_j^2) / pi, with N_j the class norm of
+    `decomposition._class_norm`. Diagonal pairs are the branch Gaussians,
+    off-diagonal pairs the interference fringes with their exact damping.
+    k=1 collapses to the single displaced Gaussian.
 
     The pairs cancel down to the class field, which keeps about
-    2 eps e^{|z|^2} / component_norm^2 of absolute accuracy (small |z|
-    with j > 0); past 1e-8 DegenerateNorm is raised, and wigner_numeric
-    serves those labels. Overflow when the grid has more than 2^26 points.
+    2 eps e^{|z|^2} / N_j^2 of absolute accuracy (small |z| with j > 0);
+    past 1e-8 DegenerateNorm is raised, and wigner_numeric serves those
+    labels. Overflow when the grid has more than 2^26 points.
     """
     k, j = _check_class(k, j)
     if grid is None:

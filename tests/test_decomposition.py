@@ -16,7 +16,6 @@ from mcskit import (
     basis_state,
     build_mcs,
     coherent_from_classes,
-    component_norm,
     density_movie,
     fock_wavefunction,
     mcs_as_scs,
@@ -26,6 +25,11 @@ from mcskit import (
 
 COSH_1 = 1.5430806348152437
 X = np.linspace(-12.0, 12.0, 2048)
+
+
+def component_norm(k, j, z):
+    """The class norm N_j, whose value `_class_norm` returns as c 2^h."""
+    return math.ldexp(*decomposition._class_norm(k, j, z))
 
 
 @settings(max_examples=20, deadline=None)
@@ -145,7 +149,7 @@ def test_nan_ring_label_raises_before_the_series(monkeypatch):
     monkeypatch.setattr(decomposition, "_series", unreachable)
     nan = complex(float("nan"), 0.0)
     for call in (
-        lambda: component_norm(2, 0, nan),
+        lambda: decomposition._class_norm(2, 0, nan),
         lambda: mcs_as_scs(2, 0, nan),
         lambda: mcs_wavefunction(3, 1, nan, X),
         lambda: coherent_from_classes(2, nan),
@@ -440,6 +444,15 @@ def test_density_movie_default_grids():
     movie = density_movie(2, 0, 1.0, X)
     assert movie.shape == (65, X.size)
     assert np.max(np.abs(movie[-1] - movie[0])) < 1e-10
+
+
+@pytest.mark.parametrize("method", ["closed", "fock"])
+def test_empty_movie_grids_give_empty_movies(method):
+    # no frames is a (0, x.size) movie and no points a (t.size, 0) one, on
+    # either route
+    x = np.linspace(-3.0, 3.0, 7)
+    assert density_movie(2, 0, 1.0, x, [], method=method).shape == (0, x.size)
+    assert density_movie(2, 0, 1.0, [], [0.0, 1.0], method=method).shape == (2, 0)
 
 
 def test_movie_methods_agree():

@@ -56,7 +56,6 @@ from mcskit import (
     apply_k_ladder,
     basis_state,
     build_mcs,
-    component_norm,
     density_movie,
     fock_wavefunction,
     identity_block,
@@ -71,7 +70,7 @@ from mcskit import (
     wigner_numeric,
 )
 from mcskit.completeness import _BASE_PANELS, _MAX_PANELS, _MOMENT_STEP, _panel_nodes
-from mcskit.decomposition import _blocks, _matmul_tiles, _synthesize
+from mcskit.decomposition import _blocks, _class_norm, _matmul_tiles, _synthesize
 from mcskit.fock import (_TABLE_KEYS, _TABLE_LEVELS, _check_class, _check_count, _phase_rates,
                          _raising_weights)
 from mcskit.states import (
@@ -99,7 +98,7 @@ def closed_pairwise(k, j, z, grid):
     """k^2 full-grid exponentials, one per ring pair (a, b), summed as
     complex numbers; the field is the real part."""
     z = complex(z)
-    nj = component_norm(k, j, z)
+    nj = math.ldexp(*_class_norm(k, j, z))
     qq = grid.q_axis[:, None]
     pp = grid.p_axis[None, :]
     mu = np.exp(2j * np.pi / k)
@@ -209,7 +208,7 @@ def movie_per_frame(k, j, z, x, t_grid, n_max):
 
 def closed_frame(k, j, z, x, t):
     """One instant of the closed wavefunction: k complex Gaussians."""
-    nj = component_norm(k, j, z)
+    nj = math.ldexp(*_class_norm(k, j, z))
     prefactor = math.pi ** (-0.25) * math.exp(0.5 * abs(z) ** 2) / (k * nj)
     overall = np.exp(-1j * j * np.angle(z)) * np.exp(-0.5j * t)
     mu = np.exp(2j * np.pi / k)

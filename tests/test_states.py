@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mcskit import states
 from mcskit import (
+    FockVector,
     MCSLabel,
     McskitError,
     MomentSet,
@@ -17,7 +18,6 @@ from mcskit import (
     TailTooHeavy,
     UnsupportedOrder,
     a_norm_closed,
-    a_norm_series,
     basis_state,
     build_mcs,
     coherent_from_classes,
@@ -27,16 +27,21 @@ from mcskit import (
     ladder_spectrum,
     mcs_as_scs,
     moments,
-    norm_sum,
     numeric_moments,
     revival_phase,
     time_evolve,
     wigner_closed,
 )
+from mcskit.states import _a_norm_series, _check_series, _series
 
 # frozen reference values, computed once from the defining series by hand
 COSH_1 = 1.5430806348152437  # S_{2,0}(1)
 S31_AT_1 = 1.0418653550989099  # S_{3,1}(1)
+
+
+def norm_sum(k, j, x):
+    """S_{k,j}(x) from the norm series, whose total is s 2^e."""
+    return math.ldexp(*_series(k, j, x))
 
 
 def brute_norm_sum(k, j, x, terms=400):
@@ -69,17 +74,19 @@ def test_norm_sum_matches_brute_force(k, j, x):
 
 def test_norm_sum_overflow():
     with pytest.raises(Overflow):
-        norm_sum(1, 0, 1e308)
+        _series(1, 0, 1e308)
 
 
 def test_norm_series_past_double_range():
     # the totals pass 2^512 and are carried as s 2^e; the ones that fit a
     # double come out as before, and the ratio A stays exact past overflow
     assert norm_sum(1, 0, 700.0) == pytest.approx(math.exp(700.0), rel=1e-13)
-    with pytest.raises(Overflow):
-        norm_sum(1, 0, 900.0)  # e^900 itself leaves double range
-    assert a_norm_series(1, 0, 900.0) == pytest.approx(900.0, rel=1e-14)
-    assert a_norm_series(2, 1, 9e6) == pytest.approx(
+    s, e = _series(1, 0, 900.0)  # e^900 itself leaves double range
+    with pytest.raises(OverflowError):
+        math.ldexp(s, e)
+    assert math.log(s) + e * math.log(2.0) == pytest.approx(900.0, rel=1e-14)
+    assert _a_norm_series(1, 0, 900.0) == pytest.approx(900.0, rel=1e-14)
+    assert _a_norm_series(2, 1, 9e6) == pytest.approx(
         a_norm_closed(MCSLabel(2, 1, 3e3)), rel=1e-14
     )
 
@@ -90,9 +97,10 @@ def test_nan_argument_raises_before_the_series(monkeypatch):
 
     monkeypatch.setattr(states, "_series", unreachable)
     with pytest.raises(ValueError):
-        norm_sum(1, 0, float("nan"))
-    with pytest.raises(ValueError):
-        a_norm_series(2, 1, float("nan"))
+        _check_series(1, 0, float("nan"))
+    for j in (0, 1):  # the seeds of the numerator differ in class 0
+        with pytest.raises(ValueError):
+            _a_norm_series(2, j, float("nan"))
 
 
 def test_squared_label_past_double_range_raises_overflow():
@@ -164,7 +172,7 @@ def test_order_past_float_range_returns_at_once():
     k = 10**330
     state = build_mcs(MCSLabel(k, 0, 1.0))
     assert np.array_equal(state.coeffs, basis_state(0).coeffs)
-    assert norm_sum(k, 0, 2.0) == 1.0
+    assert _series(k, 0, 2.0) == (1.0, 0)
     with pytest.raises(Overflow):
         ladder_spectrum(k, 1)
     with pytest.raises(McskitError):
@@ -290,7 +298,7 @@ def test_closed_vs_series_number_expectation():
     for k in (2, 3):
         for j in range(k):
             for r in np.linspace(1e-3, 4.0, 25):
-                series = a_norm_series(k, j, r * r)
+                series = _a_norm_series(k, j, r * r)
                 closed = a_norm_closed(MCSLabel(k, j, r))
                 assert closed == pytest.approx(series, rel=1e-10)
 
@@ -304,7 +312,7 @@ def test_a_norm_closed_order_three_large_radius():
     # the rescaling leaves small and moderate radii on the series route
     for j in range(3):
         for r in (1e-3, 0.5, 5.0, 20.0, 50.0):
-            series = a_norm_series(3, j, r * r)
+            series = _a_norm_series(3, j, r * r)
             assert a_norm_closed(MCSLabel(3, j, r)) == pytest.approx(series, rel=1e-10)
 
 
@@ -314,6 +322,15 @@ def test_a_norm_closed_limits_and_orders():
     assert a_norm_closed(MCSLabel(3, 2, 0.0)) == 2.0
     with pytest.raises(UnsupportedOrder):
         a_norm_closed(MCSLabel(4, 0, 1.0))
+
+
+@pytest.mark.parametrize("coeffs", [np.zeros(4), np.full(4, 1e200), np.full(4, 1e-200)],
+                         ids=["zero", "norm-overflows", "norm-underflows"])
+def test_numeric_moments_of_a_vector_without_a_usable_norm_raise(coeffs):
+    # dividing by a norm of 0 or inf would give NaN or all-zero moments; the
+    # squares of 1e200 overflow, which numpy warns of unless told not to
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive, finite norm"):
+        numeric_moments(FockVector(coeffs))
 
 
 def test_numeric_moments_match_route():
@@ -334,7 +351,7 @@ def test_series_that_cannot_finish_refuses_at_once(k, j, x, parent_s):
     for _ in range(3):
         start = time.perf_counter()
         with pytest.raises(Overflow, match="needs more than 100000 terms"):
-            norm_sum(k, j, x)
+            _series(k, j, x)
         elapsed = time.perf_counter() - start
         if elapsed < parent_s / 10:
             break
