@@ -39,7 +39,10 @@ past 2^26 entries (exit 1).
 The parsed argparse namespace is the run configuration. Every option is
 checked when it is parsed, by its type= parser, which takes finite values
 in range only; the two bounds that tie options together (j < k and
-alpha-min <= alpha) are checked right after parsing.
+alpha-min <= alpha) are checked right after parsing. A table's header is
+the command, every option but --out and --format in --help order (a
+position grid as xmin, xmax, nx), then what the command derived: evolve's
+default tmax, uncertainty's tol and wigner --method both's sup_abs_diff.
 
 Exit status: 0 on success (verify: all checks passed), 1 on any failed
 check, domain error or unwritable --out, 2 on argument errors, among them
@@ -49,6 +52,7 @@ any option that is non-finite or out of range (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -62,7 +66,7 @@ from . import __version__
 from .decomposition import _ring_state, density_movie
 from .errors import McskitError
 from .fock import _ENTRIES_MAX, DEFAULT_N_MAX, ladder_spectrum
-from .states import _ROUTE_TOL, MCSLabel, a_norm_closed, moments
+from .states import _ROUTE_TOL, MCSLabel, _beta, a_norm_closed, moments
 from .verify import SUITE_NAMES, run_suite
 from .wigner import PhaseGrid, wigner_closed, wigner_numeric
 
@@ -144,6 +148,8 @@ def parse_x_grid(text: str) -> np.ndarray:
 def _fmt(value) -> str:
     if isinstance(value, (bool, int, np.integer, str)):
         return str(value)
+    if isinstance(value, PhaseGrid):
+        return ",".join(map(_fmt, dataclasses.astuple(value)))
     if isinstance(value, complex):
         return f"{value.real!r},{value.imag!r}"
     return repr(float(value))
@@ -304,22 +310,29 @@ def _add_io(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def _header(args: argparse.Namespace) -> list[tuple[str, object]]:
+    """The table's run configuration: the namespace in the order the parser
+    filled it, which is --help order with the derived values last, less
+    --out, --format and the handler; a position grid as xmin, xmax, nx."""
+    header: list[tuple[str, object]] = []
+    for key, value in vars(args).items():
+        if isinstance(value, np.ndarray):
+            header += [("xmin", value[0]), ("xmax", value[-1]), ("nx", value.size)]
+        elif key not in ("out", "fmt", "func"):
+            header.append((key, value))
+    return header
+
+
+def cmd_spectrum(args: argparse.Namespace) -> list:
     spec = ladder_spectrum(args.k, levels=args.levels)
-    write_table(
-        args.out,
-        args.fmt,
-        [("command", "spectrum"), ("k", args.k), ("levels", args.levels)],
-        [
-            ("class_index", _Axis(np.arange(args.k), repeat=args.levels)),
-            ("step", _Axis(np.arange(args.levels), tile=args.k)),
-            ("energy", spec.ravel()),
-        ],
-    )
-    return 0
+    return [
+        ("class_index", _Axis(np.arange(args.k), repeat=args.levels)),
+        ("step", _Axis(np.arange(args.levels), tile=args.k)),
+        ("energy", spec.ravel()),
+    ]
 
 
-def cmd_uncertainty(args: argparse.Namespace) -> int:
+def cmd_uncertainty(args: argparse.Namespace) -> list:
     alphas = np.linspace(args.alpha_min, args.alpha, args.points)
     k, j = args.k, args.j
     rows = {
@@ -331,99 +344,48 @@ def cmd_uncertainty(args: argparse.Namespace) -> int:
         rows["a_norm_sq"][i] = mom.a_norm_sq
         rows["uncertainty_product"][i] = mom.uncertainty_product
         rows["mean_H"][i] = mom.mean_H
-        rows["geo_phase"][i] = (2.0 * math.pi / k) * (mom.a_norm_sq - j)
+        rows["geo_phase"][i] = _beta(k, j, mom.a_norm_sq)
     columns = [("alpha", alphas)] + [(name, col) for name, col in rows.items()]
     if k in (2, 3):
-        closed_n = np.array(
-            [a_norm_closed(MCSLabel(k, j, complex(a))) for a in alphas]
-        )
+        closed_n = np.array([a_norm_closed(MCSLabel(k, j, complex(a))) for a in alphas])
         cross = alphas if k == 2 else np.zeros_like(alphas)
         closed_prod = np.sqrt((closed_n + 0.5 + cross) * (closed_n + 0.5 - cross))
         columns.append(("a_norm_sq_closed", closed_n))
         columns.append(("product_closed", closed_prod))
-    write_table(
-        args.out,
-        args.fmt,
-        [
-            ("command", "uncertainty"),
-            ("k", k),
-            ("j", j),
-            ("alpha_min", args.alpha_min),
-            ("alpha", args.alpha),
-            ("points", args.points),
-            ("nmax", args.nmax),
-            ("tol", _ROUTE_TOL),
-        ],
-        columns,
-    )
-    return 0
+    args.tol = _ROUTE_TOL
+    return columns
 
 
-def cmd_wigner(args: argparse.Namespace) -> int:
+def cmd_wigner(args: argparse.Namespace) -> list:
     grid, k, j, z = args.grid, args.k, args.j, args.z
-    computed = {}
+    fields = {}
     if args.method in ("closed", "both"):
-        computed["closed"] = wigner_closed(k, j, z, grid)
+        fields["w_closed"] = wigner_closed(k, j, z, grid).values
     if args.method in ("numeric", "both"):
-        computed["numeric"] = wigner_numeric(_ring_state(k, j, z, args.nmax), grid)
-
-    config: list[tuple[str, object]] = [
-        ("command", "wigner"),
-        ("k", k),
-        ("j", j),
-        ("z", z),
-        ("grid", f"{grid.q_min},{grid.q_max},{grid.p_min},{grid.p_max},"
-                 f"{grid.n_q},{grid.n_p}"),
-        ("method", args.method),
-        ("nmax", args.nmax),
-    ]
-    columns = [
+        fields["w_numeric"] = wigner_numeric(_ring_state(k, j, z, args.nmax), grid).values
+    if args.method == "both":
+        args.sup_abs_diff = float(np.max(np.abs(fields["w_closed"] - fields["w_numeric"])))
+    else:
+        fields = {"w": fields.popitem()[1]}
+    return [
         ("q", _Axis(grid.q_axis, repeat=grid.n_p)),
         ("p", _Axis(grid.p_axis, tile=grid.n_q)),
-    ]
-    if args.method == "both":
-        diff = float(
-            np.max(np.abs(computed["closed"].values - computed["numeric"].values))
-        )
-        config.append(("sup_abs_diff", diff))
-        columns.append(("w_closed", computed["closed"].values.ravel()))
-        columns.append(("w_numeric", computed["numeric"].values.ravel()))
-    else:
-        columns.append(("w", computed[args.method].values.ravel()))
-    write_table(args.out, args.fmt, config, columns)
-    return 0
+    ] + [(name, field.ravel()) for name, field in fields.items()]
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
+def cmd_evolve(args: argparse.Namespace) -> list:
     x = args.grid
-    tmax = args.tmax if args.tmax is not None else 2.0 * math.pi / args.k
-    t_grid = np.linspace(0.0, tmax, args.nt)
+    if args.tmax is None:
+        args.tmax = 2.0 * math.pi / args.k
+    t_grid = np.linspace(0.0, args.tmax, args.nt)
     movie = density_movie(
         args.k, args.j, args.z, x, t_grid, method=args.method, n_max=args.nmax
     )
-    write_table(
-        args.out,
-        args.fmt,
-        [
-            ("command", "evolve"),
-            ("k", args.k),
-            ("j", args.j),
-            ("z", args.z),
-            ("xmin", x[0]),
-            ("xmax", x[-1]),
-            ("nx", x.size),
-            ("tmax", tmax),
-            ("nt", args.nt),
-            ("method", args.method),
-            ("nmax", args.nmax),
-        ],
-        [
-            ("t", _Axis(t_grid, repeat=x.size)),
-            ("x", _Axis(x, tile=t_grid.size)),
-            ("density", movie.ravel()),
-        ],
-    )
-    return 0
+    return [
+        ("t", _Axis(t_grid, repeat=x.size)),
+        ("x", _Axis(x, tile=t_grid.size)),
+        ("density", movie.ravel()),
+    ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -470,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=_bounded(int, 1), required=True)
     p.add_argument("--j", type=_bounded(int, 0), default=0, help="class index in [0, k)")
+    p.add_argument("--alpha-min", type=_bounded(float, 0.0), default=0.0)
     p.add_argument("--alpha", type=_bounded(float, 0.0), default=4.0,
                    help="sweep endpoint; the table covers [alpha-min, alpha]")
-    p.add_argument("--alpha-min", type=_bounded(float, 0.0), default=0.0)
     p.add_argument("--points", type=_bounded(int, 1, high=_ENTRIES_MAX), default=81)
     p.add_argument("--nmax", type=_axis_points, default=DEFAULT_N_MAX,
                    help="truncation dimension")
@@ -550,7 +512,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"alpha sweep needs alpha-min <= alpha, got [{args.alpha_min}, {args.alpha}]"
         )
     try:
-        return args.func(args)
+        result = args.func(args)
+        if "out" not in args:  # verify prints its own report and returns its status
+            return result
+        write_table(args.out, args.fmt, _header(args), result)
+        return 0
     except McskitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -289,6 +289,7 @@ def eigenvalue_residual(
 
 def revival_phase(k: int, j: int) -> complex:
     """Global phase picked up over one revival period 2*pi/k."""
+    k, j = _check_class(k, j)
     return complex(np.exp(-1j * np.pi * (2 * j + 1) / k))
 
 
@@ -311,6 +312,8 @@ class MomentSet:
     mean_H: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"moments must be finite, got {self}")
         if self.var_x < -1e-12 or self.var_p < -1e-12:
             raise ValueError(f"negative variance: {self.var_x}, {self.var_p}")
         if self.uncertainty_product < 0.5 - 1e-9:
@@ -488,7 +491,11 @@ def _phase_routes(label: MCSLabel, energy: float) -> tuple[float, float, float]:
     beta_alt is the revival phase minus the dynamical phase -(2 pi / k) energy."""
     k, j = label.k, label.j
     a = _a_norm_series(k, j, _power(abs(label.alpha), 2))
-    tau = 2.0 * math.pi / k
-    beta = tau * (a - j)
-    beta_alt = -(2 * j + 1) * math.pi / k + tau * energy
+    beta = _beta(k, j, a)
+    beta_alt = -(2 * j + 1) * math.pi / k + (2.0 * math.pi / k) * energy
     return a, beta, abs(beta - beta_alt)
+
+
+def _beta(k: int, j: int, a: float) -> float:
+    """The geometric phase (2 pi / k)(A - j) of class j for number expectation A."""
+    return (2.0 * math.pi / k) * (a - j)

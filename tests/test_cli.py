@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import mcskit
 from mcskit import TailTooHeavy, verify
-from mcskit.cli import main, parse_complex, parse_phase_grid, parse_x_grid
+from mcskit.cli import build_parser, main, parse_complex, parse_phase_grid, parse_x_grid
 from mcskit.verify import CHECKS, SUITE_NAMES, run_suite
 
 README = Path(__file__).parents[1] / "README.md"
@@ -399,3 +400,35 @@ def test_evolve_default_period_header(capsys):
     assert code == 0
     header = csv_header(out)
     assert float(header["tmax"]) == pytest.approx(2.0 * math.pi / 3.0)
+
+
+WIGNER = ("wigner", "--k", "2", "--z", "1,0.5", "--grid=-3,3,-3,3,5,5", "--nmax", "64")
+EVOLVE = ("evolve", "--k", "2", "--j", "1", "--z", "1.5", "--grid=-3,3,9", "--nt", "3")
+
+
+@pytest.mark.parametrize("argv, derived", [
+    (("spectrum", "--k", "3", "--levels", "2"), ()),
+    (("uncertainty", "--k", "3", "--j", "1", "--alpha", "1", "--points", "3"), ("tol",)),
+    (WIGNER + ("--method", "closed"), ()),
+    (WIGNER + ("--method", "both"), ("sup_abs_diff",)),
+    (EVOLVE, ()),
+    (EVOLVE + ("--tmax", "1.5"), ()),
+], ids=["spectrum", "uncertainty", "wigner-closed", "wigner-both", "evolve", "evolve-tmax"])
+def test_header_is_every_option_in_help_order(capsys, argv, derived):
+    # the header carries every option the parser declares, so a table is
+    # reproducible from its own header, and then what the command derived
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    keys = ["command"]
+    for action in sub.choices[argv[0]]._actions:
+        if action.dest == "grid" and argv[0] == "evolve":
+            keys += ["xmin", "xmax", "nx"]
+        elif action.dest not in ("help", "out", "fmt"):
+            keys.append(action.dest)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    header = csv_header(out)
+    assert list(header) == keys + list(derived)
+    assert "None" not in header.values()
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["config"].items()) == list(header.items())

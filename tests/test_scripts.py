@@ -1,9 +1,11 @@
 """The survey scripts and the README quick start run against the package's
-public names, and every name the benchmark calls resolves."""
+public names, every name the benchmark calls resolves, and the design
+counts stay at their ceilings."""
 
 import functools
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +65,16 @@ def test_benchmark_names_resolve():
         except AttributeError:
             missing.append(chain[1:])
     assert not missing, f"perfbench calls names the package lacks: {missing}"
+
+
+# the ceilings of ROADMAP's design counts; a change that adds an exported
+# name, a caller option, a CLI option or an environment variable fails here
+CEILINGS = {"__all__ names": 51, "defaulted public parameters": 27, "CLI options": 31,
+            "environment variables read": 0}
+
+
+def test_design_counts_stay_at_their_ceilings():
+    counts = runpy.run_path(str(ROOT / "scripts" / "design_counts.py"))["design_counts"]()
+    assert counts["src/ lines"] > 0
+    over = {name: counts[name] for name, ceiling in CEILINGS.items() if counts[name] > ceiling}
+    assert not over, f"design counts past their ceilings {CEILINGS}: {over}"

@@ -261,6 +261,15 @@ def test_momentset_rejects_bad_values():
         MomentSet(0, 0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 1.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_momentset_rejects_non_finite_fields(bad):
+    # every comparison with NaN is False, so a range check alone lets it in
+    with pytest.raises(ValueError, match="finite"):
+        MomentSet(*[bad] * 9)
+    with pytest.raises(ValueError, match="finite"):
+        MomentSet(bad, 0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.5)
+
+
 def test_coherent_moments_are_displaced_gaussian():
     alpha = 1.3 - 0.7j
     mom = moments(MCSLabel(1, 0, alpha))
@@ -403,6 +412,12 @@ def test_revival_phase_matches_evolution():
     cycled = time_evolve(state, 2.0 * math.pi / 3.0)
     expect = revival_phase(3, 2) * state.coeffs
     assert np.allclose(cycled.coeffs, expect, atol=1e-13)
+
+
+@pytest.mark.parametrize("k, j", [(0, 0), (2, 5), (2.5, 0)])
+def test_revival_phase_refuses_a_class_that_does_not_exist(k, j):
+    with pytest.raises(ValueError):
+        revival_phase(k, j)
 
 
 def test_geometric_phase_closed_forms():
