@@ -68,7 +68,7 @@ from .errors import McskitError
 from .fock import _ENTRIES_MAX, DEFAULT_N_MAX, ladder_spectrum
 from .states import _ROUTE_TOL, MCSLabel, _beta, a_norm_closed, moments
 from .verify import SUITE_NAMES, run_suite
-from .wigner import PhaseGrid, wigner_closed, wigner_numeric
+from .wigner import PhaseGrid, _sup_gap, wigner_closed, wigner_numeric
 
 
 def _bounded(kind: type, low: float, strict: bool = False, high: float = math.inf):
@@ -364,7 +364,7 @@ def cmd_wigner(args: argparse.Namespace) -> list:
     if args.method in ("numeric", "both"):
         fields["w_numeric"] = wigner_numeric(_ring_state(k, j, z, args.nmax), grid).values
     if args.method == "both":
-        args.sup_abs_diff = float(np.max(np.abs(fields["w_closed"] - fields["w_numeric"])))
+        args.sup_abs_diff = _sup_gap(fields["w_closed"], fields["w_numeric"])
     else:
         fields = {"w": fields.popitem()[1]}
     return [

@@ -168,8 +168,7 @@ def _class_norm(k: int, j: int, z: complex) -> tuple[float, int]:
     class-j part of e^{|z|^2/2} |z> (the share of the coherent state on
     n = j mod k), as c 2^h: the norm series is s 2^e (see `states._series`,
     e a multiple of 512), so c = |z|^j sqrt(s), h = e/2."""
-    r = abs(z)
-    _check_series(k, j, r)  # a NaN z fails here, before any series runs
+    r = _check_series(k, j, abs(z))  # a NaN z fails here, before any series runs
     s, e = _series(k, j, _power(r, 2 * k))
     return r**j * math.sqrt(s), e // 2
 

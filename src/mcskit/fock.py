@@ -208,22 +208,31 @@ def apply_k_ladder(
     return FockVector(out, leakage)
 
 
+@functools.lru_cache(maxsize=_TABLE_KEYS)
+def _energies(n_max: int) -> np.ndarray:
+    """n + 1/2 over n < n_max, read-only: the spectrum of H."""
+    return _read_only(np.arange(n_max) + 0.5)
+
+
 def _hamiltonian_apply(state: FockVector) -> FockVector:
     """H|n> = (n + 1/2)|n>."""
-    n = np.arange(state.n_max)
-    return FockVector((n + 0.5) * state.coeffs, state.leakage)
+    return FockVector(_cached(_energies, state.n_max) * state.coeffs, state.leakage)
 
 
 def _number_falling_apply(state: FockVector, k: int) -> FockVector:
     """Diagonal action of the degree-k generator polynomial.
 
     The product (H - 1 + 1/2)(H - 2 + 1/2)...(H - k + 1/2) acts on |n> as
-    the falling factorial n(n-1)...(n-k+1), which is exactly the number
-    operator ordering (a+)^k (a-)^k.
+    the falling factorial F(n) = n(n-1)...(n-k+1), which is exactly the
+    number operator ordering (a+)^k (a-)^k. F(n) is 0 below n = k and
+    F(n + k) of `_raising_weights` from there, Overflow as there.
     """
     k, _ = _check_class(k)
-    diag = _falling(np.arange(state.n_max, dtype=np.float64), k)
-    return FockVector(diag * state.coeffs, state.leakage)
+    c = state.coeffs
+    weight, _ = _cached(_raising_weights, c.size, k)
+    out = np.zeros_like(c)
+    np.multiply(weight[: max(c.size - k, 0)], c[k:], out=out[k:])
+    return FockVector(out, state.leakage)
 
 
 class CommutatorResiduals(NamedTuple):
@@ -262,10 +271,11 @@ def pha_commutator_check(k: int, probe: FockVector) -> CommutatorResiduals:
         return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), 1.0))
 
     low = apply_k_ladder(probe, k, -1)
-    r_low = rel(_h_commutator(probe, k, -1).coeffs + k * low.coeffs, low.coeffs)
+    h_probe = _hamiltonian_apply(probe)
+    r_low = rel(_h_commutator(h_probe, low, k, -1) + k * low.coeffs, low.coeffs)
 
     high = apply_k_ladder(probe, k, +1, leak_tol=np.inf)
-    r_high = rel(_h_commutator(probe, k, +1).coeffs - k * high.coeffs, high.coeffs)
+    r_high = rel(_h_commutator(h_probe, high, k, +1) - k * high.coeffs, high.coeffs)
 
     poly = _number_falling_apply(probe, k)
     prod = apply_k_ladder(low, k, +1, leak_tol=np.inf)
@@ -273,11 +283,11 @@ def pha_commutator_check(k: int, probe: FockVector) -> CommutatorResiduals:
     return CommutatorResiduals(lowering=r_low, raising=r_high, number_poly=r_poly)
 
 
-def _h_commutator(probe: FockVector, k: int, sign: int) -> FockVector:
-    """[H, (a^sign)^k] applied to probe, assembled operator by operator."""
-    hg = _hamiltonian_apply(apply_k_ladder(probe, k, sign, leak_tol=np.inf))
-    gh = apply_k_ladder(_hamiltonian_apply(probe), k, sign, leak_tol=np.inf)
-    return FockVector(hg.coeffs - gh.coeffs)
+def _h_commutator(h_probe: FockVector, image: FockVector, k: int, sign: int) -> np.ndarray:
+    """[H, (a^sign)^k] applied to a probe, assembled operator by operator
+    from H probe and the image (a^sign)^k probe."""
+    gh = apply_k_ladder(h_probe, k, sign, leak_tol=np.inf)
+    return _hamiltonian_apply(image).coeffs - gh.coeffs
 
 
 def ladder_spectrum(k: int, levels: int) -> np.ndarray:
@@ -308,17 +318,39 @@ def _check_phase(n_max: int, t) -> None:
 
 
 def time_evolve(state: FockVector, t: float) -> FockVector:
-    """exp(-iHt) in the number basis: c_n -> exp(-i(n+1/2)t) c_n. ValueError for a
-    non-finite t, Overflow once the phase (n_max - 1/2) t leaves double range."""
+    """exp(-iHt) in the number basis at one time t: c_n -> exp(-i(n+1/2)t) c_n.
+
+    t is one real number: a Python or numpy scalar, or a 0-d array. An
+    array of times raises ValueError (`density_movie` evolves over a grid
+    of them), as does a non-finite t; Overflow once the phase
+    (n_max - 1/2) t leaves double range.
+    """
+    if type(t) is not float:  # a Python float passes as it is
+        arr = np.asarray(t)
+        if arr.ndim:
+            raise ValueError(
+                f"time_evolve takes one time, got an array of shape {arr.shape}; "
+                f"density_movie evolves over a grid of times"
+            )
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"time must be a real number, got {t!r}")
+        t = float(arr)  # exact for every real dtype up to float64
     _check_phase(state.n_max, t)
-    phase = _cached(_phase_rates, state.n_max) * t
-    np.exp(phase, out=phase)
     # not in place: numpy rounds an in-place complex product of one entry
     # differently
-    return FockVector(phase * state.coeffs, state.leakage)
+    return FockVector(_cached(_evolution, state.n_max, t) * state.coeffs, state.leakage)
 
 
 @functools.lru_cache(maxsize=_TABLE_KEYS)
 def _phase_rates(n_max: int) -> np.ndarray:
     """-1j (n + 1/2) over n < n_max, read-only: the rates of exp(-iHt)."""
     return _read_only(-1j * (np.arange(n_max) + 0.5))
+
+
+@functools.lru_cache(maxsize=_TABLE_KEYS)
+def _evolution(n_max: int, t: float) -> np.ndarray:
+    """exp(-i(n + 1/2) t) over n < n_max, read-only: exp(-iHt) for a float t.
+    t = 0.0 and -0.0 are one key, and give the same bits: the rates' real
+    parts are +0, so either product is +0 + 0j."""
+    phase = _cached(_phase_rates, n_max) * t
+    return _read_only(np.exp(phase, out=phase))

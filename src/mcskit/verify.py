@@ -288,7 +288,7 @@ def _wigner_inputs() -> SimpleNamespace:
 
 
 def _closed_vs_numeric(s: SimpleNamespace) -> float:
-    return max(float(np.max(np.abs(c.values - n.values))) for _, c, n in s.triples)
+    return max(wg._sup_gap(c.values, n.values) for _, c, n in s.triples)
 
 
 def _field_mass(s: SimpleNamespace) -> float:
@@ -326,17 +326,14 @@ def _quarter_turn(s: SimpleNamespace) -> float:
     # a quarter turn maps grid nodes onto nodes: W_t(q, p) = W_0(-p, q)
     rotated = s.closed[_QUARTER_TURN].values[::-1, :].T
     _, closed, numeric = s.triples[-1]
-    return max(
-        float(np.max(np.abs(closed.values - rotated))),
-        float(np.max(np.abs(numeric.values - rotated))),
-    )
+    return max(wg._sup_gap(closed.values, rotated), wg._sup_gap(numeric.values, rotated))
 
 
 def _wide_window(s: SimpleNamespace) -> float:
     # the branches sit 12.7 apart, so the y window must pass 10
     state = dec._ring_state(2, 0, 4.5, _N_MAX)
     closed = wg.wigner_closed(2, 0, 4.5, s.grid)
-    return float(np.max(np.abs(wg.wigner_numeric(state, s.grid).values - closed.values)))
+    return wg._sup_gap(wg.wigner_numeric(state, s.grid).values, closed.values)
 
 
 def _completeness_inputs() -> SimpleNamespace:

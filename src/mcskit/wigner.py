@@ -176,6 +176,18 @@ def _trapz2d(v: np.ndarray, grid: PhaseGrid, fold: Callable | None = None) -> fl
     return float(acc @ w_p)
 
 
+def _sup_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over two fields of one shape, formed _FIELD_ROWS rows at a
+    time into one small buffer; a NaN anywhere gives NaN, as np.max does."""
+    buf = np.empty((min(_FIELD_ROWS, a.shape[0]), a.shape[1]))
+    tops = np.empty(-(-a.shape[0] // _FIELD_ROWS))
+    for i, lo in enumerate(range(0, a.shape[0], _FIELD_ROWS)):
+        rows = a[lo : lo + _FIELD_ROWS]
+        diff = np.subtract(rows, b[lo : lo + _FIELD_ROWS], out=buf[: len(rows)])
+        tops[i] = np.abs(diff, out=diff).max()
+    return float(tops.max())
+
+
 def _phase_table(h: float, p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """w_l cos(2 l h p) / pi and w_l sin(2 l h p) / pi for l < n, each an
     (n, len(p)) array, with w_l the folded trapezoid weights of the y

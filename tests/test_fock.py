@@ -95,6 +95,27 @@ def test_phase_past_double_range_raises_overflow(t):
     assert time_evolve(basis_state(2, 8), t).norm() == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("t", [0.3, 2, np.float64(0.3), np.float32(0.3), np.array(0.3)])
+def test_time_evolve_takes_one_real_time(t):
+    got = time_evolve(basis_state(3, 8), t).coeffs
+    assert got[3] == np.exp(-3.5j * float(t))
+    assert np.count_nonzero(got) == 1
+
+
+@pytest.mark.parametrize("t", [np.linspace(0.0, 1.0, 8), np.array([0.3]), [0.3, 0.4],
+                               np.zeros((2, 2))])
+def test_time_evolve_refuses_an_array_of_times(t):
+    # each level was phased by its own time before, or numpy failed to broadcast
+    with pytest.raises(ValueError, match="one time.*density_movie"):
+        time_evolve(basis_state(3, 8), t)
+
+
+@pytest.mark.parametrize("t", [1j, np.complex128(0.3), "0.3"])
+def test_time_evolve_refuses_a_time_that_is_not_real(t):
+    with pytest.raises(ValueError, match="real number"):
+        time_evolve(basis_state(3, 8), t)
+
+
 def test_ladder_actions_on_basis():
     v = basis_state(4, n_max=16)
     low = apply_k_ladder(v, 1, -1)

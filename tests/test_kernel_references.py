@@ -21,13 +21,14 @@ purity and negativity integrals the full-grid temporaries they replaced to
 1e-15.
 
 The small kernels that take their per-level factors from read-only tables
-(`time_evolve`, `apply_k_ladder`, the norm series) keep their arithmetic,
-so each is asked to give the bits, or the exception and its message, of
-the per-call expression it replaced. So is `_check_class` with its fast
-path for plain ints, and so is `_synthesize`, against its recurrence and
-block contraction written out on their own. The tables must stay
-read-only and their caches bounded, and clearing the caches must move no
-bit.
+(`time_evolve`, `apply_k_ladder`, the norm series, `numeric_moments`, the
+commutator check) keep their arithmetic, so each is asked to give the
+bits, or the exception and its message, of the per-call expression it
+replaced. So is `_check_class` with its fast path for plain ints, so are
+the norm series and class norm of numpy scalars against those of Python
+scalars, and so is `_synthesize`, against its recurrence and block
+contraction written out on their own. The tables must stay read-only and
+their caches bounded, and clearing the caches must move no bit.
 
 `moment_check` refines every order in one panel doubling. The doubling of
 each order on its own that it replaced is kept verbatim in arithmetic, and
@@ -71,8 +72,8 @@ from mcskit import (
 )
 from mcskit.completeness import _BASE_PANELS, _MAX_PANELS, _MOMENT_STEP, _panel_nodes
 from mcskit.decomposition import _blocks, _class_norm, _matmul_tiles, _synthesize
-from mcskit.fock import (_TABLE_KEYS, _TABLE_LEVELS, _check_class, _check_count, _phase_rates,
-                         _raising_weights)
+from mcskit.fock import (_TABLE_KEYS, _TABLE_LEVELS, _check_class, _check_count, _energies,
+                         _evolution, _phase_rates, _raising_weights, pha_commutator_check)
 from mcskit.states import (
     _DOUBLE_MAX,
     _ROOT_SCALE,
@@ -81,7 +82,9 @@ from mcskit.states import (
     _SCALE_LIMIT,
     _SUPPORT_TOL,
     _TAIL_TOL,
+    _a_norm_series,
     _level_products,
+    _moment_weights,
     _power,
     _ratio,
     _seed,
@@ -582,9 +585,12 @@ def test_time_evolve_matches_the_all_levels_expression():
     for n_max in (1, 7, 128, _TABLE_LEVELS + 1):
         state = random_state(rng, n_max, leakage=2.5e-13)
         for t in times:
-            for form in (t, np.float64(t), np.array(t), np.array([t])):
+            for form in (t, np.float64(t), np.array(t)):
                 got = outcome(lambda: time_evolve(state, form))
                 assert got == outcome(lambda: time_evolve_reference(state, form)), (n_max, t)
+            # one time only: a 1-element array is an array of times
+            with pytest.raises(ValueError, match="density_movie"):
+                time_evolve(state, np.array([t]))
         assert outcome(lambda: time_evolve(state, 3)) == outcome(
             lambda: time_evolve_reference(state, 3))
 
@@ -815,6 +821,98 @@ def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
     for cache in caches:
         assert cache.cache_info().currsize <= _TABLE_KEYS
     assert results() == warm
+
+
+def test_time_evolve_matches_the_direct_phases_bit_for_bit():
+    # 600 levels lie past the tables; 0.0 and then -0.0 share a cache key
+    rng = np.random.default_rng(25)
+    for n_max in (128, _TABLE_LEVELS, _TABLE_LEVELS + 88):
+        state = random_state(rng, n_max)
+        for t in (0.01, np.float32(0.1), 2, 0.0, -0.0):
+            direct = np.exp(-1j * (np.arange(n_max) + 0.5) * t) * state.coeffs
+            assert time_evolve(state, t).coeffs.tobytes() == direct.tobytes(), (n_max, t)
+
+
+def test_verify_tables_are_read_only_and_bounded():
+    tables = (*_moment_weights(64), _energies(64), _evolution(64, 0.37))
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    for cache in (_moment_weights, _energies, _evolution):
+        assert cache.cache_info().maxsize == _TABLE_KEYS
+    for t in range(2 * _TABLE_KEYS):
+        time_evolve(basis_state(0, 16), 0.1 + t)
+    assert _evolution.cache_info().currsize <= _TABLE_KEYS
+    size = _evolution.cache_info().currsize
+    time_evolve(basis_state(0, _TABLE_LEVELS + 1), 0.1)
+    assert _evolution.cache_info().currsize == size
+
+
+def commutator_reference(k, probe):
+    """The residuals of pha_commutator_check with every ladder applied afresh:
+    seven ladder applications and per-call diagonals."""
+    n = np.arange(probe.n_max)
+
+    def ladder(c, sign):
+        return apply_k_ladder(FockVector(c), k, sign, leak_tol=np.inf).coeffs
+
+    def rel(diff, ref):
+        return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), 1.0))
+
+    c = probe.coeffs
+    low, high = ladder(c, -1), ladder(c, +1)
+    r_low = rel((n + 0.5) * ladder(c, -1) - ladder((n + 0.5) * c, -1) + k * low, low)
+    r_high = rel((n + 0.5) * ladder(c, +1) - ladder((n + 0.5) * c, +1) - k * high, high)
+    poly = falling_reference(n.astype(np.float64), k) * c
+    r_poly = rel(ladder(low, +1) - poly, poly)
+    return r_low, r_high, r_poly
+
+
+def test_commutator_residuals_match_fresh_ladders():
+    rng = np.random.default_rng(26)
+    for k in range(1, 6):
+        for _ in range(4):
+            c = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+            c[128 - k - 1 :] = 0.0
+            probe = FockVector(c / np.linalg.norm(c))
+            got = tuple(float(v).hex() for v in pha_commutator_check(k, probe))
+            assert got == tuple(v.hex() for v in commutator_reference(k, probe)), k
+
+
+def test_series_of_numpy_scalars_return_python_floats_of_the_same_bits():
+    for k, j in ((2, 0), (2, 1), (3, 2), (5, 0)):
+        for r in (1e-3, 0.37, 2.0, 4.0):
+            want = _a_norm_series(k, j, r * r)
+            got = _a_norm_series(k, j, np.float64(r) * np.float64(r))
+            assert type(got) is float and got.hex() == want.hex()
+            for z in (r, complex(r * 0.6, r * 0.8)):
+                want_c, want_h = _class_norm(k, j, z)
+                got_c, got_h = _class_norm(k, j, np.complex128(z))
+                assert type(got_c) is float and got_c.hex() == want_c.hex()
+                assert got_h == want_h
+                assert _class_norm(k, j, np.float64(abs(z))) == _class_norm(k, j, abs(z))
+
+
+def numeric_moments_reference(state):
+    c = state.coeffs / np.linalg.norm(state.coeffs)
+    n = np.arange(c.size, dtype=np.float64)
+    return (float(np.sum(n * np.abs(c) ** 2)),
+            complex(np.sum(np.sqrt(n[1:]) * np.conj(c[:-1]) * c[1:])),
+            complex(np.sum(np.sqrt(n[1:-1] * n[2:]) * np.conj(c[:-2]) * c[2:])))
+
+
+def test_numeric_moments_keep_their_bits():
+    rng = np.random.default_rng(27)
+    for n_max in (1, 2, 3, _TABLE_LEVELS + 88):
+        state = random_state(rng, n_max)
+        mean_n, mean_a, mean_a2 = numeric_moments_reference(state)
+        got = numeric_moments(state)
+        assert got.a_norm_sq.hex() == mean_n.hex()
+        assert got.mean_x.hex() == (math.sqrt(2.0) * mean_a.real).hex()
+        assert got.mean_p.hex() == (math.sqrt(2.0) * mean_a.imag).hex()
+        assert got.mean_x2.hex() == (mean_a2.real + mean_n + 0.5).hex()
+        assert got.mean_p2.hex() == (mean_n + 0.5 - mean_a2.real).hex()
 
 
 def scaled_moment_reference(candidate, n, n_panels):

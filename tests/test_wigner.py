@@ -28,6 +28,7 @@ from mcskit import (
     wigner_numeric,
 )
 from mcskit.decomposition import _synthesize
+from mcskit.wigner import _sup_gap
 
 
 def test_phase_grid_validation():
@@ -404,3 +405,26 @@ def test_field_past_the_array_cap_raises_overflow(field):
     # any axis or field is built
     with pytest.raises(Overflow, match="67117056 field entries"):
         field(PhaseGrid(n_q=8192, n_p=8193))
+
+
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 257])
+def test_sup_gap_is_the_full_grid_max(rows):
+    rng = np.random.default_rng(rows)
+    a, b = rng.standard_normal((2, rows, 257))
+    assert _sup_gap(a, b).hex() == float(np.max(np.abs(a - b))).hex()
+    # a strided view, as the quarter-turn check passes
+    flipped = np.asfortranarray(b)[::-1]
+    assert _sup_gap(a, flipped).hex() == float(np.max(np.abs(a - flipped))).hex()
+
+
+def test_sup_gap_keeps_nan_and_signed_zero_and_inf():
+    a = np.zeros((97, 9))
+    b = np.zeros((97, 9))
+    b[40, 3] = math.nan  # a middle block; max(gap, nan) in Python would drop it
+    assert math.isnan(_sup_gap(a, b))
+    assert math.isnan(_sup_gap(b, a))
+    b[40, 3] = -0.0
+    assert _sup_gap(a, b).hex() == (0.0).hex() == float(np.max(np.abs(a - b))).hex()
+    assert _sup_gap(-a, b).hex() == float(np.max(np.abs(-a - b))).hex()
+    b[96, 8] = -math.inf
+    assert _sup_gap(a, b) == math.inf
