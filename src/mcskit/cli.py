@@ -68,7 +68,7 @@ from .errors import McskitError
 from .fock import _ENTRIES_MAX, DEFAULT_N_MAX, ladder_spectrum
 from .states import _ROUTE_TOL, MCSLabel, _beta, a_norm_closed, moments
 from .verify import SUITE_NAMES, run_suite
-from .wigner import PhaseGrid, _sup_gap, wigner_closed, wigner_numeric
+from .wigner import PhaseGrid, _axis, _sup_gap, wigner_closed, wigner_numeric
 
 
 def _bounded(kind: type, low: float, strict: bool = False, high: float = math.inf):
@@ -142,7 +142,7 @@ def parse_x_grid(text: str) -> np.ndarray:
     # a finite span also means finite bounds
     if not (lo < hi and math.isfinite(hi - lo)):
         raise argparse.ArgumentTypeError(f"bad position grid {text!r}")
-    return np.linspace(lo, hi, n)
+    return _axis(lo, hi, n)
 
 
 def _fmt(value) -> str:

@@ -25,6 +25,7 @@ product per frame. The Fock route phases only the occupied levels.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -92,6 +93,12 @@ def fock_wavefunction(state: FockVector, x: np.ndarray) -> np.ndarray:
     return _synthesize(state.coeffs[None, :], x.ravel())[0].reshape(x.shape)
 
 
+def _split_rows(inner: int, width: int) -> int:
+    """The most rows, at least 1, of a product of inner size `inner` and
+    `width` columns that keep m k n below _SPLIT_SIZE."""
+    return max(1, (_SPLIT_SIZE - 1) // (inner * width))
+
+
 def _matmul_tiles(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = left @ right for 2-d operands, in tiles of m k n < _SPLIT_SIZE.
 
@@ -103,8 +110,8 @@ def _matmul_tiles(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.nd
     m, inner = left.shape
     n = right.shape[1]
     # all n columns whenever one row fits; at least one column, for n = 0
-    width = max(1, min(n, (_SPLIT_SIZE - 1) // inner))
-    height = max(1, (_SPLIT_SIZE - 1) // (inner * width))
+    width = max(1, min(n, _split_rows(inner, 1)))
+    height = _split_rows(inner, width)
     for lo in range(0, m, height):
         for col in range(0, n, width):
             rows, cols = slice(lo, lo + height), slice(col, col + width)
@@ -223,19 +230,34 @@ def _ring_norm(
     return num, den
 
 
+def _ring_points(k: int, z: complex) -> np.ndarray:
+    """The ring labels mu^l z, l < k, with mu = e^{2 pi i/k}."""
+    return np.exp(2j * np.pi / k) ** np.arange(k) * z
+
+
 @dataclass(frozen=True)
 class ScsSuperposition:
     """A class state written as sum_l weights[l] |mu^l z> over normalized
-    coherent constituents on the ring."""
+    coherent constituents on the ring. ValueError unless (k, j) is a class,
+    z is finite and weights holds k finite entries."""
 
     k: int
     j: int
     z: complex
     weights: np.ndarray
 
+    def __post_init__(self) -> None:
+        k, j = _check_class(self.k, self.j)
+        z, weights = complex(self.z), np.asarray(self.weights, dtype=np.complex128)
+        if not cmath.isfinite(z):
+            raise ValueError(f"ring label must be finite, got {z!r}")
+        if weights.shape != (k,) or not np.all(np.isfinite(weights)):
+            raise ValueError(f"weights must be {k} finite entries, got {self.weights!r}")
+        for name, value in zip(("k", "j", "z", "weights"), (k, j, z, weights)):
+            object.__setattr__(self, name, value)
+
     def constituents(self) -> np.ndarray:
-        mu = np.exp(2j * np.pi / self.k)
-        return mu ** np.arange(self.k) * self.z
+        return _ring_points(self.k, self.z)
 
     def fock_vector(self, n_max: int = DEFAULT_N_MAX) -> FockVector:
         acc = np.zeros(_check_n_max(n_max), dtype=np.complex128)
@@ -398,11 +420,10 @@ def _amplitudes(
     seed = np.exp(-1j * j * np.angle(z)) * _QUARTIC_ROOT_PI * num / (k * den)
     xb, d, e, delta = _blocks(x, math.sqrt(2.0) * abs(z))
     t = t[:, None, None]
-    branch = np.arange(k)
-    mu = np.exp(2j * np.pi / k)
-    u = math.sqrt(2.0) * (mu**branch * z * np.exp(-1j * t))  # (len(t), 1, k)
+    u = math.sqrt(2.0) * (_ring_points(k, z) * np.exp(-1j * t))  # (len(t), 1, k)
     mean_x, mean_p = u.real, u.imag
-    w = seed * mu ** (-j * branch) * np.exp(-0.5j * (mean_x * mean_p + t))
+    mu = np.exp(2j * np.pi / k)
+    w = seed * mu ** (-j * np.arange(k)) * np.exp(-0.5j * (mean_x * mean_p + t))
     # every head is exactly 0 past |x| = 1e150; the clamp keeps (x - X)^2 and
     # P x from overflowing there and leaves every other block start alone
     x_head = xb.clip(-1e150, 1e150)[:, None]

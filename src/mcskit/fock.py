@@ -209,14 +209,17 @@ def apply_k_ladder(
 
 
 @functools.lru_cache(maxsize=_TABLE_KEYS)
-def _energies(n_max: int) -> np.ndarray:
-    """n + 1/2 over n < n_max, read-only: the spectrum of H."""
-    return _read_only(np.arange(n_max) + 0.5)
+def _levels(size: int) -> tuple[np.ndarray, ...]:
+    """n, n + 1/2 (H), sqrt(n) (a) and sqrt(n (n - 1)) (a^2) over n < size, read-only."""
+    n = np.arange(size, dtype=np.float64)
+    pair = n * np.maximum(n - 1.0, 0.0)
+    return tuple(map(_read_only, (n, n + 0.5, np.sqrt(n), np.sqrt(pair))))
 
 
 def _hamiltonian_apply(state: FockVector) -> FockVector:
     """H|n> = (n + 1/2)|n>."""
-    return FockVector(_cached(_energies, state.n_max) * state.coeffs, state.leakage)
+    _, energy, _, _ = _cached(_levels, state.n_max)
+    return FockVector(energy * state.coeffs, state.leakage)
 
 
 def _number_falling_apply(state: FockVector, k: int) -> FockVector:
@@ -342,15 +345,10 @@ def time_evolve(state: FockVector, t: float) -> FockVector:
 
 
 @functools.lru_cache(maxsize=_TABLE_KEYS)
-def _phase_rates(n_max: int) -> np.ndarray:
-    """-1j (n + 1/2) over n < n_max, read-only: the rates of exp(-iHt)."""
-    return _read_only(-1j * (np.arange(n_max) + 0.5))
-
-
-@functools.lru_cache(maxsize=_TABLE_KEYS)
 def _evolution(n_max: int, t: float) -> np.ndarray:
     """exp(-i(n + 1/2) t) over n < n_max, read-only: exp(-iHt) for a float t.
-    t = 0.0 and -0.0 are one key, and give the same bits: the rates' real
-    parts are +0, so either product is +0 + 0j."""
-    phase = _cached(_phase_rates, n_max) * t
+    The phases (n + 1/2)(-it) have the bits of -i(n + 1/2) t, and are +0 + 0j
+    at t = 0.0 and -0.0 alike, which share a key."""
+    _, energy, _, _ = _cached(_levels, n_max)
+    phase = energy * complex(0.0, -t)
     return _read_only(np.exp(phase, out=phase))

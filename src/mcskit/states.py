@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import Overflow, RouteMismatch, TailTooHeavy, UnsupportedOrder
 from .fock import (DEFAULT_N_MAX, _TABLE_KEYS, _TABLE_LEVELS, FockVector, _cached,
-                   _check_class, _check_n_max, _read_only, apply_k_ladder)
+                   _check_class, _check_n_max, _levels, apply_k_ladder)
 
 # tail share build_mcs may drop, and the route bounds of moments and
 # geometric_phase per max(1, <N>)
@@ -327,12 +327,14 @@ class MomentSet:
             raise ValueError("energy and number moments are inconsistent")
 
 
-@functools.lru_cache(maxsize=_TABLE_KEYS)
-def _moment_weights(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n over n < size, sqrt(n) over 1 <= n < size and sqrt((n-1) n) over
-    2 <= n < size, read-only: the matrix elements of N, a and a^2."""
-    n = np.arange(size, dtype=np.float64)
-    return _read_only(n), _read_only(np.sqrt(n[1:])), _read_only(np.sqrt(n[1:-1] * n[2:]))
+def _moment_set(mean_x: float, mean_p: float, mean_x2: float, mean_p2: float,
+                a: float) -> MomentSet:
+    """The moment set of these first and second moments and number
+    expectation a: the variances, their uncertainty product, <H> = a + 1/2."""
+    var_x = mean_x2 - mean_x**2
+    var_p = mean_p2 - mean_p**2
+    product = math.sqrt(max(var_x, 0.0) * max(var_p, 0.0))
+    return MomentSet(mean_x, mean_p, mean_x2, mean_p2, var_x, var_p, product, a, a + 0.5)
 
 
 def numeric_moments(state: FockVector) -> MomentSet:
@@ -342,27 +344,14 @@ def numeric_moments(state: FockVector) -> MomentSet:
     if not 0.0 < norm < math.inf:
         raise ValueError(f"moments need a vector of positive, finite norm, got {norm}")
     c = state.coeffs / norm
-    n, root, pair_root = _cached(_moment_weights, c.size)
+    n, _, root, pair_root = _cached(_levels, c.size)
     mean_n = float(np.sum(n * np.abs(c) ** 2))
-    mean_a = complex(np.sum(root * np.conj(c[:-1]) * c[1:]))
-    mean_a2 = complex(np.sum(pair_root * np.conj(c[:-2]) * c[2:]))
+    mean_a = complex(np.sum(root[1:] * np.conj(c[:-1]) * c[1:]))
+    mean_a2 = complex(np.sum(pair_root[2:] * np.conj(c[:-2]) * c[2:]))
     mean_x = math.sqrt(2.0) * mean_a.real
     mean_p = math.sqrt(2.0) * mean_a.imag
-    mean_x2 = mean_a2.real + mean_n + 0.5
-    mean_p2 = mean_n + 0.5 - mean_a2.real
-    var_x = mean_x2 - mean_x**2
-    var_p = mean_p2 - mean_p**2
-    return MomentSet(
-        mean_x=mean_x,
-        mean_p=mean_p,
-        mean_x2=mean_x2,
-        mean_p2=mean_p2,
-        var_x=var_x,
-        var_p=var_p,
-        uncertainty_product=math.sqrt(max(var_x, 0.0) * max(var_p, 0.0)),
-        a_norm_sq=mean_n,
-        mean_H=mean_n + 0.5,
-    )
+    return _moment_set(mean_x, mean_p, mean_a2.real + mean_n + 0.5,
+                       mean_n + 0.5 - mean_a2.real, mean_n)
 
 
 def _a_norm_series(k: int, j: int, x: float) -> float:
@@ -445,19 +434,7 @@ def moments(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> MomentSet:
     else:
         a = _a_norm_series(k, j, x)
         cross = alpha.real if k == 2 else 0.0
-        mean_x2 = a + 0.5 + cross
-        mean_p2 = a + 0.5 - cross
-        closed = MomentSet(
-            mean_x=0.0,
-            mean_p=0.0,
-            mean_x2=mean_x2,
-            mean_p2=mean_p2,
-            var_x=mean_x2,
-            var_p=mean_p2,
-            uncertainty_product=math.sqrt(mean_x2 * mean_p2),
-            a_norm_sq=a,
-            mean_H=a + 0.5,
-        )
+        closed = _moment_set(0.0, 0.0, a + 0.5 + cross, a + 0.5 - cross, a)
     worst_field, worst = _route_gap(closed, numeric)
     bound = _ROUTE_TOL * max(1.0, closed.a_norm_sq)
     if worst > bound:

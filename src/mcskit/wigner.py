@@ -60,7 +60,8 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .decomposition import _SPLIT_SIZE, _matmul_tiles, _ring_norm, _synthesize, fock_wavefunction
+from .decomposition import (_matmul_tiles, _ring_norm, _ring_points, _split_rows, _synthesize,
+                            fock_wavefunction)
 from .errors import BoundaryMass, WindowTooNarrow
 from .fock import FockVector, _check_class, _check_entries, _ints, _read_only
 
@@ -115,11 +116,11 @@ class PhaseGrid:
 
     @cached_property
     def q_axis(self) -> np.ndarray:
-        return _read_only(_axis(self.q_min, self.q_max, self.n_q, self._mirrored[0]))
+        return _read_only(_axis(self.q_min, self.q_max, self.n_q))
 
     @cached_property
     def p_axis(self) -> np.ndarray:
-        return _read_only(_axis(self.p_min, self.p_max, self.n_p, self._mirrored[1]))
+        return _read_only(_axis(self.p_min, self.p_max, self.n_p))
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -142,12 +143,15 @@ class WignerField:
         return 2.0 * math.pi * _trapz2d(self.values, self.grid, np.square)
 
 
-def _axis(lo: float, hi: float, n: int, mirrored: bool) -> np.ndarray:
-    """n uniform points from lo to hi: linspace's, or if mirrored (lo == -hi)
-    h (i - (n - 1) / 2), so a[::-1] == -a bit for bit at any n."""
-    if mirrored:
-        return (hi - lo) / (n - 1) * (np.arange(n) - (n - 1) / 2)
-    return np.linspace(lo, hi, n)
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """n >= 2 uniform points from lo to hi: linspace's, or for symmetric
+    bounds (lo == -hi) h (i - (n - 1) / 2) with the ends pinned to lo and
+    hi, so a[::-1] == -a bit for bit at any n."""
+    if lo != -hi:
+        return np.linspace(lo, hi, n)
+    a = (hi - lo) / (n - 1) * (np.arange(n) - (n - 1) / 2)
+    a[0], a[-1] = lo, hi
+    return a
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -237,10 +241,11 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     the phase tables 2^26 entries, each checked before it is allocated.
 
     The p integral is two real matmuls against cos 2yp and sin 2yp, built
-    by angle addition (see _phase_table), in blocks of rows each below
-    _SPLIT_SIZE, so no product wakes the BLAS thread pool. On a mirrored p
-    axis they run on p >= 0 only, and the p < 0 columns come from the same
-    two products with the sign of the odd sin part flipped.
+    by angle addition (see _phase_table), in blocks of rows each below the
+    BLAS split (see decomposition._split_rows), so no product wakes the
+    BLAS thread pool. On a mirrored p axis they run on p >= 0 only, and the
+    p < 0 columns come from the same two products with the sign of the odd
+    sin part flipped.
 
     A state on levels of one parity has psi(-x) = sign psi(x) and, W being
     the mean of the displaced parity operator, W(-q, -p) = W(q, p). On
@@ -272,8 +277,7 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     n_y = math.ceil(reach / h)
     n_reach = n_y * stride
     n_fine = (grid.n_q - 1) * m + 2 * n_reach + 1
-    lattice = _axis(grid.q_min - n_reach * h_q / m, grid.q_max + n_reach * h_q / m,
-                    n_fine, grid._mirrored[0])
+    lattice = _axis(grid.q_min - n_reach * h_q / m, grid.q_max + n_reach * h_q / m, n_fine)
     sign = 1 if not state.coeffs[1::2].any() else -1 if not state.coeffs[::2].any() else 0
     half = grid.n_p // 2 if grid._mirrored[1] else 0
     parity = sign != 0 and all(grid._mirrored)
@@ -310,12 +314,12 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     # weights doubled (both sit in the tables). cos 2yp is even in p and
     # sin 2yp odd, so on a mirrored p axis the p >= 0 half gives both
     # halves of the field. C is formed a block of rows at a time, each
-    # product below _SPLIT_SIZE so it runs on the calling thread, and each
+    # product below the BLAS split so it runs on the calling thread, and each
     # block of rows goes straight into the field.
     _check_entries("phase table entries", (n_half + 1) * grid.n_p)
     cos, sin = _phase_table(h, p[half:], n_half + 1)
     field = np.empty((grid.n_q, grid.n_p))
-    block = max(1, (_SPLIT_SIZE - 1) // ((n_half + 1) * (grid.n_p - half)))
+    block = _split_rows(n_half + 1, grid.n_p - half)
     for lo in range(start, grid.n_q, block):
         rows = slice(lo, lo + block)
         corr = np.conj(plus[rows]) * minus[rows]
@@ -365,12 +369,11 @@ def wigner_closed(
     # diagonal pairs, which are real, plus twice the real part of the pairs
     # a < b: Re(L R) = [Re L, Im L] @ [Re conj R; Im conj R], one real
     # product of inner size k^2
-    mu = np.exp(2j * np.pi / k)
     a, b = np.triu_indices(k, 1)
     a = np.concatenate([np.arange(k), a])  # the diagonal pairs first
     b = np.concatenate([np.arange(k), b])
-    za = np.conj(mu**a * z)
-    zb = mu**b * z
+    ring = _ring_points(k, z)
+    za, zb = np.conj(ring[a]), ring[b]
     center_q = (za + zb) / math.sqrt(2.0)
     center_p = 1j * (za - zb) / math.sqrt(2.0)
     turn = (j * (a - b)) % k * (2.0 * math.pi / k) + (za * zb).imag

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mcskit
-from mcskit import TailTooHeavy, verify
+from mcskit import PhaseGrid, TailTooHeavy, verify
 from mcskit.cli import build_parser, main, parse_complex, parse_phase_grid, parse_x_grid
 from mcskit.verify import CHECKS, SUITE_NAMES, run_suite
 
@@ -51,6 +51,15 @@ def test_parse_grids():
         parse_x_grid("3,-3,7")
     with pytest.raises(Exception):
         parse_x_grid("-1e308,1e308,7")  # the span overflows
+
+
+def test_position_grid_with_symmetric_bounds_is_mirrored_and_ends_on_them():
+    x = parse_x_grid("-10,10,801")
+    assert x[0] == -10.0 and x[-1] == 10.0
+    assert np.array_equal(x[::-1], -x)
+    assert np.array_equal(x, PhaseGrid(-10.0, 10.0, -1.0, 1.0, 801, 2).q_axis)
+    # asymmetric bounds keep linspace
+    assert np.array_equal(parse_x_grid("20,65,451"), np.linspace(20.0, 65.0, 451))
 
 
 def test_spectrum_table(capsys):

@@ -13,6 +13,7 @@ from mcskit import (
     McskitError,
     Overflow,
     PhaseGrid,
+    ScsSuperposition,
     basis_state,
     build_mcs,
     coherent_from_classes,
@@ -60,6 +61,37 @@ def test_even_cat_weights_are_uniform():
     raw = sup.weights * math.exp(-0.5 * abs(sup.z) ** 2)
     assert raw[0] == pytest.approx(raw[1], abs=1e-15)
     assert abs(raw[0]) == pytest.approx(0.5 / math.sqrt(COSH_1), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (0, 0, 1.0, np.ones(1)),
+        (-1, 0, 1.0, np.ones(1)),
+        (3, 3, 1.0, np.ones(3)),
+        (3, -1, 1.0, np.ones(3)),
+        (2.5, 0, 1.0, np.ones(2)),
+        (3, 0, complex(math.nan, 0.0), np.ones(3)),
+        (3, 0, complex(0.0, math.inf), np.ones(3)),
+        (3, 0, 1.0, np.ones(2)),
+        (3, 0, 1.0, np.ones(4)),
+        (3, 0, 1.0, np.ones((3, 1))),
+        (3, 0, 1.0, np.array([1.0, math.nan, 1.0])),
+        (3, 0, 1.0, np.array([1.0, 1.0, complex(math.inf, 0.0)])),
+    ],
+    ids=["k0", "k-neg", "j-eq-k", "j-neg", "k-float", "z-nan", "z-inf",
+         "two-weights", "four-weights", "2d-weights", "nan-weight", "inf-weight"],
+)
+def test_superposition_checks_its_fields(fields):
+    with pytest.raises(ValueError):
+        ScsSuperposition(*fields)
+
+
+def test_superposition_takes_its_fields_as_typed_values():
+    sup = ScsSuperposition(np.int64(2), 1, 1.5, [0.5, -0.5])
+    assert (type(sup.k), type(sup.z)) == (int, complex)
+    assert sup.weights.dtype == np.complex128
+    assert np.allclose(sup.constituents(), [1.5, -1.5], rtol=0.0, atol=1e-15)
 
 
 def test_degenerate_class_guard():

@@ -72,8 +72,8 @@ from mcskit import (
 )
 from mcskit.completeness import _BASE_PANELS, _MAX_PANELS, _MOMENT_STEP, _panel_nodes
 from mcskit.decomposition import _blocks, _class_norm, _matmul_tiles, _synthesize
-from mcskit.fock import (_TABLE_KEYS, _TABLE_LEVELS, _check_class, _check_count, _energies,
-                         _evolution, _phase_rates, _raising_weights, pha_commutator_check)
+from mcskit.fock import (_TABLE_KEYS, _TABLE_LEVELS, _check_class, _check_count, _evolution,
+                         _levels, _raising_weights, pha_commutator_check)
 from mcskit.states import (
     _DOUBLE_MAX,
     _ROOT_SCALE,
@@ -84,7 +84,6 @@ from mcskit.states import (
     _TAIL_TOL,
     _a_norm_series,
     _level_products,
-    _moment_weights,
     _power,
     _ratio,
     _seed,
@@ -789,7 +788,7 @@ def test_level_products_match_the_table_built_whole():
 
 
 def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
-    caches = (_phase_rates, _raising_weights, _level_products)
+    caches = (_levels, _raising_weights, _level_products)
     state = random_state(np.random.default_rng(24), 64)
     label = MCSLabel(3, 2, 1.7 + 0.4j)
 
@@ -800,7 +799,7 @@ def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
                 outcome(lambda: build_mcs(label, 64)))
 
     warm = results()
-    for table in (_phase_rates(64), *_raising_weights(64, 3)):
+    for table in (*_levels(64), *_raising_weights(64, 3)):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
@@ -815,9 +814,9 @@ def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
         time_evolve(basis_state(0, n_max), 0.1)
         apply_k_ladder(basis_state(0, n_max), 1, -1)
         _series(1 + n_max % 7, n_max % (1 + n_max % 7), 1.5)
-    size = _phase_rates.cache_info().currsize
+    size = _levels.cache_info().currsize
     time_evolve(basis_state(0, _TABLE_LEVELS + 1), 0.1)
-    assert _phase_rates.cache_info().currsize == size
+    assert _levels.cache_info().currsize == size
     for cache in caches:
         assert cache.cache_info().currsize <= _TABLE_KEYS
     assert results() == warm
@@ -826,20 +825,23 @@ def test_tables_are_read_only_bounded_and_clearing_them_moves_no_bit():
 def test_time_evolve_matches_the_direct_phases_bit_for_bit():
     # 600 levels lie past the tables; 0.0 and then -0.0 share a cache key
     rng = np.random.default_rng(25)
-    for n_max in (128, _TABLE_LEVELS, _TABLE_LEVELS + 88):
+    for n_max in (1, 2, 128, _TABLE_LEVELS, _TABLE_LEVELS + 88):
         state = random_state(rng, n_max)
-        for t in (0.01, np.float32(0.1), 2, 0.0, -0.0):
+        for t in (0.01, np.float32(0.1), 2, -3.7, 2.0 * math.pi / 3.0, 1e10, 0.0, -0.0):
             direct = np.exp(-1j * (np.arange(n_max) + 0.5) * t) * state.coeffs
             assert time_evolve(state, t).coeffs.tobytes() == direct.tobytes(), (n_max, t)
 
 
 def test_verify_tables_are_read_only_and_bounded():
-    tables = (*_moment_weights(64), _energies(64), _evolution(64, 0.37))
+    tables = (*_levels(64), _evolution(64, 0.37))
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
-    for cache in (_moment_weights, _energies, _evolution):
+    n = np.arange(64)
+    for table, direct in zip(_levels(64), (n, n + 0.5, np.sqrt(n), np.sqrt(n * abs(n - 1)))):
+        assert table.tobytes() == direct.astype(np.float64).tobytes()
+    for cache in (_levels, _evolution):
         assert cache.cache_info().maxsize == _TABLE_KEYS
     for t in range(2 * _TABLE_KEYS):
         time_evolve(basis_state(0, 16), 0.1 + t)

@@ -294,6 +294,29 @@ def test_order_two_cross_term():
     assert mom.mean_x2 - mom.mean_p2 == pytest.approx(0.0, abs=1e-12)
 
 
+def test_closed_moments_keep_the_keyword_build_bit_for_bit():
+    # the closed k >= 2 moments as they were built field by field: zero
+    # first moments, a + 1/2 +- cross, and math.sqrt of their product
+    for k, j in ((2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
+        for alpha in (0.3, 1.2, -0.7 + 0.4j, 2.5j, 3.0 - 1.0j):
+            a = _a_norm_series(k, j, abs(alpha) ** 2)
+            cross = alpha.real if k == 2 else 0.0
+            mean_x2, mean_p2 = a + 0.5 + cross, a + 0.5 - cross
+            expected = MomentSet(
+                mean_x=0.0,
+                mean_p=0.0,
+                mean_x2=mean_x2,
+                mean_p2=mean_p2,
+                var_x=mean_x2,
+                var_p=mean_p2,
+                uncertainty_product=math.sqrt(mean_x2 * mean_p2),
+                a_norm_sq=a,
+                mean_H=a + 0.5,
+            )
+            got = moments(MCSLabel(k, j, alpha))
+            assert repr(got) == repr(expected), (k, j, alpha)
+
+
 @settings(max_examples=20, deadline=None)
 @given(theta=st.floats(0.0, 2.0 * math.pi, allow_nan=False))
 def test_moment_phase_covariance_order_three(theta):

@@ -28,7 +28,7 @@ from mcskit import (
     wigner_numeric,
 )
 from mcskit.decomposition import _synthesize
-from mcskit.wigner import _sup_gap
+from mcskit.wigner import _axis, _sup_gap
 
 
 def test_phase_grid_validation():
@@ -326,6 +326,19 @@ def test_symmetric_axes_are_mirrored_and_others_keep_linspace():
     field = wigner_numeric(build_mcs(MCSLabel(2, 0, 4.0)), grid).values
     off_centre = np.arange(201) != 100
     assert np.array_equal(field[off_centre], field[::-1, ::-1][off_centre])
+
+
+def test_symmetric_axes_end_on_their_bounds_and_stay_mirrored():
+    # h (i - (n - 1) / 2) alone can end an ulp past a bound (0.3 on 38
+    # points gives 0.30000000000000004); the ends are pinned, which keeps
+    # the exact mirror
+    for bound in (0.3, 1.0, 2.5, 8.0, 10.0, 12.0, 0.1, 7.3, 1e-3, 123.456):
+        for n in range(2, 600):
+            axis = _axis(-bound, bound, n)
+            assert axis[0] == -bound and axis[-1] == bound, (bound, n)
+            assert np.array_equal(axis[::-1], -axis), (bound, n)
+    grid = PhaseGrid(-0.3, 0.3, -0.3, 0.3, 38, 38)
+    assert grid.q_axis[-1] == grid.p_axis[-1] == 0.3
 
 
 def test_level_terms_decay_as_the_numeric_reach_assumes():
