@@ -17,7 +17,6 @@ from .errors import (
     QuadratureFailure,
     RouteMismatch,
     TailTooHeavy,
-    UnsupportedOrder,
     WindowTooNarrow,
 )
 from .fock import (
@@ -75,7 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryMass", "DegenerateNorm", "EdgeSupport", "LeakageExceeded",
     "McskitError", "Overflow", "QuadratureFailure",
-    "RouteMismatch", "TailTooHeavy", "UnsupportedOrder", "WindowTooNarrow",
+    "RouteMismatch", "TailTooHeavy", "WindowTooNarrow",
     "DEFAULT_N_MAX", "CommutatorResiduals", "FockVector",
     "apply_k_ladder", "basis_state", "inner", "ladder_spectrum",
     "pha_commutator_check", "time_evolve",

@@ -346,12 +346,11 @@ def cmd_uncertainty(args: argparse.Namespace) -> list:
         rows["mean_H"][i] = mom.mean_H
         rows["geo_phase"][i] = _beta(k, j, mom.a_norm_sq)
     columns = [("alpha", alphas)] + [(name, col) for name, col in rows.items()]
-    if k in (2, 3):
+    if k > 1:  # from k = 2 on <x> = <p> = 0, which the closed product takes
         closed_n = np.array([a_norm_closed(MCSLabel(k, j, complex(a))) for a in alphas])
         cross = alphas if k == 2 else np.zeros_like(alphas)
         closed_prod = np.sqrt((closed_n + 0.5 + cross) * (closed_n + 0.5 - cross))
-        columns.append(("a_norm_sq_closed", closed_n))
-        columns.append(("product_closed", closed_prod))
+        columns += [("a_norm_sq_closed", closed_n), ("product_closed", closed_prod)]
     args.tol = _ROUTE_TOL
     return columns
 

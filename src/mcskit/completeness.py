@@ -92,7 +92,7 @@ class MeasureCandidate:
             raise ValueError(f"support_hint must be finite and positive, got {self.support_hint}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentReport:
     """Outcome of checking a candidate against the factorial moments:
     rel_errors[n - 1] is the relative error of moment n."""

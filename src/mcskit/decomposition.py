@@ -175,7 +175,9 @@ def _class_norm(k: int, j: int, z: complex) -> tuple[float, int]:
     class-j part of e^{|z|^2/2} |z> (the share of the coherent state on
     n = j mod k), as c 2^h: the norm series is s 2^e (see `states._series`,
     e a multiple of 512), so c = |z|^j sqrt(s), h = e/2."""
-    r = _check_series(k, j, abs(z))  # a NaN z fails here, before any series runs
+    if not cmath.isfinite(z):  # before any series runs
+        raise ValueError(f"ring label z must be finite, got {z!r}")
+    r = _check_series(k, j, abs(z))
     s, e = _series(k, j, _power(r, 2 * k))
     return r**j * math.sqrt(s), e // 2
 
@@ -235,7 +237,7 @@ def _ring_points(k: int, z: complex) -> np.ndarray:
     return np.exp(2j * np.pi / k) ** np.arange(k) * z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScsSuperposition:
     """A class state written as sum_l weights[l] |mu^l z> over normalized
     coherent constituents on the ring. ValueError unless (k, j) is a class,

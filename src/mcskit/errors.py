@@ -32,10 +32,6 @@ class TailTooHeavy(McskitError):
     above the truncation edge. Raise n_max or shrink the label."""
 
 
-class UnsupportedOrder(McskitError):
-    """No closed form is implemented for this ladder power."""
-
-
 class DegenerateNorm(McskitError):
     """A normalization constant underflowed to (numerically) zero, so the
     requested state or decomposition is not representable."""

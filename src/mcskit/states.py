@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Overflow, RouteMismatch, TailTooHeavy, UnsupportedOrder
+from .errors import Overflow, RouteMismatch, TailTooHeavy
 from .fock import (DEFAULT_N_MAX, _TABLE_KEYS, _TABLE_LEVELS, FockVector, _cached,
                    _check_class, _check_n_max, _levels, apply_k_ladder)
 
@@ -49,6 +49,9 @@ _DOUBLE_MAX = int(np.finfo(np.float64).max)
 # from this order on a norm series is its seed term: a later term is at most
 # x / k! < 2^-1075 times the one before, for any double x, once k! > 2^2099
 _SEED_ONLY_K = 307
+
+# a_norm_closed takes the series where its ring filter rounds past this share
+_FILTER_TOL = 1e-13
 
 # series totals past 2^_SCALE_BITS are carried as s 2^e (see _series);
 # coefficient vectors scale by the square root
@@ -89,7 +92,7 @@ def _check_series(k: int, j: int, x: float) -> float:
     return float(x)
 
 
-def _power(base: complex, n: int) -> complex:
+def _power(base: complex, n: float) -> complex:
     """base ** n, raising Overflow where a finite base leaves double range:
     Python raises OverflowError there for some n, and returns inf or NaN
     parts for others (a complex base and n <= 100)."""
@@ -367,35 +370,36 @@ def _a_norm_series(k: int, j: int, x: float) -> float:
     return math.ldexp(num / den, e_num - e_den)
 
 
-def a_norm_closed(label: MCSLabel) -> float:
-    """Closed-form number expectation for orders 2 and 3.
+@functools.lru_cache(maxsize=_TABLE_KEYS)
+def _turns(k: int) -> tuple[complex, ...]:
+    """mu^m = e^{2 pi i m/k}, m < k, as i^q e^{i pi rem/(2k)} with 4m = qk + rem:
+    exact at quarter turns, and no turn is a power of a rounded root."""
+    parts = (divmod(4 * m, k) for m in range(k))
+    return tuple(1j**q * cmath.exp(0.5j * math.pi * rem / k) for q, rem in parts)
 
-    Depends on the label only through r = |alpha|. Order 2 uses hyperbolic
-    ratios of r itself; order 3 is a ratio of shifted exponential-trig
-    brackets in y = r^(2/3). Exactly j at r = 0.
+
+def a_norm_closed(label: MCSLabel) -> float:
+    """Number expectation A = y F_{j-1}(y) / F_j(y) of any order, y = |alpha|^(2/k).
+
+    F_i(y) = sum_{n = i mod k} y^n / n! is the ring filter (1/k) sum_l
+    Re(mu^{-il} e^{mu^l y}), its exact turns read from `_turns` at l and at
+    -il mod k, scaled by e^{-y}: term l has size e^{(cos 2 pi l/k - 1) y},
+    so A -> y stays finite (Overflow only where y leaves double range). Near
+    y = 0 the terms cancel: where eps times the sum of their sizes passes
+    1e-13 of the smaller filtered sum, `_a_norm_series` serves instead.
     """
     k, j, r = label.k, label.j, abs(label.alpha)
-    if k == 2:
-        if j == 0:
-            return r * math.tanh(r)
-        return r / math.tanh(r) if r > 0 else 1.0
-    elif k == 3:
-        if r == 0.0:
-            return float(j)
-        y = r ** (2.0 / 3.0)
-        # every bracket is e^{1.5y} plus a bounded trig term; dividing both
-        # sides of each ratio by e^{1.5y} keeps large r finite, and the
-        # scaled trig terms underflow harmlessly to 0
-        damp = math.exp(-1.5 * y)
-        c = 2.0 * damp * math.cos(math.sqrt(3.0) * y / 2.0)
-        s_minus = 2.0 * damp * math.sin(math.pi / 6.0 - math.sqrt(3.0) * y / 2.0)
-        s_plus = 2.0 * damp * math.sin(math.pi / 6.0 + math.sqrt(3.0) * y / 2.0)
-        if j == 0:
-            return y * (1.0 - s_plus) / (1.0 + c)
-        if j == 1:
-            return y * (1.0 + c) / (1.0 - s_minus)
-        return y * (1.0 - s_minus) / (1.0 - s_plus)
-    raise UnsupportedOrder(f"no closed number expectation for order {k}")
+    y = _power(r, 2.0 / k)
+    turns = _turns(k)
+    num = den = scale = 0.0
+    for l, mu in enumerate(turns):
+        term = cmath.exp((mu - 1.0) * y)
+        num += (term * turns[(1 - j) * l % k]).real
+        den += (term * turns[-j * l % k]).real
+        scale += abs(term)
+    if math.ulp(1.0) * scale > _FILTER_TOL * min(num, den):
+        return _a_norm_series(k, j, _power(r, 2))
+    return y * num / den
 
 
 def moments(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> MomentSet:

@@ -164,14 +164,13 @@ def _order_one_product(s: SimpleNamespace) -> float:
 
 
 def _number_closed_vs_series(s: SimpleNamespace) -> float:
-    radii = np.union1d(np.geomspace(1e-3, 4.0, 40), np.linspace(1e-3, 4.0, 100))
+    # every class of k >= 2 takes the series at 0 and the ring filter at 20
+    radii = (0.0, 1e-9, 1e-6, 1e-3, 0.03, 0.3, 3.0, 20.0)
     rel = 0.0
-    for k in (2, 3):
-        for j in range(k):
-            for r in radii:
-                a_series = st._a_norm_series(k, j, r * r)
-                a_closed = st.a_norm_closed(st.MCSLabel(k, j, r))
-                rel = max(rel, abs(a_closed - a_series) / max(a_series, 1e-300))
+    for k, j, r in ((k, j, r) for k in range(1, 9) for j in range(k) for r in radii):
+        a_series = st._a_norm_series(k, j, r * r)
+        a_closed = st.a_norm_closed(st.MCSLabel(k, j, r))
+        rel = max(rel, abs(a_closed - a_series) / max(a_series, 1e-300))
     return rel
 
 

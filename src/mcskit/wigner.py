@@ -128,7 +128,7 @@ class PhaseGrid:
         return tuple(_read_only(_trapezoid_weights(x)) for x in (self.q_axis, self.p_axis))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerField:
     """Real field W on a PhaseGrid."""
 
@@ -394,7 +394,7 @@ def _pair_parts(modulus: np.ndarray, phase: np.ndarray, k: int) -> np.ndarray:
     return np.hstack([modulus * np.cos(phase), modulus[:, k:] * np.sin(phase[:, k:])])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Marginals:
     """Wigner marginals on the field's grid axes, next to independently
     synthesized densities (None without a state)."""

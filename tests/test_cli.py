@@ -100,9 +100,10 @@ def test_uncertainty_limit_values(capsys):
         assert phase == pytest.approx(0.0, abs=1e-12)
 
 
-def test_uncertainty_has_closed_columns(capsys):
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_uncertainty_has_closed_columns(capsys, k):
     code, out, _ = run_cli(
-        capsys, "uncertainty", "--k", "2", "--j", "1", "--alpha", "2",
+        capsys, "uncertainty", "--k", str(k), "--j", str(k - 1), "--alpha", "2",
         "--points", "9",
     )
     assert code == 0

@@ -19,8 +19,11 @@ from mcskit import (
     coherent_from_classes,
     density_movie,
     fock_wavefunction,
+    marginals,
     mcs_as_scs,
     mcs_wavefunction,
+    moment_check,
+    root_exponential_density,
     wigner_closed,
 )
 
@@ -176,18 +179,34 @@ def test_non_integer_order_or_class_raises_value_error(call):
 
 def test_nan_ring_label_raises_before_the_series(monkeypatch):
     def unreachable(*args):
-        raise AssertionError("the norm series ran on a NaN argument")
+        raise AssertionError("the norm series ran on a non-finite ring label")
 
     monkeypatch.setattr(decomposition, "_series", unreachable)
-    nan = complex(float("nan"), 0.0)
-    for call in (
-        lambda: decomposition._class_norm(2, 0, nan),
-        lambda: mcs_as_scs(2, 0, nan),
-        lambda: mcs_wavefunction(3, 1, nan, X),
-        lambda: coherent_from_classes(2, nan),
-    ):
-        with pytest.raises(ValueError):
-            call()
+    for z in (complex(float("nan"), 0.0), complex(float("inf"), 1.0)):
+        for call in (
+            lambda: decomposition._class_norm(2, 0, z),
+            lambda: mcs_as_scs(2, 0, z),
+            lambda: mcs_wavefunction(3, 1, z, X),
+            lambda: coherent_from_classes(2, z),
+            lambda: wigner_closed(2, 1, z),
+            lambda: density_movie(3, 2, z, X),
+        ):
+            with pytest.raises(ValueError, match="ring label z must be finite"):
+                call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wigner_closed(2, 0, 1.0, PhaseGrid(n_q=9, n_p=9)),
+    lambda: marginals(wigner_closed(2, 0, 1.0, PhaseGrid(n_q=9, n_p=9))),
+    lambda: mcs_as_scs(2, 0, 1.0),
+    lambda: moment_check(root_exponential_density(2, 0), n_top=3),
+], ids=["WignerField", "Marginals", "ScsSuperposition", "MomentReport"])
+def test_result_types_compare_and_hash(make):
+    # results that hold arrays compare and hash by identity, as FockVector does
+    a, b = make(), make()
+    assert (a == a) is True
+    assert (a == b) is False
+    assert hash(a) != hash(b)
 
 
 @pytest.mark.parametrize(

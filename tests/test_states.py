@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcskit import states
@@ -16,7 +16,6 @@ from mcskit import (
     PhaseGrid,
     RouteMismatch,
     TailTooHeavy,
-    UnsupportedOrder,
     a_norm_closed,
     basis_state,
     build_mcs,
@@ -32,7 +31,7 @@ from mcskit import (
     time_evolve,
     wigner_closed,
 )
-from mcskit.states import _a_norm_series, _check_series, _series
+from mcskit.states import _a_norm_series, _check_series, _series, _turns
 
 # frozen reference values, computed once from the defining series by hand
 COSH_1 = 1.5430806348152437  # S_{2,0}(1)
@@ -349,11 +348,83 @@ def test_a_norm_closed_order_three_large_radius():
 
 
 def test_a_norm_closed_limits_and_orders():
-    assert a_norm_closed(MCSLabel(2, 0, 0.0)) == 0.0
-    assert a_norm_closed(MCSLabel(2, 1, 0.0)) == 1.0
-    assert a_norm_closed(MCSLabel(3, 2, 0.0)) == 2.0
-    with pytest.raises(UnsupportedOrder):
-        a_norm_closed(MCSLabel(4, 0, 1.0))
+    # r = 0 leaves the lowest level of the class, exactly
+    for k in range(1, 9):
+        for j in range(k):
+            assert a_norm_closed(MCSLabel(k, j, 0.0)) == j
+    # every order is served, order 4 too
+    assert a_norm_closed(MCSLabel(4, 0, 1.0)) == pytest.approx(
+        _a_norm_series(4, 0, 1.0), rel=1e-12
+    )
+
+
+def paper_a_norm(k, j, r):
+    """The paper's closed number expectations: r tanh r and r coth r at order
+    2, ratios of exponential-trig brackets in y = r^(2/3) at order 3, each
+    bracket divided by e^{1.5 y}."""
+    if k == 2:
+        return r * math.tanh(r) if j == 0 else r / math.tanh(r)
+    y = r ** (2.0 / 3.0)
+    damp = math.exp(-1.5 * y)
+    c = 2.0 * damp * math.cos(math.sqrt(3.0) * y / 2.0)
+    s_minus = 2.0 * damp * math.sin(math.pi / 6.0 - math.sqrt(3.0) * y / 2.0)
+    s_plus = 2.0 * damp * math.sin(math.pi / 6.0 + math.sqrt(3.0) * y / 2.0)
+    brackets = ((1.0 - s_plus, 1.0 + c), (1.0 + c, 1.0 - s_minus), (1.0 - s_minus, 1.0 - s_plus))
+    num, den = brackets[j]
+    return y * num / den
+
+
+@pytest.mark.parametrize("k, j", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_ring_filter_matches_the_paper_forms(k, j):
+    for r in np.geomspace(0.5, 1e4, 300):
+        closed = a_norm_closed(MCSLabel(k, j, r))
+        assert closed == pytest.approx(paper_a_norm(k, j, r), rel=1e-13)
+
+
+def test_turn_table_is_exact_at_quarter_turns():
+    assert _turns(4) == (1.0, 1j, -1.0, -1j)
+    for k in (8, 12, 16):
+        assert _turns(k)[:: k // 4] == (1.0, 1j, -1.0, -1j)
+    assert _turns(3)[1] == pytest.approx(complex(-0.5, math.sqrt(3.0) / 2.0), abs=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    j=st.integers(0, 15),
+    r=st.one_of(st.just(0.0), st.floats(1e-9, 1e4)),
+)
+# the dropped order-3 branch was 9.6e-9 and 1.6e-5 off at these radii
+@example(k=3, j=1, r=1e-6)
+@example(k=3, j=0, r=1e-9)
+def test_ring_filter_meets_the_series(k, j, r):
+    j %= k
+    closed = a_norm_closed(MCSLabel(k, j, r))
+    assert math.isfinite(closed)
+    try:
+        series = _a_norm_series(k, j, r * r)
+    except Overflow:  # past the series' term budget only the filter serves
+        return
+    assert closed == pytest.approx(series, rel=1e-12)
+
+
+def test_ring_filter_serves_away_from_zero(monkeypatch):
+    # a switch that always took the series would fail here
+    def reference(k, j, r):
+        try:
+            return _a_norm_series(k, j, r * r)
+        except Overflow:  # order 1 past the series' term budget: A = r^2
+            return r * r
+
+    labels = [MCSLabel(k, j, r) for k in range(1, 9) for j in range(k) for r in (10.0, 1e4)]
+    expected = [reference(lab.k, lab.j, lab.alpha.real) for lab in labels]
+
+    def unreachable(*args):
+        raise AssertionError("the ring filter handed a label to the series")
+
+    monkeypatch.setattr(states, "_a_norm_series", unreachable)
+    for label, a in zip(labels, expected):
+        assert a_norm_closed(label) == pytest.approx(a, rel=1e-12)
 
 
 @pytest.mark.parametrize("coeffs", [np.zeros(4), np.full(4, 1e200), np.full(4, 1e-200)],
