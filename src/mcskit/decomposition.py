@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DegenerateNorm
 from .fock import (DEFAULT_N_MAX, FockVector, _check_class, _check_entries, _check_n_max,
                    _check_phase)
-from .states import MCSLabel, _check_series, _power, _series, build_mcs
+from .states import MCSLabel, _check_series, _power, _series, _turns, build_mcs
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 _LN2 = math.log(2.0)
@@ -50,12 +50,8 @@ _SEED_SCALED = 708.0
 # point keeps the unscaled seed, 0 past this |x|, so all its levels are 0
 _SEED_ZERO = 64.0
 
-# absolute accuracy a sum over the coherent ring must keep (the threshold of
-# verify's closed-vs-synthesized row); its k branches cancel down to the
-# class amplitude, which leaves about
-# pi^{-1/4} (2 pi + j (k - 1) / 2) eps e^{|z|^2/2} / N_j, and the k^2 ring
-# pairs of a Wigner field about 2 eps e^{|z|^2} / N_j^2, with N_j the class
-# norm of `_class_norm` (see _ring_norm)
+# absolute accuracy a sum over the coherent ring must keep as its branches
+# cancel (the threshold of verify's closed-vs-synthesized row; see _ring_norm)
 _RING_ACCURACY = 1e-8
 
 # eigenfunction rows held at once by the synthesis; bounds its memory to
@@ -189,16 +185,13 @@ def _ring_norm(
     2^-h of `_class_norm` so neither leaves double range (for h = 0 they are
     those two factors bit for bit); with pairs=True num is squared too.
     A route summing the k coherent states on the ring weighs them
-    num / (k den), which cancels down to the class amplitude. Each branch
-    of the wavefunction kernel, of modulus up to pi^{-1/4} num / (k den),
-    carries its own phase, a turn of up to 2 pi rounded to about 2 pi eps,
-    and its weight mu^{-jl} is a power of the rounded root mu = e^{2 pi i/k},
-    whose phase error of about eps grows to jl eps; so the k branches leave
-    pi^{-1/4} (2 pi + j (k - 1) / 2) eps num / den (measured near the
-    threshold: up to 0.34 of that for every class of k <= 8). The k^2 ring
-    pairs of a Wigner field take num / (k den)^2 / pi each, whose phase
-    turns are formed from j (a - b) mod k, so the pairs leave
-    2 eps num / den^2 (measured: up to 2.2 eps num / (pi den^2) at k <= 8).
+    num / (k den), which cancels down to the class amplitude. The k branches
+    of the wavefunction kernel, of modulus up to pi^{-1/4} num / (k den), have
+    exact turns (see `_ring_weights`) and phases of up to 2 pi rounded to
+    about 2 pi eps, so they leave pi^{-1/4} 2 pi eps num / den (measured
+    near the threshold: up to 0.23 of that at k <= 8). The k^2 ring pairs of a
+    Wigner field take num / (k den)^2 / pi each and leave 2 eps num / den^2
+    (measured: up to 2.2 eps num / (pi den^2) at k <= 8).
     DegenerateNorm, naming the fallback route, once that leaves worse than
     _RING_ACCURACY absolute accuracy.
 
@@ -215,15 +208,10 @@ def _ring_norm(
         shift = math.ceil((excess + _LOG_MARGIN) / (power * _LN2))
         h += shift
         den = math.ldexp(den, -shift)
-    eps = np.finfo(np.float64).eps
-    if pairs:
-        num = math.exp(abs(z) ** 2 - 2 * h * _LN2)
-        cancelled = 2.0 * eps * num > _RING_ACCURACY * den**2
-    else:
-        num = math.exp(0.5 * abs(z) ** 2 - h * _LN2)
-        branches = _QUARTIC_ROOT_PI * (2.0 * math.pi + 0.5 * j * (k - 1))
-        cancelled = branches * eps * num > _RING_ACCURACY * den
-    if cancelled:
+    num = math.exp(power * (0.5 * abs(z) ** 2 - h * _LN2))
+    # what the k^2 pairs and the k branches leave, in units of eps num / den^power
+    spread = 2.0 if pairs else _QUARTIC_ROOT_PI * 2.0 * math.pi
+    if spread * np.finfo(np.float64).eps * num > _RING_ACCURACY * den**power:
         raise DegenerateNorm(
             f"class ({k}, {j}) carries too little weight at z={z} for the ring "
             f"of coherent states, whose branches cancel to worse than "
@@ -233,8 +221,16 @@ def _ring_norm(
 
 
 def _ring_points(k: int, z: complex) -> np.ndarray:
-    """The ring labels mu^l z, l < k, with mu = e^{2 pi i/k}."""
-    return np.exp(2j * np.pi / k) ** np.arange(k) * z
+    """The ring labels mu^l z, l < k, mu^l = e^{2 pi i l/k} read exactly from `states._turns`."""
+    return np.array(_turns(k)) * z
+
+
+def _ring_weights(k: int, j: int, z: complex, fallback: str) -> np.ndarray:
+    """The ring's weights mu^{-jl} e^{-i j arg z} num / (k den) (see `_ring_norm`),
+    turn l read from `states._turns` at -jl mod k, never a power of a rounded root."""
+    num, den = _ring_norm(k, j, z, fallback)
+    turns = np.array(_turns(k))[-j * np.arange(k) % k]
+    return turns * np.exp(-1j * j * np.angle(z)) * num / (k * den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,11 +276,7 @@ def mcs_as_scs(k: int, j: int, z: complex) -> ScsSuperposition:
     """
     k, j = _check_class(k, j)
     z = complex(z)
-    num, den = _ring_norm(k, j, z, "build_mcs")
-    mu_pow = np.exp(-2j * np.pi * j * np.arange(k) / k)
-    align = np.exp(-1j * j * np.angle(z))
-    weights = mu_pow * align * num / (k * den)
-    return ScsSuperposition(k=k, j=j, z=z, weights=weights)
+    return ScsSuperposition(k=k, j=j, z=z, weights=_ring_weights(k, j, z, "build_mcs"))
 
 
 def coherent_from_classes(k: int, z: complex, n_max: int = DEFAULT_N_MAX) -> FockVector:
@@ -373,7 +365,8 @@ def _amplitudes(
 
     closed: branch l of the ring is w_l e^{-(x-X_l)^2/2 + i P_l x}, with
     u_l = X_l + i P_l = sqrt2 z mu^l e^{-it} and row weight
-    w_l = prefactor e^{-ij arg z} mu^{-jl} e^{-i X_l P_l / 2} e^{-it/2}.
+    w_l = pi^{-1/4} v_l e^{-i X_l P_l / 2} e^{-it/2}, v_l the ring weight
+    of `_ring_weights`.
     On the blocks x = x_b + d_r + delta of `_blocks` that branch factors as
 
         [w_l e^{-(x_b-X_l)^2/2 + i P_l x_b}] e^{d_r u_l} q e^{delta u_l},
@@ -418,14 +411,12 @@ def _amplitudes(
         rows[:, occupied] = np.exp(-1j * np.outer(t, occupied + 0.5)) * c[occupied]
         return _synthesize(rows, x)
 
-    num, den = _ring_norm(k, j, z, "method='fock'")
-    seed = np.exp(-1j * j * np.angle(z)) * _QUARTIC_ROOT_PI * num / (k * den)
+    weights = _QUARTIC_ROOT_PI * _ring_weights(k, j, z, "method='fock'")
     xb, d, e, delta = _blocks(x, math.sqrt(2.0) * abs(z))
     t = t[:, None, None]
     u = math.sqrt(2.0) * (_ring_points(k, z) * np.exp(-1j * t))  # (len(t), 1, k)
     mean_x, mean_p = u.real, u.imag
-    mu = np.exp(2j * np.pi / k)
-    w = seed * mu ** (-j * np.arange(k)) * np.exp(-0.5j * (mean_x * mean_p + t))
+    w = weights * np.exp(-0.5j * (mean_x * mean_p + t))
     # every head is exactly 0 past |x| = 1e150; the clamp keeps (x - X)^2 and
     # P x from overflowing there and leaves every other block start alone
     x_head = xb.clip(-1e150, 1e150)[:, None]

@@ -364,6 +364,8 @@ def _a_norm_series(k: int, j: int, x: float) -> float:
     term drops; for j=0 that shifts the factorial index by a full period k.
     """
     x = _check_series(k, j, x)
+    if x == 0.0:  # the state is |j>, and the series ratio would round
+        return float(j)
     d = 1 if j == 0 else 0
     num, e_num = _series(k, k * d + j - 1, x, d)  # seed k-1 for j=0, j-1 otherwise
     den, e_den = _series(k, j, x)
@@ -373,7 +375,9 @@ def _a_norm_series(k: int, j: int, x: float) -> float:
 @functools.lru_cache(maxsize=_TABLE_KEYS)
 def _turns(k: int) -> tuple[complex, ...]:
     """mu^m = e^{2 pi i m/k}, m < k, as i^q e^{i pi rem/(2k)} with 4m = qk + rem:
-    exact at quarter turns, and no turn is a power of a rounded root."""
+    exact at quarter turns, and no turn is a power of a rounded root. Every ring
+    route reads it: `a_norm_closed`, `decomposition._ring_points` and
+    `_ring_weights`, and the pair turns of `wigner.wigner_closed`."""
     parts = (divmod(4 * m, k) for m in range(k))
     return tuple(1j**q * cmath.exp(0.5j * math.pi * rem / k) for q, rem in parts)
 

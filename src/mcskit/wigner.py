@@ -60,10 +60,11 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .decomposition import (_matmul_tiles, _ring_norm, _ring_points, _split_rows, _synthesize,
-                            fock_wavefunction)
+from .decomposition import (_cis, _matmul_tiles, _ring_norm, _ring_points, _split_rows,
+                            _synthesize, fock_wavefunction)
 from .errors import BoundaryMass, WindowTooNarrow
 from .fock import FockVector, _check_class, _check_entries, _ints, _read_only
+from .states import _turns
 
 # largest |W| marginals accepts on the grid edge
 _BOUNDARY_TOL = 1e-10
@@ -346,7 +347,8 @@ def wigner_closed(
         D_ab = conj(z_a) z_b - |z|^2,
 
     scaled by e^{|z|^2} / (k^2 N_j^2) / pi, with N_j the class norm of
-    `decomposition._class_norm`. Diagonal pairs are the branch Gaussians,
+    `decomposition._class_norm`; every turn mu^m is read exactly from
+    `states._turns`. Diagonal pairs are the branch Gaussians,
     off-diagonal pairs the interference fringes with their exact damping.
     k=1 collapses to the single displaced Gaussian.
 
@@ -368,30 +370,33 @@ def wigner_closed(
     # Pair (b, a) is the conjugate of pair (a, b), so the field is the k
     # diagonal pairs, which are real, plus twice the real part of the pairs
     # a < b: Re(L R) = [Re L, Im L] @ [Re conj R; Im conj R], one real
-    # product of inner size k^2
-    a, b = np.triu_indices(k, 1)
-    a = np.concatenate([np.arange(k), a])  # the diagonal pairs first
-    b = np.concatenate([np.arange(k), b])
+    # product of inner size k^2, the k diagonal pairs first. Pair (a, b)
+    # turns by mu^{j(a-b)}, read exactly from the table, so conj R by its conjugate
+    r = np.arange(k)
+    a, b = (np.concatenate([r, i]) for i in np.nonzero(r[:, None] < r))
     ring = _ring_points(k, z)
     za, zb = np.conj(ring[a]), ring[b]
     center_q = (za + zb) / math.sqrt(2.0)
     center_p = 1j * (za - zb) / math.sqrt(2.0)
-    turn = (j * (a - b)) % k * (2.0 * math.pi / k) + (za * zb).imag
     weight = np.where(a == b, 1.0, 2.0) * (num / (k * den) ** 2 / math.pi)
+    turn = np.conj(np.array(_turns(k)))[j * (a - b)[k:] % k]
     # every factor is exactly 0 past an offset of 1e150; the clamp keeps the
     # squares and the phases from overflowing there (inf * 0 would be NaN)
     d = (grid.q_axis[:, None] - center_q.real).clip(-1e150, 1e150)
     e = (grid.p_axis[:, None] - center_p.real).clip(-1e150, 1e150)
     left = _pair_parts(np.exp(-d * d), 2.0 * d * center_q.imag, k)
-    right = _pair_parts(weight * np.exp(-e * e), -2.0 * e * center_p.imag - turn, k)
+    phase = -2.0 * e * center_p.imag - (za * zb).imag
+    right = _pair_parts(weight * np.exp(-e * e), phase, k, turn)
     field = np.empty((grid.n_q, grid.n_p))
     return WignerField(grid=grid, values=_matmul_tiles(left, right.T, field))
 
 
-def _pair_parts(modulus: np.ndarray, phase: np.ndarray, k: int) -> np.ndarray:
-    """Columns modulus cos(phase) for every pair, then modulus sin(phase)
-    for the pairs past the k diagonal ones, whose sines are 0."""
-    return np.hstack([modulus * np.cos(phase), modulus[:, k:] * np.sin(phase[:, k:])])
+def _pair_parts(modulus: np.ndarray, phase: np.ndarray, k: int,
+                turn: np.ndarray | float = 1.0) -> np.ndarray:
+    """Columns modulus for the k diagonal pairs, whose phases are 0, then Re
+    and Im of turn modulus e^{i phase} for the pairs past them."""
+    off = turn * _cis(modulus[:, k:], phase[:, k:])
+    return np.hstack([modulus[:, :k], off.real, off.imag])
 
 
 @dataclass(frozen=True, eq=False)

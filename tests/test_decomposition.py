@@ -118,8 +118,8 @@ def test_bad_label_raises_value_error():
 @pytest.mark.parametrize("k, j, z", [(2, 1, 1e-200), (5, 4, 1e-3), (3, 2, 1e-5)])
 def test_closed_route_refuses_cancelled_branches(k, j, z):
     # the branches cancel down to a class amplitude of size component_norm,
-    # leaving about pi^{-1/4} (2 pi + j (k - 1) / 2) eps e^{|z|^2/2} /
-    # component_norm of absolute accuracy (see _ring_norm): without the guard
+    # leaving about pi^{-1/4} 2 pi eps e^{|z|^2/2} / component_norm of
+    # absolute accuracy (see _ring_norm): without the guard
     # the closed route is inf, 4e-4 and 2.9e-6 off the Fock route here, and a
     # ring vector of norm inf, 7.6e-4 and 3.8e-6 off build_mcs
     x = np.linspace(-6.0, 6.0, 121)
@@ -268,7 +268,8 @@ def ring_norm_in_range(k, j, z, fallback, pairs=False):
         cancelled = 2.0 * eps * num > decomposition._RING_ACCURACY * den**2
     else:
         num = math.exp(0.5 * abs(z) ** 2 - h * decomposition._LN2)
-        branches = math.pi**-0.25 * (2.0 * math.pi + 0.5 * j * (k - 1))
+        # the branches' turns are exact, so only their phases' 2 pi eps is left
+        branches = math.pi**-0.25 * 2.0 * math.pi
         cancelled = branches * eps * num > decomposition._RING_ACCURACY * den
     if cancelled:
         raise DegenerateNorm(fallback)
@@ -325,6 +326,29 @@ def test_closed_wavefunction_keeps_its_accuracy_past_the_threshold(k):
         closed = mcs_wavefunction(k, j, z, x, t=t)
         fock = mcs_wavefunction(k, j, z, x, t=t, method="fock")
         assert np.max(np.abs(closed - fock)) <= decomposition._RING_ACCURACY, (z, t)
+
+
+@pytest.mark.parametrize("r", [0.19, 0.21, 0.23])
+def test_closed_wavefunction_serves_the_top_class_of_order_8_from_0_19(r):
+    # with exact turns the branch bound pi^{-1/4} 2 pi eps num / den holds
+    # for every j, so (8, 7) is served from |z| = 0.186 and keeps its 1e-8
+    x = np.linspace(-8.0, 8.0, 401)
+    rng = np.random.default_rng(int(100 * r))
+    for _ in range(3):
+        z = r * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        closed = mcs_wavefunction(8, 7, z, x, t=t)
+        fock = mcs_wavefunction(8, 7, z, x, t=t, method="fock")
+        assert np.max(np.abs(closed - fock)) <= decomposition._RING_ACCURACY, (z, t)
+
+
+def test_quarter_turn_ring_is_exact():
+    # the turns of order 4 are 1, i, -1, -i exactly, not powers of a root
+    # whose real part rounds to 6e-17
+    for z in (1.3 - 0.4j, -2.0, 0.7j, 3.0 + 0.0j):
+        for j in range(4):
+            got = mcs_as_scs(4, j, z).constituents()
+            assert np.array_equal(got, [z, 1j * z, -z, -1j * z]), (z, j)
 
 
 def test_closed_wavefunction_refuses_a_label_it_served_off():

@@ -381,6 +381,18 @@ def test_ring_filter_matches_the_paper_forms(k, j):
         assert closed == pytest.approx(paper_a_norm(k, j, r), rel=1e-13)
 
 
+def test_number_expectation_is_exactly_j_at_zero():
+    # at alpha = 0 the state is |j>; the series ratio (1/(j-1)!) / (1/j!)
+    # would round, from (11, 10) on
+    for k in range(1, 400):
+        for j in range(k):
+            assert _a_norm_series(k, j, 0.0) == j, (k, j)
+    label = MCSLabel(11, 10, 0.0)
+    assert a_norm_closed(label) == 10.0
+    assert moments(label).a_norm_sq == 10.0
+    assert geometric_phase(label) == 0.0
+
+
 def test_turn_table_is_exact_at_quarter_turns():
     assert _turns(4) == (1.0, 1j, -1.0, -1j)
     for k in (8, 12, 16):
