@@ -13,21 +13,21 @@ program, not of its input.
 
 The writer formats each column once. A grid axis comes as an _Axis, its
 values with their repeat and tile counts, so each axis value is formatted
-once and a row's cell is found by arithmetic; any other column goes
-through np.unique, which gives its distinct bit patterns (integers by
-value) and each cell's index into them. `_shortest.repr_rows`, a numpy
-kernel that gives the bytes of repr(float) with no Python code per value,
-formats the distinct floats _BLOCK_ROWS at a time (integers print with
-str). Blocks of _BLOCK_ROWS rows then only set the layout: each row is one
-item of a structured array whose fields are fixed-width cells and
+once and a block finds its cells by one slice or one np.repeat; any other
+column goes through np.unique, which gives its distinct bit patterns
+(integers by value) and each cell's index into them. `_shortest.repr_rows`,
+a numpy kernel that gives the bytes of repr(float) with no Python code per
+value, formats the distinct floats _BLOCK_ROWS at a time (integers print
+with str). Blocks of _BLOCK_ROWS rows then only set the layout: each row is
+one item of a structured array whose fields are fixed-width cells and
 separators, so a block copies one item per cell, and one bytes.translate
-drops the padding. Blocks stay bytes up to a file opened "wb"; only
-stdout decodes them. Only numpy arrays are held: the index of each value
-column (8 bytes per cell), the distinct text (at most 24 bytes per value),
-and one block's buffer; the 257^2 table of `wigner --method both` (four
-float columns, 2.1 MB as arrays) peaks at 4.0 MiB as CSV and 2.9 MiB as
-JSON, measured with tracemalloc. No Python string per cell, and no text of
-a whole table, is ever held.
+drops the padding. Blocks stay bytes up to a file opened "wb"; only stdout
+decodes them. Only numpy arrays are held: the index of each value column
+(8 bytes per cell), the distinct text (at most 24 bytes per value), a tiled
+axis's index one period past a block, and one block's buffer; the 257^2
+table of `wigner --method both` (four float columns, 2.1 MB as arrays)
+peaks at 4.0 MiB as CSV and 2.9 MiB as JSON, measured with tracemalloc.
+No Python string per cell, and no text of a whole table, is ever held.
 
 Complex values are parsed as 're,im' or polar 'r@theta' with theta in
 degrees; a bare number is taken as real. Grids are 'qmin,qmax,pmin,pmax,
@@ -58,7 +58,7 @@ import json
 import math
 import re
 import sys
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -216,6 +216,27 @@ def _cells(col: np.ndarray | _Axis) -> tuple[np.ndarray, np.ndarray, int]:
     return rows.view(f"V{rows.shape[1]}").ravel(), index, repeat
 
 
+def _picker(index: np.ndarray, repeat: int, n_rows: int) -> Callable:
+    """pick(start, stop): index[i // repeat % index.size] over rows start to
+    stop - 1. An array column slices its index, a tiled axis a table one period
+    past _BLOCK_ROWS, and a repeated axis repeats the few values a block meets,
+    so no array grows with n_rows."""
+    size = index.size
+    if repeat == 1:
+        if size < n_rows:
+            index = np.resize(index, size + _BLOCK_ROWS)
+        return lambda start, stop: index[start % size:start % size + stop - start]
+
+    def pick(start: int, stop: int) -> np.ndarray:
+        first, last = start // repeat, (stop - 1) // repeat
+        counts = np.full(last - first + 1, repeat)
+        counts[0] -= start - first * repeat
+        counts[-1] -= (last + 1) * repeat - stop
+        return np.repeat(index.take(np.arange(first, last + 1), mode="wrap"), counts)
+
+    return pick
+
+
 def _blocks(parts: list, n_rows: int) -> Iterator[bytes]:
     """Rows 0 to n_rows - 1, _BLOCK_ROWS at a time, each row being its parts
     in order: a bytes part as it is, a _cells part as that row's cell.
@@ -232,13 +253,12 @@ def _blocks(parts: list, n_rows: int) -> Iterator[bytes]:
         if isinstance(part, bytes):
             buf[name] = np.void(part)
         else:
-            cells.append((name, *part))
+            cells.append((name, part[0], _picker(*part[1:], n_rows)))
     for start in range(0, n_rows, _BLOCK_ROWS):
-        rows = np.arange(start, min(start + _BLOCK_ROWS, n_rows))
-        block = buf[:rows.size]
-        for name, text, index, repeat in cells:
-            pick = index.take(rows // repeat, mode="wrap")
-            text.take(pick, out=block[name], mode="clip")
+        stop = min(start + _BLOCK_ROWS, n_rows)
+        block = buf[:stop - start]
+        for name, text, pick in cells:
+            text.take(pick(start, stop), out=block[name], mode="clip")
         yield block.tobytes().translate(None, b"\0")
 
 

@@ -102,17 +102,31 @@ class FockVector:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _trusted(cls, coeffs: np.ndarray, leakage: float = 0.0) -> FockVector:
+        """Unvalidated: coeffs are 1-d complex128 that the kernel has shown finite."""
+        vec = object.__new__(cls)
+        vec.__dict__.update(coeffs=coeffs, leakage=leakage)
+        return vec
+
     @property
     def n_max(self) -> int:
         return self.coeffs.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return _norm(self.coeffs)
 
     def top_occupied(self) -> int:
         """Largest index with a nonzero coefficient, or -1 for the zero vector."""
         nz = np.flatnonzero(self.coeffs)
         return int(nz[-1]) if nz.size else -1
+
+
+def _norm(c: np.ndarray) -> float:
+    """np.linalg.norm of a 1-d complex vector, bit for bit: its own
+    sqrt(re.dot(re) + im.dot(im)), without its dispatch."""
+    re, im = c.real, c.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def basis_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockVector:
@@ -122,7 +136,7 @@ def basis_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockVector:
     _check_entries("levels (n_max)", n_max)
     c = np.zeros(n_max, dtype=np.complex128)
     c[n] = 1.0
-    return FockVector(c)
+    return FockVector._trusted(c)
 
 
 def inner(a: FockVector, b: FockVector) -> complex:
@@ -163,6 +177,7 @@ def _raising_weights(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(weight), _read_only(np.sqrt(weight))
 
 
+@np.errstate(over="ignore")  # the image and the leakage are checked below
 def apply_k_ladder(
     state: FockVector, k: int, sign: int, leak_tol: float = DEFAULT_LEAK_TOL
 ) -> FockVector:
@@ -185,27 +200,26 @@ def apply_k_ladder(
     cut = max(c.size - k, 0)
     weight, root = _cached(_raising_weights, c.size, k)  # F(n + k) and its root
     out = np.zeros_like(c)
-    with np.errstate(over="ignore"):  # checked below
-        if sign < 0:
-            np.multiply(root[:cut], c[k:], out=out[:cut])
-            leaked = 0.0
-        else:
-            np.multiply(root[:cut], c[:cut], out=out[k:])
-            leaked = float(weight[cut:] @ np.abs(c[cut:]) ** 2)
+    if sign < 0:
+        np.multiply(root[:cut], c[k:], out=out[:cut])
+        leaked = 0.0
+    else:
+        np.multiply(root[:cut], c[:cut], out=out[k:])
+        leaked = float(weight[cut:] @ np.abs(c[cut:]) ** 2)
     if np.count_nonzero(np.isfinite(out)) < out.size or not math.isfinite(leaked):
         raise Overflow(
             f"(a{'+' if sign > 0 else '-'})^{k} takes the state past double range; "
             f"scale its coefficients down"
         )
     if sign < 0:
-        return FockVector(out, state.leakage)
+        return FockVector._trusted(out, state.leakage)
     leakage = state.leakage + leaked
     if leakage > leak_tol:
         raise LeakageExceeded(
             f"accumulated raising leakage {leakage:.3e} exceeds {leak_tol:.1e} "
             f"at n_max={c.size}; raise n_max"
         )
-    return FockVector(out, leakage)
+    return FockVector._trusted(out, leakage)
 
 
 @functools.lru_cache(maxsize=_TABLE_KEYS)
@@ -271,7 +285,7 @@ def pha_commutator_check(k: int, probe: FockVector) -> CommutatorResiduals:
         )
 
     def rel(diff: np.ndarray, ref: np.ndarray) -> float:
-        return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), 1.0))
+        return _norm(diff) / max(_norm(ref), 1.0)
 
     low = apply_k_ladder(probe, k, -1)
     h_probe = _hamiltonian_apply(probe)
@@ -320,13 +334,14 @@ def _check_phase(n_max: int, t) -> None:
         raise Overflow(f"phase (n_max - 1/2) t past double range at |t| = {top:.3g}")
 
 
+@np.errstate(over="ignore")  # the product is checked below
 def time_evolve(state: FockVector, t: float) -> FockVector:
     """exp(-iHt) in the number basis at one time t: c_n -> exp(-i(n+1/2)t) c_n.
 
     t is one real number: a Python or numpy scalar, or a 0-d array. An
     array of times raises ValueError (`density_movie` evolves over a grid
     of them), as does a non-finite t; Overflow once the phase
-    (n_max - 1/2) t leaves double range.
+    (n_max - 1/2) t, or a part of the evolved state, leaves double range.
     """
     if type(t) is not float:  # a Python float passes as it is
         arr = np.asarray(t)
@@ -338,17 +353,20 @@ def time_evolve(state: FockVector, t: float) -> FockVector:
         if arr.dtype.kind not in "biuf":
             raise ValueError(f"time must be a real number, got {t!r}")
         t = float(arr)  # exact for every real dtype up to float64
-    _check_phase(state.n_max, t)
     # not in place: numpy rounds an in-place complex product of one entry
-    # differently
-    return FockVector(_cached(_evolution, state.n_max, t) * state.coeffs, state.leakage)
+    # differently; unit-modulus phases still take a part up to sqrt(2)|c_n|
+    out = _cached(_evolution, state.n_max, t) * state.coeffs
+    if np.count_nonzero(np.isfinite(out)) < out.size:
+        raise Overflow(f"exp(-iHt) at t = {t!r} takes the state past double range")
+    return FockVector._trusted(out, state.leakage)
 
 
 @functools.lru_cache(maxsize=_TABLE_KEYS)
 def _evolution(n_max: int, t: float) -> np.ndarray:
-    """exp(-i(n + 1/2) t) over n < n_max, read-only: exp(-iHt) for a float t.
-    The phases (n + 1/2)(-it) have the bits of -i(n + 1/2) t, and are +0 + 0j
-    at t = 0.0 and -0.0 alike, which share a key."""
+    """exp(-i(n + 1/2) t) over n < n_max, read-only: exp(-iHt) for a float t,
+    after _check_phase. The phases (n + 1/2)(-it) have the bits of
+    -i(n + 1/2) t, and are +0 + 0j at t = 0.0 and -0.0 alike, which share a key."""
+    _check_phase(n_max, t)
     _, energy, _, _ = _cached(_levels, n_max)
     phase = energy * complex(0.0, -t)
     return _read_only(np.exp(phase, out=phase))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import Overflow, RouteMismatch, TailTooHeavy
 from .fock import (DEFAULT_N_MAX, _TABLE_KEYS, _TABLE_LEVELS, FockVector, _cached,
-                   _check_class, _check_n_max, _levels, apply_k_ladder)
+                   _check_class, _check_n_max, _levels, _norm, apply_k_ladder)
 
 # tail share build_mcs may drop, and the route bounds of moments and
 # geometric_phase per max(1, <N>)
@@ -280,7 +280,8 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
             )
     coeffs = np.zeros(n_max, dtype=np.complex128)
     coeffs[j : j + k * len(terms) : k] = terms
-    return FockVector(coeffs / np.linalg.norm(coeffs))
+    # finite: the Overflow guards keep each term finite, and none exceeds the norm
+    return FockVector._trusted(coeffs / _norm(coeffs))
 
 
 def eigenvalue_residual(
@@ -290,7 +291,7 @@ def eigenvalue_residual(
     if state is None:
         state = build_mcs(label, n_max)
     lowered = apply_k_ladder(state, label.k, -1)
-    return float(np.linalg.norm(lowered.coeffs - label.alpha * state.coeffs))
+    return _norm(lowered.coeffs - label.alpha * state.coeffs)
 
 
 def revival_phase(k: int, j: int) -> complex:
@@ -343,7 +344,7 @@ def _moment_set(mean_x: float, mean_p: float, mean_x2: float, mean_p2: float,
 def numeric_moments(state: FockVector) -> MomentSet:
     """Moments straight from truncated matrix elements of a, a^2, N.
     ValueError unless the norm of the vector is positive and finite."""
-    norm = np.linalg.norm(state.coeffs)
+    norm = _norm(state.coeffs)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"moments need a vector of positive, finite norm, got {norm}")
     c = state.coeffs / norm
@@ -420,29 +421,10 @@ def moments(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> MomentSet:
     The bound grows with <N> because the rounding of both routes does: the
     second moments are sums of terms of size <N>.
     """
-    k, j, alpha = label.k, label.j, label.alpha
-    x = _power(abs(alpha), 2)
     # first, so a label too large for the series raises Overflow before a
     # closed MomentSet whose x + 1/2 rounds fails its own consistency check
     numeric = numeric_moments(build_mcs(label, n_max))
-    if k == 1:
-        mean_x = math.sqrt(2.0) * alpha.real
-        mean_p = math.sqrt(2.0) * alpha.imag
-        closed = MomentSet(
-            mean_x=mean_x,
-            mean_p=mean_p,
-            mean_x2=mean_x**2 + 0.5,
-            mean_p2=mean_p**2 + 0.5,
-            var_x=0.5,
-            var_p=0.5,
-            uncertainty_product=0.5,
-            a_norm_sq=x,
-            mean_H=x + 0.5,
-        )
-    else:
-        a = _a_norm_series(k, j, x)
-        cross = alpha.real if k == 2 else 0.0
-        closed = _moment_set(0.0, 0.0, a + 0.5 + cross, a + 0.5 - cross, a)
+    closed = _closed_moments(label)
     worst_field, worst = _route_gap(closed, numeric)
     bound = _ROUTE_TOL * max(1.0, closed.a_norm_sq)
     if worst > bound:
@@ -451,6 +433,21 @@ def moments(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> MomentSet:
             f"by {worst:.3e} (> {bound:.1e}) for {label}; raise n_max"
         )
     return closed
+
+
+def _closed_moments(label: MCSLabel) -> MomentSet:
+    """The closed half of `moments`, without the numeric cross-check."""
+    k, j, alpha = label.k, label.j, label.alpha
+    x = _power(abs(alpha), 2)
+    if k == 1:
+        mean_x = math.sqrt(2.0) * alpha.real
+        mean_p = math.sqrt(2.0) * alpha.imag
+        # variances and their product exactly 1/2
+        return MomentSet(mean_x, mean_p, mean_x**2 + 0.5, mean_p**2 + 0.5, 0.5, 0.5, 0.5,
+                         x, x + 0.5)
+    a = _a_norm_series(k, j, x)
+    cross = alpha.real if k == 2 else 0.0
+    return _moment_set(0.0, 0.0, a + 0.5 + cross, a + 0.5 - cross, a)
 
 
 def geometric_phase(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> float:

@@ -4,9 +4,11 @@ CHECKS is the one table of checks: each row names its suite, its
 statement, a threshold with its relation, and the private function that
 measures it. `run_suite` builds a suite's shared inputs once per call and
 measures that suite's rows in table order; the acceptance tests read the
-same rows. The inputs are the table's own, so a row always measures the
-same thing: states are truncated at n_max = 256 and the algebra probes at
-128. Nothing here is fitted to the implementation, so a regression in any
+same rows. The states suite takes, once per label of its label set, the
+closed moments from the series and the numeric moments from the state it
+built. The inputs are the table's own, so a row always measures the same
+thing: states are truncated at n_max = 256 and the algebra probes at 128.
+Nothing here is fitted to the implementation, so a regression in any
 module shows up as a FAIL with the measured number.
 """
 
@@ -24,7 +26,7 @@ from . import decomposition as dec
 from . import states as st
 from . import wigner as wg
 from .errors import DegenerateNorm, EdgeSupport
-from .fock import (FockVector, apply_k_ladder, basis_state, ladder_spectrum,
+from .fock import (FockVector, _norm, apply_k_ladder, basis_state, ladder_spectrum,
                    pha_commutator_check, time_evolve)
 
 _SEED = 20240813
@@ -80,7 +82,7 @@ def _random_probe(rng: np.random.Generator, clear_top: int) -> FockVector:
     n_max = _ALGEBRA_N_MAX
     c = rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)
     c[n_max - clear_top :] = 0.0
-    return FockVector(c / np.linalg.norm(c))
+    return FockVector(c / _norm(c))
 
 
 def _commutators(s: SimpleNamespace) -> float:
@@ -129,7 +131,7 @@ def _state_inputs() -> SimpleNamespace:
     built = {lab: st.build_mcs(lab, _N_MAX) for lab in labels}
     return SimpleNamespace(
         built=built,
-        closed={lab: st.moments(lab, _N_MAX) for lab in labels},
+        closed={lab: st._closed_moments(lab) for lab in labels},
         numeric={lab: st.numeric_moments(vec) for lab, vec in built.items()},
     )
 
@@ -159,8 +161,9 @@ def _moment_routes(s: SimpleNamespace) -> float:
 
 def _order_one_product(s: SimpleNamespace) -> float:
     # the closed order-one moments hold 1/2 itself, so this reads the built states
-    built = (st.build_mcs(lab, _N_MAX) for lab in _swept_labels(s, 1))
-    return max(abs(st.numeric_moments(vec).uncertainty_product - 0.5) for vec in built)
+    numeric = (s.numeric.get(lab) or st.numeric_moments(st.build_mcs(lab, _N_MAX))
+               for lab in _swept_labels(s, 1))
+    return max(abs(mom.uncertainty_product - 0.5) for mom in numeric)
 
 
 def _number_closed_vs_series(s: SimpleNamespace) -> float:
@@ -202,7 +205,7 @@ def _revival(s: SimpleNamespace) -> float:
     for lab, vec in s.built.items():
         cycled = time_evolve(vec, 2.0 * math.pi / lab.k)
         expect = st.revival_phase(lab.k, lab.j) * vec.coeffs
-        rev = max(rev, float(np.linalg.norm(cycled.coeffs - expect)))
+        rev = max(rev, _norm(cycled.coeffs - expect))
     return rev
 
 
@@ -227,7 +230,7 @@ def _ring_vs_direct(s: SimpleNamespace) -> float:
             for z in (1.5, 1.0 + 1.0j):
                 ring = dec.mcs_as_scs(k, j, z).fock_vector(_N_MAX)
                 direct = dec._ring_state(k, j, z, _N_MAX)
-                gap = max(gap, float(np.linalg.norm(ring.coeffs - direct.coeffs)))
+                gap = max(gap, _norm(ring.coeffs - direct.coeffs))
     return gap
 
 
@@ -237,7 +240,7 @@ def _reassembly(s: SimpleNamespace) -> float:
         for z in (1.5, 0.8 - 1.1j) + _RING_Z:
             back = dec.coherent_from_classes(k, z, _N_MAX)
             ref = st.build_mcs(st.MCSLabel(1, 0, z), _N_MAX)
-            gap = max(gap, float(np.linalg.norm(back.coeffs - ref.coeffs)))
+            gap = max(gap, _norm(back.coeffs - ref.coeffs))
     return gap
 
 

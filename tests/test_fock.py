@@ -95,6 +95,21 @@ def test_phase_past_double_range_raises_overflow(t):
     assert time_evolve(basis_state(2, 8), t).norm() == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("t", [-math.pi / 2, math.pi / 2, 2.0])
+@pytest.mark.parametrize("level", [0, 3])
+def test_evolution_past_double_range_raises_overflow(t, level):
+    # unit-modulus phases do not bound the parts of the product: at t = -pi/2
+    # |0> takes e^{i pi/4}, whose product with 1.7e308 (1 + i) has the part
+    # 2.4e308; refused by name, without a RuntimeWarning on the way
+    state = FockVector(np.eye(4)[level] * (1.7e308 + 1.7e308j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(Overflow, match=re.escape(f"exp(-iHt) at t = {t!r}")):
+            time_evolve(state, t)
+        # at t = 0 every phase is 1, and the state keeps its bits
+        assert time_evolve(state, 0.0).coeffs.tobytes() == state.coeffs.tobytes()
+
+
 @pytest.mark.parametrize("t", [0.3, 2, np.float64(0.3), np.float32(0.3), np.array(0.3)])
 def test_time_evolve_takes_one_real_time(t):
     got = time_evolve(basis_state(3, 8), t).coeffs

@@ -15,6 +15,16 @@ invariants: unit norm, an uncertainty product >= 1/2, and unit mass or a
 field total of 1 on a grid that covers the state's reach. Every argument
 drawn is valid, so not even a ValueError is allowed.
 
+The trusted kernels, whose FockVector is not validated again: over k <= 8
+and both signs, `apply_k_ladder` of vectors of up to 4096 levels with
+parts up to 1e300, any `basis_state`, and `build_mcs` with |alpha|
+log-uniform from 1e-300 past its Overflow edge at 1.3e154 and n_max up to
+4096, each return finite coefficients or raise a McskitError, and never
+warn. `_norm`, which these
+kernels and the moments use, is np.linalg.norm bit for bit on complex
+vectors of 1 to 4096 entries with parts from subnormal to 1e300, signed
+zeros included.
+
 Completeness: over every class with k <= 400, n_top and dim_check up to 8,
 `moment_check` passes the root-exponential density and `identity_block`
 lies within 1e-10 of the identity; nothing is refused.
@@ -32,6 +42,7 @@ Each fixed example below is a label a search once failed on.
 
 import json
 import math
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -39,9 +50,12 @@ from hypothesis import strategies as st
 
 from mcskit import (
     DegenerateNorm,
+    FockVector,
     MCSLabel,
     McskitError,
     PhaseGrid,
+    apply_k_ladder,
+    basis_state,
     build_mcs,
     geometric_phase,
     identity_block,
@@ -54,6 +68,7 @@ from mcskit import (
 )
 from mcskit.cli import main
 from mcskit.decomposition import _RING_ACCURACY, _ring_norm
+from mcskit.fock import _norm
 
 EPS = np.finfo(np.float64).eps
 EDGE = 8.0
@@ -221,6 +236,83 @@ def test_closed_field_has_unit_total_or_is_refused(label, r, theta):
     num, den = _ring_norm(k, j, z, "wigner_numeric", pairs=True)
     area = (2.0 * half) ** 2
     assert abs(field.total() - 1.0) <= 1e-10 + area * 2.0 * EPS * num / den**2
+
+
+def finite_or_refused(call):
+    """call()'s coefficients, or None for a McskitError; a RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            coeffs = call().coeffs
+        except McskitError:
+            return None
+    assert coeffs.dtype == np.complex128 and np.all(np.isfinite(coeffs))
+    return coeffs
+
+
+def random_parts(draw_seed, size, low, high, zeros):
+    """size doubles, log-uniform in magnitude between 10^low and 10^high with
+    random signs, and a share `zeros` of them +-0.0."""
+    rng = np.random.default_rng(draw_seed)
+    mag = 10.0 ** rng.uniform(low, high, size)  # underflows to 0 below 5e-324
+    mag[rng.random(size) < zeros] = 0.0
+    return np.where(rng.random(size) < 0.5, -mag, mag)
+
+
+def complex_vector(seed, size, low, high, zeros):
+    c = np.empty(size, dtype=np.complex128)  # parts set apart keep -0.0
+    c.real = random_parts(seed, size, low, high, zeros)
+    c.imag = random_parts(seed + 1, size, low, high, zeros)
+    return c
+
+
+SEEDS = st.integers(0, 2**32 - 2)
+DECADES = st.floats(-324.0, 300.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 4096), seed=SEEDS, ends=st.tuples(DECADES, DECADES),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]),
+       picks=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+                      max_size=8))
+def test_norm_is_numpys_bit_for_bit(size, seed, ends, zeros, picks):
+    c = complex_vector(seed, size, min(ends), max(ends), zeros)
+    for i, (re, im) in enumerate(picks[:size]):  # drawn edge values up front
+        c[i] = complex(re, im)
+    with np.errstate(over="ignore"):  # squares past 1.3e154 are inf on both
+        got, want = _norm(c), np.linalg.norm(c)
+    assert type(got) is float and got.hex() == float(want).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 8), sign=st.sampled_from([-1, 1]), n_max=st.integers(1, 4096),
+       seed=SEEDS, ends=st.tuples(DECADES, DECADES), zeros=st.sampled_from([0.0, 0.5]))
+# an image past double range: sqrt(F(n + 8)) reaches 2.8e14 on 4096 levels
+@example(k=8, sign=-1, n_max=4096, seed=0, ends=(300.0, 300.0), zeros=0.0)
+@example(k=8, sign=1, n_max=4096, seed=0, ends=(300.0, 300.0), zeros=0.0)
+def test_ladder_is_finite_or_refused(k, sign, n_max, seed, ends, zeros):
+    state = FockVector(complex_vector(seed, n_max, min(ends), max(ends), zeros))
+    finite_or_refused(lambda: apply_k_ladder(state, k, sign, leak_tol=np.inf))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_max=st.integers(1, 4096), data=st.data())
+def test_basis_state_is_finite(n_max, data):
+    n = data.draw(st.integers(0, n_max - 1))
+    coeffs = finite_or_refused(lambda: basis_state(n, n_max))
+    assert coeffs[n] == 1.0 and np.count_nonzero(coeffs) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=any_label, decade=st.floats(-300.0, 155.0), theta=angle,
+       n_max=st.integers(1, 4096))
+# the largest |alpha| whose square fits a double, and one past it
+@example(label=(1, 0), decade=math.log10(1.3e154), theta=0.0, n_max=4096)
+@example(label=(1, 0), decade=math.log10(1.35e154), theta=0.0, n_max=4096)
+def test_built_state_is_finite_or_refused(label, decade, theta, n_max):
+    k, j = label
+    finite_or_refused(lambda: build_mcs(MCSLabel(k, j, ring_label(10.0**decade, theta)),
+                                        n_max))
 
 
 # edge values of the command line as a user spells them, each set ending in

@@ -6,8 +6,9 @@ call per cell for CSV, and `json.dumps(doc, indent=2)` of the columns'
 writes the same layout by hand, so the two must agree byte for byte, to a
 file and to stdout, on the values where formatting is easiest to get
 wrong: signed zeros, subnormals, the largest doubles, integers, the
-repeated axis columns of the CLI, and row counts around the block size and
-across several blocks, where values recur from block to block. The writer
+repeated and tiled axis columns of the CLI, an axis that does both, and
+row counts and axis periods around the block size and across several
+blocks, where values recur from block to block. The writer
 takes finite, rectangular, non-empty tables only: a non-finite value, no
 column, an empty column or columns of unequal length raise ValueError
 before a byte is written. Two more tests hold the writer to its cost: the
@@ -16,6 +17,7 @@ table's write holds no more than a small multiple of its columns' bytes.
 """
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -123,18 +125,23 @@ def test_tables_without_columns_or_config(tmp_path, capsys, fmt):
         assert_refused(tmp_path, capsys, fmt, config, [], "one length of at least 1")
 
 
-def grid_columns(slow, fast, value=None):
-    """A grid table as the CLI passes it, slow axis outermost, and the same
-    table as expanded arrays for the reference."""
-    n_rows = slow.size * fast.size
+def grid_columns(grid, value=None):
+    """A grid table as the CLI passes it, its axes slow to fast, and the same
+    table as expanded arrays for the reference. An axis repeats each value
+    once per row of the faster axes and tiles once per row of the slower
+    ones, so a middle axis does both."""
+    sizes = [axis.size for axis in grid]
+    n_rows = math.prod(sizes)
     if value is None:  # random values with the special ones at every fifth row
         value = np.random.default_rng(n_rows).standard_normal(n_rows)
         value[::5] = np.resize(SPECIAL, value[::5].size)
-    axes = [("slow", _Axis(slow, repeat=fast.size)), ("fast", _Axis(fast, tile=slow.size)),
-            ("value", value)]
-    arrays = [("slow", np.repeat(slow, fast.size)), ("fast", np.tile(fast, slow.size)),
-              ("value", value)]
-    return axes, arrays
+    names = ["slow"] + ["middle"] * (len(grid) - 2) + ["fast"]
+    axes, arrays = [], []
+    for i, (name, axis) in enumerate(zip(names, grid)):
+        repeat, tile = math.prod(sizes[i + 1:]), math.prod(sizes[:i])
+        axes.append((name, _Axis(axis, repeat=repeat, tile=tile)))
+        arrays.append((name, np.tile(np.repeat(axis, repeat), tile)))
+    return axes + [("value", value)], arrays + [("value", value)]
 
 
 GRIDS = {
@@ -147,13 +154,22 @@ GRIDS = {
     "special": (SPECIAL, np.append(SPECIAL, SPECIAL[:3])),
     # spectrum's class_index x step
     "int": (np.arange(7), np.arange(_BLOCK_ROWS // 3)),
+    # runs of the slow axis longer than a block, and a period of the fast
+    # axis that does not divide it
+    "3x4099": (np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 7.0, _BLOCK_ROWS + 3)),
+    # a period of 257 rows, which 4096 is not a multiple of, over 40 blocks
+    "640x257": (np.linspace(0.0, 3.0, 640), np.linspace(-8.0, 8.0, 257)),
+    # a middle axis both repeated (257 times) and tiled (5 times)
+    "5x7x257": (np.linspace(0.0, 1.0, 5), SPECIAL[:7], np.linspace(-8.0, 8.0, 257)),
+    # a table shorter than one period past a block: each block is the whole table
+    "2x5": (np.array([-0.0, 0.0]), np.linspace(-1.0, 1.0, 5)),
 }
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("grid", GRIDS)
 def test_axis_columns_match_the_expanded_reference(tmp_path, capsys, fmt, grid):
-    axes, arrays = grid_columns(*GRIDS[grid])
+    axes, arrays = grid_columns(GRIDS[grid])
     want = table_reference(fmt, CONFIG, arrays)
     path = tmp_path / f"table.{fmt}"
     write_table(str(path), fmt, CONFIG, axes)
@@ -181,7 +197,7 @@ def test_non_finite_values_are_refused(tmp_path, capsys, fmt, bad, where):
         value[7] = NONFINITE[bad]
     else:
         fast[2] = NONFINITE[bad]
-    axes, _ = grid_columns(slow, fast, value)
+    axes, _ = grid_columns((slow, fast), value)
     name = "value" if where == "value" else "fast"
     assert_refused(tmp_path, capsys, fmt, CONFIG, axes,
                    f"column '{name}' holds a non-finite value")
@@ -196,7 +212,7 @@ def test_empty_columns_are_refused(tmp_path, capsys, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_ragged_columns_are_refused(tmp_path, capsys, fmt):
     # 3 x 4 axes beside a 20-row value column
-    axes, _ = grid_columns(np.arange(3.0), np.arange(4.0), np.arange(20.0))
+    axes, _ = grid_columns((np.arange(3.0), np.arange(4.0)), np.arange(20.0))
     assert_refused(tmp_path, capsys, fmt, CONFIG, axes, r"got lengths \[12, 20\]")
 
 
