@@ -12,6 +12,12 @@ resolution-of-identity matrix of the root-exponential family
 `root_exponential_density(k, j)`, whose moments are exact for every class,
 numerically as an end-to-end verification.
 
+Both are one quadrature: <m|alpha><alpha|n> carries e^{i(m-n) phi}, whose
+integral over phi is 2 pi delta_mn, so the matrix is diagonal, and there
+S_{k,j} cancels the squared normalization 1/S_{k,j} of the state, so S is
+never evaluated: with x = |alpha|^2, entry m is the order-m moment
+integral over Gamma(km + j + 1).
+
 Numerical notes, all load-bearing:
 
 * Candidates are stated in v = x^(1/k), an exact change of variables,
@@ -20,12 +26,11 @@ Numerical notes, all load-bearing:
   the 4096-panel budget, not by double range; its rounding, about
   eps (kn+j) ln v, sets the accuracy.
 * The root-exponential integrand is analytic at v = 0, so one panel
-  doubling converges at spectral rate for moments and blocks alike. Each
-  panel count is one density call and one (nodes x orders) integrand.
-* Each integrand is scaled by exp(-lgamma(kn+j+1)) inside the exponential,
-  so moments match against 1.0. In the identity assembly the S_{k,j}
-  factor of the measure cancels the squared normalization of the state
-  analytically, so S is never evaluated.
+  doubling converges at spectral rate. Each panel count is one density
+  call and one (nodes x orders) integrand, scaled by exp(-lgamma(kn+j+1))
+  inside the exponential so every entry matches against 1.0, met by the
+  node weights in tiles that stay on the calling thread (`_matmul_tiles`):
+  the bits do not depend on the BLAS thread count.
 * Moments end at support_hint, and raise if their tail there is visible;
   identity blocks end past the weight of every order they hold.
 """
@@ -39,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 
+from .decomposition import _matmul_tiles
 from .errors import QuadratureFailure
 from .fock import _check_class, _check_count, _check_entries
 
@@ -50,7 +56,7 @@ _MAX_PANELS = 4096
 # between panel counts (and unseen tail past support_hint) it may ignore
 _MOMENT_TOL = 1e-8
 _MOMENT_STEP = 1e-11
-# identity_block: entrywise change that ends the panel doubling
+# identity_block: relative change of every entry that ends the panel doubling
 _BLOCK_STEP = 1e-10
 
 
@@ -113,41 +119,36 @@ def _v_limit(k: int, j: int, n: int) -> float:
     return k * n + j + 12.0 * math.sqrt(k * n + j) + 40.0
 
 
-def _refine(compute: Callable, distance: Callable, tol: float, what: Callable[[int], str]):
-    """compute(n_panels), panels doubling from _BASE_PANELS until every entry
-    of distance(new, old) is within tol; past _MAX_PANELS QuadratureFailure
-    naming what(i) of the first flat entry i that was not."""
-    n_panels = _BASE_PANELS
-    prev = compute(n_panels)
-    while n_panels < _MAX_PANELS:
-        n_panels *= 2
-        val = compute(n_panels)
-        settled = distance(val, prev) <= tol
-        if np.all(settled):
-            return val
-        prev = val
-    i = int(np.argmin(settled))
-    raise QuadratureFailure(f"{what(i)} did not converge within {_MAX_PANELS} panels")
-
-
-def _integrand(candidate: MeasureCandidate, v_hi: float, orders: np.ndarray,
-               target: np.ndarray, n_panels: int):
-    """Node weights k w sign f(v^k) on n_panels panels of [0, v_hi], and per
-    node and order n log |v^(kn-1) f(v^k)| - target (target lgamma(kn+j+1)
-    makes weights @ exp of it the scaled moments). The sign carries negative
-    densities through, so bad candidates are measured, not crashed.
-    QuadratureFailure if 4096 panels are wider than the narrowest weight,
-    sqrt(kn+j) + 30 at the lowest order: coarser counts would miss it alike."""
+def _scaled_moments(candidate: MeasureCandidate, v_hi: float, orders: np.ndarray, step: float,
+                    what: Callable[[int], str]) -> np.ndarray:
+    """Per order n, the integral over [0, v_hi] of k v^(kn-1) f(v^k) dv over
+    Gamma(kn+j+1), as (k w sign f) @ exp(log |v^(kn-1) f| - lgamma(kn+j+1));
+    the sign carries negative densities through, so bad candidates are
+    measured, not crashed. Panels double from _BASE_PANELS until every order
+    moves by at most step relative to max(|value|, 1e-3); QuadratureFailure
+    naming what(i) of the first order i that did not by _MAX_PANELS, or up
+    front if those are wider than the narrowest weight, sqrt(kn+j) + 30 at
+    the lowest order: coarser counts would miss it alike."""
     k, j, low = candidate.k, candidate.j, int(orders[0])
     width = math.sqrt(k * low + j) + 30.0
     if v_hi / _MAX_PANELS > width:
         raise QuadratureFailure(f"{_MAX_PANELS} panels on [0, {v_hi:.6g}] miss order {low} of"
                                 f" class ({k}, {j}), about {width:.3g} wide")
-    v, w = _panel_nodes(0.0, v_hi, n_panels)
-    _check_entries("integrand entries (nodes x orders)", v.size * orders.size)
-    log_f, sign = candidate.log_density(v)
-    log_mag = np.log(v)[:, None] * (k * orders - 1) + log_f[:, None]
-    return k * w * sign, log_mag - target
+    target = np.array([math.lgamma(k * n + j + 1) for n in orders.tolist()])
+    n_panels, prev = _BASE_PANELS, None
+    while n_panels <= _MAX_PANELS:
+        v, w = _panel_nodes(0.0, v_hi, n_panels)
+        _check_entries("integrand entries (nodes x orders)", v.size * orders.size)
+        log_f, sign = candidate.log_density(v)
+        log_mag = np.log(v)[:, None] * (k * orders - 1) + log_f[:, None] - target
+        val = _matmul_tiles((k * w * sign)[None, :], np.exp(log_mag), np.empty((1, orders.size)))[0]
+        if prev is not None:
+            settled = np.abs(val - prev) / np.maximum(np.abs(val), 1e-3) <= step
+            if np.all(settled):
+                return val
+        n_panels, prev = 2 * n_panels, val
+    i = int(np.argmin(settled))
+    raise QuadratureFailure(f"{what(i)} did not converge within {_MAX_PANELS} panels")
 
 
 def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
@@ -176,12 +177,8 @@ def moment_check(candidate: MeasureCandidate, n_top: int = 20) -> MomentReport:
         raise QuadratureFailure(f"moment {n + 1} of {candidate.name!r} still carries {edge[n]:.1e}"
                                 f" of its target at support_hint={v_hi:.6g}; raise support_hint")
 
-    def moments(n_panels: int) -> np.ndarray:
-        weights, log_mag = _integrand(candidate, v_hi, orders, target, n_panels)
-        return weights @ np.exp(log_mag)
-
-    scaled = _refine(moments, lambda a, b: np.abs(a - b) / np.maximum(np.abs(a), 1e-3),
-                     _MOMENT_STEP, lambda i: f"moment {i + 1} of {candidate.name!r}")
+    scaled = _scaled_moments(candidate, v_hi, orders, _MOMENT_STEP,
+                             lambda i: f"moment {i + 1} of {candidate.name!r}")
     rel = np.abs(scaled - 1.0)
     nonneg = bool(np.min(sign) >= 0)
     passed = nonneg and bool(np.all(rel <= _MOMENT_TOL))
@@ -209,38 +206,28 @@ def root_exponential_density(k: int, j: int) -> MeasureCandidate:
 
 
 def identity_block(k: int, j: int, dim_check: int = 12) -> np.ndarray:
-    """Converged overlap matrix of `root_exponential_density(k, j)` on the
-    first dim_check states of class (k, j).
+    """Converged matrix of the root-exponential measure on the first
+    dim_check states of class (k, j), as float64.
 
-    In v = x^(1/k) the measure is k w f(v^k)/v times the angular weight, and
-    basis column m, v^(km/2)/sqrt(Gamma(km+j+1)) with S cancelled, is the
-    root of the order-m scaled moment integrand; dim_check + 1 uniform angles
-    kill every off-diagonal phase exactly (roots of unity). The range ends
-    past the weight of order dim_check - 1, the highest the block holds;
-    panels double until the matrix moves by less than 1e-10 entrywise,
-    QuadratureFailure past 4096, or up front if 4096 miss order 0. Entries
-    carry about eps (kn+j) ln v of rounding from the log integrand.
-    ValueError unless dim_check is an int >= 1, Overflow past the array cap.
+    The angular integral of <m|alpha><alpha|n> over arg alpha is 2 pi
+    delta_mn, so the block is diagonal, and S_{k,j} cancels against the
+    squared normalization of the state: entry m is the order-m scaled
+    moment integral of `root_exponential_density(k, j)`, one for an exact
+    measure. Off the diagonal it is exactly 0. The range ends past the
+    weight of order dim_check - 1, the highest the block holds; panels
+    double until every entry moves by at most 1e-10 relative,
+    QuadratureFailure naming the first that did not past 4096, or up front
+    if 4096 miss order 0. Entries carry about eps (kn+j) ln v of rounding
+    from the log integrand. ValueError unless dim_check is an int >= 1,
+    Overflow past the array cap.
     """
     dim_check = _check_count("dim_check", dim_check)
-    _check_entries("block entries ((dim_check + 1) x dim_check)", (dim_check + 1) * dim_check)
+    _check_entries("block entries (dim_check x dim_check)", dim_check * dim_check)
     candidate = root_exponential_density(k, j)
     k, j = candidate.k, candidate.j
-    v_hi = _v_limit(k, j, dim_check - 1)
-    orders = np.arange(dim_check)
-    target = np.array([math.lgamma(k * n + j + 1) for n in orders.tolist()])
-    phases = np.exp(2j * np.pi * (np.outer(np.arange(dim_check + 1), orders) / (dim_check + 1)))
-    angular = phases.conj().T @ phases / (dim_check + 1)
-
-    def assemble(n_panels: int) -> np.ndarray:
-        weights, log_mag = _integrand(candidate, v_hi, orders, target, n_panels)
-        # entries below 1e-150 cannot reach the block's rounding; flushing
-        # them keeps subnormal products, ~100x slower, out of the product
-        cols = np.exp(0.5 * np.where(log_mag > -690.0, log_mag, -np.inf))
-        return ((cols.T * weights) @ cols) * angular
-
-    return _refine(assemble, lambda a, b: np.abs(a - b), _BLOCK_STEP,
-                   lambda i: f"identity assembly for class ({k}, {j})")
+    diagonal = _scaled_moments(candidate, _v_limit(k, j, dim_check - 1), np.arange(dim_check),
+                               _BLOCK_STEP, lambda m: f"entry ({m}, {m}) of the ({k}, {j}) block")
+    return np.diag(diagonal)
 
 
 def identity_resolution_numeric(k: int, j: int) -> float:

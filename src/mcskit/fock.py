@@ -230,26 +230,34 @@ def _levels(size: int) -> tuple[np.ndarray, ...]:
     return tuple(map(_read_only, (n, n + 0.5, np.sqrt(n), np.sqrt(pair))))
 
 
+@np.errstate(over="ignore")  # the product is checked below
 def _hamiltonian_apply(state: FockVector) -> FockVector:
-    """H|n> = (n + 1/2)|n>."""
+    """H|n> = (n + 1/2)|n>, Overflow past double range."""
     _, energy, _, _ = _cached(_levels, state.n_max)
-    return FockVector(energy * state.coeffs, state.leakage)
+    out = energy * state.coeffs
+    if np.count_nonzero(np.isfinite(out)) < out.size:
+        raise Overflow("H takes the state past double range")
+    return FockVector._trusted(out, state.leakage)
 
 
+@np.errstate(over="ignore")  # the product is checked below
 def _number_falling_apply(state: FockVector, k: int) -> FockVector:
     """Diagonal action of the degree-k generator polynomial.
 
     The product (H - 1 + 1/2)(H - 2 + 1/2)...(H - k + 1/2) acts on |n> as
     the falling factorial F(n) = n(n-1)...(n-k+1), which is exactly the
     number operator ordering (a+)^k (a-)^k. F(n) is 0 below n = k and
-    F(n + k) of `_raising_weights` from there, Overflow as there.
+    F(n + k) of `_raising_weights` from there, Overflow as there and when
+    the image leaves double range.
     """
     k, _ = _check_class(k)
     c = state.coeffs
     weight, _ = _cached(_raising_weights, c.size, k)
     out = np.zeros_like(c)
     np.multiply(weight[: max(c.size - k, 0)], c[k:], out=out[k:])
-    return FockVector(out, state.leakage)
+    if np.count_nonzero(np.isfinite(out)) < out.size:
+        raise Overflow(f"F(N) of order {k} takes the state past double range")
+    return FockVector._trusted(out, state.leakage)
 
 
 class CommutatorResiduals(NamedTuple):

@@ -365,7 +365,7 @@ def _order_two_moments(s: SimpleNamespace) -> float:
 def _tiling_gap(k: int, dim_check: int = 8) -> float:
     """Gap to the identity of the first k * dim_check levels, tiled from the
     k class blocks of order k."""
-    full = np.zeros((k * dim_check, k * dim_check), dtype=np.complex128)
+    full = np.zeros((k * dim_check, k * dim_check))
     for j in range(k):
         idx = k * np.arange(dim_check) + j
         full[np.ix_(idx, idx)] = comp.identity_block(k, j, dim_check=dim_check)

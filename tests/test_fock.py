@@ -110,6 +110,19 @@ def test_evolution_past_double_range_raises_overflow(t, level):
         assert time_evolve(state, 0.0).coeffs.tobytes() == state.coeffs.tobytes()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: pha_commutator_check(1, FockVector(np.array([0, 1.7e308, 0, 0, 0]))),
+    lambda: _number_falling_apply(FockVector(np.array([0, 0, 1e308, 0, 0, 0, 0])), 2),
+])
+def test_diagonal_operators_past_double_range_raise_overflow(call):
+    # (n + 1/2) c_n and F(n) c_n leave double range where the ladder images of
+    # the same probes stay finite; refused by name, without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(Overflow, match="takes the state past double range"):
+            call()
+
+
 @pytest.mark.parametrize("t", [0.3, 2, np.float64(0.3), np.float32(0.3), np.array(0.3)])
 def test_time_evolve_takes_one_real_time(t):
     got = time_evolve(basis_state(3, 8), t).coeffs

@@ -1002,17 +1002,16 @@ def laguerre_log_moments(k, j, orders):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_identity_blocks_match_gauss_laguerre(k):
-    # the block's columns are the roots of the scaled integrands, so its
-    # diagonal is exact; the off-diagonal phases cancel as in the block
+    # the angular integral is exactly delta_mn, so the block is the diagonal
+    # of the scaled moment integrals of orders 0 .. dim - 1, and exact 0 off it
     for dim in (1, 12):
-        turns = np.outer(np.arange(dim + 1), np.arange(dim)) / (dim + 1)
-        phases = np.exp(2j * np.pi * turns)
-        angular = phases.conj().T @ phases / (dim + 1)
         for j in range(k):
             log_w, log_mag = laguerre_log_moments(k, j, np.arange(dim))
-            cols = np.exp(0.5 * (log_w[:, None] + log_mag))
-            ref = (cols.T @ cols) * angular
-            assert np.max(np.abs(identity_block(k, j, dim) - ref)) <= 1e-12, (j, dim)
+            ref = np.diag(np.exp(log_w[:, None] + log_mag).sum(axis=0))
+            block = identity_block(k, j, dim)
+            assert block.dtype == np.float64
+            assert np.all(block[~np.eye(dim, dtype=bool)] == 0.0), (j, dim)
+            assert np.max(np.abs(block - ref)) <= 1e-12, (j, dim)
 
 
 @pytest.mark.parametrize("k", range(1, 9))

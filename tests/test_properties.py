@@ -169,6 +169,8 @@ def test_completeness_holds_for_every_class_to_order_400(label, n_top, dim_check
     report = moment_check(root_exponential_density(k, j), n_top)
     assert report.passed, report
     block = identity_block(k, j, dim_check)
+    assert block.dtype == np.float64
+    assert np.array_equal(block, np.diag(np.diag(block)))
     assert np.max(np.abs(block - np.eye(dim_check))) <= 1e-10
 
 

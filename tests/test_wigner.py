@@ -352,13 +352,9 @@ def test_level_terms_decay_as_the_numeric_reach_assumes():
         assert np.all(np.abs(psi) <= bound), n
 
 
-def test_wide_field_bytes_do_not_depend_on_the_blas_thread_count():
-    # the y window of |200> is wide, so its transform blocks would be large
-    # enough for OpenBLAS to split over threads if they were not sized
-    # below the split
-    code = ("import hashlib; from mcskit import PhaseGrid, basis_state, wigner_numeric; "
-            "field = wigner_numeric(basis_state(200, 256), PhaseGrid()); "
-            "print(hashlib.sha1(field.values.tobytes()).hexdigest())")
+def stdout_per_blas_thread_count(code):
+    """The distinct stdouts of `code` run in a fresh process under one and
+    under two OpenBLAS threads."""
     digests = set()
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(Path(mcskit.__file__).parents[1]),
@@ -367,7 +363,28 @@ def test_wide_field_bytes_do_not_depend_on_the_blas_thread_count():
                               timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout)
-    assert len(digests) == 1
+    return digests
+
+
+def test_wide_field_bytes_do_not_depend_on_the_blas_thread_count():
+    # the y window of |200> is wide, so its transform blocks would be large
+    # enough for OpenBLAS to split over threads if they were not sized
+    # below the split
+    code = ("import hashlib; from mcskit import PhaseGrid, basis_state, wigner_numeric; "
+            "field = wigner_numeric(basis_state(200, 256), PhaseGrid()); "
+            "print(hashlib.sha1(field.values.tobytes()).hexdigest())")
+    assert len(stdout_per_blas_thread_count(code)) == 1
+
+
+def test_completeness_bytes_do_not_depend_on_the_blas_thread_count():
+    # at k = 10^4 the quadrature takes 2048 panels, whose node-by-order
+    # products would be large enough for OpenBLAS to split over threads
+    code = ("import hashlib; from mcskit import identity_block, moment_check, "
+            "root_exponential_density as f; "
+            "h = hashlib.sha1(identity_block(10**4, 0, 12).tobytes()); "
+            "h.update(moment_check(f(10**4, 0), 12).rel_errors.tobytes()); "
+            "print(h.hexdigest())")
+    assert len(stdout_per_blas_thread_count(code)) == 1
 
 
 def test_purity_helper_matches_method():
