@@ -62,7 +62,6 @@ from .wigner import (
 from .completeness import (
     MeasureCandidate,
     MomentReport,
-    identity_block,
     identity_resolution_numeric,
     moment_check,
     root_exponential_density,
@@ -85,7 +84,7 @@ __all__ = [
     "density_movie", "fock_wavefunction", "mcs_as_scs", "mcs_wavefunction",
     "Marginals", "PhaseGrid", "WignerField", "marginals",
     "negativity_volume", "purity", "wigner_closed", "wigner_numeric",
-    "MeasureCandidate", "MomentReport", "identity_block",
-    "identity_resolution_numeric", "moment_check", "root_exponential_density",
+    "MeasureCandidate", "MomentReport", "identity_resolution_numeric",
+    "moment_check", "root_exponential_density",
     "CheckResult", "run_suite",
 ]

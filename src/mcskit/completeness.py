@@ -7,10 +7,10 @@ n = j mod k when a radial density f satisfies the moment condition
 
 for n = 1, 2, ...; the full measure is then
 S_{k,j}(|alpha|^2) f(|alpha|^2) d|alpha| dphi / (pi |alpha|). This module
-checks candidate densities against the moment condition and assembles the
-resolution-of-identity matrix of the root-exponential family
-`root_exponential_density(k, j)`, whose moments are exact for every class,
-numerically as an end-to-end verification.
+checks candidate densities against the moment condition and measures how
+far the root-exponential family `root_exponential_density(k, j)`, whose
+moments are exact for every class, resolves the identity numerically, as
+an end-to-end verification.
 
 Both are one quadrature: <m|alpha><alpha|n> carries e^{i(m-n) phi}, whose
 integral over phi is 2 pi delta_mn, so the matrix is diagonal, and there
@@ -32,7 +32,7 @@ Numerical notes, all load-bearing:
   node weights in tiles that stay on the calling thread (`_matmul_tiles`):
   the bits do not depend on the BLAS thread count.
 * Moments end at support_hint, and raise if their tail there is visible;
-  identity blocks end past the weight of every order they hold.
+  identity checks end past the weight of every state they hold.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ _MAX_PANELS = 4096
 # between panel counts (and unseen tail past support_hint) it may ignore
 _MOMENT_TOL = 1e-8
 _MOMENT_STEP = 1e-11
-# identity_block: relative change of every entry that ends the panel doubling
+# identity checks: relative change of every entry that ends the panel doubling
 _BLOCK_STEP = 1e-10
 
 
@@ -205,39 +205,33 @@ def root_exponential_density(k: int, j: int) -> MeasureCandidate:
     )
 
 
-def identity_block(k: int, j: int, dim_check: int = 12) -> np.ndarray:
-    """Converged matrix of the root-exponential measure on the first
-    dim_check states of class (k, j), as float64.
-
-    The angular integral of <m|alpha><alpha|n> over arg alpha is 2 pi
-    delta_mn, so the block is diagonal, and S_{k,j} cancels against the
-    squared normalization of the state: entry m is the order-m scaled
-    moment integral of `root_exponential_density(k, j)`, one for an exact
-    measure. Off the diagonal it is exactly 0. The range ends past the
-    weight of order dim_check - 1, the highest the block holds; panels
+def _identity_diagonal(k: int, j: int, dim_check: int) -> np.ndarray:
+    """Entries m < dim_check of the root-exponential measure's diagonal
+    matrix on class (k, j): the order-m scaled moments, one for an exact
+    measure. The range ends past the weight of order dim_check - 1; panels
     double until every entry moves by at most 1e-10 relative,
-    QuadratureFailure naming the first that did not past 4096, or up front
-    if 4096 miss order 0. Entries carry about eps (kn+j) ln v of rounding
-    from the log integrand. ValueError unless dim_check is an int >= 1,
-    Overflow past the array cap.
-    """
+    QuadratureFailure naming the first state that did not past 4096, or up
+    front if 4096 miss order 0. ValueError unless dim_check is an int >= 1,
+    Overflow past the array cap."""
     dim_check = _check_count("dim_check", dim_check)
-    _check_entries("block entries (dim_check x dim_check)", dim_check * dim_check)
+    # the first panel count's integrand bounds the order range
+    _check_entries("integrand entries (nodes x orders)", _BASE_PANELS * _GL_ORDER * dim_check)
     candidate = root_exponential_density(k, j)
     k, j = candidate.k, candidate.j
-    diagonal = _scaled_moments(candidate, _v_limit(k, j, dim_check - 1), np.arange(dim_check),
-                               _BLOCK_STEP, lambda m: f"entry ({m}, {m}) of the ({k}, {j}) block")
-    return np.diag(diagonal)
+    return _scaled_moments(candidate, _v_limit(k, j, dim_check - 1), np.arange(dim_check),
+                           _BLOCK_STEP, lambda m: f"state {m} of class ({k}, {j})")
 
 
-def identity_resolution_numeric(k: int, j: int) -> float:
-    """Max deviation of `identity_block(k, j)`, the first 12 states of the
-    class, from the identity.
+def identity_resolution_numeric(k: int, j: int, dim_check: int = 12) -> float:
+    """Max deviation from the identity of the root-exponential measure's
+    matrix on the first dim_check states of class (k, j).
 
-    This is the end-to-end statement that the root-exponential measure
-    makes the class states a complete family on their subspace: small only
-    when moments, range and quadrature are all right at once. Every class
-    with k <= 5 reads below 1e-13.
+    The angular integral of <m|alpha><alpha|n> over arg alpha is 2 pi
+    delta_mn and S_{k,j} cancels the squared normalization of the state, so
+    the matrix is diagonal and the deviation is its largest |entry - 1|,
+    rounded by about eps (kn+j) ln v. This is the end-to-end statement that
+    the measure makes the class states complete on their subspace: small
+    only when moments, range and quadrature are all right at once. Every
+    class with k <= 5 reads below 1e-13 at dim_check = 12.
     """
-    block = identity_block(k, j)
-    return float(np.max(np.abs(block - np.eye(block.shape[0]))))
+    return float(np.max(np.abs(_identity_diagonal(k, j, dim_check) - 1.0)))

@@ -324,6 +324,9 @@ def mcs_wavefunction(
 
     Either way this is the one-instant row of `density_movie`'s kernel.
     """
+    if np.ndim(t):
+        raise ValueError(f"mcs_wavefunction takes one time, got an array of shape {np.shape(t)};"
+                         f" density_movie evolves over a grid of times")
     x_grid = np.asarray(x_grid, dtype=np.float64)
     return _amplitudes(k, j, z, x_grid, [t], method, n_max)[0].reshape(x_grid.shape)
 

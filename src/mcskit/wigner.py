@@ -75,8 +75,6 @@ _BOUNDARY_TOL = 1e-10
 _EDGE_TOL = 1e-16
 _LEVEL_TOL = 1e-32
 _TERM_TOL = 1e-17
-# (-i)^n by n mod 4, exact where a complex power drifts by n eps
-_QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
 # field rows folded at once by the integrals, and correlator rows whose
 # envelope the numeric route takes at once, so no temporary grows with the
 # grid beyond a block of rows
@@ -439,7 +437,8 @@ def marginals(field: WignerField, state: FockVector | None = None) -> Marginals:
     q_marg, p_marg = w @ w_p, w_q @ w
     q_dens = p_dens = None
     if state is not None:
-        twist = state.coeffs * _QUARTER_TURNS[np.arange(state.n_max) % 4]
+        # (-i)^n, exact where a complex power drifts by n eps
+        twist = state.coeffs * np.array(_turns(4))[-np.arange(state.n_max) % 4]
         shared = np.array_equal(q, p)
         psi = _synthesize(np.stack([state.coeffs, twist]), q if shared else np.concatenate([q, p]))
         dens = np.abs(psi) ** 2

@@ -13,7 +13,6 @@ from mcskit import (
     basis_state,
     build_mcs,
     coherent_from_classes,
-    identity_block,
     identity_resolution_numeric,
     mcs_as_scs,
     moment_check,
@@ -30,7 +29,7 @@ def _moment_gap(k, j, n_top):
 
 def _block_gap(k, j, dim_check):
     """Distance of the class's identity block to the identity."""
-    return float(np.max(np.abs(identity_block(k, j, dim_check) - np.eye(dim_check))))
+    return identity_resolution_numeric(k, j, dim_check)
 
 
 def test_family_moments_across_orders():
@@ -79,13 +78,9 @@ def test_identity_resolution_order_one():
 
 
 def test_identity_blocks_tile_order_two():
-    dim = 12
-    total = np.zeros((dim, dim))
-    for j in (0, 1):
-        block = identity_block(2, j, dim_check=6)
-        rows = np.arange(j, dim, 2)
-        total[np.ix_(rows, rows)] += block.real
-    assert np.max(np.abs(total - np.eye(dim))) < 1e-8
+    # the two class blocks are diagonal and cover the first 12 levels
+    # between them, so their tiling is as far from the identity as the worse
+    assert max(identity_resolution_numeric(2, j, dim_check=6) for j in (0, 1)) < 1e-8
 
 
 def test_identity_resolution_every_class_to_order_five():
@@ -147,8 +142,7 @@ def test_one_state_blocks_keep_their_tail():
 def test_identity_resolution_reaches_past_the_support_hint():
     # the range follows dim_check: orders up to 39 lie past the n <= 24
     # that the candidate's support_hint covers
-    block = identity_block(5, 4, 40)
-    assert np.max(np.abs(block - np.eye(40))) <= 1e-8
+    assert identity_resolution_numeric(5, 4, 40) <= 1e-8
 
 
 def test_truncated_moment_raises_instead_of_scoring():
@@ -173,7 +167,7 @@ def test_a_density_that_never_settles_names_its_order():
     # short of it leaves double range
     lambda: moment_check(root_exponential_density(1, 0), n_top=10**11),
     lambda: moment_check(root_exponential_density(1, 0), n_top=2**18 + 1),
-    lambda: identity_block(1, 0, dim_check=10**6),
+    lambda: identity_resolution_numeric(1, 0, dim_check=10**6),
 ], ids=["n_top-1e11", "n_top-2^18+1", "dim-1e6"])
 def test_ranges_past_double_range_or_the_array_cap_raise_overflow(call):
     with pytest.raises(Overflow):
@@ -181,12 +175,11 @@ def test_ranges_past_double_range_or_the_array_cap_raise_overflow(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: identity_block(1, 0, dim_check=0),
-    lambda: identity_block(2, 1, dim_check=2.5),
-    # gap-dim: the count verify's tiling gap passes on; the gap of
-    # identity_resolution_numeric takes none
-    lambda: identity_block(3, 1, dim_check=0),
-    lambda: identity_block(5, 4, dim_check=2.5),
+    lambda: identity_resolution_numeric(1, 0, dim_check=0),
+    lambda: identity_resolution_numeric(2, 1, dim_check=2.5),
+    # gap-dim: the count verify's tiling gap passes on, positionally
+    lambda: identity_resolution_numeric(3, 1, 0),
+    lambda: identity_resolution_numeric(5, 4, 2.5),
     lambda: moment_check(root_exponential_density(1, 0), n_top=0),
     lambda: moment_check(root_exponential_density(2, 0), n_top=3.0),
     lambda: build_mcs(MCSLabel(2, 0, 1.0), n_max=2.5),

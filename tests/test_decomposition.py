@@ -132,6 +132,14 @@ def test_closed_route_refuses_cancelled_branches(k, j, z):
 
 
 @pytest.mark.parametrize("method", ["closed", "fock"])
+@pytest.mark.parametrize("t", [np.array([0.1, 0.2]), np.array([0.1]), [], np.zeros((2, 2))])
+def test_wavefunction_refuses_an_array_of_times(method, t):
+    # a row of times gave the first instant alone, and an empty one an IndexError
+    with pytest.raises(ValueError, match="one time.*density_movie"):
+        mcs_wavefunction(2, 0, 1.0, X, t=t, method=method)
+
+
+@pytest.mark.parametrize("method", ["closed", "fock"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_grid_raises_value_error(method, bad):
     # a RuntimeWarning fails tier-1, so these also show that none is emitted

@@ -39,7 +39,7 @@ their caches bounded, and clearing the caches must move no bit.
 each order on its own that it replaced is kept verbatim in arithmetic, and
 each order's relative error must agree with it to the refinement step,
 1e-11 of the moment (or of 1e-3 where the moment is smaller). The
-root-exponential identity blocks and scaled moments of every class with
+diagonals of the root-exponential identity blocks and scaled moments of every class with
 k <= 8 are also asked to match Gauss-Laguerre quadrature in v, an
 independent rule exact for their integrands, to 1e-12.
 """
@@ -64,7 +64,6 @@ from mcskit import (
     build_mcs,
     density_movie,
     fock_wavefunction,
-    identity_block,
     mcs_wavefunction,
     moment_check,
     negativity_volume,
@@ -75,7 +74,8 @@ from mcskit import (
     wigner_closed,
     wigner_numeric,
 )
-from mcskit.completeness import _BASE_PANELS, _MAX_PANELS, _MOMENT_STEP, _panel_nodes
+from mcskit.completeness import (_BASE_PANELS, _MAX_PANELS, _MOMENT_STEP, _identity_diagonal,
+                                 _panel_nodes)
 from mcskit.decomposition import _blocks, _class_norm, _matmul_tiles, _synthesize
 from mcskit.fock import (_TABLE_KEYS, _TABLE_LEVELS, _check_class, _check_count, _evolution,
                          _levels, _raising_weights, pha_commutator_check)
@@ -1002,16 +1002,13 @@ def laguerre_log_moments(k, j, orders):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_identity_blocks_match_gauss_laguerre(k):
-    # the angular integral is exactly delta_mn, so the block is the diagonal
-    # of the scaled moment integrals of orders 0 .. dim - 1, and exact 0 off it
+    # the angular integral is exactly delta_mn, so the block is diagonal, and
+    # its diagonal is the scaled moment integrals of orders 0 .. dim - 1
     for dim in (1, 12):
         for j in range(k):
             log_w, log_mag = laguerre_log_moments(k, j, np.arange(dim))
-            ref = np.diag(np.exp(log_w[:, None] + log_mag).sum(axis=0))
-            block = identity_block(k, j, dim)
-            assert block.dtype == np.float64
-            assert np.all(block[~np.eye(dim, dtype=bool)] == 0.0), (j, dim)
-            assert np.max(np.abs(block - ref)) <= 1e-12, (j, dim)
+            ref = np.exp(log_w[:, None] + log_mag).sum(axis=0)
+            assert np.max(np.abs(_identity_diagonal(k, j, dim) - ref)) <= 1e-12, (j, dim)
 
 
 @pytest.mark.parametrize("k", range(1, 9))

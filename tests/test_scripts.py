@@ -69,7 +69,7 @@ def test_benchmark_names_resolve():
 
 # the ceilings of ROADMAP's design counts; a change that adds an exported
 # name, a caller option, a CLI option or an environment variable fails here
-CEILINGS = {"__all__ names": 50, "defaulted public parameters": 27, "CLI options": 31,
+CEILINGS = {"__all__ names": 49, "defaulted public parameters": 27, "CLI options": 31,
             "environment variables read": 0}
 
 

@@ -379,9 +379,9 @@ def test_wide_field_bytes_do_not_depend_on_the_blas_thread_count():
 def test_completeness_bytes_do_not_depend_on_the_blas_thread_count():
     # at k = 10^4 the quadrature takes 2048 panels, whose node-by-order
     # products would be large enough for OpenBLAS to split over threads
-    code = ("import hashlib; from mcskit import identity_block, moment_check, "
-            "root_exponential_density as f; "
-            "h = hashlib.sha1(identity_block(10**4, 0, 12).tobytes()); "
+    code = ("import hashlib; from mcskit import moment_check, root_exponential_density as f; "
+            "from mcskit.completeness import _identity_diagonal; "
+            "h = hashlib.sha1(_identity_diagonal(10**4, 0, 12).tobytes()); "
             "h.update(moment_check(f(10**4, 0), 12).rel_errors.tobytes()); "
             "print(h.hexdigest())")
     assert len(stdout_per_blas_thread_count(code)) == 1
