@@ -362,9 +362,8 @@ def _amplitudes(
     Overflow past 2^26 entries.
 
     fock: the eigenfunctions do not depend on time, so every row comes from
-    one synthesis C @ Psi with C[t, n] = c_n e^{-i(n+1/2)t}, formed on the
-    occupied levels only (0 elsewhere, as c_n is). Overflow when the
-    largest phase (n_max - 1/2) max|t| leaves double range.
+    one synthesis C @ Psi with C[t, n] = c_n e^{-i(n+1/2)t} (`_fock_rows`);
+    Overflow when the largest phase (n_max - 1/2) max|t| leaves double range.
 
     closed: branch l of the ring is w_l e^{-(x-X_l)^2/2 + i P_l x}, with
     u_l = X_l + i P_l = sqrt2 z mu^l e^{-it} and row weight
@@ -406,13 +405,7 @@ def _amplitudes(
     z = complex(z)
 
     if method == "fock":
-        c = _ring_state(k, j, z, n_max).coeffs
-        _check_phase(c.size, t)
-        # levels past the support hold 0, and 0 times any phase stays 0
-        occupied = np.flatnonzero(c)
-        rows = np.zeros((t.size, c.size), dtype=np.complex128)
-        rows[:, occupied] = np.exp(-1j * np.outer(t, occupied + 0.5)) * c[occupied]
-        return _synthesize(rows, x)
+        return _synthesize(_fock_rows(_ring_state(k, j, z, n_max).coeffs, t), x)
 
     weights = _QUARTIC_ROOT_PI * _ring_weights(k, j, z, "method='fock'")
     xb, d, e, delta = _blocks(x, math.sqrt(2.0) * abs(z))
@@ -441,6 +434,16 @@ def _amplitudes(
         psi += slope
     psi *= np.exp(-xb[:, None] * e - 0.5 * e * e)
     return psi.reshape(t.size, e.size)[:, : x.size]
+
+
+def _fock_rows(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The Fock route's (len(t), c.size) rows c_n e^{-i(n+1/2)t}, after
+    `_check_phase`, phased on the occupied levels only (0 elsewhere, as c_n is)."""
+    _check_phase(c.size, t)
+    occupied = np.flatnonzero(c)
+    rows = np.zeros((t.size, c.size), dtype=np.complex128)
+    rows[:, occupied] = np.exp(-1j * np.outer(t, occupied + 0.5)) * c[occupied]
+    return rows
 
 
 def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:

@@ -35,6 +35,9 @@ _ENTRIES_MAX = 2**26
 # _TABLE_KEYS keys per table, so no table cache holds more than 512 KiB
 _TABLE_LEVELS = 512
 _TABLE_KEYS = 32
+# OpenBLAS splits a dot product of more entries over threads, which moves
+# its last bits; _dot sums longer ones over chunks of this size
+_DOT_CHUNK = 10**4
 
 
 def _ints(what: str, *values: int) -> tuple[int, ...]:
@@ -122,11 +125,30 @@ class FockVector:
         return int(nz[-1]) if nz.size else -1
 
 
+def _dot(dot: Callable, a: np.ndarray, b: np.ndarray):
+    """dot(a, b) of 1-d arrays, summed in order over chunks of _DOT_CHUNK entries."""
+    if a.size <= _DOT_CHUNK:
+        return dot(a, b)
+    total = dot(a[:_DOT_CHUNK], b[:_DOT_CHUNK])
+    for lo in range(_DOT_CHUNK, a.size, _DOT_CHUNK):
+        total = total + dot(a[lo : lo + _DOT_CHUNK], b[lo : lo + _DOT_CHUNK])
+    return total
+
+
 def _norm(c: np.ndarray) -> float:
-    """np.linalg.norm of a 1-d complex vector, bit for bit: its own
-    sqrt(re.dot(re) + im.dot(im)), without its dispatch."""
+    """np.linalg.norm of a 1-d complex vector, bit for bit up to _DOT_CHUNK
+    entries: its own sqrt(re.dot(re) + im.dot(im)) (see _dot), without its dispatch."""
     re, im = c.real, c.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(_dot(np.ndarray.dot, re, re) + _dot(np.ndarray.dot, im, im))
+
+
+@np.errstate(over="ignore")  # a norm past double range is refused below
+def _positive_norm(c: np.ndarray, what: str) -> float:
+    """_norm(c), ValueError naming `what` unless it is positive and finite."""
+    norm = _norm(c)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"{what} need a vector of positive, finite norm, got {norm}")
+    return norm
 
 
 def basis_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockVector:
@@ -143,7 +165,7 @@ def inner(a: FockVector, b: FockVector) -> complex:
     """<a|b> with the conjugation on the first argument."""
     if a.n_max != b.n_max:
         raise ValueError("mismatched truncations")
-    return complex(np.vdot(a.coeffs, b.coeffs))
+    return complex(_dot(np.vdot, a.coeffs, b.coeffs))
 
 
 def _falling(n: np.ndarray, k: int) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import Overflow, RouteMismatch, TailTooHeavy
 from .fock import (DEFAULT_N_MAX, _TABLE_KEYS, _TABLE_LEVELS, FockVector, _cached,
-                   _check_class, _check_n_max, _levels, _norm, apply_k_ladder)
+                   _check_class, _check_n_max, _levels, _norm, _positive_norm, apply_k_ladder)
 
 # tail share build_mcs may drop, and the route bounds of moments and
 # geometric_phase per max(1, <N>)
@@ -344,10 +344,7 @@ def _moment_set(mean_x: float, mean_p: float, mean_x2: float, mean_p2: float,
 def numeric_moments(state: FockVector) -> MomentSet:
     """Moments straight from truncated matrix elements of a, a^2, N.
     ValueError unless the norm of the vector is positive and finite."""
-    norm = _norm(state.coeffs)
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"moments need a vector of positive, finite norm, got {norm}")
-    c = state.coeffs / norm
+    c = state.coeffs / _positive_norm(state.coeffs, "moments")
     n, _, root, pair_root = _cached(_levels, c.size)
     mean_n = float(np.sum(n * np.abs(c) ** 2))
     mean_a = complex(np.sum(root[1:] * np.conj(c[:-1]) * c[1:]))

@@ -63,7 +63,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .decomposition import (_cis, _matmul_tiles, _ring_norm, _ring_points, _split_rows,
                             _synthesize, fock_wavefunction)
 from .errors import BoundaryMass, WindowTooNarrow
-from .fock import FockVector, _check_class, _check_entries, _ints, _read_only
+from .fock import (FockVector, _check_class, _check_entries, _ints, _positive_norm,
+                   _read_only)
 from .states import _turns
 
 # largest |W| marginals accepts on the grid edge
@@ -238,6 +239,7 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     has weight at p_psi itself. Overflow when the grid or the y lattice
     would pass 2^26 points (on a unit q step, max|p| past about 1e7), or
     the phase tables 2^26 entries, each checked before it is allocated.
+    ValueError unless the norm of the vector is positive and finite.
 
     The p integral is two real matmuls against cos 2yp and sin 2yp, built
     by angle addition (see _phase_table), in blocks of rows each below the
@@ -256,6 +258,7 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     if grid is None:
         grid = PhaseGrid()
     _check_entries("field entries (n_q * n_p)", grid.n_q * grid.n_p)
+    _positive_norm(state.coeffs, "Wigner fields")
     p = grid.p_axis
     h_q = (grid.q_max - grid.q_min) / (grid.n_q - 1)
 
@@ -418,8 +421,11 @@ def marginals(field: WignerField, state: FockVector | None = None) -> Marginals:
     it bit for bit and on q and p joined otherwise.
 
     A field whose edges still carry more than 1e-10 cannot produce
-    trustworthy marginals on this grid, hence BoundaryMass.
+    trustworthy marginals on this grid, hence BoundaryMass. ValueError
+    unless the state's norm is positive and finite.
     """
+    if state is not None:
+        _positive_norm(state.coeffs, "reference densities")
     w = field.values
     edge = max(
         float(np.max(np.abs(w[0, :]))),

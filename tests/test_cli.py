@@ -6,13 +6,14 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mcskit
-from mcskit import PhaseGrid, TailTooHeavy, verify
+from mcskit import PhaseGrid, TailTooHeavy, decomposition, verify
 from mcskit.cli import build_parser, main, parse_complex, parse_phase_grid, parse_x_grid
 from mcskit.verify import CHECKS, SUITE_NAMES, run_suite
 
@@ -296,6 +297,41 @@ def test_run_suite_names_only_the_suites_it_runs():
         with pytest.raises(ValueError) as info:
             run_suite(name)
         assert str(info.value) == f"unknown suite {name!r}; pick from {SUITE_NAMES}"
+
+
+@pytest.mark.parametrize("suite, limit", [("wigner", 4.0), ("states", 2.5)])
+def test_verify_suite_holds_little_at_once(suite, limit):
+    # the wigner suite measures each field as it builds it, so it holds at
+    # most one closed and one numeric field (528 KiB each on 257^2) and the
+    # quarter turn's rotated field, never all 26 of its fields together
+    run_suite(suite)
+    tracemalloc.start()
+    try:
+        run_suite(suite)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * 2**20
+
+
+def test_wavefunction_row_runs_one_synthesis_equal_to_each_case(monkeypatch):
+    # the Fock route of all 15 cases at both instants is one stacked
+    # synthesis, bit for bit the per-case kernel's
+    outputs = []
+
+    def recorded(coeffs, x, synthesize=decomposition._synthesize):
+        outputs.append(synthesize(coeffs, x))
+        return outputs[-1]
+
+    monkeypatch.setattr(decomposition, "_synthesize", recorded)
+    verify._wavefunctions(None)
+    monkeypatch.undo()
+    x = np.linspace(-10.0, 10.0, 801)
+    cases = [(k, j, z) for k in (2, 3) for j in range(k) for z in verify._RING_Z]
+    assert len(outputs) == 1 and outputs[0].shape == (2 * len(cases), x.size)
+    for i, case in enumerate(cases):
+        want = decomposition._amplitudes(*case, x, (0.0, 0.7), "fock", 256)
+        assert outputs[0][2 * i : 2 * i + 2].tobytes() == want.tobytes(), case
 
 
 def test_verify_surfaces_forced_failure(capsys, monkeypatch):

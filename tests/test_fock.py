@@ -47,6 +47,24 @@ def test_basis_state_and_inner():
     assert inner(v, v) == 1.0
 
 
+@pytest.mark.parametrize("size", [1, 255, 9999, 10**4])
+def test_norm_and_inner_of_one_chunk_are_numpys_bit_for_bit(size):
+    # up to 10^4 entries each dot is one call, so nothing moves
+    rng = np.random.default_rng(size)
+    a, b = (rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(2))
+    assert FockVector(a).norm().hex() == float(np.linalg.norm(a)).hex()
+    assert inner(FockVector(a), FockVector(b)) == complex(np.vdot(a, b))
+
+
+@pytest.mark.parametrize("size", [10**4 + 1, 25_001, 200_000])
+def test_norm_and_inner_of_many_chunks_match_numpy(size):
+    # chunked sums round differently from one dot, but only in the last bits
+    rng = np.random.default_rng(size)
+    a, b = (rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(2))
+    assert FockVector(a).norm() == pytest.approx(np.linalg.norm(a), rel=1e-14)
+    assert inner(FockVector(a), FockVector(b)) == pytest.approx(np.vdot(a, b), rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "call",
     [

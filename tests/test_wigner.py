@@ -387,9 +387,33 @@ def test_completeness_bytes_do_not_depend_on_the_blas_thread_count():
     assert len(stdout_per_blas_thread_count(code)) == 1
 
 
+def test_norm_and_inner_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product past 10^4 entries over threads; summed
+    # over chunks of that size, 200000 levels keep their bits
+    code = ("import numpy as np; from mcskit import FockVector, inner; "
+            "rng = np.random.default_rng(7); "
+            "a, b = (FockVector(rng.standard_normal(200000) + 1j * rng.standard_normal(200000))"
+            " for _ in range(2)); "
+            "dot = inner(a, b); print(a.norm().hex(), dot.real.hex(), dot.imag.hex())")
+    assert len(stdout_per_blas_thread_count(code)) == 1
+
+
 def test_purity_helper_matches_method():
     field = wigner_closed(2, 0, 1.0)
     assert purity(field) == field.purity()
+
+
+@pytest.mark.parametrize("coeffs", [np.zeros(8), [1e200, 0.0, 0.0], [0.0, 1e-170j]],
+                         ids=["zero", "norm-overflows", "norm-underflows"])
+@pytest.mark.parametrize("call", [
+    wigner_numeric,
+    lambda state: marginals(wigner_closed(1, 0, 1.0), state),
+], ids=["numeric", "marginals"])
+def test_field_and_densities_of_a_vector_without_a_usable_norm_raise(coeffs, call):
+    # a zero vector gave an all-zero field of total 0, and the squares of
+    # 1e200 overflowed with a warning; the norm is checked before any square
+    with pytest.raises(ValueError, match="positive, finite norm"):
+        call(FockVector(coeffs))
 
 
 def traced_peak(call):
