@@ -16,15 +16,16 @@ computes both and refuses to return if they disagree.
 The coefficients fall off faster than geometrically, so `build_mcs` fills
 only the levels that matter (its effective support; past it the dropped
 weight is under 1e-34 of the norm) and leaves zeros above, whatever n_max
-is. The norm series and the coefficient loop carry their running totals as
-s 2^e, so a state whose norm overflows a double still builds when n_max
-holds it.
+is. It steps on past n_max to weigh what a truncation would drop, and it
+rescales its weights by powers of two as the norm series does, so n_max,
+not double range, sets which states it builds.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ _SERIES_EPS = 1e-16
 _SERIES_RUN = 3
 _SERIES_MAX_TERMS = 100_000
 _DOUBLE_MAX = int(np.finfo(np.float64).max)
-# from this order on a norm series is its seed term: a later term is at most
+# from this order on no level product is formed: a later term is at most
 # x / k! < 2^-1075 times the one before, for any double x, once k! > 2^2099
 _SEED_ONLY_K = 307
 
@@ -201,84 +202,82 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
 def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     """Truncated coefficient vector for |alpha; k, j>, exactly renormalized.
 
-    The vector carries only the levels that matter: the coefficients stop
-    at the first level n = km+j whose next ratio r = |alpha|^2 /
-    ((n+1)...(n+k)) is below 1/2 and whose weight |c_n|^2 max(1, |alpha|^2)
-    is at most 1e-34 of the weight up to it, and the levels past it are
-    zero. The ratios only fall from there, so the dropped tail is below
-    |c_n|^2 (under 1e-34 of the norm, far below its rounding), and the
-    defining residual |alpha c_n| stays below 1e-17 of the norm.
-    `top_occupied()` is that last level; `n_max` is unchanged.
+    One loop steps c_{n+k} = c_n alpha / sqrt((n+1)...(n+k)) and decides the
+    truncation. It stops at the first level n = km+j whose next ratio r =
+    |alpha|^2 / ((n+1)...(n+k)) is below 1/2 and whose weight |c_n|^2
+    max(1, |alpha|^2) is at most 1e-34 of the weight up to it. The ratios
+    only fall from there, so the dropped tail is below |c_n|^2 (under 1e-34
+    of the norm, far below its rounding), and the defining residual
+    |alpha c_n| stays below 1e-17 of the norm. `top_occupied()` is that
+    last level; the levels past it are zero and `n_max` is unchanged.
 
-    Where that rule does not end the loop (n_max comes first, or a level
-    was zeroed, see below), the analytic norm says how much weight the
-    truncation dropped; if that tail fraction exceeds 1e-12 the state is
-    not representable at this n_max and TailTooHeavy is raised instead of
-    returning a quietly wrong vector.
+    Levels from n_max on are stepped but not stored, their weights summed
+    as the tail: once it passes 1e-12 of the weight so far, TailTooHeavy is
+    raised instead of returning a quietly wrong vector. The tail ends at
+    the same stop, or where its weights underflow.
 
-    Weights and coefficients are scaled by exact powers of two as they grow
-    (as in `_series`), as is j! (see _split), so states whose norm series
-    leaves double range, such as |alpha|^2 = 900 at order 1, build as long
-    as n_max holds them. A level past a product (n+1)...(n+k) beyond double
-    range gets 0, which the tail check refuses if it drops weight that
-    counts, with a TailTooHeavy that names the product, since no n_max
-    brings that level back. Overflow when a level's weight leaves double
-    range even so, as the norm series does past |alpha|^2 ~ 2^511.
-    ValueError unless n_max is an integer >= 1, Overflow past 2^26 levels.
+    Weights and coefficients are scaled by 2^-512 and 2^-256 as they grow,
+    as is j! (see _split), so a state whose norm leaves double range, such
+    as |alpha|^2 = 900 at order 1, builds when n_max holds it; so does a
+    level past a product beyond double range, stepped from the product's
+    leading bits. From order _SEED_ONLY_K on no product is formed and the
+    step is 0, below 2^-537 as it is. Overflow where |alpha|^2 or one
+    step's weight leaves double range (past |alpha| ~ 1e81 at order 1), or
+    j passes 100000; ValueError unless n_max is an integer >= 1, Overflow
+    past 2^26 levels.
     """
     n_max = _check_n_max(n_max)
     k, j, alpha = label.k, label.j, label.alpha
     x = _power(abs(alpha), 2)
     terms: list[complex] = []
-    seed, e = _seed(j)  # the weights carry 2^e, the terms 2^(e/2)
-    term: complex = 1.0 / math.sqrt(seed)
-    included = 0.0
+    cuts: list[int] = []  # len(terms) at each rescale
+    term: complex = 1.0 / math.sqrt(_seed(j)[0])
+    included = tail = 0.0  # the weights below n_max and from it on
     lift = max(1.0, x)  # the stop leaves a defining residual of |alpha c_n|
-    proved = False  # whether the support rule bounds the tail
     dens = _level_products(k, j)
-    for level, m in enumerate(range(j, n_max, k)):
-        terms.append(term)
+    for level, m in enumerate(itertools.count(j, k)):
         try:
             weight = abs(term) ** 2
         except OverflowError:
-            raise Overflow(
-                f"level weights overflow double precision at |alpha|={abs(alpha):.3g} "
-                f"(order {k}); the label is too large"
-            ) from None
-        included += weight
-        if m + k >= n_max:  # the last level that fits; k may have any size
-            break
+            raise Overflow(f"level weights overflow double precision at |alpha|="
+                           f"{abs(alpha):.3g} (order {k}); the label is too large") from None
+        if m < n_max:
+            terms.append(term)
+            included += weight
+        else:
+            tail += weight
+            if tail > _TAIL_TOL * (included + tail):
+                raise TailTooHeavy(f"|alpha|={abs(alpha):.3g} needs more than n_max={n_max} "
+                                   f"levels for order {k} class {j}: tail fraction "
+                                   f"{tail / (included + tail):.3e} > {_TAIL_TOL:.1e}")
+            if weight == 0.0:  # so are the weights past it
+                break
         if level < len(dens):
             den = dens[level]
+            step = alpha / math.sqrt(den)
+        elif k >= _SEED_ONLY_K:  # no product of k factors is formed
+            den, step = math.inf, 0j
         else:
             den = math.prod(range(m + 1, m + k + 1))
-            den = float(den) if den <= _DOUBLE_MAX else math.inf
-        if x < 0.5 * den and weight * lift <= _SUPPORT_TOL * included:
-            # a zero level here was cut by a product past double range,
-            # so its weight is unknown
-            proved = term != 0.0
+            if den <= _DOUBLE_MAX:
+                den = float(den)
+                step = alpha / math.sqrt(den)
+            else:  # alpha / sqrt(s) 2^(e/2), with s 2^-e the product (see _split)
+                s, e = _split(den)
+                den, step = math.inf, alpha / math.sqrt(s) * 2.0 ** (e // 2)
+        if x < 0.5 * den and weight * lift <= _SUPPORT_TOL * (included + tail):
             break
         if included > _SCALE_LIMIT:
             included *= _SCALE
             term *= _ROOT_SCALE
-            terms = [t * _ROOT_SCALE for t in terms]
-            e += _SCALE_BITS
-        term *= alpha / math.sqrt(den)
-    if not proved:
-        total, e_total = _series(k, j, x)
-        tail = 1.0 - math.ldexp(included / total, e - e_total)
-        if tail > _TAIL_TOL:
-            if term == 0.0:  # level m was cut by a product past double range
-                raise TailTooHeavy(
-                    f"|alpha|={abs(alpha):.3g} for order {k} class {j}: the level product "
-                    f"{m - k + 1}...{m} leaves double range, so level {m} and the levels "
-                    f"past it are 0 at any n_max: tail fraction {tail:.3e} > {_TAIL_TOL:.1e}"
-                )
-            raise TailTooHeavy(
-                f"|alpha|={abs(alpha):.3g} needs more than n_max={n_max} levels "
-                f"for order {k} class {j}: tail fraction {tail:.3e} > {_TAIL_TOL:.1e}"
-            )
+            cuts.append(len(terms))
+        term *= step
     coeffs = np.zeros(n_max, dtype=np.complex128)
+    if cuts:  # each level takes 2^-256 per rescale after it, in one ldexp that
+        # rounds as the repeated products did: exact until the first subnormal
+        after = np.repeat(np.arange(len(cuts), -1, -1), np.diff([0, *cuts, len(terms)]))
+        parts = np.array(terms, dtype=np.complex128).view(np.float64)
+        terms = np.ldexp(parts, np.repeat(after * -(_SCALE_BITS // 2), 2)).view(np.complex128)
     coeffs[j : j + k * len(terms) : k] = terms
     # finite: the Overflow guards keep each term finite, and none exceeds the norm
     return FockVector._trusted(coeffs / _norm(coeffs))

@@ -27,7 +27,7 @@ limit allows, else an integer fraction of one, so every q +- y lies on
 one shared lattice. psi is synthesized once on that lattice, and
 psi(q+y) and psi(q-y) are strided views of it. The y window is the
 state's too: it ends at the last y where |psi(q+y) psi(q-y)| still
-exceeds 1e-16 somewhere on the q axis, so no caller sets it. Since
+exceeds 1e-16 |psi|^2 somewhere on the q axis, so no caller sets it. Since
 C(q, y) = psi*(q+y) psi(q-y) obeys C(q, -y) = conj C(q, y), only y >= 0 is
 kept and the p integral is two real matmuls against cos(2yp) and sin(2yp),
 which carry the trapezoid weights and 1/pi. Those tables come from about
@@ -70,9 +70,9 @@ from .states import _turns
 # largest |W| marginals accepts on the grid edge
 _BOUNDARY_TOL = 1e-10
 
-# the numeric route's edge tolerance, the tail share that counts a level
-# towards its reach p_psi, and the share of |c| a level's term falls below
-# at that reach (see wigner_numeric)
+# the numeric route's edge tolerance per |psi|^2, the tail share that counts
+# a level towards its reach p_psi, and the share of |c| a level's term falls
+# below at that reach (see wigner_numeric)
 _EDGE_TOL = 1e-16
 _LEVEL_TOL = 1e-32
 _TERM_TOL = 1e-17
@@ -235,10 +235,10 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     psi is synthesized once on a lattice that holds every q +- y and
     reaches p_psi past each end of the q axis, and the y window ends at the
     last y whose correlator envelope, max over q of |psi(q+y) psi(q-y)|,
-    exceeds 1e-16 (at least one y step). WindowTooNarrow means psi still
-    has weight at p_psi itself. Overflow when the grid or the y lattice
-    would pass 2^26 points (on a unit q step, max|p| past about 1e7), or
-    the phase tables 2^26 entries, each checked before it is allocated.
+    exceeds 1e-16 |psi|^2 (at least one y step). WindowTooNarrow means psi
+    still has weight at p_psi itself. Overflow when the grid or the y
+    lattice would pass 2^26 points (on a unit q step, max|p| past about
+    1e7), or the phase tables 2^26 entries, each checked before allocation.
     ValueError unless the norm of the vector is positive and finite.
 
     The p integral is two real matmuls against cos 2yp and sin 2yp, built
@@ -258,7 +258,7 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     if grid is None:
         grid = PhaseGrid()
     _check_entries("field entries (n_q * n_p)", grid.n_q * grid.n_p)
-    _positive_norm(state.coeffs, "Wigner fields")
+    edge = _EDGE_TOL * _positive_norm(state.coeffs, "Wigner fields") ** 2
     p = grid.p_axis
     h_q = (grid.q_max - grid.q_min) / (grid.n_q - 1)
 
@@ -301,12 +301,12 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
     for lo in range(start, grid.n_q, _ENVELOPE_ROWS):
         rows = slice(lo, lo + _ENVELOPE_ROWS)
         np.maximum(envelope, (mod_plus[rows] * mod_minus[rows]).max(axis=0), out=envelope)
-    above = np.flatnonzero(envelope > _EDGE_TOL)
+    above = np.flatnonzero(envelope > edge)
     last = int(above[-1]) if above.size else 0
     if last == n_y:
         raise WindowTooNarrow(
             f"integrand envelope {envelope[-1]:.3e} at the state's reach "
-            f"y=+-{reach:.3g} exceeds {_EDGE_TOL:.1e}"
+            f"y=+-{reach:.3g} exceeds {_EDGE_TOL:.1e} of the squared norm"
         )
     n_half = max(last, 1)
     plus, minus = (f[:, : n_half + 1] for f in shifted(psi))

@@ -473,11 +473,18 @@ def test_series_that_cannot_finish_refuses_at_once(k, j, x, parent_s):
     assert elapsed < parent_s / 10
 
 
-def test_zeroed_level_refusal_names_the_product():
-    # 171! leaves double range, so level 171 is 0 whatever n_max is
-    for n_max in (512, 4096):
-        with pytest.raises(TailTooHeavy, match=r"level product 1\.\.\.171 leaves double range"):
-            build_mcs(MCSLabel(171, 0, 1e154), n_max)
+def test_build_rescales_each_level_once():
+    # the weight passes 2^512 about 1400 times on the way to the peak; each
+    # pass rescaled every level stored so far, which took 11.9 s on 2 vCPUs
+    parent_s = 11.9
+    for _ in range(3):
+        start = time.perf_counter()
+        state = build_mcs(MCSLabel(1, 0, 707.1), 10**6)
+        elapsed = time.perf_counter() - start
+        if elapsed < parent_s / 4:
+            break
+    assert elapsed < parent_s / 4
+    assert 500_000 < state.top_occupied() < 10**6
 
 
 def test_undersized_truncation_refuses():

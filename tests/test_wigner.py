@@ -199,13 +199,25 @@ def test_window_from_the_state_serves_a_wide_cat():
 
 
 def test_window_guard_fires_at_the_reach():
-    # |1000> holds under 1e-32 of the norm, so the reach counts only |0>,
-    # but at a norm of 100 its tail still lifts the envelope past 1e-16 at
-    # the reach itself
-    c = np.zeros(1001, dtype=complex)
-    c[0], c[1000] = 100.0, 9e-15
+    # levels 1..399 hold 0.99e-32 of the unit norm, so the reach counts only
+    # |0>, y = +-9.85; as sum_n psi_n(19.75) |n> they make a packet narrow
+    # enough at x = 19.75 that psi(q + y) psi(q - y) passes 1e-16 there
+    c = _synthesize(np.eye(400), np.array([19.75]))[:, 0]
+    c *= math.sqrt(0.99e-32 / np.sum(np.abs(c[1:]) ** 2))
+    c[0] = 1.0
     with pytest.raises(WindowTooNarrow, match="reach"):
-        wigner_numeric(FockVector(c))
+        wigner_numeric(FockVector(c), PhaseGrid(-12.0, 12.0, -8.0, 8.0, 385, 257))
+
+
+def test_numeric_field_scales_with_the_vector():
+    # the y window ends relative to the squared norm, so W(c psi) / c^2 is
+    # W(psi); at an absolute edge it was 1.27e-5 off at c = 1e-6, and
+    # c = 1e150 was refused
+    state = build_mcs(MCSLabel(2, 0, 4.0))
+    field = wigner_numeric(state).values
+    for c in 10.0 ** np.arange(-150, 151, 30):
+        scaled = wigner_numeric(FockVector(c * state.coeffs)).values / c**2
+        assert np.max(np.abs(scaled - field)) <= 1e-14, c
 
 
 def test_window_keeps_one_y_step_far_from_the_state():
