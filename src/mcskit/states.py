@@ -16,9 +16,9 @@ computes both and refuses to return if they disagree.
 The coefficients fall off faster than geometrically, so `build_mcs` fills
 only the levels that matter (its effective support; past it the dropped
 weight is under 1e-34 of the norm) and leaves zeros above, whatever n_max
-is. It steps on past n_max to weigh what a truncation would drop, and it
-rescales its weights by powers of two as the norm series does, so n_max,
-not double range, sets which states it builds.
+is. It steps on past n_max to weigh what a truncation would drop, rescales
+its weights by powers of two as the norm series does and never forms
+|alpha|^2, so n_max, not double range, sets which states it builds.
 """
 
 from __future__ import annotations
@@ -47,12 +47,16 @@ _SERIES_EPS = 1e-16
 _SERIES_RUN = 3
 _SERIES_MAX_TERMS = 100_000
 _DOUBLE_MAX = int(np.finfo(np.float64).max)
-# from this order on no level product is formed: a later term is at most
-# x / k! < 2^-1075 times the one before, for any double x, once k! > 2^2099
+# from these orders on no level product is formed: a later term is at most
+# x / k! < 2^-1075 times the one before, in _series for any double x once
+# k! > 2^2099, in build_mcs for any finite alpha (x < 2^2048) once k! > 2^3123
 _SEED_ONLY_K = 307
+_BUILD_SEED_ONLY_K = 428
 
 # a_norm_closed takes the series where its ring filter rounds past this share
 _FILTER_TOL = 1e-13
+_SERIES_REFUSAL = ("the norm series takes |alpha|^2; numeric_moments(build_mcs(label, "
+                   "n_max)) and a_norm_closed(label) serve this label")
 
 # series totals past 2^_SCALE_BITS are carried as s 2^e (see _series);
 # coefficient vectors scale by the square root
@@ -62,8 +66,10 @@ _SCALE = 2.0**-_SCALE_BITS
 _ROOT_SCALE = 2.0 ** -(_SCALE_BITS // 2)
 
 # build_mcs keeps levels until |c_n|^2 max(1, |alpha|^2) falls to this share
-# of the weight so far (see its docstring)
+# of the weight so far, and after a step past double range ends before a
+# level whose |c_n| max(1, |alpha|) is at most its root (see its docstring)
 _SUPPORT_TOL = 1e-34
+_ROOT_SUPPORT_TOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -93,17 +99,17 @@ def _check_series(k: int, j: int, x: float) -> float:
     return float(x)
 
 
-def _power(base: complex, n: float) -> complex:
-    """base ** n, raising Overflow where a finite base leaves double range:
-    Python raises OverflowError there for some n, and returns inf or NaN
-    parts for others (a complex base and n <= 100)."""
+def _power(base: complex, n: float, why: str = "the label is too large") -> complex:
+    """base ** n, raising Overflow that says why where a finite base leaves
+    double range: Python raises OverflowError there for some n, and returns
+    inf or NaN parts for others (a complex base and n <= 100)."""
     try:
         out = base**n
         if cmath.isfinite(out) or not cmath.isfinite(base):
             return out
     except OverflowError:
         pass
-    raise Overflow(f"{base:.3g} ** {n} overflows double precision; the label is too large")
+    raise Overflow(f"{base:.3g} ** {n} overflows double precision; {why}")
 
 
 def _split(p: int) -> tuple[float, int]:
@@ -115,19 +121,14 @@ def _split(p: int) -> tuple[float, int]:
     return float(p >> e), -e
 
 
-def _ratio(x: float, p: int) -> float:
-    """x / p for an integer p past double range (see _split)."""
-    s, e = _split(p)
-    return math.ldexp(x / s, e)
-
-
 @functools.lru_cache(maxsize=_TABLE_KEYS)
 def _level_products(k: int, seed: int) -> tuple[float, ...]:
     """float((n+1)...(n+k)) for n = seed, seed + k, ... while n + k is below
     _TABLE_LEVELS, up to the first product past double range. They are the
     denominators of the term ratios of _series and of the coefficient steps
     of build_mcs, each formed from the exact integer product and rounded
-    once; past the table both form their products as they go."""
+    once; past the table both form their products as they go, and past
+    double range both step from the product's leading bits (see _split)."""
     dens = []
     for n in range(seed, _TABLE_LEVELS - k, k):
         den = math.prod(range(n + 1, n + k + 1))
@@ -192,11 +193,20 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
             continue
         idx = k * m + seed
         den = math.prod(range(idx + 1, idx + k + 1))
-        term *= x / float(den) if den <= _DOUBLE_MAX else _ratio(x, den)
+        if den <= _DOUBLE_MAX:
+            term *= x / float(den)
+        else:  # from the product's leading bits, as build_mcs takes its step
+            lead, shift = _split(den)
+            term *= math.ldexp(x / lead, shift)
     raise Overflow(
         f"norm series at x={x:.3g} (order {k}) needs more than "
         f"{_SERIES_MAX_TERMS} terms; the label is too large"
     )
+
+
+def _level_overflow(r: float, k: int) -> Overflow:
+    return Overflow(f"level weights overflow double precision at |alpha|={r:.3g} "
+                    f"(order {k}); the label is too large")
 
 
 def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
@@ -208,27 +218,35 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     max(1, |alpha|^2) is at most 1e-34 of the weight up to it. The ratios
     only fall from there, so the dropped tail is below |c_n|^2 (under 1e-34
     of the norm, far below its rounding), and the defining residual
-    |alpha c_n| stays below 1e-17 of the norm. `top_occupied()` is that
-    last level; the levels past it are zero and `n_max` is unchanged.
+    |alpha c_n| stays below 1e-17 of the norm. A step past a level product
+    beyond double range, from the product's leading bits (see _split), is
+    its own ratio test: where its square is below 1/2 and the next level's
+    |c_{n+k}| max(1, |alpha|) is at most 1e-17 of the norm so far, that
+    level is not stored and the walk ends. Past |alpha| = 1.34e154, where
+    |alpha|^2 leaves double range, only this rule stops, and the residual
+    there is the truncation's |alpha c_n| = sqrt((n+1)...(n+k)) |c_{n+k}|.
+    `top_occupied()` is the last level stored; the levels past it are zero.
 
     Levels from n_max on are stepped but not stored, their weights summed
     as the tail: once it passes 1e-12 of the weight so far, TailTooHeavy is
     raised instead of returning a quietly wrong vector. The tail ends at
-    the same stop, or where its weights underflow.
+    the same stops, or where its weights underflow.
 
     Weights and coefficients are scaled by 2^-512 and 2^-256 as they grow,
     as is j! (see _split), so a state whose norm leaves double range, such
-    as |alpha|^2 = 900 at order 1, builds when n_max holds it; so does a
-    level past a product beyond double range, stepped from the product's
-    leading bits. From order _SEED_ONLY_K on no product is formed and the
-    step is 0, below 2^-537 as it is. Overflow where |alpha|^2 or one
-    step's weight leaves double range (past |alpha| ~ 1e81 at order 1), or
-    j passes 100000; ValueError unless n_max is an integer >= 1, Overflow
-    past 2^26 levels.
+    as |alpha|^2 = 900 at order 1, or (100, 0, 1e160) at 4096, builds when
+    n_max holds it. From order 428 on no product is formed: the next level
+    is below 2^-537 of the first. Overflow where one step's weight leaves
+    double range (past |alpha| ~ 1e81 at order 1), or j passes 100000;
+    ValueError unless n_max is an integer >= 1, Overflow past 2^26 levels.
     """
     n_max = _check_n_max(n_max)
     k, j, alpha = label.k, label.j, label.alpha
-    x = _power(abs(alpha), 2)
+    r = abs(alpha)
+    try:
+        x = r**2
+    except OverflowError:  # no test on x passes: the split steps end the walk
+        x = math.inf
     terms: list[complex] = []
     cuts: list[int] = []  # len(terms) at each rescale
     term: complex = 1.0 / math.sqrt(_seed(j)[0])
@@ -239,15 +257,16 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
         try:
             weight = abs(term) ** 2
         except OverflowError:
-            raise Overflow(f"level weights overflow double precision at |alpha|="
-                           f"{abs(alpha):.3g} (order {k}); the label is too large") from None
+            raise _level_overflow(r, k) from None
         if m < n_max:
             terms.append(term)
             included += weight
         else:
+            if weight == math.inf:  # as at the rescale below
+                raise _level_overflow(r, k)
             tail += weight
             if tail > _TAIL_TOL * (included + tail):
-                raise TailTooHeavy(f"|alpha|={abs(alpha):.3g} needs more than n_max={n_max} "
+                raise TailTooHeavy(f"|alpha|={r:.3g} needs more than n_max={n_max} "
                                    f"levels for order {k} class {j}: tail fraction "
                                    f"{tail / (included + tail):.3e} > {_TAIL_TOL:.1e}")
             if weight == 0.0:  # so are the weights past it
@@ -255,8 +274,8 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
         if level < len(dens):
             den = dens[level]
             step = alpha / math.sqrt(den)
-        elif k >= _SEED_ONLY_K:  # no product of k factors is formed
-            den, step = math.inf, 0j
+        elif k >= _BUILD_SEED_ONLY_K:  # no product of k factors is formed
+            break
         else:
             den = math.prod(range(m + 1, m + k + 1))
             if den <= _DOUBLE_MAX:
@@ -265,9 +284,16 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
             else:  # alpha / sqrt(s) 2^(e/2), with s 2^-e the product (see _split)
                 s, e = _split(den)
                 den, step = math.inf, alpha / math.sqrt(s) * 2.0 ** (e // 2)
+                # the ratio test on the step itself: its square below 1/2, and the
+                # next level too small to count (see _ROOT_SUPPORT_TOL)
+                if abs(step) < 0.5**0.5 and (abs(term * step) * max(1.0, r)
+                                             <= _ROOT_SUPPORT_TOL * math.sqrt(included + tail)):
+                    break
         if x < 0.5 * den and weight * lift <= _SUPPORT_TOL * (included + tail):
             break
         if included > _SCALE_LIMIT:
+            if included == math.inf:  # a step past 2^768 made the term itself inf,
+                raise _level_overflow(r, k)  # and the step after it is in range
             included *= _SCALE
             term *= _ROOT_SCALE
             cuts.append(len(terms))
@@ -417,8 +443,9 @@ def moments(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> MomentSet:
     The bound grows with <N> because the rounding of both routes does: the
     second moments are sums of terms of size <N>.
     """
-    # first, so a label too large for the series raises Overflow before a
-    # closed MomentSet whose x + 1/2 rounds fails its own consistency check
+    # the build first, so a label n_max cannot hold is refused before a closed
+    # MomentSet whose x + 1/2 rounds fails its consistency check; past |alpha|
+    # = 1.34e154 the series then refuses, naming the routes that serve it
     numeric = numeric_moments(build_mcs(label, n_max))
     closed = _closed_moments(label)
     worst_field, worst = _route_gap(closed, numeric)
@@ -434,7 +461,7 @@ def moments(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> MomentSet:
 def _closed_moments(label: MCSLabel) -> MomentSet:
     """The closed half of `moments`, without the numeric cross-check."""
     k, j, alpha = label.k, label.j, label.alpha
-    x = _power(abs(alpha), 2)
+    x = _power(abs(alpha), 2, _SERIES_REFUSAL)
     if k == 1:
         mean_x = math.sqrt(2.0) * alpha.real
         mean_p = math.sqrt(2.0) * alpha.imag
@@ -479,7 +506,7 @@ def _phase_routes(label: MCSLabel, energy: float) -> tuple[float, float, float]:
     """The series A, beta = (2 pi / k)(A - j), and |beta - beta_alt|, where
     beta_alt is the revival phase minus the dynamical phase -(2 pi / k) energy."""
     k, j = label.k, label.j
-    a = _a_norm_series(k, j, _power(abs(label.alpha), 2))
+    a = _a_norm_series(k, j, _power(abs(label.alpha), 2, _SERIES_REFUSAL))
     beta = _beta(k, j, a)
     beta_alt = -(2 * j + 1) * math.pi / k + (2.0 * math.pi / k) * energy
     return a, beta, abs(beta - beta_alt)

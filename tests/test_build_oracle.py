@@ -7,7 +7,8 @@ levels below n_max, normalized over themselves as `build_mcs` normalizes
 what it keeps, and sums the weight past n_max until the terms fall below
 1e-50 of the total. So it says for any label whether n_max holds the state,
 and what the state is, wherever a double route could lose it: a norm past
-double range, a level product past double range, or a long sum.
+double range, a level product past double range, |alpha|^2 past double
+range (from |alpha| = 1.34e154 up to the largest double), or a long sum.
 
 `build_mcs` must return a state within 1e-13 of the oracle's wherever the
 weight past n_max is at most 1e-13 of the total, and a McskitError wherever
@@ -68,9 +69,14 @@ labels = st.integers(1, 400).flatmap(lambda k: st.tuples(st.just(k), st.integers
 
 
 @settings(max_examples=60, deadline=None)
-@given(label=labels, log_r=st.floats(-300.0, 154.0), theta=st.floats(0.0, 2.0 * math.pi),
+@given(label=labels, log_r=st.floats(-300.0, 308.0), theta=st.floats(0.0, 2.0 * math.pi),
        n_max=st.integers(1, 4096))
 @example(label=(100, 0), log_r=152.0, theta=0.0, n_max=4096)
+# |alpha|^2 past double range: the build never forms it
+@example(label=(100, 0), log_r=160.0, theta=0.0, n_max=4096)
+@example(label=(200, 3), log_r=300.0, theta=0.0, n_max=4096)
+@example(label=(307, 0), log_r=308.0, theta=0.0, n_max=4096)
+@example(label=(172, 170), log_r=math.log10(3e197), theta=0.0, n_max=4096)
 @example(label=(131, 42), log_r=math.log10(3.5e150), theta=0.0, n_max=3958)
 @example(label=(3, 2), log_r=math.log10(2.37e44), theta=0.0, n_max=2980)
 @example(label=(1, 0), log_r=math.log10(30.0), theta=0.0, n_max=2048)

@@ -18,9 +18,9 @@ drawn is valid, so not even a ValueError is allowed.
 The trusted kernels, whose FockVector is not validated again: over k <= 8
 and both signs, `apply_k_ladder` of vectors of up to 4096 levels with
 parts up to 1e300, any `basis_state`, and `build_mcs` with |alpha|
-log-uniform from 1e-300 past its Overflow edge at 1.3e154 and n_max up to
-4096, each return finite coefficients or raise a McskitError, and never
-warn. `_norm`, which these
+log-uniform from 1e-300 to 1.78e308, across the 1.34e154 where |alpha|^2
+leaves double range, and n_max up to 4096, each return finite
+coefficients or raise a McskitError, and never warn. `_norm`, which these
 kernels and the moments use, is np.linalg.norm bit for bit on complex
 vectors of 1 to 4096 entries with parts from subnormal to 1e300, signed
 zeros included.
@@ -303,7 +303,7 @@ def test_basis_state_is_finite(n_max, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(label=any_label, decade=st.floats(-300.0, 155.0), theta=angle,
+@given(label=any_label, decade=st.floats(-300.0, 308.25), theta=angle,
        n_max=st.integers(1, 4096))
 # the largest |alpha| whose square fits a double, and one past it
 @example(label=(1, 0), decade=math.log10(1.3e154), theta=0.0, n_max=4096)

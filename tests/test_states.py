@@ -103,13 +103,24 @@ def test_nan_argument_raises_before_the_series(monkeypatch):
 
 
 def test_squared_label_past_double_range_raises_overflow():
-    # |alpha|^2 leaves double range past |alpha| = 1.34e154
-    with pytest.raises(Overflow):
+    # |alpha|^2 leaves double range past |alpha| = 1.34e154; the build never
+    # forms it, so (1, 0, 1e160) is refused by its first level weight, and
+    # (100, 0, 1e160), whose weight n_max = 4096 holds, builds
+    with pytest.raises(Overflow, match="level weights overflow"):
         build_mcs(MCSLabel(1, 0, 1e160))
+    assert build_mcs(MCSLabel(100, 0, 1e160), 4096).top_occupied() < 4096
     with pytest.raises(Overflow):
         moments(MCSLabel(2, 0, 1e200))
     with pytest.raises(Overflow):
         geometric_phase(MCSLabel(2, 0, 1e200))
+
+
+@pytest.mark.parametrize("call", [moments, geometric_phase])
+def test_series_refusal_names_the_routes_that_serve_the_label(call):
+    # (100, 0, 1e160) builds, but the norm series takes |alpha|^2
+    with pytest.raises(Overflow, match=r"norm series takes \|alpha\|\^2; "
+                       r"numeric_moments\(build_mcs\(label, n_max\)\) and a_norm_closed"):
+        call(MCSLabel(100, 0, 1e160), 4096)
 
 
 @pytest.mark.parametrize(
