@@ -204,11 +204,6 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
     )
 
 
-def _level_overflow(r: float, k: int) -> Overflow:
-    return Overflow(f"level weights overflow double precision at |alpha|={r:.3g} "
-                    f"(order {k}); the label is too large")
-
-
 def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     """Truncated coefficient vector for |alpha; k, j>, exactly renormalized.
 
@@ -254,16 +249,18 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
     lift = max(1.0, x)  # the stop leaves a defining residual of |alpha c_n|
     dens = _level_products(k, j)
     for level, m in enumerate(itertools.count(j, k)):
+        # no step makes the term itself inf, which would raise nothing here: that
+        # needs a step past 2^768 after a term below 2^-256, but such steps come
+        # only at orders with 1/sqrt(j!) above 2^-256, and terms rise with them
         try:
             weight = abs(term) ** 2
         except OverflowError:
-            raise _level_overflow(r, k) from None
+            raise Overflow(f"level weights overflow double precision at |alpha|="
+                           f"{r:.3g} (order {k}); the label is too large") from None
         if m < n_max:
             terms.append(term)
             included += weight
         else:
-            if weight == math.inf:  # as at the rescale below
-                raise _level_overflow(r, k)
             tail += weight
             if tail > _TAIL_TOL * (included + tail):
                 raise TailTooHeavy(f"|alpha|={r:.3g} needs more than n_max={n_max} "
@@ -292,8 +289,6 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
         if x < 0.5 * den and weight * lift <= _SUPPORT_TOL * (included + tail):
             break
         if included > _SCALE_LIMIT:
-            if included == math.inf:  # a step past 2^768 made the term itself inf,
-                raise _level_overflow(r, k)  # and the step after it is in range
             included *= _SCALE
             term *= _ROOT_SCALE
             cuts.append(len(terms))
