@@ -3,7 +3,9 @@
 src/ lines, the names in mcskit.__all__, the defaulted parameters of the
 exported functions and classes and of the classes' public methods (the
 options a caller can set), the option strings of the CLI subcommands but
--h/--help, and the reads of environment variables under src/.
+-h/--help, and the reads of environment variables under src/; then the
+line count of each module under src/mcskit/, so a change of the total can
+be traced to its module.
 Run: PYTHONPATH=src python3 scripts/design_counts.py
 """
 
@@ -52,3 +54,6 @@ def design_counts() -> dict[str, int]:
 if __name__ == "__main__":
     for name, count in design_counts().items():
         print(f"{name}: {count}")
+    for path in sorted((SRC / "mcskit").rglob("*.py")):
+        lines = path.read_text().count("\n")
+        print(f"{path.relative_to(SRC.parent)}: {lines} lines")

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DegenerateNorm
 from .fock import (DEFAULT_N_MAX, FockVector, _check_class, _check_entries, _check_n_max,
                    _check_phase)
-from .states import MCSLabel, _check_series, _power, _series, _turns, build_mcs
+from .states import MCSLabel, _class_norm, _power, _turns, build_mcs
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 _LN2 = math.log(2.0)
@@ -164,18 +164,6 @@ def _synthesize(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             out.imag += _matmul_tiles(c.imag, basis[: len(held)], product)
             held = []
     return out
-
-
-def _class_norm(k: int, j: int, z: complex) -> tuple[float, int]:
-    """The class norm N_j = |z|^j sqrt(S_{k,j}(|z|^(2k))), the norm of the
-    class-j part of e^{|z|^2/2} |z> (the share of the coherent state on
-    n = j mod k), as c 2^h: the norm series is s 2^e (see `states._series`,
-    e a multiple of 512), so c = |z|^j sqrt(s), h = e/2."""
-    if not cmath.isfinite(z):  # before any series runs
-        raise ValueError(f"ring label z must be finite, got {z!r}")
-    r = _check_series(k, j, abs(z))
-    s, e = _series(k, j, _power(r, 2 * k))
-    return r**j * math.sqrt(s), e // 2
 
 
 def _ring_norm(

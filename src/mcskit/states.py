@@ -123,15 +123,12 @@ def _split(p: int) -> tuple[float, int]:
 
 @functools.lru_cache(maxsize=_TABLE_KEYS)
 def _level_products(k: int, seed: int) -> tuple[float, ...]:
-    """float((n+1)...(n+k)) for n = seed, seed + k, ... while n + k is below
-    _TABLE_LEVELS, up to the first product past double range. They are the
-    denominators of the term ratios of _series and of the coefficient steps
-    of build_mcs, each formed from the exact integer product and rounded
-    once; past the table both form their products as they go, and past
-    double range both step from the product's leading bits (see _split)."""
+    """The cached head of the level products _series and build_mcs read:
+    float((n+1)...(n+k)) = float(perm(n + k, k)), for n = seed, seed + k, ...
+    while n + k is below _TABLE_LEVELS and the product fits a double."""
     dens = []
     for n in range(seed, _TABLE_LEVELS - k, k):
-        den = math.prod(range(n + 1, n + k + 1))
+        den = math.perm(n + k, k)
         if den > _DOUBLE_MAX:
             break
         dens.append(float(den))
@@ -166,7 +163,7 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
     steps = _SERIES_MAX_TERMS
     if x >= k * steps:  # below, the ratio past the last allowed term is < 1
         last = k * (steps - 1) + seed
-        if x > math.prod(range(last + 1, last + k + 1)):
+        if x > math.perm(last + k, k):
             steps = 0  # the terms still grow there: refuse without summing
     dens = _level_products(k, seed)
     total = 0.0
@@ -190,14 +187,9 @@ def _series(k: int, seed: int, x: float, d: int = 0) -> tuple[float, int]:
             small = 0
         if m < len(dens):
             term *= x / dens[m]
-            continue
-        idx = k * m + seed
-        den = math.prod(range(idx + 1, idx + k + 1))
-        if den <= _DOUBLE_MAX:
-            term *= x / float(den)
-        else:  # from the product's leading bits, as build_mcs takes its step
-            lead, shift = _split(den)
-            term *= math.ldexp(x / lead, shift)
+        else:  # x / p with p = s 2^-shift (see _split); shift = 0 while p fits a double
+            s, shift = _split(math.perm(k * m + seed + k, k))
+            term *= math.ldexp(x / s, shift)
     raise Overflow(
         f"norm series at x={x:.3g} (order {k}) needs more than "
         f"{_SERIES_MAX_TERMS} terms; the label is too large"
@@ -273,14 +265,11 @@ def build_mcs(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> FockVector:
             step = alpha / math.sqrt(den)
         elif k >= _BUILD_SEED_ONLY_K:  # no product of k factors is formed
             break
-        else:
-            den = math.prod(range(m + 1, m + k + 1))
-            if den <= _DOUBLE_MAX:
-                den = float(den)
-                step = alpha / math.sqrt(den)
-            else:  # alpha / sqrt(s) 2^(e/2), with s 2^-e the product (see _split)
-                s, e = _split(den)
-                den, step = math.inf, alpha / math.sqrt(s) * 2.0 ** (e // 2)
+        else:  # the product as s 2^-e (see _split): e = 0 while it fits a double
+            den, e = _split(math.perm(m + k, k))
+            step = alpha / math.sqrt(den)
+            if e:  # past double range: alpha / sqrt(s) 2^(e/2)
+                den, step = math.inf, step * 2.0 ** (e // 2)
                 # the ratio test on the step itself: its square below 1/2, and the
                 # next level too small to count (see _ROOT_SUPPORT_TOL)
                 if abs(step) < 0.5**0.5 and (abs(term * step) * max(1.0, r)
@@ -388,6 +377,19 @@ def _a_norm_series(k: int, j: int, x: float) -> float:
     num, e_num = _series(k, k * d + j - 1, x, d)  # seed k-1 for j=0, j-1 otherwise
     den, e_den = _series(k, j, x)
     return math.ldexp(num / den, e_num - e_den)
+
+
+def _class_norm(k: int, j: int, z: complex) -> tuple[float, int]:
+    """The class norm N_j = |z|^j sqrt(S_{k,j}(|z|^(2k))), the norm of the
+    class-j part of e^{|z|^2/2} |z> (the share of the coherent state on
+    n = j mod k), as c 2^h: the norm series is s 2^e (see _series), e even
+    since the seed's split exponent is and each rescale adds _SCALE_BITS,
+    so c = |z|^j sqrt(s) and h = e/2 exactly. ValueError unless z is finite."""
+    if not cmath.isfinite(z):  # before any series runs
+        raise ValueError(f"ring label z must be finite, got {z!r}")
+    r = _check_series(k, j, abs(z))
+    s, e = _series(k, j, _power(r, 2 * k))
+    return r**j * math.sqrt(s), e // 2
 
 
 @functools.lru_cache(maxsize=_TABLE_KEYS)

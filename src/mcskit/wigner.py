@@ -348,7 +348,7 @@ def wigner_closed(
         D_ab = conj(z_a) z_b - |z|^2,
 
     scaled by e^{|z|^2} / (k^2 N_j^2) / pi, with N_j the class norm of
-    `decomposition._class_norm`; every turn mu^m is read exactly from
+    `states._class_norm`; every turn mu^m is read exactly from
     `states._turns`. Diagonal pairs are the branch Gaussians,
     off-diagonal pairs the interference fringes with their exact damping.
     k=1 collapses to the single displaced Gaussian.

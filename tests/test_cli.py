@@ -119,6 +119,34 @@ def test_uncertainty_has_closed_columns(capsys, k):
         )
 
 
+def uncertainty_table(capsys, k, j):
+    """The rows of `uncertainty --alpha 4 --points 81` as dicts of floats."""
+    code, out, _ = run_cli(capsys, "uncertainty", "--k", str(k), "--j", str(j),
+                           "--alpha", "4", "--points", "81")
+    assert code == 0
+    header, *rows = [r.split(",") for r in out.splitlines() if not r.startswith("#")]
+    return [dict(zip(header, map(float, row))) for row in rows]
+
+
+@pytest.mark.parametrize("k, j", [(3, 0), (3, 1), (4, 2), (5, 3)])
+def test_closed_product_from_order_3_is_the_energy(capsys, k, j):
+    # <x> = <p> = 0 and <x^2> = <p^2> = A + 1/2, so the product is A + 1/2 exactly
+    for row in uncertainty_table(capsys, k, j):
+        assert row["product_closed"] == row["a_norm_sq_closed"] + 0.5, row
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_closed_columns_of_order_2_meet_tanh_and_coth(capsys, j):
+    # y = r at k = 2: A = r tanh r for j = 0, r coth r for j = 1 (-> 1 at r = 0),
+    # and <x^2>, <p^2> = A + 1/2 +- r
+    for row in uncertainty_table(capsys, 2, j):
+        r = row["alpha"]
+        a = r * math.tanh(r) if j == 0 else (r / math.tanh(r) if r else 1.0)
+        assert row["a_norm_sq_closed"] == pytest.approx(a, rel=0, abs=1e-14), row
+        product = math.sqrt((a + 0.5) ** 2 - r * r)
+        assert row["product_closed"] == pytest.approx(product, rel=0, abs=1e-14), row
+
+
 def test_wigner_both_reports_sup_diff(capsys):
     code, out, _ = run_cli(
         capsys, "wigner", "--k", "2", "--j", "1", "--z", "1,1",

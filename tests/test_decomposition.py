@@ -189,7 +189,7 @@ def test_nan_ring_label_raises_before_the_series(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the norm series ran on a non-finite ring label")
 
-    monkeypatch.setattr(decomposition, "_series", unreachable)
+    monkeypatch.setattr("mcskit.states._series", unreachable)
     for z in (complex(float("nan"), 0.0), complex(float("inf"), 1.0)):
         for call in (
             lambda: decomposition._class_norm(2, 0, z),
