@@ -9,9 +9,9 @@ order-k generalization of the coherent states (k=1, j=0 reduces to them
 exactly, modulo the alpha -> |alpha|^2 norm convention used throughout:
 the norm series S_{k,j}(x) takes x = |alpha|^2).
 
-Moments come in two independent routes, a series route built from the norm
-function and a numeric route from truncated matrix elements; `moments`
-computes both and refuses to return if they disagree.
+Moments come in two independent routes, a closed route from the norm series
+(the ring filter past |alpha| = 1.34e154) and a numeric route from truncated
+matrix elements; `moments` computes both and refuses to return if they differ.
 
 The coefficients fall off faster than geometrically, so `build_mcs` fills
 only the levels that matter (its effective support; past it the dropped
@@ -55,8 +55,6 @@ _BUILD_SEED_ONLY_K = 428
 
 # a_norm_closed takes the series where its ring filter rounds past this share
 _FILTER_TOL = 1e-13
-_SERIES_REFUSAL = ("the norm series takes |alpha|^2; numeric_moments(build_mcs(label, "
-                   "n_max)) and a_norm_closed(label) serve this label")
 
 # series totals past 2^_SCALE_BITS are carried as s 2^e (see _series);
 # coefficient vectors scale by the square root
@@ -99,17 +97,17 @@ def _check_series(k: int, j: int, x: float) -> float:
     return float(x)
 
 
-def _power(base: complex, n: float, why: str = "the label is too large") -> complex:
-    """base ** n, raising Overflow that says why where a finite base leaves
-    double range: Python raises OverflowError there for some n, and returns
-    inf or NaN parts for others (a complex base and n <= 100)."""
+def _power(base: complex, n: float) -> complex:
+    """base ** n, raising Overflow where a finite base leaves double range:
+    Python raises OverflowError there for some n, and returns inf or NaN
+    parts for others (a complex base and n <= 100)."""
     try:
         out = base**n
         if cmath.isfinite(out) or not cmath.isfinite(base):
             return out
     except OverflowError:
         pass
-    raise Overflow(f"{base:.3g} ** {n} overflows double precision; {why}")
+    raise Overflow(f"{base:.3g} ** {n} overflows double precision; the label is too large")
 
 
 def _split(p: int) -> tuple[float, int]:
@@ -427,45 +425,43 @@ def a_norm_closed(label: MCSLabel) -> float:
 
 
 def moments(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> MomentSet:
-    """Moment set for |alpha; k, j>, series route cross-checked numerically.
+    """Moment set for |alpha; k, j>, closed route cross-checked numerically.
 
     Order 1 is the familiar displaced Gaussian. For k >= 2 the first
     moments vanish identically and the second moments are
     A + 1/2 +- Re(alpha) delta_{k,2}; the +- asymmetry exists only at k=2,
-    where (a-)^2 contributes a direct <a^2> = alpha term.
+    where (a-)^2 contributes a direct <a^2> = alpha term. A is |alpha|^2 at
+    k = 1, else the norm series ratio, or past |alpha| = 1.34e154, where
+    |alpha|^2 leaves double range, the ring filter of `a_norm_closed`.
 
     Raises RouteMismatch if the truncated matrix elements disagree with the
-    series values beyond 1e-10 max(1, <N>); that means n_max is too small
+    closed values beyond 1e-10 max(1, <N>); that means n_max is too small
     for this label (or a bug), and no silently wrong numbers are returned.
     The bound grows with <N> because the rounding of both routes does: the
     second moments are sums of terms of size <N>.
     """
     # the build first, so a label n_max cannot hold is refused before a closed
-    # MomentSet whose x + 1/2 rounds fails its consistency check; past |alpha|
-    # = 1.34e154 the series then refuses, naming the routes that serve it
+    # MomentSet whose x + 1/2 rounds fails its consistency check
     numeric = numeric_moments(build_mcs(label, n_max))
     closed = _closed_moments(label)
-    worst_field, worst = _route_gap(closed, numeric)
-    bound = _ROUTE_TOL * max(1.0, closed.a_norm_sq)
-    if worst > bound:
-        raise RouteMismatch(
-            f"series and matrix-element moments disagree on {worst_field} "
-            f"by {worst:.3e} (> {bound:.1e}) for {label}; raise n_max"
-        )
+    field, gap = _route_gap(closed, numeric)
+    _check_gap(f"series and matrix-element moments disagree on {field}", gap, _ROUTE_TOL,
+               closed.a_norm_sq, label)
     return closed
 
 
 def _closed_moments(label: MCSLabel) -> MomentSet:
-    """The closed half of `moments`, without the numeric cross-check."""
+    """The closed half of `moments` without its numeric cross-check: the one place A is taken."""
     k, j, alpha = label.k, label.j, label.alpha
-    x = _power(abs(alpha), 2, _SERIES_REFUSAL)
+    try:  # Overflow is a McskitError, so only |alpha|^2 past double range is caught
+        a = abs(alpha) ** 2 if k == 1 else _a_norm_series(k, j, abs(alpha) ** 2)
+    except OverflowError:  # the ring filter never forms |alpha|^2; at k = 1 it is A: Overflow
+        a = a_norm_closed(label)
     if k == 1:
-        mean_x = math.sqrt(2.0) * alpha.real
-        mean_p = math.sqrt(2.0) * alpha.imag
+        mean_x, mean_p = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
         # variances and their product exactly 1/2
         return MomentSet(mean_x, mean_p, mean_x**2 + 0.5, mean_p**2 + 0.5, 0.5, 0.5, 0.5,
-                         x, x + 0.5)
-    a = _a_norm_series(k, j, x)
+                         a, a + 0.5)
     cross = alpha.real if k == 2 else 0.0
     return _moment_set(0.0, 0.0, a + 0.5 + cross, a + 0.5 - cross, a)
 
@@ -473,40 +469,38 @@ def _closed_moments(label: MCSLabel) -> MomentSet:
 def geometric_phase(label: MCSLabel, n_max: int = DEFAULT_N_MAX) -> float:
     """Geometric phase over one revival period 2*pi/k.
 
-    Route one: beta = (2*pi/k)(A - j) from the series number expectation.
+    Route one: beta = (2*pi/k)(A - j) from the closed A of `moments`.
     Route two: total revival phase minus the dynamical part, with the
     energy taken from truncated matrix elements. The two must agree to
     1e-12 max(1, <N>), since beta grows like 2 pi <N> / k and so does
     its rounding, or RouteMismatch is raised.
     """
-    a, beta, gap = _phase_routes(label, numeric_moments(build_mcs(label, n_max)).mean_H)
-    bound = _PHASE_TOL * max(1.0, a)
-    if gap > bound:
-        raise RouteMismatch(
-            f"geometric phase routes disagree by {gap:.3e} "
-            f"(> {bound:.1e}) for {label}; raise n_max"
-        )
+    numeric = numeric_moments(build_mcs(label, n_max))  # the build first, as in moments
+    closed = _closed_moments(label)
+    beta, gap = _phase_routes(label, closed, numeric)
+    _check_gap("geometric phase routes disagree", gap, _PHASE_TOL, closed.a_norm_sq, label)
     return beta
 
 
+def _check_gap(what: str, gap: float, tol: float, a: float, label: MCSLabel) -> None:
+    """RouteMismatch where two routes' gap passes tol max(1, A), A the number expectation."""
+    if gap > (bound := tol * max(1.0, a)):
+        raise RouteMismatch(f"{what} by {gap:.3e} (> {bound:.1e}) for {label}; raise n_max")
+
+
 def _route_gap(closed: MomentSet, numeric: MomentSet) -> tuple[str, float]:
-    """The field where two moment sets differ most, and by how much."""
-    worst_field, worst = "", 0.0
-    for name in MomentSet.__dataclass_fields__:
-        d = abs(getattr(closed, name) - getattr(numeric, name))
-        if d > worst:
-            worst_field, worst = name, d
-    return worst_field, worst
+    """The field where two moment sets differ most (the first such), and by how much."""
+    gaps = ((name, abs(value - getattr(numeric, name))) for name, value in vars(closed).items())
+    return max(gaps, key=lambda gap: gap[1])
 
 
-def _phase_routes(label: MCSLabel, energy: float) -> tuple[float, float, float]:
-    """The series A, beta = (2 pi / k)(A - j), and |beta - beta_alt|, where
-    beta_alt is the revival phase minus the dynamical phase -(2 pi / k) energy."""
+def _phase_routes(label: MCSLabel, closed: MomentSet, numeric: MomentSet) -> tuple[float, float]:
+    """beta = (2 pi / k)(A - j) of the closed A, and |beta - beta_alt|, where beta_alt is
+    the revival phase minus the dynamical phase -(2 pi / k) <H> of the numeric moments."""
     k, j = label.k, label.j
-    a = _a_norm_series(k, j, _power(abs(label.alpha), 2, _SERIES_REFUSAL))
-    beta = _beta(k, j, a)
-    beta_alt = -(2 * j + 1) * math.pi / k + (2.0 * math.pi / k) * energy
-    return a, beta, abs(beta - beta_alt)
+    beta = _beta(k, j, closed.a_norm_sq)
+    beta_alt = -(2 * j + 1) * math.pi / k + (2.0 * math.pi / k) * numeric.mean_H
+    return beta, abs(beta - beta_alt)
 
 
 def _beta(k: int, j: int, a: float) -> float:

@@ -5,7 +5,7 @@ statement, a threshold with its relation, and the function that measures
 it. `run_suite` builds a suite's shared inputs once per call and measures
 that suite's rows in table order; the acceptance tests read the same
 rows. The states suite takes, once per label of its label set, the closed
-moments from the series and the numeric moments from the state it built.
+moments, whose A the phase row reads, and the numeric moments of its state.
 The wigner suite measures each case as it builds it and keeps a small
 record per case, which each row reduces with its own max or min, so it
 holds at most one closed and one numeric field at once (besides the
@@ -215,7 +215,7 @@ def _revival(s: SimpleNamespace) -> float:
 
 
 def _phase_routes(s: SimpleNamespace) -> float:
-    return max(st._phase_routes(lab, numeric.mean_H)[2] for lab, numeric in s.numeric.items())
+    return max(st._phase_routes(lab, s.closed[lab], num)[1] for lab, num in s.numeric.items())
 
 
 def _order_two_phase(s: SimpleNamespace) -> float:

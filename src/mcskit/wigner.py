@@ -130,10 +130,24 @@ class PhaseGrid:
 
 @dataclass(frozen=True, eq=False)
 class WignerField:
-    """Real field W on a PhaseGrid."""
+    """Real field W on a PhaseGrid: finite float64 values of shape (n_q, n_p)
+    (ValueError otherwise)."""
 
     grid: PhaseGrid
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr, shape = np.asarray(self.values), (self.grid.n_q, self.grid.n_p)
+        if arr.dtype.kind not in "iuf" or arr.shape != shape or not np.isfinite(arr).all():
+            raise ValueError(f"field values must be a finite real array of shape {shape}")
+        object.__setattr__(self, "values", arr.astype(np.float64, copy=False))
+
+    @classmethod
+    def _trusted(cls, grid: PhaseGrid, values: np.ndarray) -> WignerField:
+        """Unvalidated: values are a kernel's own finite float64 array on grid."""
+        field = object.__new__(cls)
+        field.__dict__.update(grid=grid, values=values)
+        return field
 
     def total(self) -> float:
         return _trapz2d(self.values, self.grid)
@@ -332,7 +346,7 @@ def wigner_numeric(state: FockVector, grid: PhaseGrid | None = None) -> WignerFi
             mirror = slice(None, -half - 1, -1)
             np.add(even[:, mirror], odd[:, mirror], out=field[rows, :half])
     field[:start] = field[::-1, ::-1][:start]
-    return WignerField(grid=grid, values=field)
+    return WignerField._trusted(grid, field)
 
 
 def wigner_closed(
@@ -389,7 +403,7 @@ def wigner_closed(
     phase = -2.0 * e * center_p.imag - (za * zb).imag
     right = _pair_parts(weight * np.exp(-e * e), phase, k, turn)
     field = np.empty((grid.n_q, grid.n_p))
-    return WignerField(grid=grid, values=_matmul_tiles(left, right.T, field))
+    return WignerField._trusted(grid, _matmul_tiles(left, right.T, field))
 
 
 def _pair_parts(modulus: np.ndarray, phase: np.ndarray, k: int,

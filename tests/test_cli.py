@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import mcskit
-from mcskit import PhaseGrid, TailTooHeavy, decomposition, verify
+from mcskit import (EdgeSupport, MCSLabel, PhaseGrid, TailTooHeavy, decomposition,
+                    geometric_phase, verify)
 from mcskit.cli import build_parser, main, parse_complex, parse_phase_grid, parse_x_grid
 from mcskit.verify import CHECKS, SUITE_NAMES, run_suite
 
@@ -133,6 +134,12 @@ def test_closed_product_from_order_3_is_the_energy(capsys, k, j):
     # <x> = <p> = 0 and <x^2> = <p^2> = A + 1/2, so the product is A + 1/2 exactly
     for row in uncertainty_table(capsys, k, j):
         assert row["product_closed"] == row["a_norm_sq_closed"] + 0.5, row
+
+
+def test_geometric_phase_is_the_table_phase_bit_for_bit(capsys):
+    # both read the closed A of `moments`, which at k = 1 is |alpha|^2 itself
+    for row in uncertainty_table(capsys, 1, 0):
+        assert geometric_phase(MCSLabel(1, 0, row["alpha"])) == row["geo_phase"], row
 
 
 @pytest.mark.parametrize("j", [0, 1])
@@ -362,6 +369,20 @@ def test_wavefunction_row_runs_one_synthesis_equal_to_each_case(monkeypatch):
         assert outputs[0][2 * i : 2 * i + 2].tobytes() == want.tobytes(), case
 
 
+def test_guard_row_reads_one_and_fails_when_its_guard_does_not_fire(monkeypatch):
+    check = verify.pha_commutator_check
+
+    def unguarded(k, state):  # the edge-support guard taken away
+        try:
+            return check(k, state)
+        except EdgeSupport:
+            return None
+
+    monkeypatch.setattr(verify, "pha_commutator_check", unguarded)
+    row = next(r for r in run_suite("algebra") if r.name == "edge-support guard fires")
+    assert row.value == 1.0 and not row.passed
+
+
 def test_verify_surfaces_forced_failure(capsys, monkeypatch):
     # a suite whose inputs cannot be built reports the typed error, not a row
     def refuse():
@@ -389,6 +410,7 @@ def test_argument_errors_exit_two(capsys):
         "uncertainty --k 2 --alpha inf",
         "evolve --k 2 --z 1 --tmax inf",
         "evolve --k 2 --z 1 --grid -1,inf,5",
+        "evolve --k 2 --z 1 --grid -1,1",
         "wigner --k 2 --z 1 --grid -1,1,-1,inf,3,3",
         "spectrum --k 2 --levels 0",
         # one axis past the library's 2^26-entry cap, refused before any

@@ -45,6 +45,10 @@ def test_basis_state_and_inner():
     w = basis_state(5, n_max=8)
     assert inner(v, w) == 0.0
     assert inner(v, v) == 1.0
+    with pytest.raises(ValueError, match="outside"):
+        basis_state(8, n_max=8)
+    with pytest.raises(ValueError, match="mismatched truncations"):
+        inner(v, basis_state(3, n_max=9))
 
 
 @pytest.mark.parametrize("size", [1, 255, 9999, 10**4])

@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from mcskit import (MCSLabel, PhaseGrid, a_norm_closed, mcs_as_scs, mcs_wavefunction,
-                    states, wigner_closed)
+from mcskit import (MCSLabel, PhaseGrid, a_norm_closed, geometric_phase, mcs_as_scs,
+                    mcs_wavefunction, moments, states, wigner_closed)
 from mcskit.decomposition import _class_norm, _ring_norm
 from mcskit.errors import DegenerateNorm
 from mcskit.states import _turns
@@ -269,3 +269,18 @@ def test_number_expectation_on_both_sides_of_the_switch(monkeypatch):
                 want = y * filtered_series(k, j - 1, y) / filtered_series(k, j, y) if r else j
                 assert abs(value - want) <= 1e-13 * max(want, EPS), (k, j, r)
             assert routes == ({False} if k == 1 else {False, True}), (k, j)
+
+
+@pytest.mark.parametrize("call", [moments, geometric_phase])
+def test_labels_past_the_squared_range_read_the_ring_filter(call):
+    # |alpha|^2 leaves double range past 1.34e154; the build serves these
+    # labels, and the closed A comes from the ring filter, never forming it
+    for k, j, r in ((100, 0, 1e160), (200, 3, 1e300), (172, 170, 3e197)):
+        y = exact(r).real ** (mp.mpf(2) / k)
+        want = y * filtered_series(k, j - 1, y) / filtered_series(k, j, y)
+        got = call(MCSLabel(k, j, r), 4096)
+        if call is moments:
+            assert abs(got.a_norm_sq - want) <= 1e-13 * want, (k, j, r)
+        else:  # beta = (2 pi / k)(A - j), held to the same share of A
+            turn = 2 * mp.pi / k
+            assert abs(got - turn * (want - j)) <= 1e-13 * turn * want, (k, j, r)

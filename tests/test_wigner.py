@@ -59,6 +59,36 @@ def test_grid_axes_are_built_once_and_read_only():
             axis[0] = 0.0
 
 
+def test_field_keeps_its_invariants():
+    # finite float64 values of the grid's shape, else ValueError: a NaN field
+    # gave NaN marginals, totals and purity, a nested list a bare
+    # AttributeError, and a (3, 3) array numpy's matmul message
+    grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 5, 3)
+    for values in (np.full((5, 3), np.nan), np.full((5, 3), np.inf), np.zeros((3, 3)),
+                   np.zeros((3, 5)), np.zeros((5, 3), dtype=complex), [[0.0] * 3] * 4):
+        with pytest.raises(ValueError, match="finite real array of shape"):
+            WignerField(grid, values)
+    with pytest.raises(ValueError):
+        marginals(WignerField(PhaseGrid(), np.full((257, 257), np.nan)))
+    rows = [[-1.0, 0.0, 2.0]] * 5
+    field = WignerField(grid, rows)
+    assert field.values.dtype == np.float64 and field.values.shape == (5, 3)
+    assert negativity_volume(field) == negativity_volume(WignerField(grid, np.array(rows)))
+    assert WignerField(grid, np.ones((5, 3), dtype=int)).total() == pytest.approx(4.0)
+
+
+def test_kernels_hand_over_their_fields_unchecked(monkeypatch):
+    # the kernels' own arrays are finite by construction, so neither pays the check
+    def refuse(self):
+        raise AssertionError("a kernel field was validated")
+
+    monkeypatch.setattr(WignerField, "__post_init__", refuse)
+    grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 17, 17)
+    closed = wigner_closed(2, 0, 1.0, grid)
+    numeric = wigner_numeric(build_mcs(MCSLabel(2, 0, 1.0), 64), grid)
+    assert np.max(np.abs(closed.values - numeric.values)) < 1e-10
+
+
 def test_scs_field_is_shifted_gaussian_peak():
     z = 1.0 + 0.5j
     field = wigner_closed(1, 0, z, PhaseGrid())
